@@ -104,9 +104,6 @@ def color_less(c1: ColorTerm, c2: ColorTerm) -> bool:
 # Structures
 # ---------------------------------------------------------------------------
 
-Pair = frozenset
-
-
 def pair_of(u: str, v: str) -> frozenset:
     if u == v:
         raise InputError(f"degenerate pair ({u!r}, {u!r})")
@@ -193,6 +190,8 @@ class FinStruct:
         return tuple(p for p in self.points if p in sub)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FinStruct):
             return NotImplemented
         if self.points != other.points or self.level != other.level:
@@ -322,9 +321,9 @@ def _fresh_id(candidate: str, used: set[str], side: str) -> str:
     return bumped
 
 
-def smallest_admissible_base(level: int, constraints: Iterable[tuple[ColorTerm, ColorTerm]]) -> ColorTerm:
-    """Smallest base color (by the color order) admissible at ``level`` that
-    differs from c1 whenever a constraint (c1, c2) has c1 == c2.
+def smallest_admissible_base(constraints: Iterable[tuple[ColorTerm, ColorTerm]]) -> ColorTerm:
+    """Smallest base color (by the color order) that differs from c1
+    whenever a constraint (c1, c2) has c1 == c2.
 
     Each constraint is the pair of already-assigned colors on the two other
     sides of a triangle through the pair being colored.
@@ -419,7 +418,7 @@ def amalgamate(a: FinStruct, b: FinStruct, over: FinStruct,
             cu, cv = pair_of(u, w), pair_of(v, w)
             if cu in colors and cv in colors:
                 constraints.append((colors[cu], colors[cv]))
-        colors[pair_of(u, v)] = smallest_admissible_base(level, constraints)
+        colors[pair_of(u, v)] = smallest_admissible_base(constraints)
 
     result = FinStruct.build(merged, colors, level)
     verdict = validate(result)

@@ -3,9 +3,10 @@
 ``apply_K`` extends a structure by one new element per budgeted type: the
 original points keep their order and colors, each type element is placed at
 its minimal consistent position and ordered against other type elements by
-an explicit four-rule comparison, colors between a type element and an
-unsupported base point use the next level's marker, and colors between two
-type elements encode the isomorphism class of their joint configuration.
+the type order, one sort key (``types.order_key``) that encodes its four
+rules; colors between a type element and an unsupported base point use the
+next level's marker, and colors between two type elements encode the
+isomorphism class of their joint configuration.
 The morphism map transports types along embeddings, making the whole thing
 a functor that raises the level by one.
 """
@@ -18,19 +19,13 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .core import (ColorTerm, Embedding, FinStruct, InputError, code_of_parts,
-                   color_less, format_struct, pair_of, validate)
-from .types import (OnePointType, enumerate_types, format_type,
-                    insert_position, transport)
+                   format_struct, pair_of, validate)
+from .types import (OnePointType, enumerate_types, format_type, gap_index,
+                    order_key, transport)
 
 LT = -1
 EQ = 0
 GT = 1
-
-
-def gap_index(tau: OnePointType) -> int:
-    """Position of the type's element among the base points: the number of
-    base points below it under the minimal consistent placement."""
-    return insert_position(tau.base, tau.support, tau.cut)
 
 
 def order_type_vs_point(tau: OnePointType, v: str) -> int:
@@ -45,30 +40,13 @@ def order_type_vs_point(tau: OnePointType, v: str) -> int:
 
 
 def compare_types(xi: OnePointType, psi: OnePointType) -> int:
-    """Strict total order on types over one base.
-
-    Applies, in order: separation by a base point, support size, the largest
-    point of the support symmetric difference, and the color at the largest
-    support point where the colorings disagree.
-    """
+    """Strict total order on types over one base: LT, EQ or GT as the
+    ``order_key`` of ``xi`` is below, equal to or above that of ``psi``.
+    That one sort key encodes the four rules of the type order."""
     if xi.base != psi.base:
         raise InputError("types over different bases are incomparable")
-    if xi.key() == psi.key():
-        return EQ
-    g1, g2 = gap_index(xi), gap_index(psi)
-    if g1 != g2:                                   # (1) a base point separates
-        return LT if g1 < g2 else GT
-    if len(xi.support) != len(psi.support):        # (2) support size
-        return LT if len(xi.support) < len(psi.support) else GT
-    diff = set(xi.support) ^ set(psi.support)
-    if diff:                                       # (3) largest difference point
-        top = max(diff, key=xi.base.index)
-        return LT if top in xi.support else GT
-    for p in reversed(xi.support):                 # (4) color at largest disagreement
-        c1, c2 = xi.color_of(p), psi.color_of(p)
-        if c1 != c2:
-            return LT if color_less(c1, c2) else GT
-    raise AssertionError("distinct types with identical data")
+    k1, k2 = order_key(xi), order_key(psi)
+    return EQ if k1 == k2 else LT if k1 < k2 else GT
 
 
 # ---------------------------------------------------------------------------

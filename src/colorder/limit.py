@@ -18,21 +18,7 @@ from typing import Iterator
 from .core import (Embedding, FinStruct, InputError, format_struct,
                    is_embedding, validate)
 from .types import (OnePointType, enumerate_types, fresh_point_name,
-                    realize_type)
-
-TaskKey = tuple
-
-
-def task_key(tau: OnePointType) -> TaskKey:
-    return (tau.support, tau.cut, tuple(c.text() for c in tau.colors))
-
-
-def _key_of_point(s: FinStruct, u: str, over_sorted: tuple[str, ...]) -> tuple:
-    """The (support, cut, colors) key of an existing point over a sorted
-    subset, computed without materializing the base restriction."""
-    pos = s.index(u)
-    cut = sum(1 for p in over_sorted if s.index(p) < pos)
-    return (over_sorted, cut, tuple(s.color(p, u) for p in over_sorted))
+                    point_key, realize_type)
 
 
 class Approximation:
@@ -53,7 +39,7 @@ class Approximation:
             raise InputError("budget cap must be at least 1")
         self.current = seed
         self.budget_cap = budget_cap
-        self.ledger: set[TaskKey] = set()
+        self.ledger: set[tuple] = set()  # keys of realized types
         self.birth: list[str] = list(seed.points)
         self.steps_done = 0
         self._tasks = self._schedule()
@@ -66,27 +52,23 @@ class Approximation:
                 budget = total - window
                 if budget > self.budget_cap:
                     continue
-                first = self.birth[: min(window, len(self.birth))]
-                order = {p: i for i, p in enumerate(first)}
-                subsets = sorted(
-                    (tuple(sorted(s, key=order.get))
-                     for size in range(len(first) + 1)
-                     for s in itertools.combinations(first, size)),
-                    key=lambda s: (len(s), tuple(order[p] for p in s)))
-                for subset in subsets:
-                    supp = self.current.sorted_points(subset)
-                    sub = self.current.restrict(supp)
-                    for tau in enumerate_types(sub, 0, budget):
-                        yield tau
+                for sub in self.substructures(window):
+                    yield from enumerate_types(sub, 0, budget)
+
+    def substructures(self, window: int) -> Iterator[FinStruct]:
+        """The restrictions to every subset of the first ``window`` created
+        points, by size, then by creation order."""
+        first = self.birth[:window]
+        for size in range(len(first) + 1):
+            for subset in itertools.combinations(first, size):
+                yield self.current.restrict(subset)
 
     def realizer_of(self, tau: OnePointType) -> str | None:
         """Smallest point (in structure order) realizing the task, if any."""
         supp = set(tau.support)
         key = tau.key()
         for u in self.current.points:
-            if u in supp:
-                continue
-            if _key_of_point(self.current, u, tau.support) == key:
+            if u not in supp and point_key(self.current, u, tau.support) == key:
                 return u
         return None
 
@@ -95,13 +77,14 @@ class Approximation:
                               name=fresh_point_name(self.current))
         self.current = new
         self.birth.append(u)
-        self.ledger.add(task_key(tau))
+        self.ledger.add(tau.key())
         return u
 
     def format(self, name: str = "approx") -> str:
         out = [format_struct(self.current, name), "ledger\n"]
         lines = sorted(
-            f"task supp={','.join(supp)} cut={cut} colors={','.join(cols)}\n"
+            f"task supp={','.join(supp)} cut={cut} "
+            f"colors={','.join(c.text() for c in cols)}\n"
             for supp, cut, cols in self.ledger)
         return "".join(out) + "".join(lines)
 
@@ -112,7 +95,7 @@ def grow(a: Approximation, steps: int) -> Approximation:
     for _ in range(steps):
         tau = next(a._tasks)
         a.steps_done += 1
-        key = task_key(tau)
+        key = tau.key()
         if key in a.ledger:
             continue
         if a.realizer_of(tau) is not None:
@@ -128,14 +111,9 @@ def saturation_check(a: Approximation, window: int, budget: int) -> bool:
     window inspects no subsets at all and holds vacuously."""
     if window == 0:
         return True
-    first = a.birth[: min(window, len(a.birth))]
-    for size in range(len(first) + 1):
-        for subset in itertools.combinations(first, size):
-            sub = a.current.restrict(a.current.sorted_points(subset))
-            for tau in enumerate_types(sub, 0, budget):
-                if a.realizer_of(tau) is None:
-                    return False
-    return True
+    return all(a.realizer_of(tau) is not None
+               for sub in a.substructures(window)
+               for tau in enumerate_types(sub, 0, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -193,21 +171,13 @@ def extend_partial_iso(a: Approximation, p: PartialIso,
     if not p.check(a.current):
         raise InputError("not a partial isomorphism")
     dom = a.current.sorted_points(fwd)
-    _, cut, colors = _key_of_point(a.current, u, dom)
+    _, cut, colors = point_key(a.current, u, dom)
     mapped = tuple(fwd[d] for d in dom)
     if a.current.sorted_points(mapped) != mapped:
         raise InputError("map does not preserve the domain order")
     target = OnePointType.build(a.current.restrict(mapped), mapped, cut,
                                 colors, a.current.level)
-    key = target.key()
-    taken = set(p.range())
-    v = None
-    for cand in a.current.points:
-        if cand in taken or cand in mapped:
-            continue
-        if _key_of_point(a.current, cand, mapped) == key:
-            v = cand
-            break
+    v = a.realizer_of(target)
     if v is None:
         v = a.realize(target)
     return a, p.extended(u, v)
@@ -222,23 +192,14 @@ def embed(a: Approximation, s: FinStruct) -> tuple[Approximation, Embedding]:
     if s.level != 0:
         raise InputError("only level-0 structures embed into an approximation")
     mapping: dict[str, str] = {}
-    used: set[str] = set()
     for i, q in enumerate(s.points):
         preds = s.points[:i]
         images = tuple(mapping[p] for p in preds)
         colors = tuple(s.color(p, q) for p in preds)
         target = OnePointType.build(a.current.restrict(images), images,
                                     len(images), colors, 0)
-        key = target.key()
-        found = None
-        for cand in a.current.points:
-            if cand in used or cand in images:
-                continue
-            if _key_of_point(a.current, cand, images) == key:
-                found = cand
-                break
+        found = a.realizer_of(target)
         mapping[q] = found if found is not None else a.realize(target)
-        used.add(mapping[q])
     return a, Embedding.build(s, a.current, mapping)
 
 

@@ -584,7 +584,7 @@ def parse_certificate(text: str) -> RefutationCertificate:
     lines = text.splitlines()
     if not lines or lines[0].strip() != "certificate v1":
         raise InputError("missing certificate header")
-    if len(lines) < 2 or not lines[1].startswith("kind "):
+    if len(lines) < 2 or not lines[1].startswith("kind ") or len(lines[1].split()) < 2:
         raise InputError("missing certificate kind")
     kind = lines[1].split()[1]
     sections: dict[str, list[str]] = {}
@@ -612,12 +612,12 @@ def parse_certificate(text: str) -> RefutationCertificate:
             continue
         if tok[0] == "x":
             base_points = tuple(tok[1:])
-        elif tok[0] == "type":
+        elif tok[0] == "type" and len(tok) > 1:
             tau_text = line.split(None, 1)[1]
-        else:
-            if len(tok) != 2:
-                raise InputError(f"bad points line {line!r}")
+        elif tok[0] != "type" and len(tok) == 2:
             fields[tok[0]] = tok[1]
+        else:
+            raise InputError(f"bad points line {line!r}")
     alpha_pairs = []
     for line in sections["ALPHA"]:
         tok = line.split()
@@ -652,6 +652,11 @@ def parse_certificate(text: str) -> RefutationCertificate:
     def color_field(key: str) -> ColorTerm | None:
         return ColorTerm.parse(fields[key]) if key in fields else None
 
+    try:
+        depth = int(fields.get("depth", "0"))
+    except ValueError:
+        raise InputError(f"bad depth {fields['depth']!r}") from None
+
     return RefutationCertificate(
         kind=kind, structure=structure, base_points=base_points,
         tau_text=tau_text, queries=tuple(queries),
@@ -660,7 +665,7 @@ def parse_certificate(text: str) -> RefutationCertificate:
         side1=fields.get("side1"), side2=fields.get("side2"),
         alpha=PartialIso(tuple(alpha_pairs)) if alpha_pairs else None,
         transcript=tuple(transcript),
-        extension_depth=int(fields.get("depth", "0")), reason=reason)
+        extension_depth=depth, reason=reason)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ the support by the new point must itself be a valid structure.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -81,6 +80,34 @@ def insert_position(ambient: FinStruct, support: Sequence[str], cut: int) -> int
     return ambient.index(support[cut - 1]) + 1
 
 
+def gap_index(tau: OnePointType) -> int:
+    """Position of the type's element among the base points: the number of
+    base points below it under the minimal consistent placement."""
+    return insert_position(tau.base, tau.support, tau.cut)
+
+
+def order_key(tau: OnePointType) -> tuple:
+    """Sort key of the type order over one base.
+
+    Encodes four rules, in order: separation by a base point (the gap),
+    support size, the largest point of the support symmetric difference (the
+    type containing it comes first), and the color at the largest support
+    point where the colorings disagree.
+    """
+    pos = tau.base.pos
+    return (gap_index(tau), len(tau.support),
+            tuple(-pos[p] for p in reversed(tau.support)),
+            tuple(c.sort_key() for c in reversed(tau.colors)))
+
+
+def point_key(s: FinStruct, u: str, over_sorted: tuple[str, ...]) -> tuple:
+    """The ``OnePointType.key()`` of an existing point over a sorted subset,
+    computed without materializing the base restriction."""
+    pos = s.index(u)
+    cut = sum(1 for p in over_sorted if s.index(p) < pos)
+    return (over_sorted, cut, tuple(s.color(p, u) for p in over_sorted))
+
+
 def type_of_point(s: FinStruct, u: str, over: Iterable[str]) -> OnePointType:
     """Read off the type of an existing point over a point subset.
 
@@ -95,9 +122,7 @@ def type_of_point(s: FinStruct, u: str, over: Iterable[str]) -> OnePointType:
     supp = s.sorted_points(over_set)
     if len(supp) != len(over_set):
         raise InputError("support contains unknown points")
-    u_pos = s.index(u)
-    cut = sum(1 for p in supp if s.index(p) < u_pos)
-    colors = tuple(s.color(p, u) for p in supp)
+    _, cut, colors = point_key(s, u, supp)
     base = s.restrict(p for p in s.points if p != u)
     return OnePointType(base, supp, cut, colors, s.level)
 
@@ -114,7 +139,6 @@ def allowed_colors(x: FinStruct, level: int, budget: int) -> list[ColorTerm]:
 def enumerate_types(x: FinStruct, level: int, budget: int) -> list[OnePointType]:
     """All valid types over ``x`` whose colors come from the budgeted pool,
     sorted by the canonical type order."""
-    from .katetov import compare_types  # deferred: the order lives with the functor
     v = validate(x)
     if not v:
         raise InputError(f"invalid base structure: {v.reason}")
@@ -131,7 +155,7 @@ def enumerate_types(x: FinStruct, level: int, budget: int) -> list[OnePointType]
                     continue
                 for cut in range(size + 1):
                     out.append(OnePointType(x, supp, cut, cols, level))
-    out.sort(key=functools.cmp_to_key(compare_types))
+    out.sort(key=order_key)
     return out
 
 
@@ -175,7 +199,7 @@ def realize_type(f: FinStruct, tau: OnePointType,
         if v in assigned:
             continue
         constraints = [(assigned[w], f.color(v, w)) for w in assigned if w != v]
-        c = smallest_admissible_base(f.level, constraints)
+        c = smallest_admissible_base(constraints)
         assigned[v] = c
         cols[pair_of(v, u)] = c
     return FinStruct(tuple(pts), cols, f.level), u

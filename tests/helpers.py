@@ -103,3 +103,30 @@ def consistent_placements(base: FinStruct, support, cut: int) -> list[int]:
                for i, sp in enumerate(support)):
             ok.append(pos)
     return ok
+
+
+def color_rank(c: ColorTerm) -> tuple:
+    """The color order from its definition: by level, then kind (base <
+    marker < pair code), then index or code payload."""
+    return (c.level, "bmk".index(c.kind), c.index, c.code)
+
+
+def reference_type_less(xi, psi) -> bool:
+    """The type order applied rule by rule, with the gap taken from the
+    consistent placements rather than from the library."""
+    base = xi.base
+    g1 = min(consistent_placements(base, xi.support, xi.cut))
+    g2 = min(consistent_placements(base, psi.support, psi.cut))
+    if g1 != g2:                                   # (1) a base point separates
+        return g1 < g2
+    if len(xi.support) != len(psi.support):        # (2) support size
+        return len(xi.support) < len(psi.support)
+    diff = set(xi.support) ^ set(psi.support)
+    if diff:                                       # (3) largest difference point
+        return max(diff, key=base.index) in xi.support
+    c1 = dict(zip(xi.support, xi.colors))
+    c2 = dict(zip(psi.support, psi.colors))
+    for p in sorted(xi.support, key=base.index, reverse=True):
+        if c1[p] != c2[p]:                         # (4) color at largest disagreement
+            return color_rank(c1[p]) < color_rank(c2[p])
+    return False

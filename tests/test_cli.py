@@ -105,3 +105,10 @@ def test_type_file_input(tmp_path, capsys):
 
 def test_control_lo_bad_cut_exits_1(capsys):
     assert run(["control-lo", "--size", "1", "--cut", "7"]) == 1
+
+
+@pytest.mark.parametrize("name", ["cert_bad_depth.txt", "cert_bare_kind.txt",
+                                  "cert_bare_type.txt"])
+def test_malformed_certificate_exits_1(capsys, name):
+    assert run(["check-cert", "--cert", data(name), "--strategy", "constant"]) == 1
+    assert capsys.readouterr().err.startswith("error:")

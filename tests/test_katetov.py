@@ -10,7 +10,8 @@ from colorder.katetov import (EQ, GT, LT, apply_K, apply_K_morphism,
                               pair_structure)
 from colorder.types import (OnePointType, enumerate_types, transport,
                             type_of_point)
-from helpers import all_embeddings, all_structures, consistent_placements
+from helpers import (all_embeddings, all_structures, consistent_placements,
+                     reference_type_less)
 
 B = ColorTerm.base
 
@@ -76,6 +77,34 @@ def test_compare_is_strict_total_order():
                 for t2 in taus[i + 1:]:
                     assert compare_types(t1, t2) == LT
                     assert compare_types(t2, t1) == GT
+
+
+def test_enumeration_follows_reference_order(one_point):
+    """Every adjacent pair of enumerated types is strictly increasing under
+    the rule-by-rule reference order, including the marker and pair-code
+    colors of a functor stage."""
+    cases = [(x, 0, budget) for x in all_structures(3, 2) for budget in (1, 2, 3)]
+    cases.append((apply_K(one_point, 1).struct, 1, 1))
+    for x, level, budget in cases:
+        taus = enumerate_types(x, level, budget)
+        for t1, t2 in zip(taus, taus[1:]):
+            assert reference_type_less(t1, t2)
+            assert not reference_type_less(t2, t1)
+    assert len(taus) == 9296
+    assert {c.kind for tau in taus for c in tau.colors} == {"b", "m", "k"}
+
+
+def test_compare_rule3_largest_difference_point():
+    three = FinStruct.build("abc", {pair_of("a", "b"): B(0, 0),
+                                    pair_of("a", "c"): B(0, 1),
+                                    pair_of("b", "c"): B(0, 0)})
+    # both sit below a; the supports differ in b and c, and c is larger
+    low = OnePointType.build(three, ("a", "c"), 0, (B(0, 0), B(0, 0)), 0)
+    high = OnePointType.build(three, ("a", "b"), 0, (B(0, 0), B(0, 1)), 0)
+    assert gap_index(low) == gap_index(high) == 0
+    assert reference_type_less(low, high)
+    assert compare_types(low, high) == LT
+    assert compare_types(high, low) == GT
 
 
 def test_compare_rejects_different_bases(one_point, two_point):

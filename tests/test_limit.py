@@ -33,13 +33,12 @@ def test_growth_is_valid_at_every_stage():
 
 
 def test_growth_realizes_all_budget1_types_over_first_point():
-    from colorder.limit import task_key
     a = grown(60)
     first = a.birth[0]
     sub = a.current.restrict((first,))
     for tau in enumerate_types(sub, 0, 1):
         assert a.realizer_of(tau) is not None
-        assert task_key(tau) in a.ledger
+        assert tau.key() in a.ledger
 
 
 def test_grow_is_idempotent_on_realized_tasks():
