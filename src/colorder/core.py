@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 
 class InputError(ValueError):
@@ -321,20 +321,16 @@ def _fresh_id(candidate: str, used: set[str], side: str) -> str:
     return bumped
 
 
-def smallest_admissible_base(constraints: Iterable[tuple[ColorTerm, ColorTerm]]) -> ColorTerm:
-    """Smallest base color (by the color order) that differs from c1
-    whenever a constraint (c1, c2) has c1 == c2.
+def smallest_admissible_base(forbidden: Container[ColorTerm]) -> ColorTerm:
+    """Smallest base color (by the color order) not in ``forbidden``.
 
-    Each constraint is the pair of already-assigned colors on the two other
-    sides of a triangle through the pair being colored.
+    The forbidden colors are those carried by both other sides of some
+    triangle through the pair being colored.
     """
-    forbidden = {c1 for c1, c2 in constraints if c1 == c2}
     n = 0
-    while True:
-        cand = ColorTerm.base(0, n)
-        if cand not in forbidden:
-            return cand
+    while ColorTerm.base(0, n) in forbidden:
         n += 1
+    return ColorTerm.base(0, n)
 
 
 def amalgamate(a: FinStruct, b: FinStruct, over: FinStruct,
@@ -406,19 +402,13 @@ def amalgamate(a: FinStruct, b: FinStruct, over: FinStruct,
             colors[pair_of(u, v)] = b.color(preimage_b[u], preimage_b[v])
 
     # cross pairs, position-lexicographic, smallest admissible base color
-    order_pos = {p: i for i, p in enumerate(merged)}
-    cross = [(u, v) for u, v in itertools.combinations(merged, 2)
-             if pair_of(u, v) not in colors]
-    cross.sort(key=lambda uv: (order_pos[uv[0]], order_pos[uv[1]]))
-    for u, v in cross:
-        constraints = []
-        for w in merged:
-            if w in (u, v):
-                continue
-            cu, cv = pair_of(u, w), pair_of(v, w)
-            if cu in colors and cv in colors:
-                constraints.append((colors[cu], colors[cv]))
-        colors[pair_of(u, v)] = smallest_admissible_base(constraints)
+    for u, v in itertools.combinations(merged, 2):
+        if pair_of(u, v) in colors:
+            continue
+        forbidden = {c for w in merged if w not in (u, v)
+                     and (c := colors.get(pair_of(u, w))) is not None
+                     and c == colors.get(pair_of(v, w))}
+        colors[pair_of(u, v)] = smallest_admissible_base(forbidden)
 
     result = FinStruct.build(merged, colors, level)
     verdict = validate(result)
@@ -467,7 +457,7 @@ def parse_struct(text: str) -> tuple[str, FinStruct]:
     missing pairs."""
     name = None
     level = 0
-    points: list[str] = []
+    points: dict[str, None] = {}  # insertion-ordered, O(1) membership
     colors: dict[frozenset, ColorTerm] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -487,7 +477,7 @@ def parse_struct(text: str) -> tuple[str, FinStruct]:
                 raise InputError(f"line {lineno}: bad point line")
             if tok[1] in points:
                 raise InputError(f"line {lineno}: duplicate point {tok[1]!r}")
-            points.append(tok[1])
+            points[tok[1]] = None
         elif tok[0] == "color":
             if len(tok) != 4:
                 raise InputError(f"line {lineno}: bad color line")
@@ -502,4 +492,4 @@ def parse_struct(text: str) -> tuple[str, FinStruct]:
             raise InputError(f"line {lineno}: unknown directive {tok[0]!r}")
     if name is None:
         raise InputError("missing structure header")
-    return name, FinStruct.build(points, colors, level)
+    return name, FinStruct.build(tuple(points), colors, level)

@@ -15,8 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import (Embedding, FinStruct, InputError, format_struct,
-                   is_embedding, validate)
+from .core import Embedding, FinStruct, InputError, format_struct, validate
 from .types import (OnePointType, enumerate_types, fresh_point_name,
                     point_key, realize_type)
 
@@ -143,16 +142,16 @@ class PartialIso:
         return PartialIso(self.pairs + ((u, v),))
 
     def check(self, s: FinStruct) -> bool:
-        """Embedding in both directions within ``s``."""
+        """A bijection between points of ``s`` that preserves order and
+        colors; its inverse then does too."""
         fwd = self.fwd()
         if len(fwd) != len(self.pairs) or len(set(fwd.values())) != len(fwd):
             return False
         if any(u not in s or v not in s for u, v in self.pairs):
             return False
-        dom = s.restrict(fwd)
-        rng = s.restrict(fwd.values())
-        return (is_embedding(fwd, dom, rng)
-                and is_embedding({v: u for u, v in self.pairs}, rng, dom))
+        return all((s.index(a) < s.index(c)) == (s.index(b) < s.index(d))
+                   and s.color(a, c) == s.color(b, d)
+                   for (a, b), (c, d) in itertools.combinations(self.pairs, 2))
 
 
 def extend_partial_iso(a: Approximation, p: PartialIso,
@@ -173,10 +172,7 @@ def extend_partial_iso(a: Approximation, p: PartialIso,
     dom = a.current.sorted_points(fwd)
     _, cut, colors = point_key(a.current, u, dom)
     mapped = tuple(fwd[d] for d in dom)
-    if a.current.sorted_points(mapped) != mapped:
-        raise InputError("map does not preserve the domain order")
-    target = OnePointType.build(a.current.restrict(mapped), mapped, cut,
-                                colors, a.current.level)
+    target = OnePointType.build(a.current, mapped, cut, colors, a.current.level)
     v = a.realizer_of(target)
     if v is None:
         v = a.realize(target)
@@ -196,8 +192,7 @@ def embed(a: Approximation, s: FinStruct) -> tuple[Approximation, Embedding]:
         preds = s.points[:i]
         images = tuple(mapping[p] for p in preds)
         colors = tuple(s.color(p, q) for p in preds)
-        target = OnePointType.build(a.current.restrict(images), images,
-                                    len(images), colors, 0)
+        target = OnePointType.build(a.current, images, len(images), colors, 0)
         found = a.realizer_of(target)
         mapping[q] = found if found is not None else a.realize(target)
     return a, Embedding.build(s, a.current, mapping)

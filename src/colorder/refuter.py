@@ -19,16 +19,19 @@ approximation, as expected where pushouts exist.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import random
+import shlex
+import subprocess
 from dataclasses import dataclass
 from typing import Protocol
 
 from .core import (ColorTerm, FinStruct, InputError, canonical_code,
                    format_struct, parse_struct, validate)
 from .limit import Approximation, PartialIso, extend_partial_iso
-from .types import OnePointType, format_type, parse_type, type_of_point
+from .types import OnePointType, format_type, parse_type, point_key
 
 MONO = "MonochromaticTriangle"
 EQUIV = "EquivarianceViolation"
@@ -153,16 +156,23 @@ class SubprocessStrategy:
     """
 
     def __init__(self, argv: list[str]):
-        import subprocess
+        if not argv:
+            raise InputError("empty strategy command")
         self.name = f"prog:{argv[0]}"
-        self._proc = subprocess.Popen(
-            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            text=True, bufsize=1)
+        try:
+            self._proc = subprocess.Popen(
+                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                text=True, bufsize=1)
+        except OSError as exc:
+            raise InputError(f"cannot start strategy {argv[0]!r}: {exc}") from exc
 
     def answer(self, ctx: QueryContext) -> StrategyAnswer:
         assert self._proc.stdin is not None and self._proc.stdout is not None
-        self._proc.stdin.write(f"query {ctx.point} {ctx.structure_hash}\n")
-        self._proc.stdin.flush()
+        try:
+            self._proc.stdin.write(f"query {ctx.point} {ctx.structure_hash}\n")
+            self._proc.stdin.flush()
+        except BrokenPipeError:
+            pass  # the program has exited; its stdout reads as empty
         line = self._proc.stdout.readline()
         tok = line.split()
         if len(tok) != 3 or tok[0] != "answer":
@@ -170,9 +180,15 @@ class SubprocessStrategy:
         return StrategyAnswer.from_tokens(tok[1], tok[2])
 
     def close(self) -> None:
-        if self._proc.stdin is not None:
-            self._proc.stdin.close()
-        self._proc.wait(timeout=10)
+        """Close both pipes and reap the program, killing it after 10 s."""
+        for pipe in (self._proc.stdin, self._proc.stdout):
+            with contextlib.suppress(BrokenPipeError):
+                pipe.close()
+        try:
+            self._proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
 
 
 BUNDLED_STRATEGIES = {
@@ -184,7 +200,11 @@ BUNDLED_STRATEGIES = {
 
 def make_strategy(name: str, seed: int = 0) -> ExtensionStrategy:
     if name.startswith("prog:"):
-        return SubprocessStrategy(name[len("prog:"):].split())
+        try:
+            argv = shlex.split(name[len("prog:"):])
+        except ValueError as exc:
+            raise InputError(f"bad strategy command: {exc}") from None
+        return SubprocessStrategy(argv)
     try:
         cls = BUNDLED_STRATEGIES[name]
     except KeyError:
@@ -484,8 +504,7 @@ def check_certificate(cert: RefutationCertificate,
     expected_key = (tuple(cert.base_points), len(vbelow),
                     tuple(vcol[p] for p in cert.base_points))
     for t in (cert.t1, cert.t2):
-        got = type_of_point(s, t, cert.base_points)
-        if got.key() != expected_key:
+        if point_key(s, t, cert.base_points) != expected_key:
             return CheckResult(False, f"realizer-type-mismatch at {t}")
     if s.color(cert.t1, cert.t2) != cert.q:
         return CheckResult(False, "pair-color-mismatch")

@@ -34,6 +34,8 @@ class OnePointType:
     @staticmethod
     def build(base: FinStruct, support: Sequence[str], cut: int,
               colors: Sequence[ColorTerm], level: int) -> "OnePointType":
+        """Checked construction over a valid ``base``: beside the input
+        checks, only the triangles through the new point need inspecting."""
         supp = tuple(support)
         cols = tuple(colors)
         if len(supp) != len(cols):
@@ -45,31 +47,17 @@ class OnePointType:
         for c in cols:
             if c.level > level:
                 raise InputError(f"color {c.text()} exceeds type level {level}")
-        tau = OnePointType(base, supp, cut, cols, level)
-        ext = tau.extension("*new*")
-        v = validate(ext)
-        if not v:
-            raise InputError(f"invalid one-point extension: {v.reason} at {v.triple}")
-        return tau
+        for i, j in itertools.combinations(range(len(supp)), 2):
+            if cols[i] == cols[j] == base.color(supp[i], supp[j]):
+                raise InputError("invalid one-point extension: monochromatic "
+                                 f"triangle on {supp[i]}, {supp[j]} and the new point")
+        return OnePointType(base, supp, cut, cols, level)
 
     def key(self) -> tuple:
         return (self.support, self.cut, self.colors)
 
     def color_of(self, p: str) -> ColorTerm:
         return self.colors[self.support.index(p)]
-
-    def extension(self, new_id: str) -> FinStruct:
-        """The support extended by the new point, as a structure."""
-        if new_id in self.support:
-            raise InputError(f"new point id {new_id!r} collides with support")
-        pts = list(self.support)
-        pts.insert(self.cut, new_id)
-        cols: dict[frozenset, ColorTerm] = {}
-        for u, v in itertools.combinations(self.support, 2):
-            cols[pair_of(u, v)] = self.base.color(u, v)
-        for s, c in zip(self.support, self.colors):
-            cols[pair_of(s, new_id)] = c
-        return FinStruct(tuple(pts), cols, max(self.level, self.base.level))
 
 
 def insert_position(ambient: FinStruct, support: Sequence[str], cut: int) -> int:
@@ -198,8 +186,8 @@ def realize_type(f: FinStruct, tau: OnePointType,
     for v in f.points:
         if v in assigned:
             continue
-        constraints = [(assigned[w], f.color(v, w)) for w in assigned if w != v]
-        c = smallest_admissible_base(constraints)
+        c = smallest_admissible_base(
+            {c for w, c in assigned.items() if f.color(v, w) == c})
         assigned[v] = c
         cols[pair_of(v, u)] = c
     return FinStruct(tuple(pts), cols, f.level), u

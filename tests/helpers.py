@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from colorder.core import ColorTerm, FinStruct, pair_of
+from colorder.core import ColorTerm, FinStruct, is_embedding, pair_of
 
 POINT_NAMES = "abcdefgh"
 
@@ -130,3 +130,17 @@ def reference_type_less(xi, psi) -> bool:
         if c1[p] != c2[p]:                         # (4) color at largest disagreement
             return color_rank(c1[p]) < color_rank(c2[p])
     return False
+
+
+def reference_iso_check(pairs, s: FinStruct) -> bool:
+    """A partial isomorphism check by copying: restrict ``s`` to both sides
+    and require an embedding in each direction."""
+    fwd = dict(pairs)
+    if len(fwd) != len(pairs) or len(set(fwd.values())) != len(fwd):
+        return False
+    if any(u not in s or v not in s for u, v in pairs):
+        return False
+    dom = s.restrict(fwd)
+    rng = s.restrict(fwd.values())
+    return (is_embedding(fwd, dom, rng)
+            and is_embedding({v: u for u, v in pairs}, rng, dom))

@@ -1,4 +1,6 @@
 import os
+import shlex
+import sys
 
 import pytest
 
@@ -112,3 +114,24 @@ def test_control_lo_bad_cut_exits_1(capsys):
 def test_malformed_certificate_exits_1(capsys, name):
     assert run(["check-cert", "--cert", data(name), "--strategy", "constant"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+TYPE_A = "type supp=a cut=1 colors=b:0:1 level=0"
+
+
+@pytest.mark.parametrize("command", ["/nonexistent", "", "true",
+                                     "sh -c 'sleep 0.2; exit 0'"])
+def test_broken_program_strategy_exits_1(capsys, command):
+    assert run(["refute", "--base", data("one_point.txt"), "--type", TYPE_A,
+                "--strategy", f"prog:{command}"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_program_strategy_with_quoted_argument(capsys):
+    program = ("import sys\n"
+               "for line in sys.stdin:\n"
+               "    print('answer above b:0:0', flush=True)\n")
+    command = f"{shlex.quote(sys.executable)} -c {shlex.quote(program)}"
+    assert run(["refute", "--base", data("one_point.txt"), "--type", TYPE_A,
+                "--strategy", f"prog:{command}"]) == 0
+    assert "kind MonochromaticTriangle" in capsys.readouterr().out

@@ -8,6 +8,7 @@ from colorder.limit import (Approximation, PartialIso, embed,
                             extend_partial_iso, format_pairs, grow,
                             parse_pairs, saturation_check)
 from colorder.types import enumerate_types
+from helpers import all_structures, reference_iso_check
 
 B = ColorTerm.base
 
@@ -73,6 +74,17 @@ def test_saturation_after_coverage():
 # ---------------------------------------------------------------------------
 # partial isomorphisms
 # ---------------------------------------------------------------------------
+
+def test_check_agrees_with_reference_on_small_maps():
+    """Every list of at most three pairs, including repeated points on
+    either side, reversed orders, color mismatches and an unknown point."""
+    for s in all_structures(3, 2):
+        names = s.points + ("zz",)
+        pairs = list(itertools.product(names, repeat=2))
+        for size in range(4):
+            for chosen in itertools.product(pairs, repeat=size):
+                assert PartialIso(chosen).check(s) == reference_iso_check(chosen, s)
+
 
 def test_extend_empty_iso_pairs_free_types():
     a = grown(30)

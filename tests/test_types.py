@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from colorder.core import ColorTerm, FinStruct, InputError, pair_of, validate
@@ -62,6 +64,23 @@ def test_enumeration_matches_brute_force():
             want = set(brute_force_types(x, 0, budget))
             assert got == want
             assert len(got) == len(enumerate_types(x, 0, budget))  # no duplicates
+
+
+@pytest.mark.parametrize("budget", [2, 3])
+def test_build_accepts_exactly_the_brute_force_types(budget):
+    pool = [B(0, n) for n in range(budget)]
+    for x in all_structures(3, 2):
+        valid = set(brute_force_types(x, 0, budget))
+        for size in range(len(x.points) + 1):
+            for supp in itertools.combinations(x.points, size):
+                for cut in range(size + 1):
+                    for cols in itertools.product(pool, repeat=size):
+                        if (supp, cut, cols) in valid:
+                            tau = OnePointType.build(x, supp, cut, cols, 0)
+                            assert tau.key() == (supp, cut, cols)
+                        else:
+                            with pytest.raises(InputError):
+                                OnePointType.build(x, supp, cut, cols, 0)
 
 
 def test_enumeration_is_sorted_and_valid(two_point):
