@@ -5,6 +5,13 @@ total coloring of unordered point pairs.  The single semantic constraint is
 that no three points carry the same color on all three of their pairs.  This
 module provides the color universe, validation, embeddings, deterministic
 amalgamation, canonical codes, and the line-oriented text format.
+
+A structure keeps its colors in position-indexed rows of small-int ids into
+a palette of ColorTerms, so hot loops compare ints.  Costs: a color lookup
+is O(1); ``validate`` makes O(n^2) big-int operations over per-color
+neighbour bitmasks; realizing a point copies each row once with one new
+entry; a functor extension (``katetov.apply_K``) keeps the rows of its type
+elements lazy and computes each pair color on first read.
 """
 
 from __future__ import annotations
@@ -12,7 +19,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
 
 
 class InputError(ValueError):
@@ -104,56 +112,174 @@ def color_less(c1: ColorTerm, c2: ColorTerm) -> bool:
 # Structures
 # ---------------------------------------------------------------------------
 
+HOLE = -1  # row entry of the diagonal and of a pair left uncolored
+
+
 def pair_of(u: str, v: str) -> frozenset:
     if u == v:
         raise InputError(f"degenerate pair ({u!r}, {u!r})")
     return frozenset((u, v))
 
 
-@dataclass(frozen=True, eq=False)
+class Palette:
+    """An append-only table of colors; a color's id is its position.
+
+    Structures derived from one another share a palette, so their rows
+    compare as ints.  Ids never change meaning, so a palette may list colors
+    that some structure sharing it does not use.
+    """
+
+    __slots__ = ("colors", "ids", "base_ids")
+
+    def __init__(self, colors: Iterable[ColorTerm] = ()):
+        self.colors: list[ColorTerm] = []
+        self.ids: dict[ColorTerm, int] = {}
+        self.base_ids: list[int] = []  # id of b:0:n at index n, -2 if absent
+        for c in colors:
+            self.id(c)
+
+    def id(self, c: ColorTerm) -> int:
+        """The id of ``c``, appending it if new."""
+        got = self.ids.get(c)
+        if got is None:
+            got = self.ids[c] = len(self.colors)
+            self.colors.append(c)
+            if c.kind == BASE and c.level == 0:
+                short = c.index + 1 - len(self.base_ids)
+                if short > 0:
+                    self.base_ids.extend([-2] * short)
+                self.base_ids[c.index] = got
+        return got
+
+    def translate(self, other: "Palette") -> "_IdMap":
+        """Map the ids of ``other`` to the ids of the same colors here."""
+        return _IdMap(self, other)
+
+    def admissible_base(self, forbidden: Container[int]) -> int:
+        """Id of the smallest level-0 base color (by the color order) whose
+        id is not in ``forbidden``, appending the color if new.
+
+        The forbidden colors are those carried by both other sides of some
+        triangle through the pair being colored.
+        """
+        base = self.base_ids
+        n = 0
+        while n < len(base) and base[n] in forbidden:
+            n += 1
+        if n < len(base) and base[n] >= 0:
+            return base[n]
+        return self.id(ColorTerm.base(0, n))
+
+
+class _IdMap(dict):
+    """Ids of a source palette mapped to the ids of the same colors in a
+    target palette (-2 where the target lacks the color, HOLE to HOLE),
+    looked up on first use.
+
+    A lazy target palette gains a color only when some pair first reads it,
+    so a lookup must follow the read of the target entry it is compared
+    with, and a miss is never kept.
+    """
+
+    def __init__(self, target: Palette, source: Palette):
+        super().__init__({HOLE: HOLE})
+        self._target, self._source = target.ids, source.colors
+
+    def __missing__(self, c: int) -> int:
+        got = self._target.get(self._source[c], -2)
+        if got >= 0:
+            self[c] = got
+        return got
+
+
+def _check_points(pts: tuple[str, ...]) -> None:
+    seen = set()
+    for p in pts:
+        if not p or any(ch.isspace() for ch in p):
+            raise InputError(f"bad point id {p!r}")
+        if p in seen:
+            raise InputError(f"duplicate point {p!r}")
+        seen.add(p)
+
+
+def _check_complete(s: "FinStruct") -> "FinStruct":
+    """Reject an uncolored pair (the first in position order) and a
+    negative level."""
+    for i, row in enumerate(s.rows):
+        tail = row[i + 1:]
+        if HOLE in tail:
+            u, v = sorted((s.points[i], s.points[i + 1 + tail.index(HOLE)]))
+            raise InputError(f"missing color for pair ({u}, {v})")
+    if s.level < 0:
+        raise InputError("negative level")
+    return s
+
+
 class FinStruct:
     """A finite linear order with a total pair coloring.
 
-    ``points`` lists the points in increasing order.  ``colors`` maps each
-    unordered pair (a two-element frozenset of point names) to a ColorTerm.
-    ``level`` bounds the levels of all colors.  Values are immutable after
+    ``points`` lists the points in increasing order.  Colors are stored as
+    position-indexed rows of small-int ids: ``rows[i][j]`` is the id of the
+    color between points ``i`` and ``j`` (HOLE on the diagonal) and
+    ``palette.colors[id]`` is that color, so a lookup costs two position
+    lookups and two indexings.  ``rows`` is a tuple of tuples, or, for a
+    functor extension, a lazy provider with the same indexing.  ``level``
+    bounds the levels of all colors.  Values are immutable after
     construction; use :meth:`build` for checked construction.
+
+    ``FinStruct(points, colors, level)`` converts a frozenset-keyed color
+    mapping without checks; a pair it leaves out stays a HOLE, which
+    :func:`validate` reports as malformed.
     """
 
-    points: tuple[str, ...]
-    colors: Mapping[frozenset, ColorTerm]
-    level: int
+    def __init__(self, points: Sequence[str], colors: Mapping[frozenset, ColorTerm],
+                 level: int):
+        pts = tuple(points)
+        pos = {p: i for i, p in enumerate(pts)}
+        palette = Palette()
+        rows = [[HOLE] * len(pts) for _ in pts]
+        for key, c in colors.items():
+            ends = [pos.get(p) for p in key]
+            if len(ends) != 2 or None in ends:
+                raise InputError(f"color given for unknown pair {sorted(key)}")
+            i, j = ends
+            rows[i][j] = rows[j][i] = palette.id(c)
+        self.points = pts
+        self.rows = tuple(map(tuple, rows))
+        self.palette = palette
+        self.level = level
+
+    @staticmethod
+    def of_rows(points: tuple[str, ...], rows: Sequence[Sequence[int]],
+                palette: Palette, level: int) -> "FinStruct":
+        """Unchecked construction from rows over ``palette``."""
+        s = FinStruct.__new__(FinStruct)
+        s.points, s.rows, s.palette, s.level = points, rows, palette, level
+        return s
 
     @staticmethod
     def build(points: Sequence[str], colors: Mapping[frozenset, ColorTerm],
               level: int = 0) -> "FinStruct":
         pts = tuple(points)
-        seen = set()
-        for p in pts:
-            if not p or any(ch.isspace() for ch in p):
-                raise InputError(f"bad point id {p!r}")
-            if p in seen:
-                raise InputError(f"duplicate point {p!r}")
-            seen.add(p)
-        expected = {pair_of(u, v) for u, v in itertools.combinations(pts, 2)}
-        for key in colors:
-            if key not in expected:
-                raise InputError(f"color given for unknown pair {sorted(key)}")
-        missing = expected - set(colors)
-        if missing:
-            u, v = sorted(next(iter(missing)))
-            raise InputError(f"missing color for pair ({u}, {v})")
-        if level < 0:
-            raise InputError("negative level")
-        return FinStruct(pts, dict(colors), level)
+        _check_points(pts)
+        return _check_complete(FinStruct(pts, colors, level))
 
     @staticmethod
     def empty(level: int = 0) -> "FinStruct":
-        return FinStruct((), {}, level)
+        return FinStruct.of_rows((), (), Palette(), level)
 
     @cached_property
     def pos(self) -> dict[str, int]:
         return {p: i for i, p in enumerate(self.points)}
+
+    @cached_property
+    def colors(self) -> Mapping[frozenset, ColorTerm]:
+        """Read-only view of the coloring keyed by two-element frozensets of
+        point names, built on first use."""
+        pts, pal = self.points, self.palette.colors
+        return MappingProxyType({frozenset((pts[i], pts[j])): pal[c]
+                                 for i, j in itertools.combinations(range(len(pts)), 2)
+                                 if (c := self.rows[i][j]) != HOLE})
 
     def __len__(self) -> int:
         return len(self.points)
@@ -168,7 +294,10 @@ class FinStruct:
             raise InputError(f"unknown point {p!r}") from None
 
     def color(self, u: str, v: str) -> ColorTerm:
-        return self.colors[pair_of(u, v)]
+        c = self.rows[self.pos[u]][self.pos[v]]
+        if c == HOLE:
+            raise KeyError(pair_of(u, v))
+        return self.palette.colors[c]
 
     def pairs(self) -> Iterator[tuple[str, str]]:
         """All pairs (u, v) with u before v, in lexicographic position order."""
@@ -180,10 +309,10 @@ class FinStruct:
         for p in keep:
             if p not in self.pos:
                 raise InputError(f"unknown point {p!r}")
-        pts = tuple(p for p in self.points if p in keep)
-        cols = {pair_of(u, v): self.color(u, v)
-                for u, v in itertools.combinations(pts, 2)}
-        return FinStruct(pts, cols, self.level)
+        idx = [i for i, p in enumerate(self.points) if p in keep]
+        rows = tuple(tuple(map(self.rows[i].__getitem__, idx)) for i in idx)
+        return FinStruct.of_rows(tuple(self.points[i] for i in idx), rows,
+                                 self.palette, self.level)
 
     def sorted_points(self, subset: Iterable[str]) -> tuple[str, ...]:
         sub = set(subset)
@@ -196,8 +325,11 @@ class FinStruct:
             return NotImplemented
         if self.points != other.points or self.level != other.level:
             return False
-        return all(self.color(u, v) == other.color(u, v)
-                   for u, v in self.pairs())
+        if self.palette is other.palette:
+            return all(tuple(r1) == tuple(r2) for r1, r2 in zip(self.rows, other.rows))
+        trans = self.palette.translate(other.palette)
+        return all(tuple(r1) == tuple(map(trans.__getitem__, r2))
+                   for r1, r2 in zip(self.rows, other.rows))
 
     __hash__ = None  # structures hold mappings; hash their canonical code
 
@@ -216,23 +348,54 @@ class Verdict:
         return self.ok
 
 
+def _lowest_bit(m: int) -> int:
+    return (m & -m).bit_length() - 1
+
+
 def validate(s: FinStruct) -> Verdict:
     """Check the class membership of a structure.
 
     Returns a valid verdict iff no three points carry one color on all three
     pairs and every color's level is within the structure's level.  Malformed
     structures (duplicate points, partial coloring) raise InputError instead.
+    The level bound is checked first; either violation names the first
+    offending pair or triple in position order.
+
+    One pass over the rows builds, per point and color, the bitmask of the
+    points joined to it in that color; a pair (i, j) of color c then closes
+    a triangle with exactly the points k > j set in both masks of c, so the
+    scan costs one big-int AND per pair.
     """
-    FinStruct.build(s.points, s.colors, s.level)  # well-formedness gate
-    for u, v in s.pairs():
-        c = s.color(u, v)
-        if c.level > s.level:
-            return Verdict(False, "level-bound", (u, v, u), c)
-    for i, j, k in itertools.combinations(range(len(s.points)), 3):
-        u, v, w = s.points[i], s.points[j], s.points[k]
-        c = s.color(u, v)
-        if c == s.color(u, w) and c == s.color(v, w):
-            return Verdict(False, "monochromatic-triangle", (u, v, w), c)
+    pts, rows, pal = s.points, s.rows, s.palette.colors
+    n = len(pts)
+    _check_points(pts)
+    masks: list[dict[int, int]] = []
+    for i, row in enumerate(rows):
+        m: dict[int, int] = {}
+        bit = 1
+        for c in row:
+            m[c] = m.get(c, 0) | bit
+            bit <<= 1
+        if m.get(HOLE) != 1 << i:
+            _check_complete(s)
+        masks.append(m)
+    if s.level < 0:
+        _check_complete(s)
+    used = {c for m in masks for c in m if c != HOLE}
+    over = [c for c in used if pal[c].level > s.level]
+    for i, m in enumerate(masks):
+        later = [(_lowest_bit(m[c] >> (i + 1)), c) for c in over if m.get(c, 0) >> (i + 1)]
+        if later:
+            j, c = min(later)
+            return Verdict(False, "level-bound", (pts[i], pts[i + 1 + j], pts[i]), pal[c])
+    for i in range(n):
+        mi, row = masks[i], rows[i]
+        for j in range(i + 1, n):
+            c = row[j]
+            common = (mi[c] & masks[j][c]) >> (j + 1)
+            if common:
+                k = j + 1 + _lowest_bit(common)
+                return Verdict(False, "monochromatic-triangle", (pts[i], pts[j], pts[k]), pal[c])
     return Verdict(True)
 
 
@@ -245,16 +408,18 @@ def is_embedding(mapping: Mapping[str, str], s: FinStruct, t: FinStruct) -> bool
     of the points of ``s`` into ``t``."""
     if set(mapping) != set(s.points):
         return False
-    images = list(mapping.values())
+    images = [mapping[p] for p in s.points]
     if len(set(images)) != len(images):
         return False
     if any(im not in t for im in images):
         return False
-    for u, v in s.pairs():
-        mu, mv = mapping[u], mapping[v]
-        if t.index(mu) >= t.index(mv):
-            return False
-        if t.color(mu, mv) != s.color(u, v):
+    idx = [t.pos[im] for im in images]
+    if any(a >= b for a, b in zip(idx, idx[1:])):
+        return False
+    trans = t.palette.translate(s.palette)
+    for i, row in enumerate(s.rows):
+        trow = t.rows[idx[i]]
+        if any(trow[idx[j]] != trans[row[j]] for j in range(i + 1, len(idx))):
             return False
     return True
 
@@ -321,18 +486,6 @@ def _fresh_id(candidate: str, used: set[str], side: str) -> str:
     return bumped
 
 
-def smallest_admissible_base(forbidden: Container[ColorTerm]) -> ColorTerm:
-    """Smallest base color (by the color order) not in ``forbidden``.
-
-    The forbidden colors are those carried by both other sides of some
-    triangle through the pair being colored.
-    """
-    n = 0
-    while ColorTerm.base(0, n) in forbidden:
-        n += 1
-    return ColorTerm.base(0, n)
-
-
 def amalgamate(a: FinStruct, b: FinStruct, over: FinStruct,
                into_a: Embedding, into_b: Embedding) -> Amalgam:
     """Amalgamate ``a`` and ``b`` over a common substructure.
@@ -391,26 +544,26 @@ def amalgamate(a: FinStruct, b: FinStruct, over: FinStruct,
 
     map_a = {p: (back_a[p] if p in image_a else name_of[(0, p)]) for p in a.points}
     map_b = {p: (back_b[p] if p in image_b else name_of[(1, p)]) for p in b.points}
-    preimage_a = {q: p for p, q in map_a.items()}
-    preimage_b = {q: p for p, q in map_b.items()}
 
-    colors: dict[frozenset, ColorTerm] = {}
-    for u, v in itertools.combinations(merged, 2):
-        if u in preimage_a and v in preimage_a:
-            colors[pair_of(u, v)] = a.color(preimage_a[u], preimage_a[v])
-        elif u in preimage_b and v in preimage_b:
-            colors[pair_of(u, v)] = b.color(preimage_b[u], preimage_b[v])
-
-    # cross pairs, position-lexicographic, smallest admissible base color
-    for u, v in itertools.combinations(merged, 2):
-        if pair_of(u, v) in colors:
+    # rows over the merged order: both sides' own pairs first (they agree on
+    # the common part), then the cross pairs, position-lexicographic, each the
+    # smallest admissible base color
+    at = {p: k for k, p in enumerate(merged)}
+    palette = Palette()
+    rows = [[HOLE] * len(merged) for _ in merged]
+    for s, m in ((a, map_a), (b, map_b)):
+        trans = [palette.id(c) for c in s.palette.colors]
+        idx = [at[m[p]] for p in s.points]
+        for i, row in enumerate(s.rows):
+            for j in range(i + 1, len(idx)):
+                rows[idx[i]][idx[j]] = rows[idx[j]][idx[i]] = trans[row[j]]
+    for i, j in itertools.combinations(range(len(merged)), 2):
+        if rows[i][j] != HOLE:
             continue
-        forbidden = {c for w in merged if w not in (u, v)
-                     and (c := colors.get(pair_of(u, w))) is not None
-                     and c == colors.get(pair_of(v, w))}
-        colors[pair_of(u, v)] = smallest_admissible_base(forbidden)
+        forbidden = {c for c, d in zip(rows[i], rows[j]) if c == d != HOLE}
+        rows[i][j] = rows[j][i] = palette.admissible_base(forbidden)
 
-    result = FinStruct.build(merged, colors, level)
+    result = FinStruct.of_rows(tuple(merged), tuple(map(tuple, rows)), palette, level)
     verdict = validate(result)
     assert verdict.ok, f"amalgam invalid: {verdict.reason}"
     return Amalgam(result,
@@ -430,6 +583,21 @@ def code_of_parts(n: int, color_texts: Iterable[str], marked_positions: Iterable
             + ",".join(str(i) for i in marked_positions))
 
 
+def _pair_texts(s: FinStruct) -> Iterator[str]:
+    """The text of every pair color, in lexicographic position order; each
+    palette color is rendered once."""
+    texts: dict[int, str] = {}
+    pal = s.palette.colors
+    n = len(s.points)
+    for i, row in enumerate(s.rows):
+        for j in range(i + 1, n):
+            c = row[j]
+            text = texts.get(c)
+            if text is None:
+                text = texts[c] = pal[c].text()
+            yield text
+
+
 def canonical_code(s: FinStruct, marked: Sequence[str] = ()) -> CanonicalCode:
     """Total serialization of a structure with marked points, equal for two
     inputs iff the unique order bijection between them preserves colors and
@@ -437,8 +605,7 @@ def canonical_code(s: FinStruct, marked: Sequence[str] = ()) -> CanonicalCode:
     for m in marked:
         if m not in s:
             raise InputError(f"marked point {m!r} not in structure")
-    texts = (s.color(u, v).text() for u, v in s.pairs())
-    return code_of_parts(len(s.points), texts, (s.index(m) for m in marked))
+    return code_of_parts(len(s.points), _pair_texts(s), (s.index(m) for m in marked))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +615,8 @@ def canonical_code(s: FinStruct, marked: Sequence[str] = ()) -> CanonicalCode:
 def format_struct(s: FinStruct, name: str = "s") -> str:
     lines = [f"structure {name} level {s.level}"]
     lines.extend(f"point {p}" for p in s.points)
-    lines.extend(f"color {u} {v} {s.color(u, v).text()}" for u, v in s.pairs())
+    lines.extend(f"color {u} {v} {text}"
+                 for (u, v), text in zip(s.pairs(), _pair_texts(s)))
     return "\n".join(lines) + "\n"
 
 
@@ -457,8 +625,10 @@ def parse_struct(text: str) -> tuple[str, FinStruct]:
     missing pairs."""
     name = None
     level = 0
-    points: dict[str, None] = {}  # insertion-ordered, O(1) membership
-    colors: dict[frozenset, ColorTerm] = {}
+    points: dict[str, int] = {}  # insertion-ordered, O(1) membership
+    pair_ids: dict[tuple[int, int], int] = {}
+    palette = Palette()
+    term_ids: dict[str, int] = {}  # each distinct color text is parsed once
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -477,19 +647,31 @@ def parse_struct(text: str) -> tuple[str, FinStruct]:
                 raise InputError(f"line {lineno}: bad point line")
             if tok[1] in points:
                 raise InputError(f"line {lineno}: duplicate point {tok[1]!r}")
-            points[tok[1]] = None
+            points[tok[1]] = len(points)
         elif tok[0] == "color":
             if len(tok) != 4:
                 raise InputError(f"line {lineno}: bad color line")
             u, v, term = tok[1], tok[2], tok[3]
             if u not in points or v not in points:
                 raise InputError(f"line {lineno}: color for unknown point")
-            key = pair_of(u, v)
-            if key in colors:
+            i, j = points[u], points[v]
+            if i == j:
+                raise InputError(f"degenerate pair ({u!r}, {u!r})")
+            key = (i, j) if i < j else (j, i)
+            if key in pair_ids:
                 raise InputError(f"line {lineno}: duplicate pair ({u}, {v})")
-            colors[key] = ColorTerm.parse(term)
+            c = term_ids.get(term)
+            if c is None:
+                c = term_ids[term] = palette.id(ColorTerm.parse(term))
+            pair_ids[key] = c
         else:
             raise InputError(f"line {lineno}: unknown directive {tok[0]!r}")
     if name is None:
         raise InputError("missing structure header")
-    return name, FinStruct.build(tuple(points), colors, level)
+    pts = tuple(points)
+    _check_points(pts)
+    rows = [[HOLE] * len(pts) for _ in pts]
+    for (i, j), c in pair_ids.items():
+        rows[i][j] = rows[j][i] = c
+    return name, _check_complete(
+        FinStruct.of_rows(pts, tuple(map(tuple, rows)), palette, level))

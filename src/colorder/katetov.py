@@ -16,10 +16,10 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
-from .core import (ColorTerm, Embedding, FinStruct, InputError, code_of_parts,
-                   format_struct, pair_of, validate)
+from .core import (HOLE, ColorTerm, Embedding, FinStruct, InputError, Palette,
+                   code_of_parts, format_struct, pair_of, validate)
 from .types import (OnePointType, enumerate_types, format_type, gap_index,
                     order_key, transport)
 
@@ -81,13 +81,18 @@ def _mark_ids(taken: set[str]) -> tuple[str, str]:
     return stem + "0", stem + "1"
 
 
-def pair_structure(xi: OnePointType, psi: OnePointType) -> PairStructure:
+def pair_structure(xi: OnePointType, psi: OnePointType,
+                   ordered: bool = False) -> PairStructure:
     """Build the marked structure of a pair of distinct types, ordering the
-    marks by the ambient type order."""
-    cmp = compare_types(xi, psi)
-    if cmp == EQ:
-        raise InputError("pair structure requires two distinct types")
-    lo, hi = (xi, psi) if cmp == LT else (psi, xi)
+    marks by the ambient type order.  A caller that already knows ``xi`` to
+    be the lower type passes ``ordered=True`` to skip the comparison."""
+    if ordered:
+        lo, hi = xi, psi
+    else:
+        cmp = compare_types(xi, psi)
+        if cmp == EQ:
+            raise InputError("pair structure requires two distinct types")
+        lo, hi = (xi, psi) if cmp == LT else (psi, xi)
     base = xi.base
     union = base.sorted_points(set(xi.support) | set(psi.support))
     m_lo, m_hi = _mark_ids(set(union))
@@ -114,13 +119,15 @@ def pair_structure(xi: OnePointType, psi: OnePointType) -> PairStructure:
     return PairStructure(tuple(seq), colors, (m_lo, m_hi))
 
 
-def pair_color(xi: OnePointType, psi: OnePointType) -> ColorTerm:
+def pair_color(xi: OnePointType, psi: OnePointType,
+               ordered: bool = False) -> ColorTerm:
     """The color between two type elements: a pair-class color whose payload
     is the canonical code of their joint configuration.  Equivalent pairs,
     and pairs carried into each other by embeddings, receive the same color;
     inequivalent pairs receive distinct colors; no base color is consumed.
+    ``ordered`` is passed on to :func:`pair_structure`.
     """
-    code = pair_structure(xi, psi).code()
+    code = pair_structure(xi, psi, ordered).code()
     return ColorTerm.pair_code(xi.base.level + 1, code.encode("utf-8").hex())
 
 
@@ -132,42 +139,63 @@ def pair_equivalent(p1: PairStructure, p2: PairStructure) -> bool:
 # The object and morphism maps
 # ---------------------------------------------------------------------------
 
-class _ExtensionColors(Mapping):
-    """Total coloring of an extended structure.
+class _ExtensionRows(Sequence):
+    """Lazy row provider of an extended structure.
 
-    Base-base and base-type colors are stored eagerly; colors between two
-    type elements are computed on first access, so large extensions stay
-    usable as long as only a sparse set of their pairs is inspected.
+    The rows of base points are stored: they hold the base colors and the
+    colors to every type element.  The row of a type element is a view whose
+    entries against other type elements are pair colors, computed on first
+    read and kept in ``pair_cache`` by position pair, so large extensions
+    stay usable as long as only a sparse set of their pairs is inspected.
+    Type elements sit in type order, so the lower position of a pair holds
+    the lower type.
     """
 
-    def __init__(self, points: tuple[str, ...], eager: dict,
-                 types_by_id: dict[str, OnePointType]):
-        self._points = points
-        self._eager = eager
-        self._types = types_by_id
-        self._cache: dict[frozenset, ColorTerm] = {}
-
-    def __getitem__(self, key: frozenset) -> ColorTerm:
-        got = self._eager.get(key)
-        if got is not None:
-            return got
-        got = self._cache.get(key)
-        if got is not None:
-            return got
-        ids = tuple(key)
-        if len(ids) == 2 and ids[0] in self._types and ids[1] in self._types:
-            val = pair_color(self._types[ids[0]], self._types[ids[1]])
-            self._cache[key] = val
-            return val
-        raise KeyError(key)
-
-    def __iter__(self) -> Iterator[frozenset]:
-        for u, v in itertools.combinations(self._points, 2):
-            yield pair_of(u, v)
+    def __init__(self, base_rows: list, types: list, palette: Palette):
+        self._rows = base_rows   # position -> stored row, or None for a type element
+        self._types = types      # position -> type, or None for a base point
+        self._palette = palette
+        self.pair_cache: dict[tuple[int, int], int] = {}
 
     def __len__(self) -> int:
-        n = len(self._points)
-        return n * (n - 1) // 2
+        return len(self._rows)
+
+    def __getitem__(self, i: int) -> Sequence[int]:
+        row = self._rows[i]
+        return row if row is not None else _ElementRow(self, i)
+
+    def cid(self, i: int, j: int) -> int:
+        """Color id between type element ``i`` and position ``j``."""
+        row = self._rows[j]
+        if row is not None:
+            return row[i]
+        if i == j:
+            return HOLE
+        key = (i, j) if i < j else (j, i)
+        got = self.pair_cache.get(key)
+        if got is None:
+            color = pair_color(self._types[key[0]], self._types[key[1]], ordered=True)
+            got = self.pair_cache[key] = self._palette.id(color)
+        return got
+
+
+class _ElementRow(Sequence):
+    """The row of one type element, read through its provider."""
+
+    __slots__ = ("_rows", "_i")
+
+    def __init__(self, rows: _ExtensionRows, i: int):
+        self._rows, self._i = rows, i
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self._rows.cid(self._i, k) for k in range(*j.indices(len(self)))]
+        if not 0 <= j < len(self):
+            raise IndexError(j)
+        return self._rows.cid(self._i, j)
 
 
 @dataclass(frozen=True)
@@ -219,17 +247,27 @@ def apply_K(x: FinStruct, budget: int) -> ExtendedStructure:
         if gap < len(x.points):
             points.append(x.points[gap])
 
-    marker = ColorTerm.marker(level)
-    eager: dict[frozenset, ColorTerm] = {}
-    for u, w in x.pairs():
-        eager[pair_of(u, w)] = x.color(u, w)
-    for tid, tau in zip(ids, taus):
-        supp = set(tau.support)
-        for u in x.points:
-            eager[pair_of(u, tid)] = tau.color_of(u) if u in supp else marker
-
-    types_by_id = dict(zip(ids, taus))
-    struct = FinStruct(tuple(points), _ExtensionColors(tuple(points), eager, types_by_id), level)
+    # column of every position against the base points, by base position.
+    # The base rows are read before the palette is copied, since a lazy base
+    # gains colors as they are read; the base ids then carry over.
+    base_cols = [tuple(row) for row in x.rows]
+    palette = Palette(x.palette.colors)
+    marker = palette.id(ColorTerm.marker(level))
+    type_of = dict(zip(ids, taus))
+    columns = []
+    for p in points:
+        tau = type_of.get(p)
+        if tau is None:
+            columns.append(base_cols[x.pos[p]])
+            continue
+        col = [marker] * len(x.points)
+        for q, c in zip(tau.support, tau.colors):
+            col[x.pos[q]] = palette.id(c)
+        columns.append(col)
+    base_rows = [None if p in type_of else tuple(col[x.pos[p]] for col in columns)
+                 for p in points]
+    rows = _ExtensionRows(base_rows, [type_of.get(p) for p in points], palette)
+    struct = FinStruct.of_rows(tuple(points), rows, palette, level)
     return ExtendedStructure(x, struct, tuple(zip(ids, taus)))
 
 

@@ -64,11 +64,18 @@ class Approximation:
 
     def realizer_of(self, tau: OnePointType) -> str | None:
         """Smallest point (in structure order) realizing the task, if any."""
-        supp = set(tau.support)
-        key = tau.key()
-        for u in self.current.points:
-            if u not in supp and point_key(self.current, u, tau.support) == key:
-                return u
+        s = self.current
+        idx = [s.pos[p] for p in tau.support]
+        ids = [s.palette.ids.get(c) for c in tau.colors]
+        if None in ids:
+            return None  # a color the structure has never used
+        # the points with the type's cut lie strictly between two support points
+        lo = idx[tau.cut - 1] + 1 if tau.cut else 0
+        hi = idx[tau.cut] if tau.cut < len(idx) else len(s.points)
+        for i in range(lo, hi):
+            row = s.rows[i]
+            if [row[j] for j in idx] == ids:
+                return s.points[i]
         return None
 
     def realize(self, tau: OnePointType) -> str:
@@ -144,14 +151,30 @@ class PartialIso:
     def check(self, s: FinStruct) -> bool:
         """A bijection between points of ``s`` that preserves order and
         colors; its inverse then does too."""
-        fwd = self.fwd()
-        if len(fwd) != len(self.pairs) or len(set(fwd.values())) != len(fwd):
+        iso = PartialIso(())
+        for u, v in self.pairs:
+            if not iso.admits(s, u, v):
+                return False
+            iso = iso.extended(u, v)
+        return True
+
+    def admits(self, s: FinStruct, u: str, v: str) -> bool:
+        """Whether this map, itself a partial isomorphism of ``s``, stays one
+        with the pair (u, v) added: ``u`` and ``v`` are points of ``s`` new
+        to the domain and the range, and the new pair agrees in order and
+        color with every old pair."""
+        pos = s.pos
+        i, j = pos.get(u), pos.get(v)
+        if i is None or j is None:
             return False
-        if any(u not in s or v not in s for u, v in self.pairs):
-            return False
-        return all((s.index(a) < s.index(c)) == (s.index(b) < s.index(d))
-                   and s.color(a, c) == s.color(b, d)
-                   for (a, b), (c, d) in itertools.combinations(self.pairs, 2))
+        row_u, row_v = s.rows[i], s.rows[j]
+        for a, b in self.pairs:
+            if a == u or b == v:
+                return False
+            pa, pb = pos[a], pos[b]
+            if (pa < i) != (pb < j) or row_u[pa] != row_v[pb]:
+                return False
+        return True
 
 
 def extend_partial_iso(a: Approximation, p: PartialIso,

@@ -536,15 +536,16 @@ def check_certificate(cert: RefutationCertificate,
         if direction == "fwd":
             if u in iso.domain() or w in iso.range():
                 return CheckResult(False, "transcript-collision")
-            iso = iso.extended(u, w)
+            pair = (u, w)
         elif direction == "bwd":
             if u in iso.range() or w in iso.domain():
                 return CheckResult(False, "transcript-collision")
-            iso = iso.extended(w, u)
+            pair = (w, u)
         else:
             return CheckResult(False, "bad-transcript-direction")
-        if not iso.check(s):
+        if not iso.admits(s, *pair):  # the earlier pairs are already checked
             return CheckResult(False, "transcript-step-invalid")
+        iso = iso.extended(*pair)
     if len(cert.transcript) != cert.extension_depth:
         return CheckResult(False, "depth-mismatch")
     if set(iso.pairs) != set(cert.alpha.pairs):

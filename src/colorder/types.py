@@ -12,8 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .core import (ColorTerm, FinStruct, InputError, pair_of,
-                   smallest_admissible_base, validate)
+from .core import HOLE, ColorTerm, FinStruct, InputError, validate
 
 @dataclass(frozen=True)
 class OnePointType:
@@ -47,8 +46,12 @@ class OnePointType:
         for c in cols:
             if c.level > level:
                 raise InputError(f"color {c.text()} exceeds type level {level}")
-        for i, j in itertools.combinations(range(len(supp)), 2):
-            if cols[i] == cols[j] == base.color(supp[i], supp[j]):
+        idx = [base.pos[p] for p in supp]
+        pairs = [(i, j, base.rows[idx[i]][idx[j]])
+                 for i, j in itertools.combinations(range(len(supp)), 2)]
+        ids = [base.palette.ids.get(c, -2) for c in cols]  # after the reads
+        for i, j, c in pairs:
+            if ids[i] == ids[j] == c:
                 raise InputError("invalid one-point extension: monochromatic "
                                  f"triangle on {supp[i]}, {supp[j]} and the new point")
         return OnePointType(base, supp, cut, cols, level)
@@ -91,9 +94,12 @@ def order_key(tau: OnePointType) -> tuple:
 def point_key(s: FinStruct, u: str, over_sorted: tuple[str, ...]) -> tuple:
     """The ``OnePointType.key()`` of an existing point over a sorted subset,
     computed without materializing the base restriction."""
-    pos = s.index(u)
-    cut = sum(1 for p in over_sorted if s.index(p) < pos)
-    return (over_sorted, cut, tuple(s.color(p, u) for p in over_sorted))
+    i = s.index(u)
+    if u in over_sorted:
+        raise InputError(f"degenerate pair ({u!r}, {u!r})")
+    idx = [s.index(p) for p in over_sorted]
+    row, pal = s.rows[i], s.palette.colors
+    return (over_sorted, sum(1 for j in idx if j < i), tuple(pal[row[j]] for j in idx))
 
 
 def type_of_point(s: FinStruct, u: str, over: Iterable[str]) -> OnePointType:
@@ -119,7 +125,12 @@ def allowed_colors(x: FinStruct, level: int, budget: int) -> list[ColorTerm]:
     """The color pool for enumeration: budget-many base colors per level up
     to ``level``, plus marker and pair-code colors already occurring in x."""
     pool = [ColorTerm.base(l, n) for l in range(level + 1) for n in range(budget)]
-    seen = sorted({c for c in x.colors.values() if c.kind != "b" and c.level <= level},
+    used: set[int] = set()
+    for row in x.rows:
+        used.update(row)
+    used.discard(HOLE)
+    pal = x.palette.colors
+    seen = sorted({pal[c] for c in used if pal[c].kind != "b" and pal[c].level <= level},
                   key=ColorTerm.sort_key)
     return pool + seen
 
@@ -166,8 +177,12 @@ def realize_type(f: FinStruct, tau: OnePointType,
     for p in tau.support:
         if p not in f:
             raise InputError(f"support point {p!r} missing from the ambient structure")
-    for p, q in itertools.combinations(tau.support, 2):
-        if f.index(p) >= f.index(q) or f.color(p, q) != tau.base.color(p, q):
+    idx = [f.pos[p] for p in tau.support]
+    base_idx = [tau.base.pos[p] for p in tau.support]
+    trans = f.palette.translate(tau.base.palette)
+    for a, b in itertools.combinations(range(len(idx)), 2):
+        if (idx[a] >= idx[b] or f.rows[idx[a]][idx[b]]
+                != trans[tau.base.rows[base_idx[a]][base_idx[b]]]):
             raise InputError("type support disagrees with the ambient structure")
     for c in tau.colors:
         if c.level > f.level:
@@ -175,22 +190,22 @@ def realize_type(f: FinStruct, tau: OnePointType,
     u = fresh_point_name(f) if name is None else name
     if u in f:
         raise InputError(f"point {u!r} already present")
-    pos = insert_position(f, tau.support, tau.cut)
-    pts = list(f.points)
-    pts.insert(pos, u)
-
-    cols = dict(f.colors)
-    assigned: dict[str, ColorTerm] = dict(zip(tau.support, tau.colors))
-    for s, c in assigned.items():
-        cols[pair_of(s, u)] = c
-    for v in f.points:
-        if v in assigned:
+    ins = insert_position(f, tau.support, tau.cut)
+    pal = f.palette
+    new = [HOLE] * len(f.points)  # color ids from u, by old position
+    assigned: list[tuple[int, int]] = []
+    for j, c in zip(idx, tau.colors):
+        new[j] = pal.id(c)
+        assigned.append((j, new[j]))
+    for v, row in enumerate(f.rows):
+        if new[v] != HOLE:
             continue
-        c = smallest_admissible_base(
-            {c for w, c in assigned.items() if f.color(v, w) == c})
-        assigned[v] = c
-        cols[pair_of(v, u)] = c
-    return FinStruct(tuple(pts), cols, f.level), u
+        new[v] = pal.admissible_base({c for w, c in assigned if row[w] == c})
+        assigned.append((v, new[v]))
+    rows = [(*row[:ins], c, *row[ins:]) for row, c in zip(f.rows, new)]
+    rows.insert(ins, (*new[:ins], HOLE, *new[ins:]))
+    pts = (*f.points[:ins], u, *f.points[ins:])
+    return FinStruct.of_rows(pts, tuple(rows), pal, f.level), u
 
 
 def transport(tau: OnePointType, mapping: Mapping[str, str],

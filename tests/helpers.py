@@ -144,3 +144,71 @@ def reference_iso_check(pairs, s: FinStruct) -> bool:
     rng = s.restrict(fwd.values())
     return (is_embedding(fwd, dom, rng)
             and is_embedding({v: u for u, v in pairs}, rng, dom))
+
+
+def reference_verdict(s: FinStruct):
+    """``validate`` from its definition, as (ok, reason, triple, color): the
+    level bound over all pairs in position order first, then every triple in
+    position order, each compared color by color."""
+    for u, v in s.pairs():
+        if s.color(u, v).level > s.level:
+            return False, "level-bound", (u, v, u), s.color(u, v)
+    for u, v, w in itertools.combinations(s.points, 3):
+        c = s.color(u, v)
+        if c == s.color(u, w) == s.color(v, w):
+            return False, "monochromatic-triangle", (u, v, w), c
+    return True, "", None, None
+
+
+def random_coloring(rng, names, num_colors: int) -> dict:
+    """A frozenset-keyed level-0 coloring of ``names`` with no monochromatic
+    triangle: each pair, in lexicographic position order, takes a random one
+    of the first ``num_colors`` base colors that closes no triangle with an
+    earlier point, or an unused color when none is left."""
+    col: dict[tuple[int, int], int] = {}
+    fresh = num_colors
+    for j in range(len(names)):
+        for i in range(j):
+            ok = [c for c in range(num_colors)
+                  if not any(col[(k, i)] == c == col[(k, j)] for k in range(i))]
+            if ok:
+                col[(i, j)] = rng.choice(ok)
+            else:
+                col[(i, j)], fresh = fresh, fresh + 1
+    return {pair_of(names[i], names[j]): ColorTerm.base(0, c) for (i, j), c in col.items()}
+
+
+def reference_realize(f: FinStruct, tau, name: str):
+    """``realize_type`` as a copy of the frozenset-keyed coloring dict: the
+    new point goes right after the support point below its cut; the support
+    colors come from the type and every other point, in position order,
+    takes the smallest level-0 base color closing no monochromatic triangle
+    with the points colored so far."""
+    pos = f.points.index(tau.support[tau.cut - 1]) + 1 if tau.cut else 0
+    pts = list(f.points)
+    pts.insert(pos, name)
+    cols = dict(f.colors)
+    assigned = dict(zip(tau.support, tau.colors))
+    for s, c in assigned.items():
+        cols[pair_of(s, name)] = c
+    for v in f.points:
+        if v in assigned:
+            continue
+        forbidden = {c for w, c in assigned.items() if f.color(v, w) == c}
+        n = 0
+        while ColorTerm.base(0, n) in forbidden:
+            n += 1
+        assigned[v] = cols[pair_of(v, name)] = ColorTerm.base(0, n)
+    return FinStruct(tuple(pts), cols, f.level)
+
+
+def reference_is_embedding(mapping, s: FinStruct, t: FinStruct) -> bool:
+    """An injective map of all points of ``s`` into ``t`` that keeps the order
+    and the color of every pair."""
+    if set(mapping) != set(s.points) or len(set(mapping.values())) != len(mapping):
+        return False
+    if any(im not in t for im in mapping.values()):
+        return False
+    return all(t.points.index(mapping[u]) < t.points.index(mapping[v])
+               and t.color(mapping[u], mapping[v]) == s.color(u, v)
+               for u, v in itertools.combinations(s.points, 2))

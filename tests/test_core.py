@@ -1,13 +1,16 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from colorder.core import (ColorTerm, Embedding, FinStruct, InputError,
                            amalgamate, canonical_code, color_less,
                            is_embedding, pair_of, parse_struct, format_struct,
                            validate)
-from helpers import all_embeddings, all_structures, marked_isomorphic
+from colorder.types import OnePointType, realize_type
+from helpers import (all_embeddings, all_structures, marked_isomorphic,
+                     random_coloring, reference_is_embedding, reference_verdict)
 
 B = ColorTerm.base
 M = ColorTerm.marker
@@ -75,6 +78,73 @@ def test_validate_agrees_with_brute_force_scan():
     cols = dict(s.colors)
     cols[pair_of("a", "c")] = B(0, 0)
     assert not validate(FinStruct(("a", "b", "c"), cols, 0)).ok
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 40), st.integers(0, 1),
+       st.sampled_from(["none", "triangle", "level", "both"]))
+def test_validate_matches_brute_force_triple_scan(seed, n, level, plant):
+    """Verdict, reason, first triple and color against the triple scan, on
+    random structures of up to 40 points with a triangle planted among the
+    late points and a color above the level bound planted anywhere."""
+    rng = random.Random(seed)
+    names = [f"p{k}" for k in rng.sample(range(1000), n)]
+    cols = random_coloring(rng, names, 3)
+    if plant in ("triangle", "both") and n >= 6:
+        i, j, k = sorted(rng.sample(range(n // 2, n), 3))
+        c = B(0, rng.randrange(3))
+        for u, v in ((i, j), (i, k), (j, k)):
+            cols[pair_of(names[u], names[v])] = c
+    if plant in ("level", "both") and n >= 2:
+        i = rng.randrange(n - 1)
+        for j in rng.sample(range(i + 1, n), min(3, n - 1 - i)):
+            cols[pair_of(names[i], names[j])] = B(level + 1, rng.randrange(3))
+    s = FinStruct.build(names, cols, level)
+    expected = reference_verdict(s)
+    for t in (s, parse_struct(format_struct(s))[1]):
+        v = validate(t)
+        assert (v.ok, v.reason, v.triple, v.color) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_restrict_eq_and_embeddings_match_their_definitions(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 12)
+    names = [f"p{k}" for k in rng.sample(range(100), n)]
+    s = FinStruct.build(names, random_coloring(rng, names, 3))
+    sub = set(rng.sample(names, rng.randint(0, n)))
+    r = s.restrict(sub)
+    assert r.points == tuple(p for p in names if p in sub)
+    assert dict(r.colors) == {k: c for k, c in s.colors.items() if k <= sub}
+
+    # equal iff same points, level and colors, however each was built
+    copy = parse_struct(format_struct(s))[1]
+    assert copy == s and s == copy and s.restrict(names) == s
+    assert FinStruct.build(names, dict(s.colors), 1) != s
+    if n >= 2:
+        u, v = rng.sample(names, 2)
+        cols = dict(s.colors)
+        cols[pair_of(u, v)] = B(0, 7)
+        assert FinStruct.build(names, cols) != s
+        assert s != FinStruct.build(names[::-1], dict(s.colors))
+
+    if n:
+        # same points and palette lineage, colors differing at the first point
+        first = [OnePointType.build(s, s.points[:1], 1, (B(0, k),), 0) for k in (0, 1, 0)]
+        g1, g2, g3 = (realize_type(s, tau, "z")[0] for tau in first)
+        assert g1 != g2 and g1 == g3
+
+    assert is_embedding({p: p for p in r.points}, r, s)
+    for _ in range(20):
+        images = rng.sample(names + ["zz"], len(r.points))
+        if rng.random() < 0.5:
+            images.sort(key=lambda p: names.index(p) if p in names else n)
+        if images and rng.random() < 0.2:
+            images[-1] = images[0]
+        m = dict(zip(r.points, images))
+        for src, dst, mm in ((r, s, m), (r, copy, m), (copy.restrict(sub), s, m)):
+            assert is_embedding(mm, src, dst) == reference_is_embedding(mm, src, dst)
 
 
 # ---------------------------------------------------------------------------

@@ -358,3 +358,20 @@ def test_iterate_second_stage_realizes_all_budget_types(one_point):
                    for p, c in zip(tau.support, tau.colors))
         audited += 1
     assert audited == len(stage2.elements)
+
+
+def test_stage_two_extension_stays_lazy():
+    """Reading a few stage-2 colors computes only those type-type pair
+    colors: the lazy rows cache one entry per distinct pair read."""
+    one = FinStruct.build("a", {})
+    ext = iterate_K(one, 2, [1, 1])[-1]
+    rows = ext.struct.rows
+    assert len(rows.pair_cache) == 0
+    ids = ext.element_ids()
+    assert len(ids) == 9296
+    picks = [(ids[0], ids[5]), (ids[9000], ids[17]), (ids[4001], ids[4000])]
+    for u, v in picks:
+        assert ext.struct.color(u, v) == pair_color(ext.type_of(u), ext.type_of(v))
+    ext.struct.color(ids[5], ids[0])                  # a pair read before
+    ext.struct.color(ext.base.points[0], ids[3])      # base to type: stored
+    assert len(rows.pair_cache) == len(picks)

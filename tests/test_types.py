@@ -1,12 +1,16 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorder.core import ColorTerm, FinStruct, InputError, pair_of, validate
 from colorder.types import (OnePointType, enumerate_types, format_type,
                             insert_position, parse_type, realize_type,
                             type_of_point)
-from helpers import all_structures, brute_force_types, consistent_placements
+from colorder.limit import Approximation, grow
+from helpers import (all_structures, brute_force_types, consistent_placements,
+                     reference_realize)
 
 B = ColorTerm.base
 
@@ -165,3 +169,33 @@ def test_type_text_free(two_point):
     tau = OnePointType.build(two_point, (), 0, (), 0)
     assert format_type(tau) == "type supp= cut=0 colors= level=0"
     assert parse_type(format_type(tau), two_point) == tau
+
+
+@pytest.fixture(scope="module")
+def grown_structure():
+    return grow(Approximation(budget_cap=3), 700).current
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32), st.booleans())
+def test_realize_type_matches_the_dict_reference(grown_structure, seed, over_restriction):
+    """Random valid types over a grown approximation, anchored on it or on
+    the restriction to their support, with colors up to b:0:5 (some absent
+    from the approximation), realize exactly as the frozenset-dict
+    reference does."""
+    rng = random.Random(seed)
+    f = grown_structure
+    for _ in range(50):
+        supp = f.sorted_points(rng.sample(f.points, rng.randint(0, 5)))
+        base = f.restrict(supp) if over_restriction else f
+        cols = [B(0, rng.choice((0, 1, 2, 3, 5))) for _ in supp]
+        try:
+            tau = OnePointType.build(base, supp, rng.randint(0, len(supp)), cols, 0)
+            break
+        except InputError:
+            continue
+    new, u = realize_type(f, tau, name="fresh")
+    ref = reference_realize(f, tau, "fresh")
+    assert u == "fresh" and new.points == ref.points
+    assert dict(new.colors) == dict(ref.colors)
+    assert validate(new).ok
