@@ -9,7 +9,7 @@ from .core import (Amalgam, CanonicalCode, ColorTerm, Embedding, FinStruct,
 from .katetov import (ExtendedStructure, PairStructure, apply_K,
                       apply_K_morphism, compare_types, format_extended,
                       iterate_K, order_type_vs_point, pair_color,
-                      pair_equivalent, pair_structure)
+                      pair_structure)
 from .limit import Approximation, PartialIso, embed, extend_partial_iso, grow, saturation_check
 from .refuter import (ExtensionStrategy, RefutationCertificate, check_certificate,
                       control_lo, refute)

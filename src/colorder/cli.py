@@ -230,8 +230,6 @@ def _cmd_limit_build(args) -> int:
 def _cmd_limit_extend_iso(args) -> int:
     a = _build_approximation(args)
     p = parse_pairs(_read(args.iso))
-    if args.point not in a.current:
-        raise InputError(f"unknown point {args.point!r}")
     a, p2 = extend_partial_iso(a, p, args.point)
     _emit(args, format_pairs(p2) + a.format())
     return 0

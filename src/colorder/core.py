@@ -509,38 +509,31 @@ def amalgamate(a: FinStruct, b: FinStruct, over: FinStruct,
         raise InputError("invalid embedding of the common part")
 
     level = max(a.level, b.level, over.level)
-    image_a = {into_a.apply(p) for p in over.points}
-    image_b = {into_b.apply(p) for p in over.points}
     back_a = {into_a.apply(p): p for p in over.points}
     back_b = {into_b.apply(p): p for p in over.points}
+    image_a, image_b = back_a.keys(), back_b.keys()
 
-    def cut_over_common(s: FinStruct, image: set[str], p: str) -> int:
+    def cut_over_common(s: FinStruct, image: Container[str], p: str) -> int:
         return sum(1 for q in s.points[: s.index(p)] if q in image)
 
-    # (cut, side, original position) -> deterministic completion of the order
-    new_points: list[tuple[int, int, int, str]] = []
+    # one sort: a new point by (cut over the common part, side, original
+    # position), common point g by (g, 2, 0), after the new points of its
+    # cut; no two keys tie, so names are never compared
+    order = [(g, 2, 0, p) for g, p in enumerate(over.points)]
     for side, s, image in ((0, a, image_a), (1, b, image_b)):
         for i, p in enumerate(s.points):
             if p not in image:
-                new_points.append((cut_over_common(s, image, p), side, i, p))
-    new_points.sort(key=lambda t: t[:3])
+                order.append((cut_over_common(s, image, p), side, i, p))
+    order.sort()
 
     used = set(over.points)
     name_of: dict[tuple[int, str], str] = {}
-    for cut, side, i, p in new_points:
-        name = _fresh_id(p, used, "a" if side == 0 else "b")
+    merged: list[str] = []
+    for _, side, _, p in order:
+        name = p if side == 2 else _fresh_id(p, used, "a" if side == 0 else "b")
         used.add(name)
         name_of[(side, p)] = name
-
-    merged: list[str] = []
-    by_cut: dict[int, list[tuple[int, int, str]]] = {}
-    for cut, side, i, p in new_points:
-        by_cut.setdefault(cut, []).append((side, i, p))
-    for gap in range(len(over.points) + 1):
-        for side, i, p in by_cut.get(gap, ()):
-            merged.append(name_of[(side, p)])
-        if gap < len(over.points):
-            merged.append(over.points[gap])
+        merged.append(name)
 
     map_a = {p: (back_a[p] if p in image_a else name_of[(0, p)]) for p in a.points}
     map_b = {p: (back_b[p] if p in image_b else name_of[(1, p)]) for p in b.points}
@@ -585,7 +578,7 @@ def code_of_parts(n: int, color_texts: Iterable[str], marked_positions: Iterable
 
 def _pair_texts(s: FinStruct) -> Iterator[str]:
     """The text of every pair color, in lexicographic position order; each
-    palette color is rendered once."""
+    palette color is rendered once.  An uncolored pair raises InputError."""
     texts: dict[int, str] = {}
     pal = s.palette.colors
     n = len(s.points)
@@ -594,6 +587,8 @@ def _pair_texts(s: FinStruct) -> Iterator[str]:
             c = row[j]
             text = texts.get(c)
             if text is None:
+                if c == HOLE:
+                    _check_complete(s)  # raises on the first uncolored pair
                 text = texts[c] = pal[c].text()
             yield text
 

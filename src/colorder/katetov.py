@@ -98,16 +98,13 @@ def pair_structure(xi: OnePointType, psi: OnePointType,
     m_lo, m_hi = _mark_ids(set(union))
     marker = ColorTerm.marker(base.level + 1)
 
-    seq: list[str] = []
-    placed = {m_lo: sum(1 for u in union if order_type_vs_point(lo, u) == GT),
-              m_hi: sum(1 for u in union if order_type_vs_point(hi, u) == GT)}
-    for gap in range(len(union) + 1):
-        if placed[m_lo] == gap:
-            seq.append(m_lo)
-        if placed[m_hi] == gap:
-            seq.append(m_hi)
-        if gap < len(union):
-            seq.append(union[gap])
+    # each mark goes after the union points below its type's gap; lo's gap
+    # is not above hi's, so inserting hi first puts lo first on a tie
+    seq = list(union)
+    pos = base.pos
+    for mark, tau in ((m_hi, hi), (m_lo, lo)):
+        gap = gap_index(tau)
+        seq.insert(sum(1 for u in union if pos[u] < gap), mark)
 
     colors: dict[frozenset, ColorTerm] = {}
     for u, v in itertools.combinations(union, 2):
@@ -129,10 +126,6 @@ def pair_color(xi: OnePointType, psi: OnePointType,
     """
     code = pair_structure(xi, psi, ordered).code()
     return ColorTerm.pair_code(xi.base.level + 1, code.encode("utf-8").hex())
-
-
-def pair_equivalent(p1: PairStructure, p2: PairStructure) -> bool:
-    return p1.code() == p2.code()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ increasing window+budget, and each block enumerates every type over every
 subset of the first ``window`` created points.  A ledger of realized tasks
 keeps growth idempotent.  Partial isomorphisms extend by transporting the
 type of a new point through the map and realizing it on the other side,
-growing the approximation whenever no realizer exists yet.
+growing the approximation whenever no realizer exists yet; that one step,
+:func:`realize_image`, also embeds structures and drives the refuter's
+back-and-forth.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ class Approximation:
     """A growing finite stage of the generic limit.
 
     Owned by one logical actor at a time; all growth goes through
-    :func:`grow`, :func:`extend_partial_iso` or :func:`embed`.
+    :meth:`realize`.
     """
 
     def __init__(self, seed: FinStruct | None = None, budget_cap: int = 2):
@@ -177,47 +179,44 @@ class PartialIso:
         return True
 
 
+def realize_image(a: Approximation, s: FinStruct, mapping: dict[str, str],
+                  u: str) -> str:
+    """The one extension step: transport the type of ``u`` over the domain
+    of ``mapping`` (points of ``s``) through the map into the approximation,
+    and return its smallest realizer there, realizing the type when none
+    exists yet.  ``mapping`` must embed its domain into ``a.current``."""
+    dom = s.sorted_points(mapping)
+    _, cut, colors = point_key(s, u, dom)
+    target = OnePointType.build(a.current, tuple(mapping[d] for d in dom),
+                                cut, colors, a.current.level)
+    v = a.realizer_of(target)
+    return a.realize(target) if v is None else v
+
+
 def extend_partial_iso(a: Approximation, p: PartialIso,
                        u: str) -> tuple[Approximation, PartialIso]:
-    """Extend a partial isomorphism to cover ``u``.
-
-    Transports the type of ``u`` over the domain through the map and pairs
-    ``u`` with the smallest realizer on the range side, growing the
-    approximation when none exists yet.  Never fails.
-    """
+    """Extend a partial isomorphism of the approximation to cover ``u``
+    by one :func:`realize_image` step.  Never fails on a valid map."""
     if u not in a.current:
         raise InputError(f"unknown point {u!r}")
-    fwd = p.fwd()
-    if u in fwd:
+    if u in p.domain():
         raise InputError(f"point {u!r} already in the domain")
     if not p.check(a.current):
         raise InputError("not a partial isomorphism")
-    dom = a.current.sorted_points(fwd)
-    _, cut, colors = point_key(a.current, u, dom)
-    mapped = tuple(fwd[d] for d in dom)
-    target = OnePointType.build(a.current, mapped, cut, colors, a.current.level)
-    v = a.realizer_of(target)
-    if v is None:
-        v = a.realize(target)
-    return a, p.extended(u, v)
+    return a, p.extended(u, realize_image(a, a.current, p.fwd(), u))
 
 
 def embed(a: Approximation, s: FinStruct) -> tuple[Approximation, Embedding]:
     """Embed a valid structure into the approximation point by point, each
-    point realized as a type over the images of its predecessors."""
+    point realized as the image of its type over its predecessors."""
     v = validate(s)
     if not v:
         raise InputError(f"invalid structure: {v.reason}")
     if s.level != 0:
         raise InputError("only level-0 structures embed into an approximation")
     mapping: dict[str, str] = {}
-    for i, q in enumerate(s.points):
-        preds = s.points[:i]
-        images = tuple(mapping[p] for p in preds)
-        colors = tuple(s.color(p, q) for p in preds)
-        target = OnePointType.build(a.current, images, len(images), colors, 0)
-        found = a.realizer_of(target)
-        mapping[q] = found if found is not None else a.realize(target)
+    for q in s.points:
+        mapping[q] = realize_image(a, s, mapping, q)
     return a, Embedding.build(s, a.current, mapping)
 
 

@@ -30,7 +30,7 @@ from typing import Protocol
 
 from .core import (ColorTerm, FinStruct, InputError, canonical_code,
                    format_struct, parse_struct, validate)
-from .limit import Approximation, PartialIso, extend_partial_iso
+from .limit import Approximation, PartialIso, realize_image
 from .types import OnePointType, format_type, parse_type, point_key
 
 MONO = "MonochromaticTriangle"
@@ -362,23 +362,16 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
     transcript: list[ExtendRecord] = []
     cur_iso = alpha
     for k in range(depth):
-        if k % 2 == 0:
-            taken = set(cur_iso.domain())
-            cands = [p for p in session.a.current.points if p not in taken]
-            if not cands:
-                break
-            u = cands[0]
-            _, cur_iso = extend_partial_iso(session.a, cur_iso, u)
-            transcript.append(("fwd", u, cur_iso.fwd()[u]))
-        else:
-            taken = set(cur_iso.range())
-            cands = [p for p in session.a.current.points if p not in taken]
-            if not cands:
-                break
-            u = cands[0]
-            _, inv = extend_partial_iso(session.a, cur_iso.inverse(), u)
-            cur_iso = inv.inverse()
-            transcript.append(("bwd", u, inv.fwd()[u]))
+        forth = k % 2 == 0  # even steps extend the map, odd steps its inverse
+        side = cur_iso if forth else cur_iso.inverse()
+        taken = set(side.domain())
+        u = next((p for p in session.a.current.points if p not in taken), None)
+        if u is None:
+            break
+        side = side.extended(u, realize_image(session.a, session.a.current,
+                                              side.fwd(), u))
+        cur_iso = side if forth else side.inverse()
+        transcript.append(("fwd" if forth else "bwd", u, side.pairs[-1][1]))
 
     kind = MONO if (q2 == q and side2 == side1) else EQUIV
     return RefutationCertificate(
@@ -533,16 +526,11 @@ def check_certificate(cert: RefutationCertificate,
     if not iso.check(s):
         return CheckResult(False, "seed-iso-invalid")
     for direction, u, w in cert.transcript:
-        if direction == "fwd":
-            if u in iso.domain() or w in iso.range():
-                return CheckResult(False, "transcript-collision")
-            pair = (u, w)
-        elif direction == "bwd":
-            if u in iso.range() or w in iso.domain():
-                return CheckResult(False, "transcript-collision")
-            pair = (w, u)
-        else:
+        pair = {"fwd": (u, w), "bwd": (w, u)}.get(direction)
+        if pair is None:
             return CheckResult(False, "bad-transcript-direction")
+        if pair[0] in iso.domain() or pair[1] in iso.range():
+            return CheckResult(False, "transcript-collision")
         if not iso.admits(s, *pair):  # the earlier pairs are already checked
             return CheckResult(False, "transcript-step-invalid")
         iso = iso.extended(*pair)

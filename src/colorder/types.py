@@ -98,8 +98,13 @@ def point_key(s: FinStruct, u: str, over_sorted: tuple[str, ...]) -> tuple:
     if u in over_sorted:
         raise InputError(f"degenerate pair ({u!r}, {u!r})")
     idx = [s.index(p) for p in over_sorted]
-    row, pal = s.rows[i], s.palette.colors
-    return (over_sorted, sum(1 for j in idx if j < i), tuple(pal[row[j]] for j in idx))
+    row = s.rows[i]
+    ids = [row[j] for j in idx]
+    if HOLE in ids:
+        v = over_sorted[ids.index(HOLE)]
+        raise InputError("missing color for pair ({}, {})".format(*sorted((u, v))))
+    pal = s.palette.colors
+    return (over_sorted, sum(1 for j in idx if j < i), tuple(pal[c] for c in ids))
 
 
 def type_of_point(s: FinStruct, u: str, over: Iterable[str]) -> OnePointType:

@@ -44,6 +44,14 @@ CASES = [
      ["refute", "--base", data("one_point.txt"),
       "--type", "type supp=a cut=1 colors=b:0:1 level=0",
       "--strategy", "index-sensitive", "--depth", "3"], 0),
+    ("refute_constant_depth20.txt",
+     ["refute", "--base", data("one_point.txt"),
+      "--type", "type supp=a cut=1 colors=b:0:1 level=0",
+      "--strategy", "constant", "--depth", "20"], 0),
+    ("refute_index_depth20.txt",
+     ["refute", "--base", data("one_point.txt"),
+      "--type", "type supp=a cut=1 colors=b:0:1 level=0",
+      "--strategy", "index-sensitive", "--depth", "20"], 0),
     ("control_lo.txt",
      ["control-lo", "--size", "2", "--cut", "1", "--depth", "3",
       "--samples", "20"], 0),
@@ -57,4 +65,10 @@ CHECK_CASES = [
     ("check_cert_ok.txt",
      ["check-cert", "--cert", os.path.join(GOLDEN, "refute_constant.txt"),
       "--strategy", "constant"], 0),
+    ("check_cert_constant_depth20.txt",
+     ["check-cert", "--cert", os.path.join(GOLDEN, "refute_constant_depth20.txt"),
+      "--strategy", "constant"], 0),
+    ("check_cert_index_depth20.txt",
+     ["check-cert", "--cert", os.path.join(GOLDEN, "refute_index_depth20.txt"),
+      "--strategy", "index-sensitive"], 0),
 ]

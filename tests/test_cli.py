@@ -97,6 +97,13 @@ def test_k_apply_point_count(capsys):
                if line.startswith("point ")) == 20
 
 
+def test_extend_iso_unknown_point_exits_1(capsys):
+    argv = ["limit-extend-iso", "--steps", "5", "--seed-file", data("two_point.txt"),
+            "--iso", data("iso_id_a.txt"), "--point", "nope"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: unknown point 'nope'\n"
+
+
 def test_type_file_input(tmp_path, capsys):
     tf = tmp_path / "tau.txt"
     tf.write_text("type supp=a cut=1 colors=b:0:1 level=0\n")

@@ -8,7 +8,7 @@ from colorder.core import (ColorTerm, Embedding, FinStruct, InputError,
                            amalgamate, canonical_code, color_less,
                            is_embedding, pair_of, parse_struct, format_struct,
                            validate)
-from colorder.types import OnePointType, realize_type
+from colorder.types import OnePointType, point_key, realize_type
 from helpers import (all_embeddings, all_structures, marked_isomorphic,
                      random_coloring, reference_is_embedding, reference_verdict)
 
@@ -380,6 +380,21 @@ def test_parse_rejects_missing_pair():
     text = "structure s level 0\npoint a\npoint b\n"
     with pytest.raises(InputError):
         parse_struct(text)
+
+
+def test_uncolored_pair_is_an_error_not_a_color():
+    # a HOLE row entry must not index the palette from its end
+    s = FinStruct(("a", "b", "c"), {pair_of("a", "b"): B(0, 0),
+                                    pair_of("b", "c"): B(0, 1)}, 0)
+    readers = (validate, format_struct, canonical_code,
+               lambda s: point_key(s, "c", ("a",)))
+    for read in readers:
+        with pytest.raises(InputError, match=r"missing color for pair \(a, c\)"):
+            read(s)
+    bare = FinStruct(("a", "b"), {}, 0)  # an empty palette
+    for read in (format_struct, canonical_code):
+        with pytest.raises(InputError, match=r"missing color for pair \(a, b\)"):
+            read(bare)
 
 
 def test_parse_rejects_duplicate_point():

@@ -133,6 +133,24 @@ def test_extend_rejects_duplicate_domain_point():
         extend_partial_iso(a, p, u)
 
 
+def test_extend_rejects_a_map_that_breaks_order_or_color():
+    a = grown(60)
+    s = a.current
+    pts = s.points
+    x, y = pts[0], pts[1]
+    swapped = PartialIso(((x, y), (y, x)))  # keeps the color, breaks the order
+    # fixes the lowest point x and sends w to v, both above x, in another color
+    w, v = next((w, v) for w, v in itertools.permutations(pts[1:], 2)
+                if s.color(x, w) != s.color(x, v))
+    recolored = PartialIso(((x, x), (w, v)))
+    assert reference_iso_check(swapped.pairs, s) is False
+    assert reference_iso_check(recolored.pairs, s) is False
+    for bad in (swapped, recolored):
+        u = next(q for q in pts if q not in bad.domain())
+        with pytest.raises(InputError, match="not a partial isomorphism"):
+            extend_partial_iso(a, bad, u)
+
+
 def test_genericity_on_two_point_substructures():
     """Any isomorphism between 2-point substructures of the first 8 points
     extends over any requested third point."""

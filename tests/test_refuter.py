@@ -216,6 +216,28 @@ def test_mono_mutants_rejected():
     assert count >= 10
 
 
+def test_transcript_replay_names_each_fault():
+    _, _, cert = mono_certificate()
+    s, (fwd, bwd) = cert.structure, cert.transcript[:2]
+    assert fwd[0] == "fwd" and bwd[0] == "bwd"
+    a, t1, t2 = cert.base_points[0], cert.t1, cert.t2
+    seed = PartialIso(((a, a), (t1, t2)))
+    # a fresh image that the seed map does not admit for the first point
+    wrong = next(w for w in s.points if w not in seed.range()
+                 and not seed.admits(s, fwd[1], w))
+
+    def reason(first, second=bwd):
+        mutant = dataclasses.replace(cert, transcript=(first, second) + cert.transcript[2:])
+        return check_certificate(mutant, make_strategy("constant")).reason
+
+    assert reason(("sideways",) + fwd[1:]) == "bad-transcript-direction"
+    assert reason(("fwd", a, fwd[2])) == "transcript-collision"       # domain side
+    assert reason(("fwd", fwd[1], t2)) == "transcript-collision"      # range side
+    assert reason(fwd, ("bwd", t2, bwd[2])) == "transcript-collision"  # range side
+    assert reason(fwd, ("bwd", bwd[1], t1)) == "transcript-collision"  # domain side
+    assert reason(("fwd", fwd[1], wrong)) == "transcript-step-invalid"
+
+
 def equiv_mutants(cert: RefutationCertificate):
     s = cert.structure
     yield dataclasses.replace(cert, kind=MONO)
