@@ -6,10 +6,8 @@ from .core import (Amalgam, CanonicalCode, ColorTerm, Embedding, FinStruct,
                    InputError, Verdict, amalgamate, canonical_code,
                    color_less, format_struct, is_embedding, parse_struct,
                    validate)
-from .katetov import (ExtendedStructure, PairStructure, apply_K,
-                      apply_K_morphism, compare_types, format_extended,
-                      iterate_K, order_type_vs_point, pair_color,
-                      pair_structure)
+from .katetov import (ExtendedStructure, apply_K, apply_K_morphism,
+                      compare_types, format_extended, iterate_K, pair_color)
 from .limit import Approximation, PartialIso, embed, extend_partial_iso, grow, saturation_check
 from .refuter import (ExtensionStrategy, RefutationCertificate, check_certificate,
                       control_lo, refute)

@@ -122,17 +122,19 @@ def pair_of(u: str, v: str) -> frozenset:
 
 
 class Palette:
-    """An append-only table of colors; a color's id is its position.
+    """An append-only table of colors and their texts; a color's id is its
+    position.
 
     Structures derived from one another share a palette, so their rows
     compare as ints.  Ids never change meaning, so a palette may list colors
     that some structure sharing it does not use.
     """
 
-    __slots__ = ("colors", "ids", "base_ids")
+    __slots__ = ("colors", "texts", "ids", "base_ids")
 
     def __init__(self, colors: Iterable[ColorTerm] = ()):
         self.colors: list[ColorTerm] = []
+        self.texts: list[str] = []  # text of colors[id], rendered once
         self.ids: dict[ColorTerm, int] = {}
         self.base_ids: list[int] = []  # id of b:0:n at index n, -2 if absent
         for c in colors:
@@ -144,6 +146,7 @@ class Palette:
         if got is None:
             got = self.ids[c] = len(self.colors)
             self.colors.append(c)
+            self.texts.append(c.text())
             if c.kind == BASE and c.level == 0:
                 short = c.index + 1 - len(self.base_ids)
                 if short > 0:
@@ -577,20 +580,16 @@ def code_of_parts(n: int, color_texts: Iterable[str], marked_positions: Iterable
 
 
 def _pair_texts(s: FinStruct) -> Iterator[str]:
-    """The text of every pair color, in lexicographic position order; each
-    palette color is rendered once.  An uncolored pair raises InputError."""
-    texts: dict[int, str] = {}
-    pal = s.palette.colors
+    """The text of every pair color, in lexicographic position order, read
+    from the palette's texts.  An uncolored pair raises InputError."""
+    texts = s.palette.texts
     n = len(s.points)
     for i, row in enumerate(s.rows):
         for j in range(i + 1, n):
             c = row[j]
-            text = texts.get(c)
-            if text is None:
-                if c == HOLE:
-                    _check_complete(s)  # raises on the first uncolored pair
-                text = texts[c] = pal[c].text()
-            yield text
+            if c == HOLE:
+                _check_complete(s)  # raises on the first uncolored pair
+            yield texts[c]
 
 
 def canonical_code(s: FinStruct, marked: Sequence[str] = ()) -> CanonicalCode:

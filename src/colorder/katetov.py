@@ -6,37 +6,28 @@ its minimal consistent position and ordered against other type elements by
 the type order, one sort key (``types.order_key``) that encodes its four
 rules; colors between a type element and an unsupported base point use the
 next level's marker, and colors between two type elements encode the
-isomorphism class of their joint configuration.
+isomorphism class of their joint configuration, computed straight from the
+two types' columns (``OnePointType.column``) and the base palette's texts;
+the tests keep a frozenset-keyed ``PairStructure`` as the reference.
 The morphism map transports types along embeddings, making the whole thing
 a functor that raises the level by one.
 """
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 from .core import (HOLE, ColorTerm, Embedding, FinStruct, InputError, Palette,
-                   code_of_parts, format_struct, pair_of, validate)
+                   code_of_parts, format_struct, validate)
 from .types import (OnePointType, enumerate_types, format_type, gap_index,
                     order_key, transport)
 
 LT = -1
 EQ = 0
 GT = 1
-
-
-def order_type_vs_point(tau: OnePointType, v: str) -> int:
-    """LT if the type's element comes before ``v``, GT if after.
-
-    On support points the cut dictates the answer; elsewhere the element is
-    placed as low as transitivity through the below-cut support allows.
-    """
-    if v not in tau.base:
-        raise InputError(f"unknown base point {v!r}")
-    return GT if tau.base.index(v) < gap_index(tau) else LT
 
 
 def compare_types(xi: OnePointType, psi: OnePointType) -> int:
@@ -50,71 +41,8 @@ def compare_types(xi: OnePointType, psi: OnePointType) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Pair structures and pair colors
+# Pair colors
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PairStructure:
-    """The joint configuration of two type elements: their support union
-    with both elements inserted, all colors except the undefined one between
-    the two marks."""
-
-    points: tuple[str, ...]
-    colors: Mapping[frozenset, ColorTerm]  # total except the marked pair
-    marked: tuple[str, str]                # lower mark first
-
-    def code(self) -> str:
-        pos = {p: i for i, p in enumerate(self.points)}
-        texts = []
-        hole = pair_of(*self.marked)
-        for i, j in itertools.combinations(range(len(self.points)), 2):
-            key = pair_of(self.points[i], self.points[j])
-            texts.append("?" if key == hole else self.colors[key].text())
-        return code_of_parts(len(self.points),
-                             texts, (pos[self.marked[0]], pos[self.marked[1]]))
-
-
-def _mark_ids(taken: set[str]) -> tuple[str, str]:
-    stem = "!"
-    while stem + "0" in taken or stem + "1" in taken:
-        stem += "!"
-    return stem + "0", stem + "1"
-
-
-def pair_structure(xi: OnePointType, psi: OnePointType,
-                   ordered: bool = False) -> PairStructure:
-    """Build the marked structure of a pair of distinct types, ordering the
-    marks by the ambient type order.  A caller that already knows ``xi`` to
-    be the lower type passes ``ordered=True`` to skip the comparison."""
-    if ordered:
-        lo, hi = xi, psi
-    else:
-        cmp = compare_types(xi, psi)
-        if cmp == EQ:
-            raise InputError("pair structure requires two distinct types")
-        lo, hi = (xi, psi) if cmp == LT else (psi, xi)
-    base = xi.base
-    union = base.sorted_points(set(xi.support) | set(psi.support))
-    m_lo, m_hi = _mark_ids(set(union))
-    marker = ColorTerm.marker(base.level + 1)
-
-    # each mark goes after the union points below its type's gap; lo's gap
-    # is not above hi's, so inserting hi first puts lo first on a tie
-    seq = list(union)
-    pos = base.pos
-    for mark, tau in ((m_hi, hi), (m_lo, lo)):
-        gap = gap_index(tau)
-        seq.insert(sum(1 for u in union if pos[u] < gap), mark)
-
-    colors: dict[frozenset, ColorTerm] = {}
-    for u, v in itertools.combinations(union, 2):
-        colors[pair_of(u, v)] = base.color(u, v)
-    for mark, tau in ((m_lo, lo), (m_hi, hi)):
-        supp = set(tau.support)
-        for u in union:
-            colors[pair_of(u, mark)] = tau.color_of(u) if u in supp else marker
-    return PairStructure(tuple(seq), colors, (m_lo, m_hi))
-
 
 def pair_color(xi: OnePointType, psi: OnePointType,
                ordered: bool = False) -> ColorTerm:
@@ -122,9 +50,41 @@ def pair_color(xi: OnePointType, psi: OnePointType,
     is the canonical code of their joint configuration.  Equivalent pairs,
     and pairs carried into each other by embeddings, receive the same color;
     inequivalent pairs receive distinct colors; no base color is consumed.
-    ``ordered`` is passed on to :func:`pair_structure`.
+
+    The configuration is the support union with one mark per type, the
+    lower type's mark first; its pair texts come from the base palette and
+    from each type's ``column``, with ``?`` between the two marks.  The
+    tests' ``PairStructure`` builds the same configuration point by point
+    from the definitions and is the reference.  A caller that already knows
+    ``xi`` to be the lower type passes ``ordered=True`` to skip the
+    comparison.
     """
-    code = pair_structure(xi, psi, ordered).code()
+    if ordered:
+        lo, hi = xi, psi
+    else:
+        cmp = compare_types(xi, psi)
+        if cmp == EQ:
+            raise InputError("pair structure requires two distinct types")
+        lo, hi = (xi, psi) if cmp == LT else (psi, xi)
+    lo_supp, lo_gap, lo_col = lo.column
+    hi_supp, hi_gap, hi_col = hi.column
+    seq: list = sorted({*lo_supp, *hi_supp})   # the support union, as positions
+    # each mark goes after the union positions below its type's gap; lo's
+    # gap is not above hi's, so inserting hi first puts lo first on a tie
+    k_hi = bisect_left(seq, hi_gap)
+    k_lo = bisect_left(seq, lo_gap)
+    seq.insert(k_hi, hi_col)
+    seq.insert(k_lo, lo_col)
+    rows, texts = xi.base.rows, xi.base.palette.texts
+    parts: list[str] = []
+    for i, a in enumerate(seq):
+        rest = seq[i + 1:]
+        if a.__class__ is int:    # a base position: base text, or a mark's column
+            row = rows[a]
+            parts.extend([texts[row[b]] if b.__class__ is int else b[a] for b in rest])
+        else:                     # a mark's column: its text, or the hole
+            parts.extend([a[b] if b.__class__ is int else "?" for b in rest])
+    code = code_of_parts(len(seq), parts, (k_lo, k_hi + 1))
     return ColorTerm.pair_code(xi.base.level + 1, code.encode("utf-8").hex())
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .core import HOLE, ColorTerm, FinStruct, InputError, validate
@@ -59,8 +60,17 @@ class OnePointType:
     def key(self) -> tuple:
         return (self.support, self.cut, self.colors)
 
-    def color_of(self, p: str) -> ColorTerm:
-        return self.colors[self.support.index(p)]
+    @cached_property
+    def column(self) -> tuple[list[int], int, list[str]]:
+        """The support positions in the base, the gap, and the color text
+        toward every base position: the support color, else the next
+        level's marker.  Computed once per type, without reading base rows;
+        ``katetov.pair_color`` reads it."""
+        supp = [self.base.pos[p] for p in self.support]
+        texts = [ColorTerm.marker(self.base.level + 1).text()] * len(self.base.points)
+        for i, c in zip(supp, self.colors):
+            texts[i] = c.text()
+        return supp, gap_index(self), texts
 
 
 def insert_position(ambient: FinStruct, support: Sequence[str], cut: int) -> int:

@@ -8,8 +8,11 @@ results can be checked against an independent source of truth.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+from typing import Mapping
 
-from colorder.core import ColorTerm, FinStruct, is_embedding, pair_of
+from colorder.core import (ColorTerm, FinStruct, InputError, code_of_parts,
+                           is_embedding, pair_of)
 
 POINT_NAMES = "abcdefgh"
 
@@ -212,3 +215,79 @@ def reference_is_embedding(mapping, s: FinStruct, t: FinStruct) -> bool:
     return all(t.points.index(mapping[u]) < t.points.index(mapping[v])
                and t.color(mapping[u], mapping[v]) == s.color(u, v)
                for u, v in itertools.combinations(s.points, 2))
+
+
+def order_type_vs_point(tau, v: str) -> int:
+    """-1 if the type's element comes before base point ``v`` under its
+    lowest consistent placement, 1 if after."""
+    if v not in tau.base:
+        raise InputError(f"unknown base point {v!r}")
+    gap = min(consistent_placements(tau.base, tau.support, tau.cut))
+    return 1 if tau.base.index(v) < gap else -1
+
+
+@dataclass(frozen=True)
+class PairStructure:
+    """The joint configuration of two type elements: their support union
+    with both elements inserted, all colors except the undefined one between
+    the two marks."""
+
+    points: tuple[str, ...]
+    colors: Mapping[frozenset, ColorTerm]  # total except the marked pair
+    marked: tuple[str, str]                # lower mark first
+
+    def code(self) -> str:
+        pos = {p: i for i, p in enumerate(self.points)}
+        texts = []
+        hole = pair_of(*self.marked)
+        for i, j in itertools.combinations(range(len(self.points)), 2):
+            key = pair_of(self.points[i], self.points[j])
+            texts.append("?" if key == hole else self.colors[key].text())
+        return code_of_parts(len(self.points),
+                             texts, (pos[self.marked[0]], pos[self.marked[1]]))
+
+
+def _mark_ids(taken: set[str]) -> tuple[str, str]:
+    stem = "!"
+    while stem + "0" in taken or stem + "1" in taken:
+        stem += "!"
+    return stem + "0", stem + "1"
+
+
+def pair_structure(xi, psi, ordered: bool = False) -> PairStructure:
+    """The marked structure of a pair of distinct types, from the
+    definitions: the lower mark by ``reference_type_less`` (or ``xi`` when
+    ``ordered``), each mark placed against every union point by
+    ``order_type_vs_point``, the lower mark first when no union point lies
+    between them, and the colors read point by point."""
+    if ordered:
+        lo, hi = xi, psi
+    else:
+        if xi.base != psi.base:
+            raise InputError("types over different bases are incomparable")
+        if xi.key() == psi.key():
+            raise InputError("pair structure requires two distinct types")
+        lo, hi = (xi, psi) if reference_type_less(xi, psi) else (psi, xi)
+    base = xi.base
+    union = base.sorted_points(set(xi.support) | set(psi.support))
+    m_lo, m_hi = _mark_ids(set(union))
+    marks = [(m_lo, lo), (m_hi, hi)]
+    seq = []
+    for u in union:
+        while marks and order_type_vs_point(marks[0][1], u) == -1:
+            seq.append(marks.pop(0)[0])
+        seq.append(u)
+    seq.extend(m for m, _ in marks)
+    marker = ColorTerm.marker(base.level + 1)
+    colors = {pair_of(u, v): base.color(u, v) for u, v in itertools.combinations(union, 2)}
+    for mark, tau in ((m_lo, lo), (m_hi, hi)):
+        own = dict(zip(tau.support, tau.colors))
+        for u in union:
+            colors[pair_of(u, mark)] = own.get(u, marker)
+    return PairStructure(tuple(seq), colors, (m_lo, m_hi))
+
+
+def reference_pair_color(xi, psi, ordered: bool = False) -> ColorTerm:
+    """``katetov.pair_color`` from the reference pair structure's code."""
+    code = pair_structure(xi, psi, ordered).code()
+    return ColorTerm.pair_code(xi.base.level + 1, code.encode().hex())

@@ -12,14 +12,15 @@ from contextlib import contextmanager
 from colorder.core import (ColorTerm, Embedding, FinStruct, canonical_code,
                            pair_of)
 from colorder.katetov import (EQ, GT, LT, apply_K, apply_K_morphism,
-                              compare_types, pair_color, pair_structure)
+                              compare_types, pair_color)
 from colorder.limit import (Approximation, PartialIso, extend_partial_iso,
                             grow, saturation_check)
 from colorder.refuter import (BUNDLED_STRATEGIES, EQUIV, FAULT, MONO,
                               check_certificate, control_lo, make_strategy,
                               refute)
 from colorder.types import enumerate_types, transport
-from helpers import all_embeddings, all_structures, brute_force_types
+from helpers import (all_embeddings, all_structures, brute_force_types,
+                     pair_structure, reference_pair_color)
 
 B = ColorTerm.base
 
@@ -103,11 +104,14 @@ def test_criterion_04_equivalence_preservation():
             taus = enumerate_types(x, 0, 2)
             pairs = list(itertools.combinations(taus, 2))
             codes = [pair_structure(a, b).code() for a, b in pairs]
+            assert [pair_color(a, b) for a, b in pairs] == [
+                ColorTerm.pair_code(1, c.encode().hex()) for c in codes]
             for y in structures:
                 for f in all_embeddings(x, y):
-                    icodes = [pair_structure(transport(a, f, y),
-                                             transport(b, f, y)).code()
-                              for a, b in pairs]
+                    images = [(transport(a, f, y), transport(b, f, y)) for a, b in pairs]
+                    icodes = [pair_structure(a, b).code() for a, b in images]
+                    assert [pair_color(a, b) for a, b in images] == [
+                        ColorTerm.pair_code(1, c.encode().hex()) for c in icodes]
                     for i in range(len(pairs)):
                         for j in range(i + 1, len(pairs)):
                             if (codes[i] == codes[j]) != (icodes[i] == icodes[j]):
@@ -135,12 +139,15 @@ def test_criterion_06_pair_color_functoriality():
     with criterion(6, "pair colors inherited along every embedding", 60):
         structures = all_structures(2, 2)
         for x in structures:
-            taus = enumerate_types(x, 0, 2)
+            pairs = list(itertools.combinations(enumerate_types(x, 0, 2), 2))
+            colors = [pair_color(xi, psi) for xi, psi in pairs]
+            assert colors == [reference_pair_color(xi, psi) for xi, psi in pairs]
             for y in structures:
                 for f in all_embeddings(x, y):
-                    for xi, psi in itertools.combinations(taus, 2):
-                        assert pair_color(transport(xi, f, y),
-                                          transport(psi, f, y)) == pair_color(xi, psi)
+                    for (xi, psi), color in zip(pairs, colors):
+                        fxi, fpsi = transport(xi, f, y), transport(psi, f, y)
+                        assert pair_color(fxi, fpsi) == color
+                        assert reference_pair_color(fxi, fpsi) == color
 
 
 def test_criterion_07_limit_engine():

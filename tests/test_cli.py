@@ -1,3 +1,4 @@
+import hashlib
 import os
 import shlex
 import sys
@@ -95,6 +96,20 @@ def test_k_apply_point_count(capsys):
     out = capsys.readouterr().out
     assert sum(1 for line in out.splitlines()
                if line.startswith("point ")) == 20
+
+
+@pytest.mark.parametrize("budget,size,digest", [
+    (2, 163346, "bdd77495cc4fd47b198cdb6cbfa7bea103952110374a0bf92e23dfd8d342f0db"),
+    (3, 1830811, "8440a3a4f99115514636eb20b2a468e6ffdd7e113596d1b828450c63dcaabd73"),
+])
+def test_k_apply_three_point_bytes(tmp_path, budget, size, digest):
+    """Byte pins of larger extensions, whose pair colors span three base
+    points; the digests were taken from the pair-structure implementation."""
+    out = tmp_path / "k.txt"
+    assert run(["k-apply", "--base", data("three_point.txt"), "--budget", str(budget),
+                "--out", str(out)]) == 0
+    body = out.read_bytes()
+    assert (len(body), hashlib.sha256(body).hexdigest()) == (size, digest)
 
 
 def test_extend_iso_unknown_point_exits_1(capsys):

@@ -1,16 +1,16 @@
 import itertools
+import random
 
 import pytest
 
 from colorder.core import (ColorTerm, Embedding, FinStruct, InputError,
                            is_embedding, pair_of, validate)
 from colorder.katetov import (EQ, GT, LT, apply_K, apply_K_morphism,
-                              compare_types, gap_index, iterate_K,
-                              order_type_vs_point, pair_color,
-                              pair_structure)
+                              compare_types, gap_index, iterate_K, pair_color)
 from colorder.types import (OnePointType, enumerate_types, transport,
                             type_of_point)
 from helpers import (all_embeddings, all_structures, consistent_placements,
+                     order_type_vs_point, pair_structure, reference_pair_color,
                      reference_type_less)
 
 B = ColorTerm.base
@@ -164,6 +164,43 @@ def test_pair_structure_mark_order_matches_local_comparison():
             assert compare_types(xi_l, psi_l) == compare_types(xi, psi)
 
 
+def test_pair_color_matches_the_reference_structure(one_point):
+    """``pair_color`` equals the code of the reference pair structure on
+    every type pair of a budget-2 extension of each small structure, in both
+    argument orders and in type order, and on seeded stage-2 pairs whose
+    base pairs carry pair-code colors."""
+    checked = 0
+    for x in all_structures(3, 2):
+        taus = [tau for _, tau in apply_K(x, 2).elements]
+        for lo, hi in itertools.combinations(taus, 2):
+            want = reference_pair_color(lo, hi)
+            assert pair_color(lo, hi) == want
+            assert pair_color(hi, lo) == want
+            assert pair_color(lo, hi, ordered=True) == want
+            checked += 1
+    assert checked == 8272
+    stage2 = iterate_K(one_point, 2, [1, 1])[-1]
+    assert any(c.kind == "k" for c in stage2.base.colors.values())
+    taus = [tau for _, tau in stage2.elements]
+    rng = random.Random(6)
+    for _ in range(2000):
+        i, j = sorted(rng.sample(range(len(taus)), 2))
+        assert pair_color(taus[i], taus[j], ordered=True) == reference_pair_color(
+            taus[i], taus[j])
+
+
+def test_pair_color_rejects_equal_types_and_different_bases(one_point, two_point):
+    xi = OnePointType.build(two_point, ("a",), 0, (B(0, 0),), 0)
+    same = OnePointType.build(two_point, ("a",), 0, (B(0, 0),), 0)
+    with pytest.raises(InputError, match="^pair structure requires two distinct types$"):
+        pair_color(xi, xi)
+    with pytest.raises(InputError, match="^pair structure requires two distinct types$"):
+        pair_color(xi, same)
+    free = OnePointType.build(one_point, (), 0, (), 0)
+    with pytest.raises(InputError, match="^types over different bases are incomparable$"):
+        pair_color(xi, free)
+
+
 def test_pair_color_distinct_for_nonisomorphic_unions(two_point):
     xi = OnePointType.build(two_point, ("a",), 0, (B(0, 0),), 0)
     psi = OnePointType.build(two_point, ("b",), 0, (B(0, 0),), 0)
@@ -194,11 +231,15 @@ def test_claim_equivalence_preserved_both_directions():
         taus = enumerate_types(x, 0, 2)
         pairs = list(itertools.combinations(taus, 2))
         codes = [pair_structure(xi, psi).code() for xi, psi in pairs]
+        assert [pair_color(xi, psi) for xi, psi in pairs] == [
+            ColorTerm.pair_code(1, c.encode().hex()) for c in codes]
         for y in structures:
             for emb in all_embeddings(x, y):
-                icodes = [pair_structure(transport(xi, emb, y),
-                                         transport(psi, emb, y)).code()
+                images = [(transport(xi, emb, y), transport(psi, emb, y))
                           for xi, psi in pairs]
+                icodes = [pair_structure(xi, psi).code() for xi, psi in images]
+                assert [pair_color(xi, psi) for xi, psi in images] == [
+                    ColorTerm.pair_code(1, c.encode().hex()) for c in icodes]
                 for i in range(len(pairs)):
                     for j in range(i + 1, len(pairs)):
                         assert (codes[i] == codes[j]) == (icodes[i] == icodes[j])
@@ -375,3 +416,31 @@ def test_stage_two_extension_stays_lazy():
     ext.struct.color(ids[5], ids[0])                  # a pair read before
     ext.struct.color(ext.base.points[0], ids[3])      # base to type: stored
     assert len(rows.pair_cache) == len(picks)
+    # building stage 2 validated and copied every stage-1 row; the stage-1
+    # cache still holds only pairs inside the support unions of the picks
+    unions = [{ext.base.pos[p] for p in ext.type_of(u).support + ext.type_of(v).support}
+              for u, v in picks]
+    assert all(any({i, j} <= un for un in unions) for i, j in ext.base.rows.pair_cache)
+
+
+def test_pair_color_reads_only_its_support_union():
+    """Over a lazy extension, a type's column reads no base row, and a pair
+    color reads only the base pairs inside the two supports' union."""
+    three = FinStruct.build("abc", {pair_of("a", "b"): B(0, 0),
+                                    pair_of("a", "c"): B(0, 1),
+                                    pair_of("b", "c"): B(0, 0)})
+    ext = apply_K(three, 2)
+    s, cache = ext.struct, ext.struct.rows.pair_cache
+    ids = ext.element_ids()
+    colors = (ColorTerm.marker(1), B(1, 0), B(0, 1))   # distinct: no triangle
+    xi = OnePointType.build(s, s.sorted_points({ids[3], "b", ids[40]}), 1, colors, 1)
+    psi = OnePointType.build(s, s.sorted_points({"a", ids[7], ids[40]}), 3, colors, 1)
+    read = set(cache)
+    assert read == {(s.pos[ids[3]], s.pos[ids[40]]), (s.pos[ids[7]], s.pos[ids[40]])}
+    xi.column, psi.column
+    assert set(cache) == read
+    union = {s.pos[p] for p in xi.support + psi.support}
+    got = pair_color(xi, psi)
+    assert all({i, j} <= union for i, j in cache)
+    assert len(cache) == 3                      # every type-type pair of the union
+    assert got == reference_pair_color(xi, psi)
