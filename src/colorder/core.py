@@ -7,7 +7,8 @@ module provides the color universe, validation, embeddings, deterministic
 amalgamation, canonical codes, and the line-oriented text format.
 
 A structure keeps its colors in position-indexed rows of small-int ids into
-a palette of ColorTerms, so hot loops compare ints.  Costs: a color lookup
+a palette of canonical color texts, so hot loops compare ints; a color's
+``ColorTerm`` is parsed from its text on first read.  Costs: a color lookup
 is O(1); ``validate`` makes O(n^2) big-int operations over per-color
 neighbour bitmasks; realizing a point copies each row once with one new
 entry; a functor extension (``katetov.apply_K``) keeps the rows of its type
@@ -122,37 +123,57 @@ def pair_of(u: str, v: str) -> frozenset:
 
 
 class Palette:
-    """An append-only table of colors and their texts; a color's id is its
-    position.
+    """An append-only table of canonical color texts; a color's id is its
+    position, and its text (``ColorTerm.text()``) is its one identity.
 
     Structures derived from one another share a palette, so their rows
     compare as ints.  Ids never change meaning, so a palette may list colors
-    that some structure sharing it does not use.
+    that some structure sharing it does not use.  A color's ``ColorTerm`` is
+    parsed from its text on first read, so a pair-code color that is only
+    ever printed never becomes a term.
     """
 
-    __slots__ = ("colors", "texts", "ids", "base_ids")
+    __slots__ = ("texts", "ids", "base_ids", "_terms")
 
-    def __init__(self, colors: Iterable[ColorTerm] = ()):
-        self.colors: list[ColorTerm] = []
-        self.texts: list[str] = []  # text of colors[id], rendered once
-        self.ids: dict[ColorTerm, int] = {}
+    def __init__(self):
+        self.texts: list[str] = []
+        self.ids: dict[str, int] = {}
         self.base_ids: list[int] = []  # id of b:0:n at index n, -2 if absent
-        for c in colors:
-            self.id(c)
+        self._terms: dict[int, ColorTerm] = {}  # terms read so far, by id
 
     def id(self, c: ColorTerm) -> int:
         """The id of ``c``, appending it if new."""
-        got = self.ids.get(c)
+        return self.id_text(c.text())
+
+    def id_text(self, text: str) -> int:
+        """The id of the color whose canonical text is ``text``, appending
+        it if new.  ``text`` must be canonical: what ``ColorTerm.text()``
+        returns for a valid term."""
+        got = self.ids.get(text)
         if got is None:
-            got = self.ids[c] = len(self.colors)
-            self.colors.append(c)
-            self.texts.append(c.text())
-            if c.kind == BASE and c.level == 0:
-                short = c.index + 1 - len(self.base_ids)
+            got = self.ids[text] = len(self.texts)
+            self.texts.append(text)
+            if text.startswith("b:0:"):
+                n = int(text[4:])
+                short = n + 1 - len(self.base_ids)
                 if short > 0:
                     self.base_ids.extend([-2] * short)
-                self.base_ids[c.index] = got
+                self.base_ids[n] = got
         return got
+
+    def color(self, c: int) -> ColorTerm:
+        """The color with id ``c``, parsed from its text on first read."""
+        got = self._terms.get(c)
+        if got is None:
+            got = self._terms[c] = ColorTerm.parse(self.texts[c])
+        return got
+
+    def copy(self) -> "Palette":
+        """A palette with the same ids, to be extended independently."""
+        p = Palette.__new__(Palette)
+        p.texts, p.ids = self.texts.copy(), self.ids.copy()
+        p.base_ids, p._terms = self.base_ids.copy(), self._terms.copy()
+        return p
 
     def translate(self, other: "Palette") -> "_IdMap":
         """Map the ids of ``other`` to the ids of the same colors here."""
@@ -171,13 +192,13 @@ class Palette:
             n += 1
         if n < len(base) and base[n] >= 0:
             return base[n]
-        return self.id(ColorTerm.base(0, n))
+        return self.id_text(f"b:0:{n}")
 
 
 class _IdMap(dict):
     """Ids of a source palette mapped to the ids of the same colors in a
     target palette (-2 where the target lacks the color, HOLE to HOLE),
-    looked up on first use.
+    looked up by text on first use.
 
     A lazy target palette gains a color only when some pair first reads it,
     so a lookup must follow the read of the target entry it is compared
@@ -186,7 +207,7 @@ class _IdMap(dict):
 
     def __init__(self, target: Palette, source: Palette):
         super().__init__({HOLE: HOLE})
-        self._target, self._source = target.ids, source.colors
+        self._target, self._source = target.ids, source.texts
 
     def __missing__(self, c: int) -> int:
         got = self._target.get(self._source[c], -2)
@@ -224,11 +245,12 @@ class FinStruct:
     ``points`` lists the points in increasing order.  Colors are stored as
     position-indexed rows of small-int ids: ``rows[i][j]`` is the id of the
     color between points ``i`` and ``j`` (HOLE on the diagonal) and
-    ``palette.colors[id]`` is that color, so a lookup costs two position
-    lookups and two indexings.  ``rows`` is a tuple of tuples, or, for a
-    functor extension, a lazy provider with the same indexing.  ``level``
-    bounds the levels of all colors.  Values are immutable after
-    construction; use :meth:`build` for checked construction.
+    ``palette.color(id)`` is that color (``palette.texts[id]`` its text), so
+    a lookup costs two position lookups and two indexings.  ``rows`` is a
+    tuple of tuples, or, for a functor extension, a lazy provider with the
+    same indexing.  ``level`` bounds the levels of all colors.  Values are
+    immutable after construction; use :meth:`build` for checked
+    construction.
 
     ``FinStruct(points, colors, level)`` converts a frozenset-keyed color
     mapping without checks; a pair it leaves out stays a HOLE, which
@@ -279,8 +301,8 @@ class FinStruct:
     def colors(self) -> Mapping[frozenset, ColorTerm]:
         """Read-only view of the coloring keyed by two-element frozensets of
         point names, built on first use."""
-        pts, pal = self.points, self.palette.colors
-        return MappingProxyType({frozenset((pts[i], pts[j])): pal[c]
+        pts, pal = self.points, self.palette.color
+        return MappingProxyType({frozenset((pts[i], pts[j])): pal(c)
                                  for i, j in itertools.combinations(range(len(pts)), 2)
                                  if (c := self.rows[i][j]) != HOLE})
 
@@ -300,7 +322,7 @@ class FinStruct:
         c = self.rows[self.pos[u]][self.pos[v]]
         if c == HOLE:
             raise KeyError(pair_of(u, v))
-        return self.palette.colors[c]
+        return self.palette.color(c)
 
     def pairs(self) -> Iterator[tuple[str, str]]:
         """All pairs (u, v) with u before v, in lexicographic position order."""
@@ -369,7 +391,7 @@ def validate(s: FinStruct) -> Verdict:
     a triangle with exactly the points k > j set in both masks of c, so the
     scan costs one big-int AND per pair.
     """
-    pts, rows, pal = s.points, s.rows, s.palette.colors
+    pts, rows, pal = s.points, s.rows, s.palette.color
     n = len(pts)
     _check_points(pts)
     masks: list[dict[int, int]] = []
@@ -385,12 +407,12 @@ def validate(s: FinStruct) -> Verdict:
     if s.level < 0:
         _check_complete(s)
     used = {c for m in masks for c in m if c != HOLE}
-    over = [c for c in used if pal[c].level > s.level]
+    over = [c for c in used if pal(c).level > s.level]
     for i, m in enumerate(masks):
         later = [(_lowest_bit(m[c] >> (i + 1)), c) for c in over if m.get(c, 0) >> (i + 1)]
         if later:
             j, c = min(later)
-            return Verdict(False, "level-bound", (pts[i], pts[i + 1 + j], pts[i]), pal[c])
+            return Verdict(False, "level-bound", (pts[i], pts[i + 1 + j], pts[i]), pal(c))
     for i in range(n):
         mi, row = masks[i], rows[i]
         for j in range(i + 1, n):
@@ -398,7 +420,7 @@ def validate(s: FinStruct) -> Verdict:
             common = (mi[c] & masks[j][c]) >> (j + 1)
             if common:
                 k = j + 1 + _lowest_bit(common)
-                return Verdict(False, "monochromatic-triangle", (pts[i], pts[j], pts[k]), pal[c])
+                return Verdict(False, "monochromatic-triangle", (pts[i], pts[j], pts[k]), pal(c))
     return Verdict(True)
 
 
@@ -548,7 +570,7 @@ def amalgamate(a: FinStruct, b: FinStruct, over: FinStruct,
     palette = Palette()
     rows = [[HOLE] * len(merged) for _ in merged]
     for s, m in ((a, map_a), (b, map_b)):
-        trans = [palette.id(c) for c in s.palette.colors]
+        trans = [palette.id_text(t) for t in s.palette.texts]
         idx = [at[m[p]] for p in s.points]
         for i, row in enumerate(s.rows):
             for j in range(i + 1, len(idx)):
@@ -583,13 +605,11 @@ def _pair_texts(s: FinStruct) -> Iterator[str]:
     """The text of every pair color, in lexicographic position order, read
     from the palette's texts.  An uncolored pair raises InputError."""
     texts = s.palette.texts
-    n = len(s.points)
     for i, row in enumerate(s.rows):
-        for j in range(i + 1, n):
-            c = row[j]
-            if c == HOLE:
-                _check_complete(s)  # raises on the first uncolored pair
-            yield texts[c]
+        tail = row[i + 1:]
+        if HOLE in tail:
+            _check_complete(s)  # raises on the first uncolored pair
+        yield from map(texts.__getitem__, tail)
 
 
 def canonical_code(s: FinStruct, marked: Sequence[str] = ()) -> CanonicalCode:
@@ -622,7 +642,6 @@ def parse_struct(text: str) -> tuple[str, FinStruct]:
     points: dict[str, int] = {}  # insertion-ordered, O(1) membership
     pair_ids: dict[tuple[int, int], int] = {}
     palette = Palette()
-    term_ids: dict[str, int] = {}  # each distinct color text is parsed once
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -654,9 +673,9 @@ def parse_struct(text: str) -> tuple[str, FinStruct]:
             key = (i, j) if i < j else (j, i)
             if key in pair_ids:
                 raise InputError(f"line {lineno}: duplicate pair ({u}, {v})")
-            c = term_ids.get(term)
+            c = palette.ids.get(term)  # a canonical text already entered
             if c is None:
-                c = term_ids[term] = palette.id(ColorTerm.parse(term))
+                c = palette.id(ColorTerm.parse(term))
             pair_ids[key] = c
         else:
             raise InputError(f"line {lineno}: unknown directive {tok[0]!r}")

@@ -8,7 +8,10 @@ rules; colors between a type element and an unsupported base point use the
 next level's marker, and colors between two type elements encode the
 isomorphism class of their joint configuration, computed straight from the
 two types' columns (``OnePointType.column``) and the base palette's texts;
-the tests keep a frozenset-keyed ``PairStructure`` as the reference.
+the tests keep a frozenset-keyed ``PairStructure`` as the reference.  The
+lazy rows enter each pair color into the palette as its canonical text
+(``pair_text``), so no ``ColorTerm`` is built for a pair until a caller
+reads that color as a term.
 The morphism map transports types along embeddings, making the whole thing
 a functor that raises the level by one.
 """
@@ -50,6 +53,15 @@ def pair_color(xi: OnePointType, psi: OnePointType,
     is the canonical code of their joint configuration.  Equivalent pairs,
     and pairs carried into each other by embeddings, receive the same color;
     inequivalent pairs receive distinct colors; no base color is consumed.
+    The color is :func:`pair_text` parsed into a term.
+    """
+    return ColorTerm.parse(pair_text(xi, psi, ordered))
+
+
+def pair_text(xi: OnePointType, psi: OnePointType, ordered: bool = False) -> str:
+    """The canonical text ``k:<level+1>:<hex>`` of :func:`pair_color`,
+    built without a ``ColorTerm``; lazy extension rows enter it into their
+    palette as text.
 
     The configuration is the support union with one mark per type, the
     lower type's mark first; its pair texts come from the base palette and
@@ -85,7 +97,7 @@ def pair_color(xi: OnePointType, psi: OnePointType,
         else:                     # a mark's column: its text, or the hole
             parts.extend([a[b] if b.__class__ is int else "?" for b in rest])
     code = code_of_parts(len(seq), parts, (k_lo, k_hi + 1))
-    return ColorTerm.pair_code(xi.base.level + 1, code.encode("utf-8").hex())
+    return f"k:{xi.base.level + 1}:{code.encode('utf-8').hex()}"
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +109,10 @@ class _ExtensionRows(Sequence):
 
     The rows of base points are stored: they hold the base colors and the
     colors to every type element.  The row of a type element is a view whose
-    entries against other type elements are pair colors, computed on first
-    read and kept in ``pair_cache`` by position pair, so large extensions
-    stay usable as long as only a sparse set of their pairs is inspected.
+    entries against other type elements are pair colors, computed as text
+    on first read and kept in ``pair_cache`` by position pair, so large
+    extensions stay usable as long as only a sparse set of their pairs is
+    inspected.
     Type elements sit in type order, so the lower position of a pair holds
     the lower type.
     """
@@ -127,8 +140,8 @@ class _ExtensionRows(Sequence):
         key = (i, j) if i < j else (j, i)
         got = self.pair_cache.get(key)
         if got is None:
-            color = pair_color(self._types[key[0]], self._types[key[1]], ordered=True)
-            got = self.pair_cache[key] = self._palette.id(color)
+            text = pair_text(self._types[key[0]], self._types[key[1]], ordered=True)
+            got = self.pair_cache[key] = self._palette.id_text(text)
         return got
 
 
@@ -204,7 +217,7 @@ def apply_K(x: FinStruct, budget: int) -> ExtendedStructure:
     # The base rows are read before the palette is copied, since a lazy base
     # gains colors as they are read; the base ids then carry over.
     base_cols = [tuple(row) for row in x.rows]
-    palette = Palette(x.palette.colors)
+    palette = x.palette.copy()
     marker = palette.id(ColorTerm.marker(level))
     type_of = dict(zip(ids, taus))
     columns = []

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import Embedding, FinStruct, InputError, format_struct, validate
-from .types import (OnePointType, enumerate_types, fresh_point_name,
-                    point_key, realize_type)
+from .types import OnePointType, enumerate_types, point_key, realize_type
 
 
 class Approximation:
@@ -43,6 +42,7 @@ class Approximation:
         self.ledger: set[tuple] = set()  # keys of realized types
         self.birth: list[str] = list(seed.points)
         self.steps_done = 0
+        self._next_name = 0  # every u<k> with k below it is taken
         self._tasks = self._schedule()
 
     # -- schedule -----------------------------------------------------------
@@ -68,7 +68,7 @@ class Approximation:
         """Smallest point (in structure order) realizing the task, if any."""
         s = self.current
         idx = [s.pos[p] for p in tau.support]
-        ids = [s.palette.ids.get(c) for c in tau.colors]
+        ids = [s.palette.ids.get(c.text()) for c in tau.colors]
         if None in ids:
             return None  # a color the structure has never used
         # the points with the type's cut lie strictly between two support points
@@ -81,8 +81,12 @@ class Approximation:
         return None
 
     def realize(self, tau: OnePointType) -> str:
-        new, u = realize_type(self.current, tau,
-                              name=fresh_point_name(self.current))
+        """Realize ``tau`` as a new point named ``u<k>``, the first such
+        name the structure does not use (seed names are skipped)."""
+        while f"u{self._next_name}" in self.current:
+            self._next_name += 1
+        new, u = realize_type(self.current, tau, name=f"u{self._next_name}")
+        self._next_name += 1
         self.current = new
         self.birth.append(u)
         self.ledger.add(tau.key())

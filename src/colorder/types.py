@@ -50,7 +50,7 @@ class OnePointType:
         idx = [base.pos[p] for p in supp]
         pairs = [(i, j, base.rows[idx[i]][idx[j]])
                  for i, j in itertools.combinations(range(len(supp)), 2)]
-        ids = [base.palette.ids.get(c, -2) for c in cols]  # after the reads
+        ids = [base.palette.ids.get(c.text(), -2) for c in cols]  # after the reads
         for i, j, c in pairs:
             if ids[i] == ids[j] == c:
                 raise InputError("invalid one-point extension: monochromatic "
@@ -65,7 +65,7 @@ class OnePointType:
         """The support positions in the base, the gap, and the color text
         toward every base position: the support color, else the next
         level's marker.  Computed once per type, without reading base rows;
-        ``katetov.pair_color`` reads it."""
+        ``katetov.pair_text`` reads it."""
         supp = [self.base.pos[p] for p in self.support]
         texts = [ColorTerm.marker(self.base.level + 1).text()] * len(self.base.points)
         for i, c in zip(supp, self.colors):
@@ -113,8 +113,7 @@ def point_key(s: FinStruct, u: str, over_sorted: tuple[str, ...]) -> tuple:
     if HOLE in ids:
         v = over_sorted[ids.index(HOLE)]
         raise InputError("missing color for pair ({}, {})".format(*sorted((u, v))))
-    pal = s.palette.colors
-    return (over_sorted, sum(1 for j in idx if j < i), tuple(pal[c] for c in ids))
+    return (over_sorted, sum(1 for j in idx if j < i), tuple(map(s.palette.color, ids)))
 
 
 def type_of_point(s: FinStruct, u: str, over: Iterable[str]) -> OnePointType:
@@ -144,8 +143,8 @@ def allowed_colors(x: FinStruct, level: int, budget: int) -> list[ColorTerm]:
     for row in x.rows:
         used.update(row)
     used.discard(HOLE)
-    pal = x.palette.colors
-    seen = sorted({pal[c] for c in used if pal[c].kind != "b" and pal[c].level <= level},
+    pal = x.palette.color
+    seen = sorted({pal(c) for c in used if pal(c).kind != "b" and pal(c).level <= level},
                   key=ColorTerm.sort_key)
     return pool + seen
 

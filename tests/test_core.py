@@ -370,6 +370,29 @@ def test_struct_text_roundtrip(two_point):
     assert name == "demo" and parsed == two_point
 
 
+def test_two_spellings_of_one_color_share_a_palette_id():
+    """``b:0:01`` and ``b:0:1`` are one color: parsing gives them one id and
+    printing spells it canonically; the parsed structure equals, and embeds
+    like, the same structure built from terms."""
+    text = ("structure s level 0\npoint a\npoint b\npoint c\n"
+            "color a b b:0:01\ncolor a c b:0:1\ncolor b c b:0:0\n")
+    _, parsed = parse_struct(text)
+    assert parsed.rows[0][1] == parsed.rows[0][2]
+    assert sorted(parsed.palette.texts) == ["b:0:0", "b:0:1"]
+    assert format_struct(parsed).splitlines()[4:] == [
+        "color a b b:0:1", "color a c b:0:1", "color b c b:0:0"]
+    built = FinStruct.build("abc", {pair_of("a", "b"): B(0, 1),
+                                    pair_of("a", "c"): B(0, 1),
+                                    pair_of("b", "c"): B(0, 0)})
+    assert parsed == built and built == parsed
+    for sub in ("ab", "ac", "bc", "abc"):
+        ident = {p: p for p in sub}
+        assert is_embedding(ident, built.restrict(sub), parsed)
+        assert is_embedding(ident, parsed.restrict(sub), built)
+    assert not is_embedding({"a": "a", "b": "c"}, parsed.restrict("ab"),
+                            FinStruct.build("ac", {pair_of("a", "c"): B(0, 0)}))
+
+
 def test_parse_rejects_duplicate_pair():
     text = "structure s level 0\npoint a\npoint b\ncolor a b b:0:0\ncolor b a b:0:1\n"
     with pytest.raises(InputError):

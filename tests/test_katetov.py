@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from colorder.core import (ColorTerm, Embedding, FinStruct, InputError,
-                           is_embedding, pair_of, validate)
+from colorder.core import (PAIRCODE, ColorTerm, Embedding, FinStruct,
+                           InputError, is_embedding, pair_of, validate)
 from colorder.katetov import (EQ, GT, LT, apply_K, apply_K_morphism,
-                              compare_types, gap_index, iterate_K, pair_color)
+                              compare_types, format_extended, gap_index,
+                              iterate_K, pair_color)
 from colorder.types import (OnePointType, enumerate_types, transport,
                             type_of_point)
 from helpers import (all_embeddings, all_structures, consistent_placements,
@@ -421,6 +422,34 @@ def test_stage_two_extension_stays_lazy():
     unions = [{ext.base.pos[p] for p in ext.type_of(u).support + ext.type_of(v).support}
               for u, v in picks]
     assert all(any({i, j} <= un for un in unions) for i, j in ext.base.rows.pair_cache)
+
+
+def test_format_extended_builds_no_pair_code_term(monkeypatch):
+    """Formatting an extension enters every type-type pair color into the
+    palette as text and builds no ``k:`` ColorTerm; the texts, and the terms
+    read back afterwards, are the pair colors."""
+    three = FinStruct.build("abc", {pair_of("a", "b"): B(0, 0),
+                                    pair_of("a", "c"): B(0, 1),
+                                    pair_of("b", "c"): B(0, 0)})
+    ext = apply_K(three, 2)
+    s = ext.struct
+    kinds = []
+    post_init = ColorTerm.__post_init__
+
+    def counting(self):
+        kinds.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(ColorTerm, "__post_init__", counting)
+    format_extended(ext)
+    monkeypatch.undo()
+    assert PAIRCODE not in kinds
+    n = len(ext.elements)
+    assert len(s.rows.pair_cache) == n * (n - 1) // 2 == 1326
+    for (u, tu), (v, tv) in itertools.combinations(ext.elements, 2):
+        color = pair_color(tu, tv)
+        assert s.palette.texts[s.rows[s.pos[u]][s.pos[v]]] == color.text()
+        assert s.color(u, v) == color
 
 
 def test_pair_color_reads_only_its_support_union():

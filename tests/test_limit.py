@@ -235,6 +235,20 @@ def test_seeded_runs_are_deterministic(two_point):
     assert a1.format() != grown(100).format()
 
 
+def test_realized_names_skip_the_seed_names():
+    """Each realized point takes the first ``u<k>`` not yet in the structure,
+    as a scan from ``u0`` finds it, around the seed's ``u0`` and ``u2``."""
+    seed = FinStruct.build(["u0", "x", "u2"], {pair_of("u0", "x"): B(0, 0),
+                                               pair_of("u0", "u2"): B(0, 1),
+                                               pair_of("x", "u2"): B(0, 0)})
+    new = grown(40, seed=seed).birth[3:]
+    assert new[:3] == ["u1", "u3", "u4"]
+    taken = set(seed.points)
+    for u in new:
+        assert u == next(f"u{k}" for k in itertools.count() if f"u{k}" not in taken)
+        taken.add(u)
+
+
 def test_pair_lines_roundtrip():
     p = PartialIso((("a", "b"), ("c", "d")))
     assert parse_pairs(format_pairs(p)) == p
