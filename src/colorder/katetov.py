@@ -47,19 +47,24 @@ def compare_types(xi: OnePointType, psi: OnePointType) -> int:
 # Pair colors
 # ---------------------------------------------------------------------------
 
-def pair_color(xi: OnePointType, psi: OnePointType,
-               ordered: bool = False) -> ColorTerm:
+def pair_color(xi: OnePointType, psi: OnePointType) -> ColorTerm:
     """The color between two type elements: a pair-class color whose payload
     is the canonical code of their joint configuration.  Equivalent pairs,
     and pairs carried into each other by embeddings, receive the same color;
     inequivalent pairs receive distinct colors; no base color is consumed.
-    The color is :func:`pair_text` parsed into a term.
+    The color is :func:`pair_text` of the pair in type order, parsed into a
+    term.
     """
-    return ColorTerm.parse(pair_text(xi, psi, ordered))
+    cmp = compare_types(xi, psi)
+    if cmp == EQ:
+        raise InputError("pair structure requires two distinct types")
+    lo, hi = (xi, psi) if cmp == LT else (psi, xi)
+    return ColorTerm.parse(pair_text(lo, hi))
 
 
-def pair_text(xi: OnePointType, psi: OnePointType, ordered: bool = False) -> str:
-    """The canonical text ``k:<level+1>:<hex>`` of :func:`pair_color`,
+def pair_text(lo: OnePointType, hi: OnePointType) -> str:
+    """The canonical text ``k:<level+1>:<hex>`` of :func:`pair_color` for
+    two distinct types over one base, ``lo`` below ``hi`` in type order,
     built without a ``ColorTerm``; lazy extension rows enter it into their
     palette as text.
 
@@ -67,17 +72,8 @@ def pair_text(xi: OnePointType, psi: OnePointType, ordered: bool = False) -> str
     lower type's mark first; its pair texts come from the base palette and
     from each type's ``column``, with ``?`` between the two marks.  The
     tests' ``PairStructure`` builds the same configuration point by point
-    from the definitions and is the reference.  A caller that already knows
-    ``xi`` to be the lower type passes ``ordered=True`` to skip the
-    comparison.
+    from the definitions and is the reference.
     """
-    if ordered:
-        lo, hi = xi, psi
-    else:
-        cmp = compare_types(xi, psi)
-        if cmp == EQ:
-            raise InputError("pair structure requires two distinct types")
-        lo, hi = (xi, psi) if cmp == LT else (psi, xi)
     lo_supp, lo_gap, lo_col = lo.column
     hi_supp, hi_gap, hi_col = hi.column
     seq: list = sorted({*lo_supp, *hi_supp})   # the support union, as positions
@@ -87,7 +83,7 @@ def pair_text(xi: OnePointType, psi: OnePointType, ordered: bool = False) -> str
     k_lo = bisect_left(seq, lo_gap)
     seq.insert(k_hi, hi_col)
     seq.insert(k_lo, lo_col)
-    rows, texts = xi.base.rows, xi.base.palette.texts
+    rows, texts = lo.base.rows, lo.base.palette.texts
     parts: list[str] = []
     for i, a in enumerate(seq):
         rest = seq[i + 1:]
@@ -97,7 +93,7 @@ def pair_text(xi: OnePointType, psi: OnePointType, ordered: bool = False) -> str
         else:                     # a mark's column: its text, or the hole
             parts.extend([a[b] if b.__class__ is int else "?" for b in rest])
     code = code_of_parts(len(seq), parts, (k_lo, k_hi + 1))
-    return f"k:{xi.base.level + 1}:{code.encode('utf-8').hex()}"
+    return f"k:{lo.base.level + 1}:{code.encode('utf-8').hex()}"
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +136,7 @@ class _ExtensionRows(Sequence):
         key = (i, j) if i < j else (j, i)
         got = self.pair_cache.get(key)
         if got is None:
-            text = pair_text(self._types[key[0]], self._types[key[1]], ordered=True)
+            text = pair_text(self._types[key[0]], self._types[key[1]])
             got = self.pair_cache[key] = self._palette.id_text(text)
         return got
 

@@ -30,7 +30,8 @@ from typing import Protocol
 
 from .core import (ColorTerm, FinStruct, InputError, canonical_code,
                    format_struct, parse_struct, validate)
-from .limit import Approximation, PartialIso, realize_image
+from .limit import (Approximation, PartialIso, format_pairs, parse_pairs,
+                    realize_image)
 from .types import OnePointType, format_type, parse_type, point_key
 
 MONO = "MonochromaticTriangle"
@@ -323,6 +324,12 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
     Always returns a certificate: a monochromatic triangle when the strategy
     treats both realizers alike, an equivariance violation when it does not,
     and a strategy fault when its answers leave the class on their own.
+
+    Each query sees the base plus the non-base points queried so far, this
+    one included: the base points are asked first, then ``t1`` right after
+    its realization, then ``t2`` right after its; the back-and-forth asks
+    nothing.  :func:`check_certificate` rebuilds every query's structure
+    from this.
     """
     if depth < 0:
         raise InputError("depth must be nonnegative")
@@ -387,53 +394,56 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
 # ---------------------------------------------------------------------------
 
 def _replay_fault_analysis(x: FinStruct, tau: OnePointType,
-                           queries: tuple[QueryRecord, ...]) -> str | None:
-    """Re-run the consistency analysis on recorded answers; returns the first
-    fault code, or None if the record is fault-free."""
+                           answers: dict[str, tuple[str, str]]
+                           ) -> tuple[str | None, dict[str, ColorTerm], set[str]]:
+    """Re-run the consistency analysis on each queried point's last answer
+    tokens; returns the first fault code (None if the record is fault-free)
+    with the virtual point's colors and below-set over the base."""
     vcol = dict(zip(tau.support, tau.colors))
     vbelow = set(tau.support[: tau.cut])
-    base_records = [r for r in queries if r[0] in x.pos and r[0] not in vcol]
-    other_records = [r for r in queries if r[0] not in x.pos]
+    parsed = {p: StrategyAnswer.from_tokens(*tokens)
+              for p, tokens in answers.items() if p not in vcol}
+    others = [ans for p, ans in parsed.items() if p not in x.pos]
 
-    def parse_answer(rec: QueryRecord) -> StrategyAnswer:
-        return StrategyAnswer.from_tokens(rec[2], rec[3])
-
-    for rec in base_records:
-        ans = parse_answer(rec)
-        if ans.self_claim:
-            return "self-claim"
-        if ans.color.level > x.level:
-            return "level-bound"
-        vcol[rec[0]] = ans.color
-        if ans.side == ABOVE:
-            vbelow.add(rec[0])
-    if len(vcol) == len(x.points):
-        below_positions = sorted(x.index(v) for v in vbelow)
-        if below_positions != list(range(len(below_positions))):
-            return "incoherent-order"
-        for v, w in x.pairs():
-            if vcol[v] == vcol[w] == x.color(v, w):
-                return "virtual-triangle"
-    for rec in other_records:
-        ans = parse_answer(rec)
-        if ans.self_claim:
-            return "self-claim"
-        if ans.color.level > x.level:
-            return "level-bound"
-    if other_records:
-        first = parse_answer(other_records[0])
-        if any(c == first.color for c in vcol.values()):
+    def first_fault() -> str | None:
+        for p, ans in parsed.items():
+            if p not in x.pos:
+                continue
+            if ans.self_claim:
+                return "self-claim"
+            if ans.color.level > x.level:
+                return "level-bound"
+            vcol[p] = ans.color
+            if ans.side == ABOVE:
+                vbelow.add(p)
+        if len(vcol) == len(x.points):
+            below_positions = sorted(x.index(v) for v in vbelow)
+            if below_positions != list(range(len(below_positions))):
+                return "incoherent-order"
+            for v, w in x.pairs():
+                if vcol[v] == vcol[w] == x.color(v, w):
+                    return "virtual-triangle"
+        for ans in others:
+            if ans.self_claim:
+                return "self-claim"
+            if ans.color.level > x.level:
+                return "level-bound"
+        if others and any(c == others[0].color for c in vcol.values()):
             return "virtual-triangle"
-    return None
+        return None
+
+    return first_fault(), vcol, vbelow
 
 
 def check_certificate(cert: RefutationCertificate,
                       strategy: ExtensionStrategy) -> CheckResult:
     """Independently re-verify every field of a certificate.
 
-    Checks structure validity, both realizers' types, the partial
-    isomorphism (which must fix the base pointwise), the back-and-forth
-    transcript, the recorded strategy answers (re-queried), and the verdict
+    Checks structure validity, each recorded query (its structure hash and
+    the strategy's answer, re-asked in that structure: the base plus the
+    non-base points queried so far, this one included, as :func:`refute`
+    asks), both realizers' types, the partial isomorphism (which must fix
+    the base pointwise), the back-and-forth transcript, and the verdict
     condition for the certificate's kind.
     """
     s = cert.structure
@@ -453,26 +463,33 @@ def check_certificate(cert: RefutationCertificate,
     except InputError as exc:
         return CheckResult(False, f"bad-type: {exc}")
 
-    # replay every recorded answer against the strategy
+    # replay every recorded answer in the structure its query saw
+    seen, seen_hash = x, structure_hash(x)
+    answers: dict[str, tuple[str, str]] = {}   # point -> last (side, color)
     for point, h, side, color in cert.queries:
         if point not in s:
             return CheckResult(False, "query-point-missing")
-        ctx = QueryContext(s, x.points, tau, point, h)
-        got = strategy.answer(ctx).tokens()
-        if got != (side, color):
+        if point not in seen:
+            seen = s.restrict((*seen.points, point))
+            seen_hash = structure_hash(seen)
+        if seen_hash != h:
+            return CheckResult(False, f"hash-mismatch at {point}")
+        answers[point] = strategy.answer(
+            QueryContext(seen, x.points, tau, point, h)).tokens()
+        if answers[point] != (side, color):
             return CheckResult(False, f"answer-mismatch at {point}")
+    fault, vcol, vbelow = _replay_fault_analysis(x, tau, answers)
 
     if cert.kind == FAULT:
-        found = _replay_fault_analysis(x, tau, cert.queries)
-        if found is None:
+        if fault is None:
             return CheckResult(False, "fault-not-reproduced")
-        if found != cert.reason:
-            return CheckResult(False, f"fault-mismatch: {found} != {cert.reason}")
+        if fault != cert.reason:
+            return CheckResult(False, f"fault-mismatch: {fault} != {cert.reason}")
         return CheckResult(True)
 
     if cert.kind not in (MONO, EQUIV):
         return CheckResult(False, f"unknown-kind {cert.kind!r}")
-    if _replay_fault_analysis(x, tau, cert.queries) is not None:
+    if fault is not None:
         return CheckResult(False, "hidden-strategy-fault")
     if cert.t1 is None or cert.t2 is None or cert.q is None or cert.q2 is None:
         return CheckResult(False, "missing-fields")
@@ -482,30 +499,19 @@ def check_certificate(cert: RefutationCertificate,
         return CheckResult(False, "realizer-inside-base")
 
     # both realizers must carry the strategy's full type over the base
-    recorded = {p: StrategyAnswer.from_tokens(side, color)
-                for p, _, side, color in cert.queries}
-    vcol = dict(zip(tau.support, tau.colors))
-    vbelow = set(tau.support[: tau.cut])
-    for p in cert.base_points:
-        if p in vcol:
-            continue
-        if p not in recorded:
-            return CheckResult(False, "unqueried-base-point")
-        vcol[p] = recorded[p].color
-        if recorded[p].side == ABOVE:
-            vbelow.add(p)
-    expected_key = (tuple(cert.base_points), len(vbelow),
-                    tuple(vcol[p] for p in cert.base_points))
+    if len(vcol) != len(x.points):
+        return CheckResult(False, "unqueried-base-point")
+    expected_key = (x.points, len(vbelow), tuple(vcol[p] for p in x.points))
     for t in (cert.t1, cert.t2):
-        if point_key(s, t, cert.base_points) != expected_key:
+        if point_key(s, t, x.points) != expected_key:
             return CheckResult(False, f"realizer-type-mismatch at {t}")
     if s.color(cert.t1, cert.t2) != cert.q:
         return CheckResult(False, "pair-color-mismatch")
     for t, rec_q, rec_side in ((cert.t1, cert.q, cert.side1),
                                (cert.t2, cert.q2, cert.side2)):
-        if t not in recorded:
+        if t not in answers:
             return CheckResult(False, "unqueried-realizer")
-        if recorded[t].color != rec_q or recorded[t].side != rec_side:
+        if answers[t] != (rec_side, rec_q.text()):
             return CheckResult(False, "recorded-answer-mismatch")
 
     # alpha must fix the base pointwise and swap the realizers
@@ -573,7 +579,7 @@ def format_certificate(cert: RefutationCertificate) -> str:
     lines.append(f"depth {cert.extension_depth}")
     lines.append("ALPHA")
     if cert.alpha is not None:
-        lines.extend(f"pair {u} {v}" for u, v in cert.alpha.pairs)
+        lines.extend(format_pairs(cert.alpha).splitlines())
     lines.append("TRANSCRIPT")
     lines.extend(f"query {p} {h} {side} {color}"
                  for p, h, side, color in cert.queries)
@@ -626,14 +632,7 @@ def parse_certificate(text: str) -> RefutationCertificate:
             fields[tok[0]] = tok[1]
         else:
             raise InputError(f"bad points line {line!r}")
-    alpha_pairs = []
-    for line in sections["ALPHA"]:
-        tok = line.split()
-        if not tok:
-            continue
-        if tok[0] != "pair" or len(tok) != 3:
-            raise InputError(f"bad alpha line {line!r}")
-        alpha_pairs.append((tok[1], tok[2]))
+    alpha = parse_pairs("\n".join(sections["ALPHA"]))
     queries: list[QueryRecord] = []
     transcript: list[ExtendRecord] = []
     for line in sections["TRANSCRIPT"]:
@@ -671,7 +670,7 @@ def parse_certificate(text: str) -> RefutationCertificate:
         t1=fields.get("t1"), t2=fields.get("t2"),
         q=color_field("q"), q2=color_field("qprime"),
         side1=fields.get("side1"), side2=fields.get("side2"),
-        alpha=PartialIso(tuple(alpha_pairs)) if alpha_pairs else None,
+        alpha=alpha if alpha.pairs else None,
         transcript=tuple(transcript),
         extension_depth=depth, reason=reason)
 

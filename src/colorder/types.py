@@ -172,11 +172,11 @@ def enumerate_types(x: FinStruct, level: int, budget: int) -> list[OnePointType]
     return out
 
 
-def fresh_point_name(s: FinStruct, stem: str = "u") -> str:
+def fresh_point_name(s: FinStruct) -> str:
     k = 0
-    while f"{stem}{k}" in s:
+    while f"u{k}" in s:
         k += 1
-    return f"{stem}{k}"
+    return f"u{k}"
 
 
 def realize_type(f: FinStruct, tau: OnePointType,

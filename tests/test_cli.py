@@ -75,6 +75,16 @@ def test_tampered_certificate_exits_2(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("rejected")
 
 
+def test_forged_query_hash_exits_2(tmp_path, capsys):
+    text = golden_bytes("refute_constant.txt").decode()
+    forged = text.replace("query u0 4dce5977edea091a", "query u0 deadbeefdeadbeef")
+    assert forged != text
+    cert = tmp_path / "cert.txt"
+    cert.write_text(forged)
+    assert run(["check-cert", "--cert", str(cert), "--strategy", "constant"]) == 2
+    assert capsys.readouterr().out == "rejected hash-mismatch at u0\n"
+
+
 def test_check_cert_wrong_strategy_exits_2(capsys):
     cert = os.path.join(GOLDEN, "refute_constant.txt")
     assert run(["check-cert", "--cert", cert,
@@ -131,8 +141,8 @@ def test_control_lo_bad_cut_exits_1(capsys):
     assert run(["control-lo", "--size", "1", "--cut", "7"]) == 1
 
 
-@pytest.mark.parametrize("name", ["cert_bad_depth.txt", "cert_bare_kind.txt",
-                                  "cert_bare_type.txt"])
+@pytest.mark.parametrize("name", ["cert_bad_alpha.txt", "cert_bad_depth.txt",
+                                  "cert_bare_kind.txt", "cert_bare_type.txt"])
 def test_malformed_certificate_exits_1(capsys, name):
     assert run(["check-cert", "--cert", data(name), "--strategy", "constant"]) == 1
     assert capsys.readouterr().err.startswith("error:")

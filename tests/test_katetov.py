@@ -7,7 +7,7 @@ from colorder.core import (PAIRCODE, ColorTerm, Embedding, FinStruct,
                            InputError, is_embedding, pair_of, validate)
 from colorder.katetov import (EQ, GT, LT, apply_K, apply_K_morphism,
                               compare_types, format_extended, gap_index,
-                              iterate_K, pair_color)
+                              iterate_K, pair_color, pair_text)
 from colorder.types import (OnePointType, enumerate_types, transport,
                             type_of_point)
 from helpers import (all_embeddings, all_structures, consistent_placements,
@@ -168,8 +168,9 @@ def test_pair_structure_mark_order_matches_local_comparison():
 def test_pair_color_matches_the_reference_structure(one_point):
     """``pair_color`` equals the code of the reference pair structure on
     every type pair of a budget-2 extension of each small structure, in both
-    argument orders and in type order, and on seeded stage-2 pairs whose
-    base pairs carry pair-code colors."""
+    argument orders, and so does the lazy rows' ``pair_text`` of the pair in
+    type order, there and on seeded stage-2 pairs whose base pairs carry
+    pair-code colors."""
     checked = 0
     for x in all_structures(3, 2):
         taus = [tau for _, tau in apply_K(x, 2).elements]
@@ -177,7 +178,7 @@ def test_pair_color_matches_the_reference_structure(one_point):
             want = reference_pair_color(lo, hi)
             assert pair_color(lo, hi) == want
             assert pair_color(hi, lo) == want
-            assert pair_color(lo, hi, ordered=True) == want
+            assert ColorTerm.parse(pair_text(lo, hi)) == want
             checked += 1
     assert checked == 8272
     stage2 = iterate_K(one_point, 2, [1, 1])[-1]
@@ -186,7 +187,7 @@ def test_pair_color_matches_the_reference_structure(one_point):
     rng = random.Random(6)
     for _ in range(2000):
         i, j = sorted(rng.sample(range(len(taus)), 2))
-        assert pair_color(taus[i], taus[j], ordered=True) == reference_pair_color(
+        assert ColorTerm.parse(pair_text(taus[i], taus[j])) == reference_pair_color(
             taus[i], taus[j])
 
 

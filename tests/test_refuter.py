@@ -14,7 +14,7 @@ from colorder.refuter import (ABOVE, BELOW, BUNDLED_STRATEGIES, EQUIV, FAULT,
                               control_lo, format_certificate,
                               format_control_report, make_strategy,
                               parse_certificate, refute)
-from colorder.types import OnePointType, enumerate_types
+from colorder.types import OnePointType, enumerate_types, format_type
 from helpers import all_structures
 
 B = ColorTerm.base
@@ -156,6 +156,37 @@ def test_battery_at_smaller_depths(depth):
         assert check_certificate(cert, make_strategy(strategy.name)).ok
 
 
+class SizeSensitiveStrategy:
+    """Deterministic, but reads the structure it is shown: each answer
+    follows the number of points the structure had when asked."""
+
+    name = "size-sensitive"
+
+    def answer(self, ctx: QueryContext) -> StrategyAnswer:
+        n = len(ctx.current.points)
+        return StrategyAnswer(ABOVE if n % 2 else BELOW, B(0, n % 3))
+
+
+def test_structure_reading_strategy_certificates_accepted():
+    """Every honest certificate of a strategy that reads ``ctx.current`` is
+    accepted: the checker re-asks each query in the structure it saw, not in
+    the final one."""
+    bases = (FinStruct.build("a", {}),
+             FinStruct.build("ab", {pair_of("a", "b"): B(0, 0)}),
+             FinStruct.build("abc", {pair_of("a", "b"): B(0, 0),
+                                     pair_of("a", "c"): B(0, 1),
+                                     pair_of("b", "c"): B(0, 0)}))
+    kinds = set()
+    for x in bases:
+        for tau in enumerate_types(x, 0, 2):
+            for depth in (0, 3, 12):
+                cert = refute(x, tau, SizeSensitiveStrategy(), depth)
+                res = check_certificate(cert, SizeSensitiveStrategy())
+                assert res.ok, (format_type(tau), depth, res.reason)
+                kinds.add(cert.kind)
+    assert kinds == {EQUIV, FAULT}
+
+
 # ---------------------------------------------------------------------------
 # certificate verification and the mutation battery
 # ---------------------------------------------------------------------------
@@ -175,6 +206,14 @@ def test_certificate_roundtrip_accepted():
         again = parse_certificate(text)
         assert check_certificate(again, make_strategy(name)).ok
         assert format_certificate(again) == text
+
+
+def forged_hash(cert: RefutationCertificate, k: int = 0) -> RefutationCertificate:
+    """The certificate with the structure hash of query ``k`` forged."""
+    queries = list(cert.queries)
+    point, _, side, color = queries[k]
+    queries[k] = (point, "deadbeefdeadbeef", side, color)
+    return dataclasses.replace(cert, queries=tuple(queries))
 
 
 def mono_mutants(cert: RefutationCertificate):
@@ -204,6 +243,7 @@ def mono_mutants(cert: RefutationCertificate):
     yield dataclasses.replace(cert, kind=EQUIV)
     yield dataclasses.replace(cert, extension_depth=cert.extension_depth + 1)
     yield dataclasses.replace(cert, side2=BELOW if cert.side2 == ABOVE else ABOVE)
+    yield forged_hash(cert)
 
 
 def test_mono_mutants_rejected():
@@ -255,6 +295,7 @@ def equiv_mutants(cert: RefutationCertificate):
     rewritten[-1] = (point, h, side, cert.q.text())
     yield dataclasses.replace(cert, queries=tuple(rewritten))
     yield dataclasses.replace(cert, base_points=cert.base_points + (cert.t1,))
+    yield forged_hash(cert)
 
 
 def test_equiv_mutants_rejected():
@@ -286,6 +327,7 @@ def fault_mutants(cert: RefutationCertificate):
     yield dataclasses.replace(cert, base_points=())
     yield dataclasses.replace(cert, base_points=cert.base_points * 2)
     yield dataclasses.replace(cert, tau_text="type supp= cut=0 colors= level=0")
+    yield forged_hash(cert)
 
 
 def test_fault_mutants_rejected():
@@ -296,6 +338,17 @@ def test_fault_mutants_rejected():
         assert not res.ok, f"mutant accepted: {res}"
         count += 1
     assert count >= 10
+
+
+def test_forged_hash_names_its_query():
+    """Forging the structure hash of any query is rejected at that query."""
+    for maker, name in ((mono_certificate, "constant"),
+                        (equiv_certificate, "index-sensitive"),
+                        (fault_certificate, "constant")):
+        _, _, cert = maker()
+        for k, (point, *_) in enumerate(cert.queries):
+            res = check_certificate(forged_hash(cert, k), make_strategy(name))
+            assert res.reason == f"hash-mismatch at {point}"
 
 
 def test_parse_certificate_rejects_garbage():
