@@ -10,9 +10,10 @@ A structure keeps its colors in position-indexed rows of small-int ids into
 a palette of canonical color texts, so hot loops compare ints; a color's
 ``ColorTerm`` is parsed from its text on first read.  Costs: a color lookup
 is O(1); ``validate`` makes O(n^2) big-int operations over per-color
-neighbour bitmasks; realizing a point copies each row once with one new
-entry; a functor extension (``katetov.apply_K``) keeps the rows of its type
-elements lazy and computes each pair color on first read.
+neighbour bitmasks (:func:`row_masks`); realizing a point picks each of its
+colors from such masks and copies each row once with one new entry; a
+functor extension (``katetov.apply_K``) keeps the rows of its type elements
+lazy and computes each pair color on first read.
 """
 
 from __future__ import annotations
@@ -179,20 +180,20 @@ class Palette:
         """Map the ids of ``other`` to the ids of the same colors here."""
         return _IdMap(self, other)
 
-    def admissible_base(self, forbidden: Container[int]) -> int:
+    def admissible_base(self, a: Mapping[int, int], b: Mapping[int, int]) -> int:
         """Id of the smallest level-0 base color (by the color order) whose
-        id is not in ``forbidden``, appending the color if new.
+        masks in ``a`` and ``b`` share no bit, appending the color if new.
 
-        The forbidden colors are those carried by both other sides of some
-        triangle through the pair being colored.
+        ``a`` and ``b`` map color ids to the bitmasks of the points joined
+        to either end of the pair being colored (a missing id is an empty
+        mask), so a color is rejected exactly when some third point is
+        joined to both ends in it.  The search stops at the first base color
+        that closes no monochromatic triangle.
         """
-        base = self.base_ids
-        n = 0
-        while n < len(base) and base[n] in forbidden:
-            n += 1
-        if n < len(base) and base[n] >= 0:
-            return base[n]
-        return self.id_text(f"b:0:{n}")
+        for n, c in enumerate(self.base_ids):
+            if not a.get(c, 0) & b.get(c, 0):
+                return c if c >= 0 else self.id_text(f"b:0:{n}")
+        return self.id_text(f"b:0:{len(self.base_ids)}")
 
 
 class _IdMap(dict):
@@ -373,6 +374,21 @@ class Verdict:
         return self.ok
 
 
+def row_masks(rows: Iterable[Iterable[int]]) -> list[dict[int, int]]:
+    """Per row, each color id in it mapped to the bitmask of the positions
+    holding it (HOLE included): the points joined to that row's point in
+    that color."""
+    masks = []
+    for row in rows:
+        m: dict[int, int] = {}
+        bit = 1
+        for c in row:
+            m[c] = m.get(c, 0) | bit
+            bit <<= 1
+        masks.append(m)
+    return masks
+
+
 def _lowest_bit(m: int) -> int:
     return (m & -m).bit_length() - 1
 
@@ -394,17 +410,8 @@ def validate(s: FinStruct) -> Verdict:
     pts, rows, pal = s.points, s.rows, s.palette.color
     n = len(pts)
     _check_points(pts)
-    masks: list[dict[int, int]] = []
-    for i, row in enumerate(rows):
-        m: dict[int, int] = {}
-        bit = 1
-        for c in row:
-            m[c] = m.get(c, 0) | bit
-            bit <<= 1
-        if m.get(HOLE) != 1 << i:
-            _check_complete(s)
-        masks.append(m)
-    if s.level < 0:
+    masks = row_masks(rows)
+    if s.level < 0 or any(m.get(HOLE) != 1 << i for i, m in enumerate(masks)):
         _check_complete(s)
     used = {c for m in masks for c in m if c != HOLE}
     over = [c for c in used if pal(c).level > s.level]
@@ -575,11 +582,13 @@ def amalgamate(a: FinStruct, b: FinStruct, over: FinStruct,
         for i, row in enumerate(s.rows):
             for j in range(i + 1, len(idx)):
                 rows[idx[i]][idx[j]] = rows[idx[j]][idx[i]] = trans[row[j]]
+    masks = row_masks(rows)
     for i, j in itertools.combinations(range(len(merged)), 2):
         if rows[i][j] != HOLE:
             continue
-        forbidden = {c for c, d in zip(rows[i], rows[j]) if c == d != HOLE}
-        rows[i][j] = rows[j][i] = palette.admissible_base(forbidden)
+        c = rows[i][j] = rows[j][i] = palette.admissible_base(masks[i], masks[j])
+        masks[i][c] = masks[i].get(c, 0) | 1 << j
+        masks[j][c] = masks[j].get(c, 0) | 1 << i
 
     result = FinStruct.of_rows(tuple(merged), tuple(map(tuple, rows)), palette, level)
     verdict = validate(result)

@@ -17,15 +17,27 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Embedding, FinStruct, InputError, format_struct, validate
-from .types import OnePointType, enumerate_types, point_key, realize_type
+from .core import Embedding, FinStruct, InputError, format_struct, row_masks, validate
+from .types import (OnePointType, check_realizable, enumerate_types, insert_point,
+                    point_key)
 
 
 class Approximation:
     """A growing finite stage of the generic limit.
 
-    Owned by one logical actor at a time; all growth goes through
-    :meth:`realize`.
+    Owned by one logical actor at a time; all growth goes through one write
+    step, which :meth:`realize` reaches after checking the type and
+    :func:`realize_image` reaches directly.
+
+    A point's birth id is its index in ``birth``.  For each birth id the
+    approximation keeps its neighbour masks: each color id mapped to the
+    bitmask, over birth ids, of the points joined to that point in that
+    color.  They are built once from the seed rows and updated after each
+    realization (the new point's masks are those built while coloring it,
+    and each old point gains the new point's bit in one mask), so a new point
+    is colored with O(n) big-int operations.  The masks live here, not in
+    the structures: ``OnePointType.base`` holds earlier structures, which
+    stay immutable.
     """
 
     def __init__(self, seed: FinStruct | None = None, budget_cap: int = 2):
@@ -43,6 +55,8 @@ class Approximation:
         self.birth: list[str] = list(seed.points)
         self.steps_done = 0
         self._next_name = 0  # every u<k> with k below it is taken
+        self._masks = row_masks(seed.rows)  # neighbour masks, by birth id
+        self._ids = list(range(len(seed.points)))  # birth ids, by position
         self._tasks = self._schedule()
 
     # -- schedule -----------------------------------------------------------
@@ -82,12 +96,19 @@ class Approximation:
 
     def realize(self, tau: OnePointType) -> str:
         """Realize ``tau`` as a new point named ``u<k>``, the first such
-        name the structure does not use (seed names are skipped)."""
+        name the structure does not use (seed names are skipped), after
+        checking that ``tau`` fits the current structure."""
+        check_realizable(self.current, tau)
+        return self._realize(tau)
+
+    def _realize(self, tau: OnePointType) -> str:
+        """The write step, unchecked: ``tau`` must fit the current
+        structure.  Colors the new point from the kept masks."""
         while f"u{self._next_name}" in self.current:
             self._next_name += 1
-        new, u = realize_type(self.current, tau, name=f"u{self._next_name}")
+        u = f"u{self._next_name}"
         self._next_name += 1
-        self.current = new
+        self.current = insert_point(self.current, tau, u, self._masks, self._ids)
         self.birth.append(u)
         self.ledger.add(tau.key())
         return u
@@ -188,13 +209,22 @@ def realize_image(a: Approximation, s: FinStruct, mapping: dict[str, str],
     """The one extension step: transport the type of ``u`` over the domain
     of ``mapping`` (points of ``s``) through the map into the approximation,
     and return its smallest realizer there, realizing the type when none
-    exists yet.  ``mapping`` must embed its domain into ``a.current``."""
+    exists yet.  ``mapping`` must embed its domain into ``a.current``.
+
+    The target needs no re-check: it is the type of an existing point of
+    a valid ``s`` carried through a map that preserves order and colors,
+    so its support is ordered, agrees with ``a.current`` and closes no
+    monochromatic triangle.  Every caller passes a checked map: ``embed``
+    builds its map with this step from a validated structure,
+    ``extend_partial_iso`` checks its map first, and ``refute`` checks
+    ``alpha`` and extends it only by this step.  The certificate checker
+    re-verifies every step independently."""
     dom = s.sorted_points(mapping)
     _, cut, colors = point_key(s, u, dom)
-    target = OnePointType.build(a.current, tuple(mapping[d] for d in dom),
-                                cut, colors, a.current.level)
+    target = OnePointType(a.current, tuple(mapping[d] for d in dom),
+                          cut, colors, a.current.level)
     v = a.realizer_of(target)
-    return a.realize(target) if v is None else v
+    return a._realize(target) if v is None else v
 
 
 def extend_partial_iso(a: Approximation, p: PartialIso,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .core import HOLE, ColorTerm, FinStruct, InputError, validate
+from .core import HOLE, ColorTerm, FinStruct, InputError, row_masks, validate
 
 @dataclass(frozen=True)
 class OnePointType:
@@ -179,15 +179,9 @@ def fresh_point_name(s: FinStruct) -> str:
     return f"u{k}"
 
 
-def realize_type(f: FinStruct, tau: OnePointType,
-                 name: str | None = None) -> tuple[FinStruct, str]:
-    """Extend ``f`` by one new point realizing ``tau``.
-
-    The support colors are copied from the type; the new point is placed at
-    the minimal consistent position; colors to the remaining points are
-    chosen in position order, each the smallest base color that closes no
-    monochromatic triangle.
-    """
+def check_realizable(f: FinStruct, tau: OnePointType) -> None:
+    """Raise InputError unless ``tau`` fits ``f``: its support lies in ``f``
+    in the same order and colors, and its colors are within ``f``'s level."""
     for p in tau.support:
         if p not in f:
             raise InputError(f"support point {p!r} missing from the ambient structure")
@@ -201,25 +195,63 @@ def realize_type(f: FinStruct, tau: OnePointType,
     for c in tau.colors:
         if c.level > f.level:
             raise InputError(f"type color {c.text()} exceeds ambient level {f.level}")
+
+
+def insert_point(f: FinStruct, tau: OnePointType, u: str,
+                 masks: list[dict[int, int]], ids: list[int]) -> FinStruct:
+    """Extend ``f`` by a new point ``u`` realizing ``tau``, unchecked:
+    ``tau`` must fit ``f`` (see :func:`check_realizable`).
+
+    The support colors are copied from the type; the new point is placed at
+    the minimal consistent position; colors to the remaining points are
+    chosen in position order, each the smallest base color that closes no
+    monochromatic triangle with the points colored so far.
+
+    ``ids[v]`` is an id of the point at position ``v``, and ``masks[i]``
+    maps each color id to the bitmask, over ids, of the points joined to
+    point ``i`` in that color.  A color is then admissible for a point
+    exactly when its mask shares no bit with the new point's mask so far,
+    so each point costs a few big-int ANDs.  Both are updated in place to
+    describe the result; the new point's id is ``len(masks)``.
+    """
+    pal, pos = f.palette, f.pos
+    new = [HOLE] * len(f.points)  # color ids from u, by old position
+    assigned: dict[int, int] = {}  # the new point's masks
+    for p, color in zip(tau.support, tau.colors):
+        v = pos[p]
+        c = new[v] = pal.id(color)
+        assigned[c] = assigned.get(c, 0) | 1 << ids[v]
+    smallest = pal.admissible_base
+    for v, i in enumerate(ids):
+        if new[v] == HOLE:
+            c = new[v] = smallest(assigned, masks[i])
+            assigned[c] = assigned.get(c, 0) | 1 << i
+    bit = 1 << len(masks)
+    for i, c in zip(ids, new):
+        m = masks[i]
+        m[c] = m.get(c, 0) | bit
+    ins = insert_position(f, tau.support, tau.cut)
+    ids.insert(ins, len(masks))
+    masks.append(assigned)
+    rows = []
+    for row, c in zip(f.rows, new):
+        row = list(row)
+        row.insert(ins, c)
+        rows.append(tuple(row))
+    rows.insert(ins, (*new[:ins], HOLE, *new[ins:]))
+    pts = (*f.points[:ins], u, *f.points[ins:])
+    return FinStruct.of_rows(pts, tuple(rows), pal, f.level)
+
+
+def realize_type(f: FinStruct, tau: OnePointType,
+                 name: str | None = None) -> tuple[FinStruct, str]:
+    """Extend ``f`` by one new point realizing ``tau``, after checking that
+    ``tau`` fits ``f``; see :func:`insert_point`."""
+    check_realizable(f, tau)
     u = fresh_point_name(f) if name is None else name
     if u in f:
         raise InputError(f"point {u!r} already present")
-    ins = insert_position(f, tau.support, tau.cut)
-    pal = f.palette
-    new = [HOLE] * len(f.points)  # color ids from u, by old position
-    assigned: list[tuple[int, int]] = []
-    for j, c in zip(idx, tau.colors):
-        new[j] = pal.id(c)
-        assigned.append((j, new[j]))
-    for v, row in enumerate(f.rows):
-        if new[v] != HOLE:
-            continue
-        new[v] = pal.admissible_base({c for w, c in assigned if row[w] == c})
-        assigned.append((v, new[v]))
-    rows = [(*row[:ins], c, *row[ins:]) for row, c in zip(f.rows, new)]
-    rows.insert(ins, (*new[:ins], HOLE, *new[ins:]))
-    pts = (*f.points[:ins], u, *f.points[ins:])
-    return FinStruct.of_rows(pts, tuple(rows), pal, f.level), u
+    return insert_point(f, tau, u, row_masks(f.rows), list(range(len(f.points)))), u
 
 
 def transport(tau: OnePointType, mapping: Mapping[str, str],

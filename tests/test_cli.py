@@ -122,6 +122,26 @@ def test_k_apply_three_point_bytes(tmp_path, budget, size, digest):
     assert (len(body), hashlib.sha256(body).hexdigest()) == (size, digest)
 
 
+@pytest.mark.parametrize("strategy,size,digest", [
+    ("index-sensitive", 437490,
+     "7ece0a2b8c54449ee1e6e55bc08215e6c1f3a40458f6c0af968caa6f219ccd32"),
+    ("constant", 437477,
+     "bf6bc08898ed69bb598b90b6697dd94fbaf231f461aff7f5ecfd5637a0b27c4a"),
+])
+def test_refute_depth_200_bytes(tmp_path, capsys, strategy, size, digest):
+    """Byte pins of depth-200 certificates, whose back-and-forth realizes
+    about 200 points; the digests were taken from the step that re-checked
+    every transported type.  check-cert accepts both."""
+    cert = tmp_path / "cert.txt"
+    assert run(["refute", "--base", data("one_point.txt"),
+                "--type", "type supp=a cut=1 colors=b:0:1 level=0",
+                "--strategy", strategy, "--depth", "200", "--out", str(cert)]) == 0
+    body = cert.read_bytes()
+    assert (len(body), hashlib.sha256(body).hexdigest()) == (size, digest)
+    assert run(["check-cert", "--cert", str(cert), "--strategy", strategy]) == 0
+    assert capsys.readouterr().out == "accepted\n"
+
+
 def test_extend_iso_unknown_point_exits_1(capsys):
     argv = ["limit-extend-iso", "--steps", "5", "--seed-file", data("two_point.txt"),
             "--iso", data("iso_id_a.txt"), "--point", "nope"]

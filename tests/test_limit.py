@@ -1,14 +1,17 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
 from colorder.core import (ColorTerm, FinStruct, InputError, canonical_code,
-                           is_embedding, pair_of, validate)
+                           format_struct, is_embedding, pair_of, validate)
 from colorder.limit import (Approximation, PartialIso, embed,
                             extend_partial_iso, format_pairs, grow,
                             parse_pairs, saturation_check)
-from colorder.types import enumerate_types
-from helpers import all_structures, reference_iso_check
+from colorder.types import OnePointType, enumerate_types
+from helpers import (all_structures, random_coloring, reference_iso_check,
+                     reference_realize)
 
 B = ColorTerm.base
 
@@ -69,6 +72,52 @@ def test_saturation_after_coverage():
         if saturation_check(a, 2, 1):
             break
     assert saturation_check(a, 2, 1)
+
+
+class ReferenceCheckedApproximation(Approximation):
+    """Compares every realization with the frozenset-dict reference."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checked = 0
+
+    def _realize(self, tau: OnePointType) -> str:
+        prev = self.current
+        u = super()._realize(tau)
+        assert self.current == reference_realize(prev, tau, u)
+        self.checked += 1
+        return u
+
+
+def test_every_realization_matches_the_dict_reference():
+    """Grown from a non-empty seed, then by embeds and back-and-forth steps:
+    every new point, colored from the neighbour masks the approximation
+    keeps across realizations, equals the reference's, which rescans every
+    colored pair."""
+    rng = random.Random(9)
+    seed = FinStruct.build("pqrs", random_coloring(rng, "pqrs", 2))
+    a = grow(ReferenceCheckedApproximation(seed, budget_cap=3), 400)
+    grown_n = a.checked
+    for size in (4, 5, 6):
+        names = [f"e{k}" for k in range(size)]
+        a, _ = embed(a, FinStruct.build(names, random_coloring(rng, names, 3)))
+    embedded_n = a.checked - grown_n
+    over = seed.points[:2]
+    classes: dict = {}
+    for u in a.current.points:
+        if u not in over:
+            key = (sum(a.current.index(q) < a.current.index(u) for q in over),
+                   tuple(a.current.color(q, u) for q in over))
+            classes.setdefault(key, []).append(u)
+    t1, t2 = next(ps for ps in classes.values() if len(ps) >= 2)[:2]
+    p = PartialIso(tuple((q, q) for q in over) + ((t1, t2),))
+    for k in range(12):
+        side = p if k % 2 == 0 else p.inverse()
+        u = next(q for q in reversed(a.current.points) if q not in side.domain())
+        a, side = extend_partial_iso(a, side, u)
+        p = side if k % 2 == 0 else side.inverse()
+    assert grown_n > 20 and embedded_n > 0 and a.checked - grown_n - embedded_n > 0
+    assert validate(a.current).ok
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +296,16 @@ def test_realized_names_skip_the_seed_names():
     for u in new:
         assert u == next(f"u{k}" for k in itertools.count() if f"u{k}" not in taken)
         taken.add(u)
+
+
+def test_grow_6000_steps_bytes():
+    """Byte pin of an approximation well past the golden sizes; the digest
+    was taken from the realizer that rescanned every colored point for each
+    new pair."""
+    a = grow(Approximation(budget_cap=3), 6000)
+    body = format_struct(a.current).encode()
+    assert (len(a.current.points), hashlib.sha256(body).hexdigest()) == (
+        418, "3c8002a5be82784ce615b9d406c0ba1c3bcdb47ceea0e6fa9cde1710ec458d4b")
 
 
 def test_pair_lines_roundtrip():

@@ -149,6 +149,19 @@ def test_realize_rejects_foreign_support(two_point):
         realize_type(two_point, tau)
 
 
+@pytest.mark.parametrize("realize", [
+    lambda f, tau: realize_type(f, tau),
+    lambda f, tau: Approximation(seed=f).realize(tau),
+], ids=["realize_type", "Approximation.realize"])
+def test_realize_rejects_a_support_that_disagrees(two_point, realize):
+    """A type over another coloring of the same points: realized here, it
+    would close the triangle a, b, new point in b:0:0."""
+    other = FinStruct.build("ab", {pair_of("a", "b"): B(0, 1)})
+    tau = OnePointType.build(other, ("a", "b"), 1, (B(0, 0), B(0, 0)), 0)
+    with pytest.raises(InputError, match="type support disagrees"):
+        realize(two_point, tau)
+
+
 def test_realize_rejects_colliding_name(two_point):
     tau = OnePointType.build(two_point, (), 0, (), 0)
     with pytest.raises(InputError):
