@@ -1,8 +1,12 @@
 """Command-line surface.
 
 Every subcommand is a thin wrapper over one library operation, reads and
-writes the line-oriented text formats, and is byte-deterministic.  Exit
-codes: 0 success, 1 malformed input or usage error, 2 semantic negative
+writes the line-oriented text formats, and is byte-deterministic.  Each
+subcommand is declared once, by the ``@_subcommand`` decorator on its
+handler; the parser is built once per process, as the module loads, and
+``run`` only parses.  Exit codes: 0 success; 1 malformed input (an
+external strategy's undecodable or off-protocol reply included), a usage
+error, or an ``--out`` file that cannot be written; 2 semantic negative
 (invalid structure, rejected certificate, control violations).
 """
 
@@ -34,6 +38,40 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
+_PARSER = _Parser(prog="colorder")
+_SUBPARSERS = _PARSER.add_subparsers(dest="command", required=True)
+
+
+def _arg(*flags, **kwargs) -> tuple[tuple, dict]:
+    return flags, kwargs
+
+
+# Added after each subcommand's own options, so they end every usage line.
+_OUTPUT_OPTIONS = (
+    _arg("--out", help="write output to this file instead of stdout"),
+    _arg("--format", choices=("compact", "pretty"), default="compact",
+         help="whitespace style of the output"),
+)
+
+_APPROXIMATION_OPTIONS = (
+    _arg("--steps", type=int, required=True),
+    _arg("--budget", type=int, default=2),
+    _arg("--seed-file"),
+)
+
+
+def _subcommand(name: str, help: str, *arguments):
+    """Declare subcommand ``name`` with ``arguments`` (from ``_arg``) and
+    the output options; ``run`` dispatches it to the decorated handler."""
+    def declare(handler):
+        p = _SUBPARSERS.add_parser(name, help=help)
+        for flags, kwargs in (*arguments, *_OUTPUT_OPTIONS):
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(run=handler)
+        return handler
+    return declare
+
+
 def _prettify(text: str) -> str:
     """Insert a blank line before each section header; tokens unchanged."""
     out: list[str] = []
@@ -45,13 +83,16 @@ def _prettify(text: str) -> str:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "format", "compact") == "pretty":
+    if args.format == "pretty":
         text = _prettify(text)
-    if getattr(args, "out", None):
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc}") from exc
 
 
 def _read(path: str) -> str:
@@ -72,94 +113,7 @@ def _build_approximation(args) -> Approximation:
     return grow(a, args.steps)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="write output to this file instead of stdout")
-    p.add_argument("--format", choices=("compact", "pretty"),
-                   default="compact", help="whitespace style of the output")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="colorder")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a structure file")
-    p.add_argument("file")
-    _add_common(p)
-
-    p = sub.add_parser("amalgamate", help="amalgamate two structures over a common part")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--over", required=True)
-    p.add_argument("--left-map", help="pair lines mapping the common part into the left structure")
-    p.add_argument("--right-map", help="pair lines mapping the common part into the right structure")
-    _add_common(p)
-
-    p = sub.add_parser("types", help="enumerate one-point types over a structure")
-    p.add_argument("--base", required=True)
-    p.add_argument("--level", type=int, default=0)
-    p.add_argument("--budget", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("k-apply", help="apply the extension functor once")
-    p.add_argument("--base", required=True)
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--name", default="K")
-    _add_common(p)
-
-    p = sub.add_parser("k-iterate", help="iterate the extension functor")
-    p.add_argument("--base", required=True)
-    p.add_argument("--stages", type=int, required=True)
-    p.add_argument("--budgets", required=True, help="comma-separated, one per stage")
-    _add_common(p)
-
-    p = sub.add_parser("limit-build", help="grow a generic-limit approximation")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--budget", type=int, default=2)
-    p.add_argument("--seed-file")
-    _add_common(p)
-
-    p = sub.add_parser("limit-extend-iso", help="extend a partial isomorphism by one point")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--budget", type=int, default=2)
-    p.add_argument("--seed-file")
-    p.add_argument("--iso", required=True, help="file of 'pair <id> <id>' lines")
-    p.add_argument("--point", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("embed", help="embed a structure into an approximation")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--budget", type=int, default=2)
-    p.add_argument("--seed-file")
-    p.add_argument("--structure", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("refute", help="run the refutation procedure against a strategy")
-    p.add_argument("--base", required=True)
-    p.add_argument("--type", dest="type_text", help="type in text form")
-    p.add_argument("--type-file", help="file holding the type text")
-    p.add_argument("--strategy", required=True,
-                   help="bundled name or prog:<command> for the line protocol")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-
-    p = sub.add_parser("check-cert", help="verify a refutation certificate")
-    p.add_argument("--cert", required=True)
-    p.add_argument("--strategy", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-
-    p = sub.add_parser("control-lo", help="positive control on pure linear orders")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--cut", type=int, required=True)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=1729)
-    _add_common(p)
-
-    return parser
-
-
+@_subcommand("validate", "check a structure file", _arg("file"))
 def _cmd_validate(args) -> int:
     s = _load_struct(args.file)
     verdict = validate(s)
@@ -171,6 +125,13 @@ def _cmd_validate(args) -> int:
     return 2
 
 
+@_subcommand(
+    "amalgamate", "amalgamate two structures over a common part",
+    _arg("--left", required=True),
+    _arg("--right", required=True),
+    _arg("--over", required=True),
+    _arg("--left-map", help="pair lines mapping the common part into the left structure"),
+    _arg("--right-map", help="pair lines mapping the common part into the right structure"))
 def _cmd_amalgamate(args) -> int:
     left = _load_struct(args.left)
     right = _load_struct(args.right)
@@ -194,6 +155,11 @@ def _cmd_amalgamate(args) -> int:
     return 0
 
 
+@_subcommand(
+    "types", "enumerate one-point types over a structure",
+    _arg("--base", required=True),
+    _arg("--level", type=int, default=0),
+    _arg("--budget", type=int, required=True))
 def _cmd_types(args) -> int:
     base = _load_struct(args.base)
     taus = enumerate_types(base, args.level, args.budget)
@@ -201,6 +167,11 @@ def _cmd_types(args) -> int:
     return 0
 
 
+@_subcommand(
+    "k-apply", "apply the extension functor once",
+    _arg("--base", required=True),
+    _arg("--budget", type=int, required=True),
+    _arg("--name", default="K"))
 def _cmd_k_apply(args) -> int:
     base = _load_struct(args.base)
     ext = apply_K(base, args.budget)
@@ -208,6 +179,11 @@ def _cmd_k_apply(args) -> int:
     return 0
 
 
+@_subcommand(
+    "k-iterate", "iterate the extension functor",
+    _arg("--base", required=True),
+    _arg("--stages", type=int, required=True),
+    _arg("--budgets", required=True, help="comma-separated, one per stage"))
 def _cmd_k_iterate(args) -> int:
     base = _load_struct(args.base)
     try:
@@ -221,12 +197,19 @@ def _cmd_k_iterate(args) -> int:
     return 0
 
 
+@_subcommand("limit-build", "grow a generic-limit approximation",
+             *_APPROXIMATION_OPTIONS)
 def _cmd_limit_build(args) -> int:
     a = _build_approximation(args)
     _emit(args, a.format())
     return 0
 
 
+@_subcommand(
+    "limit-extend-iso", "extend a partial isomorphism by one point",
+    *_APPROXIMATION_OPTIONS,
+    _arg("--iso", required=True, help="file of 'pair <id> <id>' lines"),
+    _arg("--point", required=True))
 def _cmd_limit_extend_iso(args) -> int:
     a = _build_approximation(args)
     p = parse_pairs(_read(args.iso))
@@ -235,6 +218,8 @@ def _cmd_limit_extend_iso(args) -> int:
     return 0
 
 
+@_subcommand("embed", "embed a structure into an approximation",
+             *_APPROXIMATION_OPTIONS, _arg("--structure", required=True))
 def _cmd_embed(args) -> int:
     a = _build_approximation(args)
     s = _load_struct(args.structure)
@@ -244,30 +229,36 @@ def _cmd_embed(args) -> int:
     return 0
 
 
+@_subcommand(
+    "refute", "run the refutation procedure against a strategy",
+    _arg("--base", required=True),
+    _arg("--type", dest="type_text", help="type in text form"),
+    _arg("--type-file", help="file holding the type text"),
+    _arg("--strategy", required=True,
+         help="bundled name or prog:<command> for the line protocol"),
+    _arg("--depth", type=int, default=3),
+    _arg("--seed", type=int, default=0))
 def _cmd_refute(args) -> int:
     base = _load_struct(args.base)
     if (args.type_text is None) == (args.type_file is None):
         raise InputError("give exactly one of --type and --type-file")
     type_text = args.type_text or _read(args.type_file).strip()
     tau = parse_type(type_text, base)
-    strategy = make_strategy(args.strategy, args.seed)
-    try:
+    with make_strategy(args.strategy, args.seed) as strategy:
         cert = refute(base, tau, strategy, args.depth)
-    finally:
-        if hasattr(strategy, "close"):
-            strategy.close()
     _emit(args, format_certificate(cert))
     return 0
 
 
+@_subcommand(
+    "check-cert", "verify a refutation certificate",
+    _arg("--cert", required=True),
+    _arg("--strategy", required=True),
+    _arg("--seed", type=int, default=0))
 def _cmd_check_cert(args) -> int:
     cert = parse_certificate(_read(args.cert))
-    strategy = make_strategy(args.strategy, args.seed)
-    try:
+    with make_strategy(args.strategy, args.seed) as strategy:
         result = check_certificate(cert, strategy)
-    finally:
-        if hasattr(strategy, "close"):
-            strategy.close()
     if result.ok:
         _emit(args, "accepted\n")
         return 0
@@ -275,6 +266,13 @@ def _cmd_check_cert(args) -> int:
     return 2
 
 
+@_subcommand(
+    "control-lo", "positive control on pure linear orders",
+    _arg("--size", type=int, required=True),
+    _arg("--cut", type=int, required=True),
+    _arg("--depth", type=int, default=3),
+    _arg("--samples", type=int, default=20),
+    _arg("--seed", type=int, default=1729))
 def _cmd_control_lo(args) -> int:
     if args.size < 0:
         raise InputError("size must be nonnegative")
@@ -284,26 +282,10 @@ def _cmd_control_lo(args) -> int:
     return 0 if report.violations == 0 else 2
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "amalgamate": _cmd_amalgamate,
-    "types": _cmd_types,
-    "k-apply": _cmd_k_apply,
-    "k-iterate": _cmd_k_iterate,
-    "limit-build": _cmd_limit_build,
-    "limit-extend-iso": _cmd_limit_extend_iso,
-    "embed": _cmd_embed,
-    "refute": _cmd_refute,
-    "check-cert": _cmd_check_cert,
-    "control-lo": _cmd_control_lo,
-}
-
-
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args = _PARSER.parse_args(argv)
+        return args.run(args)
     except _UsageError as exc:
         sys.stderr.write(str(exc))
         return 1

@@ -88,7 +88,15 @@ def structure_hash(s: FinStruct) -> str:
 # Bundled strategies
 # ---------------------------------------------------------------------------
 
-class ConstantStrategy:
+class Strategy(contextlib.AbstractContextManager):
+    """Base of every strategy ``make_strategy`` returns, so each one can be
+    used in ``with``; it holds nothing to release on leaving the block."""
+
+    def __exit__(self, *exc_info) -> None:
+        pass
+
+
+class ConstantStrategy(Strategy):
     """Same side and color for every point."""
 
     name = "constant"
@@ -97,7 +105,7 @@ class ConstantStrategy:
         return StrategyAnswer(ABOVE, ColorTerm.base(0, 0))
 
 
-class SupportEchoStrategy:
+class SupportEchoStrategy(Strategy):
     """Echoes the type's color at its largest support point."""
 
     name = "support-echo"
@@ -107,7 +115,7 @@ class SupportEchoStrategy:
         return StrategyAnswer(ABOVE, color)
 
 
-class OrderSensitiveStrategy:
+class OrderSensitiveStrategy(Strategy):
     """Answers depend on how many base points precede the queried point."""
 
     name = "order-sensitive"
@@ -118,7 +126,7 @@ class OrderSensitiveStrategy:
         return StrategyAnswer(ABOVE, ColorTerm.base(0, k % 2))
 
 
-class IndexSensitiveStrategy:
+class IndexSensitiveStrategy(Strategy):
     """Answers keyed to the digits in the queried point's name, so two
     realizers of one type get different colors."""
 
@@ -130,7 +138,7 @@ class IndexSensitiveStrategy:
         return StrategyAnswer(ABOVE, ColorTerm.base(0, n % 3))
 
 
-class SeededRandomStrategy:
+class SeededRandomStrategy(Strategy):
     """Pseudo-random but replayable: answers are a fixed hash of the seed
     and the point name."""
 
@@ -147,13 +155,14 @@ class SeededRandomStrategy:
         return StrategyAnswer(side, ColorTerm.base(0, (h >> 1) % 3))
 
 
-class SubprocessStrategy:
+class SubprocessStrategy(Strategy):
     """External strategy speaking the line protocol on stdin/stdout.
 
     Each query goes out as ``query <point-id> <structure-hash>`` and the
     program must reply ``answer <above|below> <color-term>``, or
     ``answer self -`` to claim the virtual point coincides with the queried
-    one (which is rejected as a strategy fault).
+    one (which is rejected as a strategy fault).  Bytes that are not UTF-8
+    read as U+FFFD, so such a reply is a malformed line, not a crash.
     """
 
     def __init__(self, argv: list[str]):
@@ -163,7 +172,7 @@ class SubprocessStrategy:
         try:
             self._proc = subprocess.Popen(
                 argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                text=True, bufsize=1)
+                text=True, errors="replace", bufsize=1)
         except OSError as exc:
             raise InputError(f"cannot start strategy {argv[0]!r}: {exc}") from exc
 
@@ -180,7 +189,7 @@ class SubprocessStrategy:
             raise InputError(f"bad strategy protocol line {line!r}")
         return StrategyAnswer.from_tokens(tok[1], tok[2])
 
-    def close(self) -> None:
+    def __exit__(self, *exc_info) -> None:
         """Close both pipes and reap the program, killing it after 10 s."""
         for pipe in (self._proc.stdin, self._proc.stdout):
             with contextlib.suppress(BrokenPipeError):
@@ -199,7 +208,7 @@ BUNDLED_STRATEGIES = {
 }
 
 
-def make_strategy(name: str, seed: int = 0) -> ExtensionStrategy:
+def make_strategy(name: str, seed: int = 0) -> Strategy:
     if name.startswith("prog:"):
         try:
             argv = shlex.split(name[len("prog:"):])

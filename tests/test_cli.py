@@ -54,6 +54,35 @@ def test_missing_file_exits_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_unwritable_out_exits_1(tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "out.txt"
+    assert run(["validate", data("two_point.txt"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert not out.exists()
+
+
+def test_one_process_reuses_the_parser(tmp_path, capsys, monkeypatch):
+    """Calls in one process share one parser, and no option value of one
+    call carries over to the next."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    k_apply = ["k-apply", "--base", data("two_point.txt"), "--budget", "2"]
+    assert run(k_apply + ["--format", "pretty"]) == 0
+    assert capsys.readouterr().out.encode() == golden_bytes("k_apply_pretty.txt")
+    assert run(k_apply) == 0
+    assert capsys.readouterr().out.encode() == golden_bytes("k_apply_two_point.txt")
+    assert run(k_apply[:3]) == 1
+    assert capsys.readouterr() == ("", (
+        "colorder k-apply: the following arguments are required: --budget\n"
+        "usage: colorder k-apply [-h] --base BASE --budget BUDGET [--name NAME]\n"
+        "                        [--out OUT] [--format {compact,pretty}]\n"))
+    name, argv, _ = next(c for c in CASES if c[0] == "refute_constant.txt")
+    cert = tmp_path / "cert.txt"
+    assert run(argv + ["--out", str(cert)]) == 0
+    assert cert.read_bytes() == golden_bytes(name)
+    assert run(["check-cert", "--cert", str(cert), "--strategy", "constant"]) == 0
+    assert capsys.readouterr() == ("accepted\n", "")
+
+
 def test_malformed_structure_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("structure s level 0\npoint a\npoint b\n")  # missing pair
@@ -172,7 +201,8 @@ TYPE_A = "type supp=a cut=1 colors=b:0:1 level=0"
 
 
 @pytest.mark.parametrize("command", ["/nonexistent", "", "true",
-                                     "sh -c 'sleep 0.2; exit 0'"])
+                                     "sh -c 'sleep 0.2; exit 0'",
+                                     r"printf 'answer above \377\n'"])
 def test_broken_program_strategy_exits_1(capsys, command):
     assert run(["refute", "--base", data("one_point.txt"), "--type", TYPE_A,
                 "--strategy", f"prog:{command}"]) == 1

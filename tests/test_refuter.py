@@ -364,36 +364,59 @@ def test_parse_certificate_rejects_garbage():
 # external strategies over the line protocol
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def constant_program(tmp_path):
-    script = tmp_path / "always_b00.py"
-    script.write_text(textwrap.dedent("""\
+def write_program(tmp_path, reply: str) -> str:
+    """A line-protocol program that sends ``reply`` to every query."""
+    script = tmp_path / "program.py"
+    script.write_text(textwrap.dedent(f"""\
         #!/usr/bin/env python3
         import sys
         for line in sys.stdin:
             tok = line.split()
             if tok and tok[0] == "query":
-                sys.stdout.write("answer above b:0:0\\n")
+                sys.stdout.write("{reply}\\n")
                 sys.stdout.flush()
     """))
     script.chmod(script.stat().st_mode | stat.S_IEXEC)
     return str(script)
 
 
+@pytest.fixture
+def constant_program(tmp_path):
+    return write_program(tmp_path, "answer above b:0:0")
+
+
 def test_subprocess_strategy_roundtrip(constant_program):
     x = FinStruct.build("a", {})
     tau = OnePointType.build(x, ("a",), 1, (B(0, 1),), 0)
-    strategy = SubprocessStrategy([sys.executable, constant_program])
-    try:
+    with SubprocessStrategy([sys.executable, constant_program]) as strategy:
         cert = refute(x, tau, strategy, 2)
-    finally:
-        strategy.close()
     assert cert.kind == MONO
-    checker = SubprocessStrategy([sys.executable, constant_program])
-    try:
+    with SubprocessStrategy([sys.executable, constant_program]) as checker:
         assert check_certificate(cert, checker).ok
-    finally:
-        checker.close()
+
+
+def test_subprocess_strategy_is_reaped_when_refute_raises(tmp_path):
+    """Leaving the ``with`` by an exception still closes both pipes and
+    reaps the program; a leaked pipe would fail the suite with a
+    ResourceWarning."""
+    x = FinStruct.build("a", {})
+    tau = OnePointType.build(x, ("a",), 1, (B(0, 1),), 0)
+    program = write_program(tmp_path, "answer above nonsense")
+    with pytest.raises(InputError, match="bad color term"):
+        with SubprocessStrategy([sys.executable, program]) as strategy:
+            refute(x, tau, strategy, 2)
+    assert strategy._proc.returncode == 0
+    assert strategy._proc.stdin.closed and strategy._proc.stdout.closed
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_STRATEGIES))
+def test_every_bundled_strategy_works_in_with(name):
+    x = FinStruct.build("a", {})
+    tau = OnePointType.build(x, ("a",), 1, (B(0, 1),), 0)
+    with make_strategy(name) as strategy:
+        cert = refute(x, tau, strategy, 2)
+    with make_strategy(name) as checker:
+        assert check_certificate(cert, checker).ok
 
 
 # ---------------------------------------------------------------------------
