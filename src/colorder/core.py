@@ -8,12 +8,17 @@ amalgamation, canonical codes, and the line-oriented text format.
 
 A structure keeps its colors in position-indexed rows of small-int ids into
 a palette of canonical color texts, so hot loops compare ints; a color's
-``ColorTerm`` is parsed from its text on first read.  Costs: a color lookup
-is O(1); ``validate`` makes O(n^2) big-int operations over per-color
-neighbour bitmasks (:func:`row_masks`); realizing a point picks each of its
-colors from such masks and copies each row once with one new entry; a
-functor extension (``katetov.apply_K``) keeps the rows of its type elements
-lazy and computes each pair color on first read.
+``ColorTerm`` is parsed from its text on first read.  That is the one
+representation: ``FinStruct.build`` and ``parse_struct`` turn their input
+into ``(i, j) -> color id`` entries for one private checked constructor, and
+``FinStruct.of_rows`` is the unchecked constructor (the frozenset-keyed
+form of a coloring lives in ``tests/helpers.py`` as a reference).
+
+Costs: a color lookup is O(1); ``validate`` makes O(n^2) big-int operations
+over per-color neighbour bitmasks (:func:`row_masks`); realizing a point
+picks each of its colors from such masks and copies each row once with one
+new entry; a functor extension (``katetov.apply_K``) keeps the rows of its
+type elements lazy and computes each pair color on first read.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
 
 
@@ -139,7 +143,7 @@ class Palette:
     def __init__(self):
         self.texts: list[str] = []
         self.ids: dict[str, int] = {}
-        self.base_ids: list[int] = []  # id of b:0:n at index n, -2 if absent
+        self.base_ids: dict[int, int] = {}  # id of b:0:n, by n
         self._terms: dict[int, ColorTerm] = {}  # terms read so far, by id
 
     def id(self, c: ColorTerm) -> int:
@@ -155,11 +159,7 @@ class Palette:
             got = self.ids[text] = len(self.texts)
             self.texts.append(text)
             if text.startswith("b:0:"):
-                n = int(text[4:])
-                short = n + 1 - len(self.base_ids)
-                if short > 0:
-                    self.base_ids.extend([-2] * short)
-                self.base_ids[n] = got
+                self.base_ids[int(text[4:])] = got
         return got
 
     def color(self, c: int) -> ColorTerm:
@@ -187,13 +187,14 @@ class Palette:
         ``a`` and ``b`` map color ids to the bitmasks of the points joined
         to either end of the pair being colored (a missing id is an empty
         mask), so a color is rejected exactly when some third point is
-        joined to both ends in it.  The search stops at the first base color
-        that closes no monochromatic triangle.
+        joined to both ends in it.  The search walks the present prefix
+        ``b:0:0, b:0:1, ...`` and stops at the first base color that is
+        absent or closes no monochromatic triangle.
         """
-        for n, c in enumerate(self.base_ids):
-            if not a.get(c, 0) & b.get(c, 0):
-                return c if c >= 0 else self.id_text(f"b:0:{n}")
-        return self.id_text(f"b:0:{len(self.base_ids)}")
+        n = 0
+        while (c := self.base_ids.get(n)) is not None and a.get(c, 0) & b.get(c, 0):
+            n += 1
+        return c if c is not None else self.id_text(f"b:0:{n}")
 
 
 class _IdMap(dict):
@@ -227,7 +228,7 @@ def _check_points(pts: tuple[str, ...]) -> None:
         seen.add(p)
 
 
-def _check_complete(s: "FinStruct") -> "FinStruct":
+def _check_complete(s: "FinStruct") -> None:
     """Reject an uncolored pair (the first in position order) and a
     negative level."""
     for i, row in enumerate(s.rows):
@@ -237,7 +238,27 @@ def _check_complete(s: "FinStruct") -> "FinStruct":
             raise InputError(f"missing color for pair ({u}, {v})")
     if s.level < 0:
         raise InputError("negative level")
-    return s
+
+
+def _build_checked(pts: tuple[str, ...], pair_ids: Mapping[tuple[int, int], int],
+                   palette: Palette, level: int) -> "FinStruct":
+    """The checked structure over ``palette`` whose pair at positions
+    ``(i, j)``, ``i < j``, has color id ``pair_ids[i, j]``.  Points,
+    completeness and level are checked before any row is allocated, so a
+    missing pair (the first in position order) costs no O(n^2) memory."""
+    _check_points(pts)
+    n = len(pts)
+    if len(pair_ids) < n * (n - 1) // 2:
+        i, j = next(ij for ij in itertools.combinations(range(n), 2)
+                    if ij not in pair_ids)
+        u, v = sorted((pts[i], pts[j]))
+        raise InputError(f"missing color for pair ({u}, {v})")
+    if level < 0:
+        raise InputError("negative level")
+    rows = [[HOLE] * n for _ in pts]
+    for (i, j), c in pair_ids.items():
+        rows[i][j] = rows[j][i] = c
+    return FinStruct.of_rows(pts, tuple(map(tuple, rows)), palette, level)
 
 
 class FinStruct:
@@ -250,30 +271,14 @@ class FinStruct:
     a lookup costs two position lookups and two indexings.  ``rows`` is a
     tuple of tuples, or, for a functor extension, a lazy provider with the
     same indexing.  ``level`` bounds the levels of all colors.  Values are
-    immutable after construction; use :meth:`build` for checked
-    construction.
+    immutable after construction.
 
-    ``FinStruct(points, colors, level)`` converts a frozenset-keyed color
-    mapping without checks; a pair it leaves out stays a HOLE, which
-    :func:`validate` reports as malformed.
+    :meth:`build` is the one checked constructor and :meth:`of_rows` the
+    unchecked one; a structure with a HOLE off the diagonal can only come
+    from :meth:`of_rows`, and :func:`validate` reports it as malformed.
+    The frozenset-keyed constructor and view of a coloring live in
+    ``tests/helpers.py`` (``struct_of``, ``colors_of``) as test references.
     """
-
-    def __init__(self, points: Sequence[str], colors: Mapping[frozenset, ColorTerm],
-                 level: int):
-        pts = tuple(points)
-        pos = {p: i for i, p in enumerate(pts)}
-        palette = Palette()
-        rows = [[HOLE] * len(pts) for _ in pts]
-        for key, c in colors.items():
-            ends = [pos.get(p) for p in key]
-            if len(ends) != 2 or None in ends:
-                raise InputError(f"color given for unknown pair {sorted(key)}")
-            i, j = ends
-            rows[i][j] = rows[j][i] = palette.id(c)
-        self.points = pts
-        self.rows = tuple(map(tuple, rows))
-        self.palette = palette
-        self.level = level
 
     @staticmethod
     def of_rows(points: tuple[str, ...], rows: Sequence[Sequence[int]],
@@ -286,9 +291,18 @@ class FinStruct:
     @staticmethod
     def build(points: Sequence[str], colors: Mapping[frozenset, ColorTerm],
               level: int = 0) -> "FinStruct":
+        """Checked construction from a coloring keyed by two-element
+        frozensets of point names."""
         pts = tuple(points)
-        _check_points(pts)
-        return _check_complete(FinStruct(pts, colors, level))
+        pos = {p: i for i, p in enumerate(pts)}
+        palette = Palette()
+        pair_ids: dict[tuple[int, int], int] = {}
+        for key, c in colors.items():
+            ends = sorted(pos.get(p, -1) for p in key)
+            if len(ends) != 2 or ends[0] < 0:
+                raise InputError(f"color given for unknown pair {sorted(key)}")
+            pair_ids[tuple(ends)] = palette.id(c)
+        return _build_checked(pts, pair_ids, palette, level)
 
     @staticmethod
     def empty(level: int = 0) -> "FinStruct":
@@ -297,15 +311,6 @@ class FinStruct:
     @cached_property
     def pos(self) -> dict[str, int]:
         return {p: i for i, p in enumerate(self.points)}
-
-    @cached_property
-    def colors(self) -> Mapping[frozenset, ColorTerm]:
-        """Read-only view of the coloring keyed by two-element frozensets of
-        point names, built on first use."""
-        pts, pal = self.points, self.palette.color
-        return MappingProxyType({frozenset((pts[i], pts[j])): pal(c)
-                                 for i, j in itertools.combinations(range(len(pts)), 2)
-                                 if (c := self.rows[i][j]) != HOLE})
 
     def __len__(self) -> int:
         return len(self.points)
@@ -649,7 +654,7 @@ def parse_struct(text: str) -> tuple[str, FinStruct]:
     name = None
     level = 0
     points: dict[str, int] = {}  # insertion-ordered, O(1) membership
-    pair_ids: dict[tuple[int, int], int] = {}
+    pair_ids: dict[tuple[int, int], int] = {}  # (i, j), i < j -> color id
     palette = Palette()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -690,10 +695,4 @@ def parse_struct(text: str) -> tuple[str, FinStruct]:
             raise InputError(f"line {lineno}: unknown directive {tok[0]!r}")
     if name is None:
         raise InputError("missing structure header")
-    pts = tuple(points)
-    _check_points(pts)
-    rows = [[HOLE] * len(pts) for _ in pts]
-    for (i, j), c in pair_ids.items():
-        rows[i][j] = rows[j][i] = c
-    return name, _check_complete(
-        FinStruct.of_rows(pts, tuple(map(tuple, rows)), palette, level))
+    return name, _build_checked(tuple(points), pair_ids, palette, level)

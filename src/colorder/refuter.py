@@ -10,7 +10,8 @@ answers on the two.  Equal answers close a monochromatic triangle; unequal
 answers break equivariance under the partial isomorphism swapping the two
 realizers.  Either way a machine-checkable certificate comes out; answers
 that contradict the strategy's own type constraints yield a strategy-fault
-certificate instead.
+certificate instead.  :func:`refute` and :func:`check_certificate` find
+such a fault with one analysis, ``_fault_analysis``, so they agree on it.
 
 The module also bundles the positive control: on pure linear orders (no
 colors) the canonical cut strategy survives every sampled automorphism
@@ -189,13 +190,16 @@ class SubprocessStrategy(Strategy):
             raise InputError(f"bad strategy protocol line {line!r}")
         return StrategyAnswer.from_tokens(tok[1], tok[2])
 
-    def __exit__(self, *exc_info) -> None:
-        """Close both pipes and reap the program, killing it after 10 s."""
+    def __exit__(self, exc_type, *exc_info) -> None:
+        """Close both pipes and reap the program, killing it if it has not
+        exited after 10 s, or after 1 s when the ``with`` block raised: a
+        program that exits on EOF still exits on its own, and one that
+        ignores EOF does not hold a failed run."""
         for pipe in (self._proc.stdin, self._proc.stdout):
             with contextlib.suppress(BrokenPipeError):
                 pipe.close()
         try:
-            self._proc.wait(timeout=10)
+            self._proc.wait(timeout=10 if exc_type is None else 1)
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
@@ -265,149 +269,13 @@ class CheckResult:
         return self.ok
 
 
-class _StrategyFault(Exception):
-    def __init__(self, code: str):
-        self.code = code
-        super().__init__(code)
-
-
-class _Session:
-    """One refutation run: owns the approximation, the query log, and the
-    consistency bookkeeping for the virtual point."""
-
-    def __init__(self, x: FinStruct, tau: OnePointType,
-                 strategy: ExtensionStrategy):
-        if tau.base != x:
-            raise InputError("type must sit over the given base")
-        self.x = x
-        self.tau = tau
-        self.strategy = strategy
-        self.a = Approximation(seed=x)
-        self.queries: list[QueryRecord] = []
-        # virtual data of t against the base
-        self.vcol: dict[str, ColorTerm] = dict(zip(tau.support, tau.colors))
-        self.vbelow: set[str] = set(tau.support[: tau.cut])
-
-    def ask(self, point: str) -> StrategyAnswer:
-        h = structure_hash(self.a.current)
-        ctx = QueryContext(self.a.current, self.x.points, self.tau, point, h)
-        ans = self.strategy.answer(ctx)
-        if not ans.self_claim and (ans.color is None
-                                   or ans.side not in (ABOVE, BELOW)):
-            raise InputError("strategy returned a malformed answer")
-        side, color = ans.tokens()
-        self.queries.append((point, h, side, color))
-        if ans.self_claim:
-            raise _StrategyFault("self-claim")
-        if ans.color.level > self.x.level:
-            raise _StrategyFault("level-bound")
-        return ans
-
-    def prequery_base(self) -> None:
-        """Fix the virtual point's relation to every base point outside the
-        type's support, checking the strategy stays inside the class."""
-        for v in self.x.points:
-            if v in self.vcol:
-                continue
-            ans = self.ask(v)
-            self.vcol[v] = ans.color
-            if ans.side == ABOVE:
-                self.vbelow.add(v)
-        below_positions = sorted(self.x.index(v) for v in self.vbelow)
-        if below_positions != list(range(len(below_positions))):
-            raise _StrategyFault("incoherent-order")
-        for v, w in self.x.pairs():
-            if self.vcol[v] == self.vcol[w] == self.x.color(v, w):
-                raise _StrategyFault("virtual-triangle")
-
-    def full_type(self) -> OnePointType:
-        colors = tuple(self.vcol[v] for v in self.x.points)
-        return OnePointType.build(self.x, self.x.points, len(self.vbelow),
-                                  colors, self.x.level)
-
-
-def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
-           depth: int) -> RefutationCertificate:
-    """Run the two-realizer procedure against a strategy.
-
-    Always returns a certificate: a monochromatic triangle when the strategy
-    treats both realizers alike, an equivariance violation when it does not,
-    and a strategy fault when its answers leave the class on their own.
-
-    Each query sees the base plus the non-base points queried so far, this
-    one included: the base points are asked first, then ``t1`` right after
-    its realization, then ``t2`` right after its; the back-and-forth asks
-    nothing.  :func:`check_certificate` rebuilds every query's structure
-    from this.
-    """
-    if depth < 0:
-        raise InputError("depth must be nonnegative")
-    v = validate(x)
-    if not v:
-        raise InputError(f"invalid base structure: {v.reason}")
-    session = _Session(x, tau, strategy)
-
-    def fault(code: str) -> RefutationCertificate:
-        return RefutationCertificate(
-            kind=FAULT, structure=session.a.current, base_points=x.points,
-            tau_text=format_type(tau), queries=tuple(session.queries),
-            reason=code)
-
-    try:
-        session.prequery_base()
-        full = session.full_type()
-        t1 = session.a.realize(full)
-        ans1 = session.ask(t1)
-        q, side1 = ans1.color, ans1.side
-        if any(c == q for c in session.vcol.values()):
-            raise _StrategyFault("virtual-triangle")
-
-        cur = session.a.current
-        supp2 = cur.sorted_points(x.points + (t1,))
-        colors2 = tuple(q if p == t1 else session.vcol[p] for p in supp2)
-        cut2 = supp2.index(t1) + 1
-        tau2 = OnePointType.build(cur, supp2, cut2, colors2, cur.level)
-        t2 = session.a.realize(tau2)
-        ans2 = session.ask(t2)
-        q2, side2 = ans2.color, ans2.side
-    except _StrategyFault as f:
-        return fault(f.code)
-
-    alpha = PartialIso(tuple((p, p) for p in x.points) + ((t1, t2),))
-    assert alpha.check(session.a.current), "realizers are not interchangeable"
-    transcript: list[ExtendRecord] = []
-    cur_iso = alpha
-    for k in range(depth):
-        forth = k % 2 == 0  # even steps extend the map, odd steps its inverse
-        side = cur_iso if forth else cur_iso.inverse()
-        taken = set(side.domain())
-        u = next((p for p in session.a.current.points if p not in taken), None)
-        if u is None:
-            break
-        side = side.extended(u, realize_image(session.a, session.a.current,
-                                              side.fwd(), u))
-        cur_iso = side if forth else side.inverse()
-        transcript.append(("fwd" if forth else "bwd", u, side.pairs[-1][1]))
-
-    kind = MONO if (q2 == q and side2 == side1) else EQUIV
-    return RefutationCertificate(
-        kind=kind, structure=session.a.current, base_points=x.points,
-        tau_text=format_type(tau), queries=tuple(session.queries),
-        t1=t1, t2=t2, q=q, q2=q2, side1=side1, side2=side2,
-        alpha=cur_iso, transcript=tuple(transcript),
-        extension_depth=len(transcript))
-
-
-# ---------------------------------------------------------------------------
-# Certificate verification
-# ---------------------------------------------------------------------------
-
-def _replay_fault_analysis(x: FinStruct, tau: OnePointType,
-                           answers: dict[str, tuple[str, str]]
-                           ) -> tuple[str | None, dict[str, ColorTerm], set[str]]:
-    """Re-run the consistency analysis on each queried point's last answer
-    tokens; returns the first fault code (None if the record is fault-free)
-    with the virtual point's colors and below-set over the base."""
+def _fault_analysis(x: FinStruct, tau: OnePointType,
+                    answers: dict[str, tuple[str, str]]
+                    ) -> tuple[str | None, dict[str, ColorTerm], set[str]]:
+    """The first strategy fault in each queried point's last answer tokens
+    (None if there is none), with the virtual point's colors and below-set
+    over the base.  :func:`refute` runs it after every answer and
+    :func:`check_certificate` on the replayed log, so they agree on faults."""
     vcol = dict(zip(tau.support, tau.colors))
     vbelow = set(tau.support[: tau.cut])
     parsed = {p: StrategyAnswer.from_tokens(*tokens)
@@ -443,6 +311,103 @@ def _replay_fault_analysis(x: FinStruct, tau: OnePointType,
 
     return first_fault(), vcol, vbelow
 
+
+def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
+           depth: int) -> RefutationCertificate:
+    """Run the two-realizer procedure against a strategy.
+
+    Always returns a certificate: a monochromatic triangle when the strategy
+    treats both realizers alike, an equivariance violation when it does not,
+    and a strategy fault when its answers leave the class on their own.
+
+    Each query sees the base plus the non-base points queried so far, this
+    one included: the base points outside the type's support are asked
+    first, then ``t1`` right after its realization, then ``t2`` right after
+    its; the back-and-forth asks nothing.  :func:`check_certificate`
+    rebuilds every query's structure from this.  After each answer the log
+    so far goes through :func:`_fault_analysis`, and the first fault ends
+    the run.
+    """
+    if depth < 0:
+        raise InputError("depth must be nonnegative")
+    v = validate(x)
+    if not v:
+        raise InputError(f"invalid base structure: {v.reason}")
+    if tau.base != x:
+        raise InputError("type must sit over the given base")
+    a = Approximation(seed=x)
+    queries: list[QueryRecord] = []
+    answers: dict[str, tuple[str, str]] = {}  # point -> (side, color) tokens
+
+    def ask(point: str) -> tuple[StrategyAnswer, str | None]:
+        """The strategy's answer at ``point`` in the current structure, and
+        the first fault of the answers so far, this one logged."""
+        h = structure_hash(a.current)
+        ans = strategy.answer(QueryContext(a.current, x.points, tau, point, h))
+        if not ans.self_claim and (ans.color is None
+                                   or ans.side not in (ABOVE, BELOW)):
+            raise InputError("strategy returned a malformed answer")
+        answers[point] = ans.tokens()
+        queries.append((point, h, *answers[point]))
+        return ans, _fault_analysis(x, tau, answers)[0]
+
+    def fault(code: str) -> RefutationCertificate:
+        return RefutationCertificate(
+            kind=FAULT, structure=a.current, base_points=x.points,
+            tau_text=format_type(tau), queries=tuple(queries), reason=code)
+
+    for p in x.points:
+        if p not in tau.support and (code := ask(p)[1]):
+            return fault(code)
+    code, vcol, vbelow = _fault_analysis(x, tau, answers)
+    if code:
+        return fault(code)
+    full = OnePointType.build(x, x.points, len(vbelow),
+                              tuple(vcol[p] for p in x.points), x.level)
+    t1 = a.realize(full)
+    ans1, code = ask(t1)
+    if code:
+        return fault(code)
+    q, side1 = ans1.color, ans1.side
+
+    cur = a.current
+    supp2 = cur.sorted_points(x.points + (t1,))
+    colors2 = tuple(q if p == t1 else vcol[p] for p in supp2)
+    cut2 = supp2.index(t1) + 1
+    tau2 = OnePointType.build(cur, supp2, cut2, colors2, cur.level)
+    t2 = a.realize(tau2)
+    ans2, code = ask(t2)
+    if code:
+        return fault(code)
+    q2, side2 = ans2.color, ans2.side
+
+    alpha = PartialIso(tuple((p, p) for p in x.points) + ((t1, t2),))
+    assert alpha.check(a.current), "realizers are not interchangeable"
+    transcript: list[ExtendRecord] = []
+    cur_iso = alpha
+    for k in range(depth):
+        forth = k % 2 == 0  # even steps extend the map, odd steps its inverse
+        side = cur_iso if forth else cur_iso.inverse()
+        taken = set(side.domain())
+        u = next((p for p in a.current.points if p not in taken), None)
+        if u is None:
+            break
+        side = side.extended(u, realize_image(a, a.current, side.fwd(), u))
+        cur_iso = side if forth else side.inverse()
+        transcript.append(("fwd" if forth else "bwd", u, side.pairs[-1][1]))
+
+    kind = MONO if (q2 == q and side2 == side1) else EQUIV
+    return RefutationCertificate(
+        kind=kind, structure=a.current, base_points=x.points,
+        tau_text=format_type(tau), queries=tuple(queries),
+        t1=t1, t2=t2, q=q, q2=q2, side1=side1, side2=side2,
+        alpha=cur_iso, transcript=tuple(transcript),
+        extension_depth=len(transcript))
+
+
+# ---------------------------------------------------------------------------
+# Certificate verification
+# ---------------------------------------------------------------------------
 
 def check_certificate(cert: RefutationCertificate,
                       strategy: ExtensionStrategy) -> CheckResult:
@@ -487,7 +452,7 @@ def check_certificate(cert: RefutationCertificate,
             QueryContext(seen, x.points, tau, point, h)).tokens()
         if answers[point] != (side, color):
             return CheckResult(False, f"answer-mismatch at {point}")
-    fault, vcol, vbelow = _replay_fault_analysis(x, tau, answers)
+    fault, vcol, vbelow = _fault_analysis(x, tau, answers)
 
     if cert.kind == FAULT:
         if fault is None:

@@ -52,6 +52,14 @@ CASES = [
      ["refute", "--base", data("one_point.txt"),
       "--type", "type supp=a cut=1 colors=b:0:1 level=0",
       "--strategy", "index-sensitive", "--depth", "20"], 0),
+    ("refute_fault_order.txt",
+     ["refute", "--base", data("three_point.txt"),
+      "--type", "type supp= cut=0 colors= level=0",
+      "--strategy", "randomized-with-fixed-seed", "--depth", "3"], 0),
+    ("refute_fault_triangle.txt",
+     ["refute", "--base", data("one_point.txt"),
+      "--type", "type supp=a cut=1 colors=b:0:0 level=0",
+      "--strategy", "constant", "--depth", "3"], 0),
     ("control_lo.txt",
      ["control-lo", "--size", "2", "--cut", "1", "--depth", "3",
       "--samples", "20"], 0),
@@ -71,4 +79,10 @@ CHECK_CASES = [
     ("check_cert_index_depth20.txt",
      ["check-cert", "--cert", os.path.join(GOLDEN, "refute_index_depth20.txt"),
       "--strategy", "index-sensitive"], 0),
+    ("check_cert_fault_order.txt",
+     ["check-cert", "--cert", os.path.join(GOLDEN, "refute_fault_order.txt"),
+      "--strategy", "randomized-with-fixed-seed"], 0),
+    ("check_cert_fault_triangle.txt",
+     ["check-cert", "--cert", os.path.join(GOLDEN, "refute_fault_triangle.txt"),
+      "--strategy", "constant"], 0),
 ]

@@ -11,10 +11,34 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from colorder.core import (ColorTerm, FinStruct, InputError, code_of_parts,
-                           is_embedding, pair_of)
+from colorder.core import (HOLE, ColorTerm, FinStruct, InputError, Palette,
+                           code_of_parts, is_embedding, pair_of)
 
 POINT_NAMES = "abcdefgh"
+
+
+def struct_of(points, colors: Mapping[frozenset, ColorTerm], level: int = 0) -> FinStruct:
+    """A structure from a coloring keyed by two-element frozensets of point
+    names, without checks: a pair left out stays a HOLE, which ``validate``
+    reports as malformed.  Tests build deliberately broken structures with
+    it."""
+    pts = tuple(points)
+    pos = {p: i for i, p in enumerate(pts)}
+    palette = Palette()
+    rows = [[HOLE] * len(pts) for _ in pts]
+    for key, c in colors.items():
+        i, j = (pos[p] for p in key)
+        rows[i][j] = rows[j][i] = palette.id(c)
+    return FinStruct.of_rows(pts, tuple(map(tuple, rows)), palette, level)
+
+
+def colors_of(s: FinStruct) -> dict[frozenset, ColorTerm]:
+    """The coloring of ``s`` keyed by two-element frozensets of point names
+    (colored pairs only)."""
+    pts, rows = s.points, s.rows
+    return {pair_of(pts[i], pts[j]): s.palette.color(rows[i][j])
+            for i, j in itertools.combinations(range(len(pts)), 2)
+            if rows[i][j] != HOLE}
 
 
 def base_colors(n: int) -> list[ColorTerm]:
@@ -40,7 +64,7 @@ def all_structures(max_size: int, num_colors: int, level: int = 0) -> list[FinSt
             cmap = {pair_of(u, v): c for (u, v), c in zip(pairs, assignment)}
             if has_mono_triangle(pts, lambda u, v: cmap[pair_of(u, v)]):
                 continue
-            out.append(FinStruct(pts, cmap, level))
+            out.append(struct_of(pts, cmap, level))
     return out
 
 
@@ -48,7 +72,7 @@ def brute_force_types(x: FinStruct, level: int, budget: int):
     """Independent enumeration of (support, cut, colors) triples: build each
     candidate extension literally and scan every triangle in it."""
     pool = [ColorTerm.base(l, n) for l in range(level + 1) for n in range(budget)]
-    pool += sorted({c for c in x.colors.values()
+    pool += sorted({c for c in colors_of(x).values()
                     if c.kind != "b" and c.level <= level},
                    key=ColorTerm.sort_key)
     found = []
@@ -190,7 +214,7 @@ def reference_realize(f: FinStruct, tau, name: str):
     pos = f.points.index(tau.support[tau.cut - 1]) + 1 if tau.cut else 0
     pts = list(f.points)
     pts.insert(pos, name)
-    cols = dict(f.colors)
+    cols = colors_of(f)
     assigned = dict(zip(tau.support, tau.colors))
     for s, c in assigned.items():
         cols[pair_of(s, name)] = c
@@ -202,7 +226,7 @@ def reference_realize(f: FinStruct, tau, name: str):
         while ColorTerm.base(0, n) in forbidden:
             n += 1
         assigned[v] = cols[pair_of(v, name)] = ColorTerm.base(0, n)
-    return FinStruct(tuple(pts), cols, f.level)
+    return struct_of(pts, cols, f.level)
 
 
 def reference_is_embedding(mapping, s: FinStruct, t: FinStruct) -> bool:

@@ -2,6 +2,8 @@ import hashlib
 import os
 import shlex
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -87,6 +89,38 @@ def test_malformed_structure_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("structure s level 0\npoint a\npoint b\n")  # missing pair
     assert run(["validate", str(bad)]) == 1
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory Python allocated while it ran."""
+    tracemalloc.start()
+    try:
+        got = fn()
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_missing_pairs_fail_before_rows_are_allocated(tmp_path, capsys):
+    """5000 points and no colors: the pair count is short, so the first
+    missing pair is reported without the 25M row entries."""
+    bad = tmp_path / "points.txt"
+    bad.write_text("structure s level 0\n"
+                   + "".join(f"point p{i}\n" for i in range(5000)))
+    code, peak = traced_peak(lambda: run(["validate", str(bad)]))
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: missing color for pair (p0, p1)\n")
+    assert peak < 50 * 2**20
+
+
+@pytest.mark.parametrize("index", ["20000000", "99999999999999999999999"])
+def test_large_base_color_index_is_valid(tmp_path, capsys, index):
+    """A base color index is a number, not a list length."""
+    s = tmp_path / "big.txt"
+    s.write_text(f"structure s level 0\npoint a\npoint b\ncolor a b b:0:{index}\n")
+    code, peak = traced_peak(lambda: run(["validate", str(s)]))
+    assert (code, capsys.readouterr()) == (0, ("valid\n", ""))
+    assert peak < 5 * 2**20
 
 
 def test_invalid_structure_exits_2(capsys):
@@ -217,3 +251,14 @@ def test_program_strategy_with_quoted_argument(capsys):
     assert run(["refute", "--base", data("one_point.txt"), "--type", TYPE_A,
                 "--strategy", f"prog:{command}"]) == 0
     assert "kind MonochromaticTriangle" in capsys.readouterr().out
+
+
+def test_failing_program_strategy_is_killed_soon(capsys):
+    """A reply that fails to parse ends the run within the 1 s grace, not
+    the 10 s one, of a program that ignores EOF."""
+    command = "sh -c 'echo answer above nonsense; exec sleep 15'"
+    start = time.monotonic()
+    assert run(["refute", "--base", data("one_point.txt"), "--type", TYPE_A,
+                "--strategy", f"prog:{command}"]) == 1
+    assert time.monotonic() - start < 5
+    assert capsys.readouterr().err == "error: bad color term 'nonsense'\n"

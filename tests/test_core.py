@@ -9,8 +9,9 @@ from colorder.core import (ColorTerm, Embedding, FinStruct, InputError,
                            is_embedding, pair_of, parse_struct, format_struct,
                            validate)
 from colorder.types import OnePointType, point_key, realize_type
-from helpers import (all_embeddings, all_structures, marked_isomorphic,
-                     random_coloring, reference_is_embedding, reference_verdict)
+from helpers import (all_embeddings, all_structures, colors_of, marked_isomorphic,
+                     random_coloring, reference_is_embedding, reference_verdict,
+                     struct_of)
 
 B = ColorTerm.base
 M = ColorTerm.marker
@@ -61,7 +62,7 @@ def test_malformed_input_is_an_error_not_invalidity():
     with pytest.raises(InputError):
         FinStruct.build("ab", {})  # missing the pair color
     # a hand-built broken value is caught by validate's gate
-    broken = FinStruct(("a", "b"), {}, 0)
+    broken = struct_of(("a", "b"), {}, 0)
     with pytest.raises(InputError):
         validate(broken)
 
@@ -75,9 +76,9 @@ def test_validate_agrees_with_brute_force_scan():
                                 pair_of("a", "c"): B(0, 1),
                                 pair_of("b", "c"): B(0, 0)})
     assert validate(s).ok
-    cols = dict(s.colors)
+    cols = colors_of(s)
     cols[pair_of("a", "c")] = B(0, 0)
-    assert not validate(FinStruct(("a", "b", "c"), cols, 0)).ok
+    assert not validate(struct_of(("a", "b", "c"), cols, 0)).ok
 
 
 @settings(max_examples=150, deadline=None)
@@ -116,18 +117,18 @@ def test_restrict_eq_and_embeddings_match_their_definitions(seed):
     sub = set(rng.sample(names, rng.randint(0, n)))
     r = s.restrict(sub)
     assert r.points == tuple(p for p in names if p in sub)
-    assert dict(r.colors) == {k: c for k, c in s.colors.items() if k <= sub}
+    assert colors_of(r) == {k: c for k, c in colors_of(s).items() if k <= sub}
 
     # equal iff same points, level and colors, however each was built
     copy = parse_struct(format_struct(s))[1]
     assert copy == s and s == copy and s.restrict(names) == s
-    assert FinStruct.build(names, dict(s.colors), 1) != s
+    assert FinStruct.build(names, colors_of(s), 1) != s
     if n >= 2:
         u, v = rng.sample(names, 2)
-        cols = dict(s.colors)
+        cols = colors_of(s)
         cols[pair_of(u, v)] = B(0, 1) if s.color(u, v) == B(0, 0) else B(0, 0)
         assert FinStruct.build(names, cols) != s
-        assert s != FinStruct.build(names[::-1], dict(s.colors))
+        assert s != FinStruct.build(names[::-1], colors_of(s))
 
     if n:
         # same points and palette lineage, colors differing at the first point
@@ -407,14 +408,14 @@ def test_parse_rejects_missing_pair():
 
 def test_uncolored_pair_is_an_error_not_a_color():
     # a HOLE row entry must not index the palette from its end
-    s = FinStruct(("a", "b", "c"), {pair_of("a", "b"): B(0, 0),
+    s = struct_of(("a", "b", "c"), {pair_of("a", "b"): B(0, 0),
                                     pair_of("b", "c"): B(0, 1)}, 0)
     readers = (validate, format_struct, canonical_code,
                lambda s: point_key(s, "c", ("a",)))
     for read in readers:
         with pytest.raises(InputError, match=r"missing color for pair \(a, c\)"):
             read(s)
-    bare = FinStruct(("a", "b"), {}, 0)  # an empty palette
+    bare = struct_of(("a", "b"), {}, 0)  # an empty palette
     for read in (format_struct, canonical_code):
         with pytest.raises(InputError, match=r"missing color for pair \(a, b\)"):
             read(bare)

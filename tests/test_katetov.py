@@ -10,9 +10,9 @@ from colorder.katetov import (EQ, GT, LT, apply_K, apply_K_morphism,
                               iterate_K, pair_color, pair_text)
 from colorder.types import (OnePointType, enumerate_types, transport,
                             type_of_point)
-from helpers import (all_embeddings, all_structures, consistent_placements,
+from helpers import (all_embeddings, all_structures, colors_of, consistent_placements,
                      order_type_vs_point, pair_structure, reference_pair_color,
-                     reference_type_less)
+                     reference_type_less, struct_of)
 
 B = ColorTerm.base
 
@@ -141,7 +141,7 @@ def test_pair_structure_across_isomorphic_bases():
         def filled(p):
             cols = dict(p.colors)
             cols[pair_of(*p.marked)] = filler
-            return FinStruct(p.points, cols, 2)
+            return struct_of(p.points, cols, 2)
         assert marked_isomorphic(filled(p1), p1.marked, filled(p2), p2.marked)
 
 
@@ -182,7 +182,7 @@ def test_pair_color_matches_the_reference_structure(one_point):
             checked += 1
     assert checked == 8272
     stage2 = iterate_K(one_point, 2, [1, 1])[-1]
-    assert any(c.kind == "k" for c in stage2.base.colors.values())
+    assert any(c.kind == "k" for c in colors_of(stage2.base).values())
     taus = [tau for _, tau in stage2.elements]
     rng = random.Random(6)
     for _ in range(2000):
@@ -269,8 +269,8 @@ def test_K_of_two_points(two_point):
 
 def test_K_restricts_to_base(two_point):
     ext = apply_K(two_point, 2)
-    assert ext.struct.restrict(two_point.points) == FinStruct(
-        two_point.points, dict(two_point.colors), ext.struct.level)
+    assert ext.struct.restrict(two_point.points) == struct_of(
+        two_point.points, colors_of(two_point), ext.struct.level)
 
 
 def test_K_is_triangle_free_exhaustively():

@@ -11,7 +11,7 @@ from colorder.limit import (Approximation, PartialIso, embed,
                             parse_pairs, saturation_check)
 from colorder.types import OnePointType, enumerate_types
 from helpers import (all_structures, random_coloring, reference_iso_check,
-                     reference_realize)
+                     reference_realize, struct_of)
 
 B = ColorTerm.base
 
@@ -260,7 +260,7 @@ def test_embed_three_point_structure():
 
 
 def test_embed_rejects_invalid_structure():
-    bad = FinStruct(("a", "b", "c"),
+    bad = struct_of(("a", "b", "c"),
                     {pair_of(u, v): B(0, 0)
                      for u, v in itertools.combinations("abc", 2)}, 0)
     with pytest.raises(InputError):

@@ -15,7 +15,7 @@ from colorder.refuter import (ABOVE, BELOW, BUNDLED_STRATEGIES, EQUIV, FAULT,
                               format_control_report, make_strategy,
                               parse_certificate, refute)
 from colorder.types import OnePointType, enumerate_types, format_type
-from helpers import all_structures
+from helpers import all_structures, colors_of, struct_of
 
 B = ColorTerm.base
 
@@ -192,9 +192,9 @@ def test_structure_reading_strategy_certificates_accepted():
 # ---------------------------------------------------------------------------
 
 def recolor(s: FinStruct, u: str, v: str, c: ColorTerm) -> FinStruct:
-    cols = {k: val for k, val in ((k, s.colors[k]) for k in s.colors)}
+    cols = colors_of(s)
     cols[pair_of(u, v)] = c
-    return FinStruct(s.points, cols, s.level)
+    return struct_of(s.points, cols, s.level)
 
 
 def test_certificate_roundtrip_accepted():
@@ -321,9 +321,9 @@ def fault_mutants(cert: RefutationCertificate):
     yield dataclasses.replace(cert, kind=MONO)
     yield dataclasses.replace(cert, kind=EQUIV)
     yield dataclasses.replace(cert, kind="Unheard0fKind")
-    mono_cols = {k: B(0, 0) for k in s.colors}
+    mono_cols = {k: B(0, 0) for k in colors_of(s)}
     if len(s.points) >= 3:
-        yield dataclasses.replace(cert, structure=FinStruct(s.points, mono_cols, s.level))
+        yield dataclasses.replace(cert, structure=struct_of(s.points, mono_cols, s.level))
     yield dataclasses.replace(cert, base_points=())
     yield dataclasses.replace(cert, base_points=cert.base_points * 2)
     yield dataclasses.replace(cert, tau_text="type supp= cut=0 colors= level=0")

@@ -9,8 +9,8 @@ from colorder.types import (OnePointType, enumerate_types, format_type,
                             insert_position, parse_type, realize_type,
                             type_of_point)
 from colorder.limit import Approximation, grow
-from helpers import (all_structures, brute_force_types, consistent_placements,
-                     reference_realize)
+from helpers import (all_structures, brute_force_types, colors_of,
+                     consistent_placements, reference_realize)
 
 B = ColorTerm.base
 
@@ -210,5 +210,5 @@ def test_realize_type_matches_the_dict_reference(grown_structure, seed, over_res
     new, u = realize_type(f, tau, name="fresh")
     ref = reference_realize(f, tau, "fresh")
     assert u == "fresh" and new.points == ref.points
-    assert dict(new.colors) == dict(ref.colors)
+    assert colors_of(new) == colors_of(ref)
     assert validate(new).ok
