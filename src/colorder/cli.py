@@ -147,10 +147,8 @@ def _cmd_amalgamate(args) -> int:
     am = amalgamate(left, right, over, load_map(args.left_map, left),
                     load_map(args.right_map, right))
     text = format_struct(am.result, "amalgam")
-    text += "embedding left\n" + "".join(
-        f"pair {u} {v}\n" for u, v in am.left.mapping)
-    text += "embedding right\n" + "".join(
-        f"pair {u} {v}\n" for u, v in am.right.mapping)
+    text += "embedding left\n" + format_pairs(am.left.mapping)
+    text += "embedding right\n" + format_pairs(am.right.mapping)
     _emit(args, text)
     return 0
 
@@ -214,7 +212,7 @@ def _cmd_limit_extend_iso(args) -> int:
     a = _build_approximation(args)
     p = parse_pairs(_read(args.iso))
     a, p2 = extend_partial_iso(a, p, args.point)
-    _emit(args, format_pairs(p2) + a.format())
+    _emit(args, format_pairs(p2.pairs) + a.format())
     return 0
 
 
@@ -224,8 +222,7 @@ def _cmd_embed(args) -> int:
     a = _build_approximation(args)
     s = _load_struct(args.structure)
     a, e = embed(a, s)
-    text = "".join(f"pair {u} {v}\n" for u, v in e.mapping) + a.format()
-    _emit(args, text)
+    _emit(args, format_pairs(e.mapping) + a.format())
     return 0
 
 

@@ -8,7 +8,9 @@ amalgamation, canonical codes, and the line-oriented text format.
 
 A structure keeps its colors in position-indexed rows of small-int ids into
 a palette of canonical color texts, so hot loops compare ints; a color's
-``ColorTerm`` is parsed from its text on first read.  That is the one
+``ColorTerm`` is parsed from its text on first read.  Ids cross from one
+palette to another only through ``Palette.translate``, and terms are made
+only where a color is read or written as text.  That is the one
 representation: ``FinStruct.build`` and ``parse_struct`` turn their input
 into ``(i, j) -> color id`` entries for one private checked constructor, and
 ``FinStruct.of_rows`` is the unchecked constructor (the frozenset-keyed
@@ -131,11 +133,13 @@ class Palette:
     """An append-only table of canonical color texts; a color's id is its
     position, and its text (``ColorTerm.text()``) is its one identity.
 
-    Structures derived from one another share a palette, so their rows
-    compare as ints.  Ids never change meaning, so a palette may list colors
-    that some structure sharing it does not use.  A color's ``ColorTerm`` is
-    parsed from its text on first read, so a pair-code color that is only
-    ever printed never becomes a term.
+    Structures derived from one another, and the one-point types over
+    them, share a palette, so their rows and type colors compare as ints.
+    Ids never change meaning, so a palette may list colors that some
+    structure sharing it does not use: an enumeration's pool and a
+    translation add colors.  A color's ``ColorTerm`` is parsed from its
+    text on first read, so a pair-code color that is only ever printed
+    never becomes a term.
     """
 
     __slots__ = ("texts", "ids", "base_ids", "_terms")
@@ -177,8 +181,14 @@ class Palette:
         return p
 
     def translate(self, other: "Palette") -> "_IdMap":
-        """Map the ids of ``other`` to the ids of the same colors here."""
+        """Map the ids of ``other`` to the ids of the same colors here,
+        adding each color this palette lacks."""
         return _IdMap(self, other)
+
+    def translate_ids(self, other: "Palette", ids: tuple[int, ...]) -> tuple[int, ...]:
+        """``ids`` of ``other`` as the ids of the same colors here: ``ids``
+        itself when ``other`` is this palette, else through :meth:`translate`."""
+        return ids if other is self else tuple(map(self.translate(other).__getitem__, ids))
 
     def admissible_base(self, a: Mapping[int, int], b: Mapping[int, int]) -> int:
         """Id of the smallest level-0 base color (by the color order) whose
@@ -199,22 +209,17 @@ class Palette:
 
 class _IdMap(dict):
     """Ids of a source palette mapped to the ids of the same colors in a
-    target palette (-2 where the target lacks the color, HOLE to HOLE),
-    looked up by text on first use.
-
-    A lazy target palette gains a color only when some pair first reads it,
-    so a lookup must follow the read of the target entry it is compared
-    with, and a miss is never kept.
+    target palette (HOLE to HOLE), looked up by text on first use.  A color
+    the target lacks is added to it, so its new id equals no row entry that
+    already exists, and a lazy row that reads the color later gets that id.
     """
 
     def __init__(self, target: Palette, source: Palette):
         super().__init__({HOLE: HOLE})
-        self._target, self._source = target.ids, source.texts
+        self._target, self._source = target, source.texts
 
     def __missing__(self, c: int) -> int:
-        got = self._target.get(self._source[c], -2)
-        if got >= 0:
-            self[c] = got
+        got = self[c] = self._target.id_text(self._source[c])
         return got
 
 

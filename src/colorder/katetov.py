@@ -25,8 +25,8 @@ from collections.abc import Sequence
 
 from .core import (HOLE, ColorTerm, Embedding, FinStruct, InputError, Palette,
                    code_of_parts, format_struct, validate)
-from .types import (OnePointType, enumerate_types, format_type, gap_index,
-                    order_key, transport)
+from .types import (OnePointType, check_type_count, enumerate_types, format_type,
+                    gap_index, order_key, transport)
 
 LT = -1
 EQ = 0
@@ -185,6 +185,7 @@ def apply_K(x: FinStruct, budget: int) -> ExtendedStructure:
     The output restricted to ``x`` is ``x`` itself; every new element
     realizes exactly its defining type; the result is valid one level up.
     """
+    check_type_count(x, x.level, budget)
     v = validate(x)
     if not v:
         raise InputError(f"invalid structure: {v.reason}")
@@ -223,8 +224,8 @@ def apply_K(x: FinStruct, budget: int) -> ExtendedStructure:
             columns.append(base_cols[x.pos[p]])
             continue
         col = [marker] * len(x.points)
-        for q, c in zip(tau.support, tau.colors):
-            col[x.pos[q]] = palette.id(c)
+        for q, c in zip(tau.support, tau.ids):  # the copy keeps x's ids
+            col[x.pos[q]] = c
         columns.append(col)
     base_rows = [None if p in type_of else tuple(col[x.pos[p]] for col in columns)
                  for p in points]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import Embedding, FinStruct, InputError, format_struct, row_masks, validate
 from .types import (OnePointType, check_realizable, enumerate_types, insert_point,
@@ -82,9 +82,7 @@ class Approximation:
         """Smallest point (in structure order) realizing the task, if any."""
         s = self.current
         idx = [s.pos[p] for p in tau.support]
-        ids = [s.palette.ids.get(c.text()) for c in tau.colors]
-        if None in ids:
-            return None  # a color the structure has never used
+        ids = list(s.palette.translate_ids(tau.base.palette, tau.ids))
         # the points with the type's cut lie strictly between two support points
         lo = idx[tau.cut - 1] + 1 if tau.cut else 0
         hi = idx[tau.cut] if tau.cut < len(idx) else len(s.points)
@@ -220,9 +218,9 @@ def realize_image(a: Approximation, s: FinStruct, mapping: dict[str, str],
     ``alpha`` and extends it only by this step.  The certificate checker
     re-verifies every step independently."""
     dom = s.sorted_points(mapping)
-    _, cut, colors = point_key(s, u, dom)
-    target = OnePointType(a.current, tuple(mapping[d] for d in dom),
-                          cut, colors, a.current.level)
+    _, cut, ids = point_key(s, u, dom)  # ids in s.palette, foreign only from embed
+    target = OnePointType(a.current, tuple(mapping[d] for d in dom), cut,
+                          a.current.palette.translate_ids(s.palette, ids), a.current.level)
     v = a.realizer_of(target)
     return a._realize(target) if v is None else v
 
@@ -258,8 +256,10 @@ def embed(a: Approximation, s: FinStruct) -> tuple[Approximation, Embedding]:
 # Text form
 # ---------------------------------------------------------------------------
 
-def format_pairs(p: PartialIso) -> str:
-    return "".join(f"pair {u} {v}\n" for u, v in p.pairs)
+def format_pairs(pairs: Iterable[tuple[str, str]]) -> str:
+    """One ``pair <u> <v>`` line per pair: a partial isomorphism's
+    ``pairs`` or an embedding's ``mapping``."""
+    return "".join(f"pair {u} {v}\n" for u, v in pairs)
 
 
 def parse_pairs(text: str) -> PartialIso:

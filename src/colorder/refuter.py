@@ -23,9 +23,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import itertools
+import os
 import random
+import select
 import shlex
 import subprocess
+import time
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -156,6 +159,9 @@ class SeededRandomStrategy(Strategy):
         return StrategyAnswer(side, ColorTerm.base(0, (h >> 1) % 3))
 
 
+ANSWER_DEADLINE_S = 10.0  # how long a prog: strategy may take over one reply
+
+
 class SubprocessStrategy(Strategy):
     """External strategy speaking the line protocol on stdin/stdout.
 
@@ -163,28 +169,47 @@ class SubprocessStrategy(Strategy):
     program must reply ``answer <above|below> <color-term>``, or
     ``answer self -`` to claim the virtual point coincides with the queried
     one (which is rejected as a strategy fault).  Bytes that are not UTF-8
-    read as U+FFFD, so such a reply is a malformed line, not a crash.
+    read as U+FFFD, so such a reply is a malformed line, not a crash.  A
+    reply that takes longer than ``ANSWER_DEADLINE_S`` raises InputError.
     """
 
     def __init__(self, argv: list[str]):
         if not argv:
             raise InputError("empty strategy command")
         self.name = f"prog:{argv[0]}"
+        self._pending = b""  # bytes read past the last reply line
         try:
             self._proc = subprocess.Popen(
-                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                text=True, errors="replace", bufsize=1)
+                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         except OSError as exc:
             raise InputError(f"cannot start strategy {argv[0]!r}: {exc}") from exc
+
+    def _reply_line(self) -> str:
+        """The program's next line, or what it wrote before closing its
+        stdout.  The pipe is read with ``os.read``, never through a buffered
+        file, so ``select`` sees every byte not yet in ``_pending``."""
+        fd = self._proc.stdout.fileno()
+        deadline = time.monotonic() + ANSWER_DEADLINE_S
+        while b"\n" not in self._pending:
+            left = deadline - time.monotonic()
+            if left <= 0 or not select.select([fd], [], [], left)[0]:
+                raise InputError(f"strategy {self.name!r} did not answer "
+                                 f"within {ANSWER_DEADLINE_S:g} s")
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                break
+            self._pending += chunk
+        line, newline, self._pending = self._pending.partition(b"\n")
+        return (line + newline).decode("utf-8", errors="replace")
 
     def answer(self, ctx: QueryContext) -> StrategyAnswer:
         assert self._proc.stdin is not None and self._proc.stdout is not None
         try:
-            self._proc.stdin.write(f"query {ctx.point} {ctx.structure_hash}\n")
+            self._proc.stdin.write(f"query {ctx.point} {ctx.structure_hash}\n".encode())
             self._proc.stdin.flush()
         except BrokenPipeError:
             pass  # the program has exited; its stdout reads as empty
-        line = self._proc.stdout.readline()
+        line = self._reply_line()
         tok = line.split()
         if len(tok) != 3 or tok[0] != "answer":
             raise InputError(f"bad strategy protocol line {line!r}")
@@ -475,7 +500,7 @@ def check_certificate(cert: RefutationCertificate,
     # both realizers must carry the strategy's full type over the base
     if len(vcol) != len(x.points):
         return CheckResult(False, "unqueried-base-point")
-    expected_key = (x.points, len(vbelow), tuple(vcol[p] for p in x.points))
+    expected_key = (x.points, len(vbelow), tuple(s.palette.id(vcol[p]) for p in x.points))
     for t in (cert.t1, cert.t2):
         if point_key(s, t, x.points) != expected_key:
             return CheckResult(False, f"realizer-type-mismatch at {t}")
@@ -553,7 +578,7 @@ def format_certificate(cert: RefutationCertificate) -> str:
     lines.append(f"depth {cert.extension_depth}")
     lines.append("ALPHA")
     if cert.alpha is not None:
-        lines.extend(format_pairs(cert.alpha).splitlines())
+        lines.extend(format_pairs(cert.alpha.pairs).splitlines())
     lines.append("TRANSCRIPT")
     lines.extend(f"query {p} {h} {side} {color}"
                  for p, h, side, color in cert.queries)

@@ -4,6 +4,12 @@ A type describes how a single new point would sit over an ambient structure:
 a support (the points it is explicitly related to), a cut (its position
 among the sorted support) and one color per support point.  The extension of
 the support by the new point must itself be a valid structure.
+
+A type's colors are ids in its base's palette, so enumeration, ordering,
+realizer search and realization compare ints.  A type over one palette is
+carried to another only through ``Palette.translate``; color terms are made
+only at the boundary: ``format_type``, ``parse_type``, strategies and
+certificates read ``OnePointType.colors``.
 """
 
 from __future__ import annotations
@@ -21,14 +27,17 @@ class OnePointType:
 
     ``support`` lists the involved base points in base order, ``cut`` in
     [0, len(support)] places the new point among them (0 = below all), and
-    ``colors`` aligns with ``support``.  Equality over the same base is by
-    (support, cut, colors); the level plays no role in identity.
+    ``ids`` aligns with ``support``: color ids in ``base.palette``, which
+    ``colors`` reads as terms for the text form and strategies; a crossing
+    to another palette goes through ``Palette.translate``.  Equality is by
+    (base, support, cut, ids); ``key()`` is the palette-free identity.  The
+    level plays no role in either.
     """
 
     base: FinStruct
     support: tuple[str, ...]
     cut: int
-    colors: tuple[ColorTerm, ...]
+    ids: tuple[int, ...]
     level: int = field(compare=False, default=0)
 
     @staticmethod
@@ -48,14 +57,16 @@ class OnePointType:
             if c.level > level:
                 raise InputError(f"color {c.text()} exceeds type level {level}")
         idx = [base.pos[p] for p in supp]
-        pairs = [(i, j, base.rows[idx[i]][idx[j]])
-                 for i, j in itertools.combinations(range(len(supp)), 2)]
-        ids = [base.palette.ids.get(c.text(), -2) for c in cols]  # after the reads
-        for i, j, c in pairs:
-            if ids[i] == ids[j] == c:
+        ids = tuple(map(base.palette.id, cols))
+        for i, j in itertools.combinations(range(len(supp)), 2):
+            if base.rows[idx[i]][idx[j]] == ids[i] == ids[j]:
                 raise InputError("invalid one-point extension: monochromatic "
                                  f"triangle on {supp[i]}, {supp[j]} and the new point")
-        return OnePointType(base, supp, cut, cols, level)
+        return OnePointType(base, supp, cut, ids, level)
+
+    @property
+    def colors(self) -> tuple[ColorTerm, ...]:
+        return tuple(map(self.base.palette.color, self.ids))
 
     def key(self) -> tuple:
         return (self.support, self.cut, self.colors)
@@ -68,8 +79,8 @@ class OnePointType:
         ``katetov.pair_text`` reads it."""
         supp = [self.base.pos[p] for p in self.support]
         texts = [ColorTerm.marker(self.base.level + 1).text()] * len(self.base.points)
-        for i, c in zip(supp, self.colors):
-            texts[i] = c.text()
+        for i, c in zip(supp, self.ids):
+            texts[i] = self.base.palette.texts[c]
         return supp, gap_index(self), texts
 
 
@@ -95,15 +106,15 @@ def order_key(tau: OnePointType) -> tuple:
     type containing it comes first), and the color at the largest support
     point where the colorings disagree.
     """
-    pos = tau.base.pos
+    pos, color = tau.base.pos, tau.base.palette.color
     return (gap_index(tau), len(tau.support),
             tuple(-pos[p] for p in reversed(tau.support)),
-            tuple(c.sort_key() for c in reversed(tau.colors)))
+            tuple(color(c).sort_key() for c in reversed(tau.ids)))
 
 
 def point_key(s: FinStruct, u: str, over_sorted: tuple[str, ...]) -> tuple:
-    """The ``OnePointType.key()`` of an existing point over a sorted subset,
-    computed without materializing the base restriction."""
+    """Support, cut and color ids (in ``s.palette``) of an existing point over
+    a sorted subset, computed without materializing the base restriction."""
     i = s.index(u)
     if u in over_sorted:
         raise InputError(f"degenerate pair ({u!r}, {u!r})")
@@ -113,7 +124,7 @@ def point_key(s: FinStruct, u: str, over_sorted: tuple[str, ...]) -> tuple:
     if HOLE in ids:
         v = over_sorted[ids.index(HOLE)]
         raise InputError("missing color for pair ({}, {})".format(*sorted((u, v))))
-    return (over_sorted, sum(1 for j in idx if j < i), tuple(map(s.palette.color, ids)))
+    return (over_sorted, sum(1 for j in idx if j < i), tuple(ids))
 
 
 def type_of_point(s: FinStruct, u: str, over: Iterable[str]) -> OnePointType:
@@ -130,28 +141,43 @@ def type_of_point(s: FinStruct, u: str, over: Iterable[str]) -> OnePointType:
     supp = s.sorted_points(over_set)
     if len(supp) != len(over_set):
         raise InputError("support contains unknown points")
-    _, cut, colors = point_key(s, u, supp)
+    _, cut, ids = point_key(s, u, supp)
     base = s.restrict(p for p in s.points if p != u)
-    return OnePointType(base, supp, cut, colors, s.level)
+    return OnePointType(base, supp, cut, ids, s.level)
 
 
-def allowed_colors(x: FinStruct, level: int, budget: int) -> list[ColorTerm]:
-    """The color pool for enumeration: budget-many base colors per level up
-    to ``level``, plus marker and pair-code colors already occurring in x."""
-    pool = [ColorTerm.base(l, n) for l in range(level + 1) for n in range(budget)]
+def allowed_colors(x: FinStruct, level: int, budget: int) -> list[int]:
+    """The enumeration's color pool as ids in ``x.palette``: budget-many base
+    colors per level up to ``level``, plus x's marker and pair-code colors."""
+    pool = [x.palette.id_text(f"b:{l}:{n}") for l in range(level + 1) for n in range(budget)]
     used: set[int] = set()
     for row in x.rows:
         used.update(row)
     used.discard(HOLE)
     pal = x.palette.color
-    seen = sorted({pal(c) for c in used if pal(c).kind != "b" and pal(c).level <= level},
-                  key=ColorTerm.sort_key)
+    seen = sorted((c for c in used if pal(c).kind != "b" and pal(c).level <= level),
+                  key=lambda c: pal(c).sort_key())
     return pool + seen
+
+
+MAX_TYPES = 100_000  # the most types one enumeration may produce
+
+
+def check_type_count(x: FinStruct, level: int, budget: int) -> None:
+    """Reject an enumeration over ``x`` that passes ``MAX_TYPES`` by size
+    alone, reading no row: n points and a pool of at least
+    P = budget * (level + 1) base colors give at least
+    1 + 2nP + 3 C(n, 2) (P^2 - 1) types."""
+    n, p = len(x.points), max(budget, 0) * max(level + 1, 0)
+    if 1 + 2 * n * p + 3 * (n * (n - 1) // 2) * (p * p - 1) > MAX_TYPES:
+        raise InputError(f"more than {MAX_TYPES} types")
 
 
 def enumerate_types(x: FinStruct, level: int, budget: int) -> list[OnePointType]:
     """All valid types over ``x`` whose colors come from the budgeted pool,
-    sorted by the canonical type order."""
+    sorted by the canonical type order.  More than ``MAX_TYPES`` of them
+    raise InputError, before the base is read when its size shows it."""
+    check_type_count(x, level, budget)
     v = validate(x)
     if not v:
         raise InputError(f"invalid base structure: {v.reason}")
@@ -161,13 +187,15 @@ def enumerate_types(x: FinStruct, level: int, budget: int) -> list[OnePointType]
     out: list[OnePointType] = []
     for size in range(len(x.points) + 1):
         for supp in itertools.combinations(x.points, size):
-            supp_pairs = [(i, j, x.color(supp[i], supp[j]))
+            supp_pairs = [(i, j, x.rows[x.pos[supp[i]]][x.pos[supp[j]]])
                           for i, j in itertools.combinations(range(size), 2)]
-            for cols in itertools.product(pool, repeat=size):
-                if any(cols[i] == cols[j] == c for i, j, c in supp_pairs):
+            for ids in itertools.product(pool, repeat=size):
+                if any(ids[i] == ids[j] == c for i, j, c in supp_pairs):
                     continue
                 for cut in range(size + 1):
-                    out.append(OnePointType(x, supp, cut, cols, level))
+                    out.append(OnePointType(x, supp, cut, ids, level))
+                if len(out) > MAX_TYPES:
+                    raise InputError(f"more than {MAX_TYPES} types")
     out.sort(key=order_key)
     return out
 
@@ -217,10 +245,9 @@ def insert_point(f: FinStruct, tau: OnePointType, u: str,
     pal, pos = f.palette, f.pos
     new = [HOLE] * len(f.points)  # color ids from u, by old position
     assigned: dict[int, int] = {}  # the new point's masks
-    for p, color in zip(tau.support, tau.colors):
-        v = pos[p]
-        c = new[v] = pal.id(color)
-        assigned[c] = assigned.get(c, 0) | 1 << ids[v]
+    for p, c in zip(tau.support, pal.translate_ids(tau.base.palette, tau.ids)):
+        new[pos[p]] = c
+        assigned[c] = assigned.get(c, 0) | 1 << ids[pos[p]]
     smallest = pal.admissible_base
     for v, i in enumerate(ids):
         if new[v] == HOLE:
@@ -273,7 +300,7 @@ def transport(tau: OnePointType, mapping: Mapping[str, str],
 
 def format_type(tau: OnePointType) -> str:
     supp = ",".join(tau.support)
-    cols = ",".join(c.text() for c in tau.colors)
+    cols = ",".join(map(tau.base.palette.texts.__getitem__, tau.ids))
     return f"type supp={supp} cut={tau.cut} colors={cols} level={tau.level}"
 
 

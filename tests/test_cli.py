@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from colorder import refuter
 from colorder.cli import run
 from golden_cases import CASES, CHECK_CASES, GOLDEN, data
 
@@ -262,3 +263,47 @@ def test_failing_program_strategy_is_killed_soon(capsys):
                 "--strategy", f"prog:{command}"]) == 1
     assert time.monotonic() - start < 5
     assert capsys.readouterr().err == "error: bad color term 'nonsense'\n"
+
+
+def chain_structure(n: int) -> str:
+    """A valid structure on ``n`` points: the pair (p_i, p_j), i < j, has
+    color b:0:i, so no triangle is monochromatic."""
+    return ("structure s level 0\n" + "".join(f"point p{i}\n" for i in range(n))
+            + "".join(f"color p{i} p{j} b:0:{i}\n"
+                      for i in range(n) for j in range(i + 1, n)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["types", "--base", data("one_point.txt"), "--budget", "100000000"],
+    ["k-apply", "--base", data("one_point.txt"), "--budget", "100000"],
+    ["k-iterate", "--base", data("one_point.txt"), "--stages", "3", "--budgets", "1,1,1"],
+    ["types", "--base", "chain14", "--budget", "2"],
+], ids=["types-budget", "k-apply-budget", "k-iterate-stage3", "types-counted"])
+def test_enumeration_past_the_cap_exits_1(tmp_path, capsys, argv):
+    """A size bound rejects the first three before reading the base (the
+    third at stage 3, over the 9300 points of stage 2); the 14-point chain
+    passes that bound and is stopped by the count."""
+    chain = tmp_path / "chain14.txt"
+    chain.write_text(chain_structure(14))
+    argv = [str(chain) if a == "chain14" else a for a in argv]
+    start = time.monotonic()
+    code, peak = traced_peak(lambda: run(argv))
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: more than 100000 types\n")
+    assert peak < 40 * 2**20
+    assert time.monotonic() - start < 20
+
+
+@pytest.mark.parametrize("command", ["refute", "check-cert"])
+def test_silent_program_strategy_times_out(monkeypatch, capsys, command):
+    """A program that never replies ends the run after the per-reply
+    deadline, and is killed on the 1 s path of a failed run."""
+    monkeypatch.setattr(refuter, "ANSWER_DEADLINE_S", 0.5)
+    argv = {"refute": ["refute", "--base", data("one_point.txt"), "--type", TYPE_A],
+            "check-cert": ["check-cert", "--cert",
+                           os.path.join(GOLDEN, "refute_constant.txt")]}[command]
+    start = time.monotonic()
+    assert run(argv + ["--strategy", "prog:sleep 30"]) == 1
+    assert time.monotonic() - start < 5
+    assert capsys.readouterr() == (
+        "", "error: strategy 'prog:sleep' did not answer within 0.5 s\n")

@@ -213,6 +213,16 @@ def test_inclusion_is_an_embedding(two_point):
     assert not is_embedding({"a": "a", "b": "b"}, two_point, t2)
 
 
+def test_a_color_the_target_lacks_breaks_an_embedding(two_point):
+    """Translating the source's b:0:7 adds it to the target's palette; the
+    new id matches no row entry, so the map stays rejected."""
+    s = FinStruct.build("ab", {pair_of("a", "b"): B(0, 7)})
+    for _ in range(2):
+        assert not is_embedding({"a": "a", "b": "b"}, s, two_point)
+    assert "b:0:7" in two_point.palette.ids
+    assert is_embedding({"a": "a", "b": "b"}, two_point, two_point)
+
+
 def test_embedding_build_rejects_bad_maps(two_point):
     with pytest.raises(InputError):
         Embedding.build(two_point, two_point, {"a": "b", "b": "a"})

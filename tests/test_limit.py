@@ -5,7 +5,8 @@ import random
 import pytest
 
 from colorder.core import (ColorTerm, FinStruct, InputError, canonical_code,
-                           format_struct, is_embedding, pair_of, validate)
+                           format_struct, is_embedding, pair_of, parse_struct,
+                           validate)
 from colorder.limit import (Approximation, PartialIso, embed,
                             extend_partial_iso, format_pairs, grow,
                             parse_pairs, saturation_check)
@@ -259,6 +260,18 @@ def test_embed_three_point_structure():
         a.current.restrict(image), image)
 
 
+def test_embed_a_color_the_approximation_never_used():
+    """A parsed structure has its own palette; its colors cross into the
+    approximation's, b:0:7 included, which no growth step ever uses."""
+    _, s = parse_struct("structure s level 0\npoint x\npoint y\npoint z\n"
+                        "color x y b:0:7\ncolor x z b:0:0\ncolor y z b:0:7\n")
+    a = grown(20)
+    assert "b:0:7" not in a.current.palette.ids
+    a, e = embed(a, s)
+    assert is_embedding(e.as_dict, s, a.current) and validate(a.current).ok
+    assert a.current.color(e.apply("x"), e.apply("y")) == B(0, 7)
+
+
 def test_embed_rejects_invalid_structure():
     bad = struct_of(("a", "b", "c"),
                     {pair_of(u, v): B(0, 0)
@@ -310,7 +323,7 @@ def test_grow_6000_steps_bytes():
 
 def test_pair_lines_roundtrip():
     p = PartialIso((("a", "b"), ("c", "d")))
-    assert parse_pairs(format_pairs(p)) == p
+    assert parse_pairs(format_pairs(p.pairs)) == p
     with pytest.raises(InputError):
         parse_pairs("pair a\n")
 

@@ -5,8 +5,9 @@ import textwrap
 
 import pytest
 
+from colorder import refuter
 from colorder.core import ColorTerm, FinStruct, InputError, pair_of
-from colorder.limit import PartialIso
+from colorder.limit import PartialIso, realize_image
 from colorder.refuter import (ABOVE, BELOW, BUNDLED_STRATEGIES, EQUIV, FAULT,
                               MONO, QueryContext,
                               RefutationCertificate, StrategyAnswer,
@@ -461,3 +462,38 @@ def test_control_is_deterministic():
 def test_control_rejects_bad_cut():
     with pytest.raises(InputError):
         control_lo(("a",), 5, 3, 10)
+
+
+def test_back_and_forth_reads_no_color_text(monkeypatch):
+    """At depth 100, ``realize_image`` calls no ``ColorTerm.text`` and
+    builds a ``ColorTerm`` only at the first read of a palette id."""
+    inside: list[str] = []
+    counts = {"text": 0, "built": 0, "first_reads": 0}
+    text, post_init = ColorTerm.text, ColorTerm.__post_init__
+
+    def counting_text(self):
+        counts["text"] += bool(inside)
+        return text(self)
+
+    def counting_post_init(self):
+        counts["built"] += bool(inside)
+        post_init(self)
+
+    def traced(a, s, mapping, u):
+        read = len(a.current.palette._terms)
+        inside.append(u)
+        try:
+            return realize_image(a, s, mapping, u)
+        finally:
+            inside.pop()
+            counts["first_reads"] += len(a.current.palette._terms) - read
+
+    monkeypatch.setattr(ColorTerm, "text", counting_text)
+    monkeypatch.setattr(ColorTerm, "__post_init__", counting_post_init)
+    monkeypatch.setattr(refuter, "realize_image", traced)
+    x = FinStruct.build("a", {})
+    tau = OnePointType.build(x, ("a",), 1, (B(0, 1),), 0)
+    cert = refute(x, tau, make_strategy("index-sensitive"), 100)
+    assert cert.extension_depth == 100
+    assert counts["text"] == 0
+    assert counts["built"] == counts["first_reads"]

@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colorder.core import ColorTerm, FinStruct, InputError, pair_of, validate
+from colorder.core import (ColorTerm, FinStruct, InputError, format_struct, pair_of,
+                           parse_struct, validate)
 from colorder.types import (OnePointType, enumerate_types, format_type,
                             insert_position, parse_type, realize_type,
                             type_of_point)
@@ -190,17 +191,20 @@ def grown_structure():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2**32), st.booleans())
-def test_realize_type_matches_the_dict_reference(grown_structure, seed, over_restriction):
-    """Random valid types over a grown approximation, anchored on it or on
-    the restriction to their support, with colors up to b:0:5 (some absent
-    from the approximation), realize exactly as the frozenset-dict
+@given(st.integers(0, 2**32), st.sampled_from(("ambient", "restriction", "parsed")))
+def test_realize_type_matches_the_dict_reference(grown_structure, seed, anchor):
+    """Random valid types over a grown approximation, anchored on it, on
+    the restriction to their support, or on a separately parsed copy of
+    that restriction (its own palette), with colors up to b:0:5 (some
+    absent from the approximation), realize exactly as the frozenset-dict
     reference does."""
     rng = random.Random(seed)
     f = grown_structure
     for _ in range(50):
         supp = f.sorted_points(rng.sample(f.points, rng.randint(0, 5)))
-        base = f.restrict(supp) if over_restriction else f
+        base = f if anchor == "ambient" else f.restrict(supp)
+        if anchor == "parsed":
+            base = parse_struct(format_struct(base))[1]
         cols = [B(0, rng.choice((0, 1, 2, 3, 5))) for _ in supp]
         try:
             tau = OnePointType.build(base, supp, rng.randint(0, len(supp)), cols, 0)
