@@ -4,10 +4,11 @@ Every subcommand is a thin wrapper over one library operation, reads and
 writes the line-oriented text formats, and is byte-deterministic.  Each
 subcommand is declared once, by the ``@_subcommand`` decorator on its
 handler; the parser is built once per process, as the module loads, and
-``run`` only parses.  Exit codes: 0 success; 1 malformed input (an
-external strategy's undecodable or off-protocol reply included), a usage
-error, or an ``--out`` file that cannot be written; 2 semantic negative
-(invalid structure, rejected certificate, control violations).
+``run`` only parses.  Exit codes: 0 success; 1 malformed input (a
+certificate not in canonical form and an external strategy's undecodable,
+overlong or off-protocol reply included), a usage error, or an ``--out``
+file that cannot be written; 2 semantic negative (invalid structure,
+rejected certificate, control violations).
 """
 
 from __future__ import annotations

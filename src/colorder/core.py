@@ -173,13 +173,6 @@ class Palette:
             got = self._terms[c] = ColorTerm.parse(self.texts[c])
         return got
 
-    def copy(self) -> "Palette":
-        """A palette with the same ids, to be extended independently."""
-        p = Palette.__new__(Palette)
-        p.texts, p.ids = self.texts.copy(), self.ids.copy()
-        p.base_ids, p._terms = self.base_ids.copy(), self._terms.copy()
-        return p
-
     def translate(self, other: "Palette") -> "_IdMap":
         """Map the ids of ``other`` to the ids of the same colors here,
         adding each color this palette lacks."""
@@ -587,7 +580,7 @@ def amalgamate(a: FinStruct, b: FinStruct, over: FinStruct,
     palette = Palette()
     rows = [[HOLE] * len(merged) for _ in merged]
     for s, m in ((a, map_a), (b, map_b)):
-        trans = [palette.id_text(t) for t in s.palette.texts]
+        trans = palette.translate(s.palette)
         idx = [at[m[p]] for p in s.points]
         for i, row in enumerate(s.rows):
             for j in range(i + 1, len(idx)):

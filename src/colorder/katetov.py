@@ -9,9 +9,9 @@ next level's marker, and colors between two type elements encode the
 isomorphism class of their joint configuration, computed straight from the
 two types' columns (``OnePointType.column``) and the base palette's texts;
 the tests keep a frozenset-keyed ``PairStructure`` as the reference.  The
-lazy rows enter each pair color into the palette as its canonical text
-(``pair_text``), so no ``ColorTerm`` is built for a pair until a caller
-reads that color as a term.
+extension shares its base's palette, and the lazy rows enter each pair
+color into it as its canonical text (``pair_text``), so no ``ColorTerm``
+is built for a pair until a caller reads that color as a term.
 The morphism map transports types along embeddings, making the whole thing
 a functor that raises the level by one.
 """
@@ -211,11 +211,9 @@ def apply_K(x: FinStruct, budget: int) -> ExtendedStructure:
             points.append(x.points[gap])
 
     # column of every position against the base points, by base position.
-    # The base rows are read before the palette is copied, since a lazy base
-    # gains colors as they are read; the base ids then carry over.
+    # The extension extends x's palette, whose ids never change meaning.
     base_cols = [tuple(row) for row in x.rows]
-    palette = x.palette.copy()
-    marker = palette.id(ColorTerm.marker(level))
+    marker = x.palette.id(ColorTerm.marker(level))
     type_of = dict(zip(ids, taus))
     columns = []
     for p in points:
@@ -224,13 +222,13 @@ def apply_K(x: FinStruct, budget: int) -> ExtendedStructure:
             columns.append(base_cols[x.pos[p]])
             continue
         col = [marker] * len(x.points)
-        for q, c in zip(tau.support, tau.ids):  # the copy keeps x's ids
+        for q, c in zip(tau.support, tau.ids):
             col[x.pos[q]] = c
         columns.append(col)
     base_rows = [None if p in type_of else tuple(col[x.pos[p]] for col in columns)
                  for p in points]
-    rows = _ExtensionRows(base_rows, [type_of.get(p) for p in points], palette)
-    struct = FinStruct.of_rows(tuple(points), rows, palette, level)
+    rows = _ExtensionRows(base_rows, [type_of.get(p) for p in points], x.palette)
+    struct = FinStruct.of_rows(tuple(points), rows, x.palette, level)
     return ExtendedStructure(x, struct, tuple(zip(ids, taus)))
 
 

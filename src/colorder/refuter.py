@@ -12,6 +12,8 @@ realizers.  Either way a machine-checkable certificate comes out; answers
 that contradict the strategy's own type constraints yield a strategy-fault
 certificate instead.  :func:`refute` and :func:`check_certificate` find
 such a fault with one analysis, ``_fault_analysis``, so they agree on it.
+The certificate text is spelled once, by ``_frame``: the writer fills it
+in, and the reader holds the text it read to it.
 
 The module also bundles the positive control: on pure linear orders (no
 colors) the canonical cut strategy survives every sampled automorphism
@@ -27,6 +29,7 @@ import os
 import random
 import select
 import shlex
+import signal
 import subprocess
 import time
 from dataclasses import dataclass
@@ -160,6 +163,7 @@ class SeededRandomStrategy(Strategy):
 
 
 ANSWER_DEADLINE_S = 10.0  # how long a prog: strategy may take over one reply
+MAX_REPLY_BYTES = 1 << 20  # how long one reply line of a prog: strategy may be
 
 
 class SubprocessStrategy(Strategy):
@@ -170,37 +174,49 @@ class SubprocessStrategy(Strategy):
     ``answer self -`` to claim the virtual point coincides with the queried
     one (which is rejected as a strategy fault).  Bytes that are not UTF-8
     read as U+FFFD, so such a reply is a malformed line, not a crash.  A
-    reply that takes longer than ``ANSWER_DEADLINE_S`` raises InputError.
+    reply that takes longer than ``ANSWER_DEADLINE_S``, or runs past
+    ``MAX_REPLY_BYTES`` without a newline, raises InputError.  The program
+    runs in a session of its own, so leaving the ``with`` block can end
+    everything it started.
     """
 
     def __init__(self, argv: list[str]):
         if not argv:
             raise InputError("empty strategy command")
         self.name = f"prog:{argv[0]}"
-        self._pending = b""  # bytes read past the last reply line
+        self._pending = bytearray()  # bytes read past the last reply line
         try:
             self._proc = subprocess.Popen(
-                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                start_new_session=True)
         except OSError as exc:
             raise InputError(f"cannot start strategy {argv[0]!r}: {exc}") from exc
 
     def _reply_line(self) -> str:
         """The program's next line, or what it wrote before closing its
         stdout.  The pipe is read with ``os.read``, never through a buffered
-        file, so ``select`` sees every byte not yet in ``_pending``."""
+        file, so ``select`` sees every byte not yet in ``_pending``; each
+        read is searched for the newline on its own."""
         fd = self._proc.stdout.fileno()
         deadline = time.monotonic() + ANSWER_DEADLINE_S
-        while b"\n" not in self._pending:
+        end = self._pending.find(b"\n")
+        while end < 0:
+            if len(self._pending) > MAX_REPLY_BYTES:
+                raise InputError(f"strategy {self.name!r} sent a reply longer "
+                                 f"than {MAX_REPLY_BYTES} bytes")
             left = deadline - time.monotonic()
             if left <= 0 or not select.select([fd], [], [], left)[0]:
                 raise InputError(f"strategy {self.name!r} did not answer "
                                  f"within {ANSWER_DEADLINE_S:g} s")
             chunk = os.read(fd, 65536)
             if not chunk:
+                end = len(self._pending) - 1  # the program closed its stdout
                 break
             self._pending += chunk
-        line, newline, self._pending = self._pending.partition(b"\n")
-        return (line + newline).decode("utf-8", errors="replace")
+            end = self._pending.find(b"\n", len(self._pending) - len(chunk))
+        line = self._pending[:end + 1]
+        del self._pending[:end + 1]
+        return line.decode("utf-8", errors="replace")
 
     def answer(self, ctx: QueryContext) -> StrategyAnswer:
         assert self._proc.stdin is not None and self._proc.stdout is not None
@@ -215,19 +231,19 @@ class SubprocessStrategy(Strategy):
             raise InputError(f"bad strategy protocol line {line!r}")
         return StrategyAnswer.from_tokens(tok[1], tok[2])
 
-    def __exit__(self, exc_type, *exc_info) -> None:
-        """Close both pipes and reap the program, killing it if it has not
-        exited after 10 s, or after 1 s when the ``with`` block raised: a
-        program that exits on EOF still exits on its own, and one that
-        ignores EOF does not hold a failed run."""
+    def __exit__(self, *exc_info) -> None:
+        """Close both pipes, give the program 1 s to exit on EOF, then kill
+        its whole process group: a program that exits on EOF still exits
+        on its own, and neither it nor anything it started outlives the
+        block."""
         for pipe in (self._proc.stdin, self._proc.stdout):
             with contextlib.suppress(BrokenPipeError):
                 pipe.close()
-        try:
-            self._proc.wait(timeout=10 if exc_type is None else 1)
-        except subprocess.TimeoutExpired:
-            self._proc.kill()
-            self._proc.wait()
+        with contextlib.suppress(subprocess.TimeoutExpired):
+            self._proc.wait(timeout=1)
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(self._proc.pid, signal.SIGKILL)
+        self._proc.wait()
 
 
 BUNDLED_STRATEGIES = {
@@ -525,11 +541,9 @@ def check_certificate(cert: RefutationCertificate,
     if not cert.alpha.check(s):
         return CheckResult(False, "alpha-not-iso")
 
-    # transcript replay: proper back-and-forth from the seed map
+    # transcript replay: proper back-and-forth from the seed map, a subset of alpha
     seed_pairs = tuple((p, p) for p in cert.base_points) + ((cert.t1, cert.t2),)
     iso = PartialIso(seed_pairs)
-    if not iso.check(s):
-        return CheckResult(False, "seed-iso-invalid")
     for direction, u, w in cert.transcript:
         pair = {"fwd": (u, w), "bwd": (w, u)}.get(direction)
         if pair is None:
@@ -557,121 +571,84 @@ def check_certificate(cert: RefutationCertificate,
 # Certificate text form
 # ---------------------------------------------------------------------------
 
-def format_certificate(cert: RefutationCertificate) -> str:
-    lines = ["certificate v1", f"kind {cert.kind}", "STRUCTURE"]
-    lines.append(format_struct(cert.structure, "final").rstrip("\n"))
-    lines.append("POINTS")
-    lines.append(("x " + " ".join(cert.base_points)).rstrip())
-    lines.append(f"type {cert.tau_text}")
-    if cert.t1 is not None:
-        lines.append(f"t1 {cert.t1}")
-    if cert.t2 is not None:
-        lines.append(f"t2 {cert.t2}")
-    if cert.q is not None:
-        lines.append(f"q {cert.q.text()}")
-    if cert.q2 is not None:
-        lines.append(f"qprime {cert.q2.text()}")
-    if cert.side1 is not None:
-        lines.append(f"side1 {cert.side1}")
-    if cert.side2 is not None:
-        lines.append(f"side2 {cert.side2}")
-    lines.append(f"depth {cert.extension_depth}")
-    lines.append("ALPHA")
-    if cert.alpha is not None:
-        lines.extend(format_pairs(cert.alpha.pairs).splitlines())
-    lines.append("TRANSCRIPT")
-    lines.extend(f"query {p} {h} {side} {color}"
-                 for p, h, side, color in cert.queries)
-    lines.extend(f"extend {d} {u} {w}" for d, u, w in cert.transcript)
-    lines.append("VERDICT")
+_SECTIONS = ("STRUCTURE", "POINTS", "ALPHA", "TRANSCRIPT", "VERDICT")
+
+
+def _frame(cert: RefutationCertificate, structure: str = "") -> str:
+    """Certificate v1 with ``structure`` as the body of its STRUCTURE
+    section: the one spelling of every line outside that section.  Every
+    kind but a strategy fault has all six realizer fields; one the reader
+    did not find is None and shows as ``None``, so the text lacks a line
+    the frame has."""
+    q, q2 = (None if c is None else c.text() for c in (cert.q, cert.q2))
+    scalars = (("t1", cert.t1), ("t2", cert.t2), ("q", q), ("qprime", q2),
+               ("side1", cert.side1), ("side2", cert.side2))
     if cert.kind == FAULT:
-        lines.append(f"{FAULT} reason={cert.reason}")
+        verdict = f"reason={cert.reason}"
     elif cert.kind == MONO:
-        lines.append(f"{MONO} q={cert.q.text()}")
+        verdict = f"q={q}"
     else:
-        lines.append(f"{EQUIV} q={cert.q.text()} qprime={cert.q2.text()}")
-    return "\n".join(lines) + "\n"
+        verdict = f"q={q} qprime={q2}"
+    text = [f"certificate v1\nkind {cert.kind}\nSTRUCTURE\n", structure, "POINTS\n"]
+    text.append(" ".join(("x", *cert.base_points)) + "\n")
+    text.append(f"type {cert.tau_text}\n")
+    if cert.kind != FAULT:
+        text += [f"{key} {value}\n" for key, value in scalars]
+    text.append(f"depth {cert.extension_depth}\nALPHA\n")
+    text.append(format_pairs(cert.alpha.pairs if cert.alpha is not None else ()))
+    text.append("TRANSCRIPT\n")
+    text += [f"query {p} {h} {side} {color}\n" for p, h, side, color in cert.queries]
+    text += [f"extend {d} {u} {w}\n" for d, u, w in cert.transcript]
+    text.append(f"VERDICT\n{cert.kind} {verdict}\n")
+    return "".join(text)
+
+
+def format_certificate(cert: RefutationCertificate) -> str:
+    return _frame(cert, format_struct(cert.structure, "final"))
 
 
 def parse_certificate(text: str) -> RefutationCertificate:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "certificate v1":
-        raise InputError("missing certificate header")
-    if len(lines) < 2 or not lines[1].startswith("kind ") or len(lines[1].split()) < 2:
-        raise InputError("missing certificate kind")
-    kind = lines[1].split()[1]
-    sections: dict[str, list[str]] = {}
-    current = None
-    for raw in lines[2:]:
-        line = raw.rstrip("\n")
-        if line.strip() in ("STRUCTURE", "POINTS", "ALPHA", "TRANSCRIPT", "VERDICT"):
-            current = line.strip()
-            sections[current] = []
-        elif current is not None:
-            sections[current].append(line)
-        elif line.strip():
-            raise InputError(f"stray line outside sections: {line!r}")
-    for needed in ("STRUCTURE", "POINTS", "ALPHA", "TRANSCRIPT", "VERDICT"):
-        if needed not in sections:
-            raise InputError(f"missing section {needed}")
+    """Read certificate v1 strictly: blank lines aside, the text must be
+    what :func:`format_certificate` writes, except that the STRUCTURE
+    section is :func:`parse_struct`'s to read (its color lines may come in
+    any order).  The fields are read leniently, and the text is accepted
+    only if its lines outside the structure equal :func:`_frame` of what
+    was read; any other text raises InputError."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    heads = [i for i, line in enumerate(lines) if line in _SECTIONS]
+    if [lines[i] for i in heads] != list(_SECTIONS):
+        raise InputError("certificate is not in canonical form")
+    structure, points, alpha, transcript_lines, verdict = (
+        lines[i + 1:j] for i, j in zip(heads, heads[1:] + [len(lines)]))
+    fields = {key: values for key, *values in map(str.split, lines[:heads[0]] + points)}
+    tau_text = next((line[5:] for line in points
+                     if line.startswith("type ") and line[5:].strip()), None)
 
-    _, structure = parse_struct("\n".join(sections["STRUCTURE"]))
-    fields: dict[str, str] = {}
-    base_points: tuple[str, ...] = ()
-    tau_text = ""
-    for line in sections["POINTS"]:
-        tok = line.split()
-        if not tok:
-            continue
-        if tok[0] == "x":
-            base_points = tuple(tok[1:])
-        elif tok[0] == "type" and len(tok) > 1:
-            tau_text = line.split(None, 1)[1]
-        elif tok[0] != "type" and len(tok) == 2:
-            fields[tok[0]] = tok[1]
-        else:
-            raise InputError(f"bad points line {line!r}")
-    alpha = parse_pairs("\n".join(sections["ALPHA"]))
-    queries: list[QueryRecord] = []
-    transcript: list[ExtendRecord] = []
-    for line in sections["TRANSCRIPT"]:
-        tok = line.split()
-        if not tok:
-            continue
-        if tok[0] == "query" and len(tok) == 5:
-            queries.append((tok[1], tok[2], tok[3], tok[4]))
-        elif tok[0] == "extend" and len(tok) == 4:
-            transcript.append((tok[1], tok[2], tok[3]))
-        else:
-            raise InputError(f"bad transcript line {line!r}")
-    verdict_lines = [l for l in sections["VERDICT"] if l.strip()]
-    if not verdict_lines:
-        raise InputError("empty verdict")
-    vtok = verdict_lines[0].split()
-    if vtok[0] != kind:
-        raise InputError("verdict does not match kind")
-    reason = ""
-    for t in vtok[1:]:
-        if t.startswith("reason="):
-            reason = t[len("reason="):]
-
-    def color_field(key: str) -> ColorTerm | None:
-        return ColorTerm.parse(fields[key]) if key in fields else None
+    def first(key: str) -> str | None:
+        return next(iter(fields.get(key, ())), None)
 
     try:
-        depth = int(fields.get("depth", "0"))
+        depth = int(first("depth") or 0)
     except ValueError:
-        raise InputError(f"bad depth {fields['depth']!r}") from None
-
-    return RefutationCertificate(
-        kind=kind, structure=structure, base_points=base_points,
-        tau_text=tau_text, queries=tuple(queries),
-        t1=fields.get("t1"), t2=fields.get("t2"),
-        q=color_field("q"), q2=color_field("qprime"),
-        side1=fields.get("side1"), side2=fields.get("side2"),
-        alpha=alpha if alpha.pairs else None,
-        transcript=tuple(transcript),
-        extension_depth=depth, reason=reason)
+        raise InputError(f"bad depth {first('depth')!r}") from None
+    q, q2 = (None if first(key) is None else ColorTerm.parse(first(key))
+             for key in ("q", "qprime"))
+    records = [line.split() for line in transcript_lines]
+    queries = [tuple(tok[1:]) for tok in records if tok[0] == "query" and len(tok) == 5]
+    transcript = [tuple(tok[1:]) for tok in records if tok[0] == "extend" and len(tok) == 4]
+    reasons = [t for t in " ".join(verdict).split() if t.startswith("reason=")]
+    pairs = parse_pairs("\n".join(alpha))
+    cert = RefutationCertificate(
+        kind=first("kind"), structure=parse_struct("\n".join(structure))[1],
+        base_points=tuple(fields.get("x", ())), tau_text=tau_text,
+        queries=tuple(queries), t1=first("t1"), t2=first("t2"), q=q, q2=q2,
+        side1=first("side1"), side2=first("side2"),
+        alpha=pairs if pairs.pairs else None, transcript=tuple(transcript),
+        extension_depth=depth, reason=reasons[0][len("reason="):] if reasons else "")
+    outside = lines[:heads[0] + 1] + lines[heads[1]:]
+    if "".join(line + "\n" for line in outside) != _frame(cert):
+        raise InputError("certificate is not in canonical form")
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@ certificates read ``OnePointType.colors``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .core import HOLE, ColorTerm, FinStruct, InputError, row_masks, validate
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OnePointType:
     """A partial one-point extension of ``base``.
 
@@ -29,16 +29,16 @@ class OnePointType:
     [0, len(support)] places the new point among them (0 = below all), and
     ``ids`` aligns with ``support``: color ids in ``base.palette``, which
     ``colors`` reads as terms for the text form and strategies; a crossing
-    to another palette goes through ``Palette.translate``.  Equality is by
-    (base, support, cut, ids); ``key()`` is the palette-free identity.  The
-    level plays no role in either.
+    to another palette goes through ``Palette.translate``.  ``key()`` is
+    the palette-free identity, and two types are equal when their bases are
+    equal and their keys are.  The level plays no role in either.
     """
 
     base: FinStruct
     support: tuple[str, ...]
     cut: int
     ids: tuple[int, ...]
-    level: int = field(compare=False, default=0)
+    level: int = 0
 
     @staticmethod
     def build(base: FinStruct, support: Sequence[str], cut: int,
@@ -70,6 +70,11 @@ class OnePointType:
 
     def key(self) -> tuple:
         return (self.support, self.cut, self.colors)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OnePointType):
+            return NotImplemented
+        return self.key() == other.key() and self.base == other.base
 
     @cached_property
     def column(self) -> tuple[list[int], int, list[str]]:

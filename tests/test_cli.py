@@ -255,8 +255,8 @@ def test_program_strategy_with_quoted_argument(capsys):
 
 
 def test_failing_program_strategy_is_killed_soon(capsys):
-    """A reply that fails to parse ends the run within the 1 s grace, not
-    the 10 s one, of a program that ignores EOF."""
+    """A reply that fails to parse ends the run within the 1 s grace of a
+    program that ignores EOF."""
     command = "sh -c 'echo answer above nonsense; exec sleep 15'"
     start = time.monotonic()
     assert run(["refute", "--base", data("one_point.txt"), "--type", TYPE_A,
@@ -307,3 +307,79 @@ def test_silent_program_strategy_times_out(monkeypatch, capsys, command):
     assert time.monotonic() - start < 5
     assert capsys.readouterr() == (
         "", "error: strategy 'prog:sleep' did not answer within 0.5 s\n")
+
+
+@pytest.mark.parametrize("old,new", [
+    ("MonochromaticTriangle q=b:0:0", "MonochromaticTriangle q=b:0:7 forged=yes"),
+    ("kind MonochromaticTriangle", "kind MonochromaticTriangle extra"),
+    ("x a", "x a\nbogus field"),
+    ("t1 u0", "t1 u0\nt1 u0"),
+    ("q b:0:0", "q b:0:00"),
+    ("side1 above\n", ""),
+], ids=["verdict", "kind", "stray-field", "repeated-field", "color-spelling",
+        "missing-field"])
+def test_certificate_outside_canonical_form_exits_1(tmp_path, capsys, old, new):
+    """Each edit leaves the certificate's meaning for the checker alone, or
+    drops a field it would reject, but is not what the writer writes."""
+    text = golden_bytes("refute_constant.txt").decode()
+    forged = text.replace(old, new, 1)
+    assert forged != text
+    cert = tmp_path / "cert.txt"
+    cert.write_text(forged)
+    assert run(["check-cert", "--cert", str(cert), "--strategy", "constant"]) == 1
+    assert capsys.readouterr() == ("", "error: certificate is not in canonical form\n")
+
+
+def test_pretty_certificate_is_accepted(tmp_path, capsys):
+    cert = tmp_path / "cert.txt"
+    assert run(["refute", "--base", data("one_point.txt"), "--type", TYPE_A,
+                "--strategy", "index-sensitive", "--format", "pretty",
+                "--out", str(cert)]) == 0
+    assert "\n\nPOINTS\n" in cert.read_text()
+    assert run(["check-cert", "--cert", str(cert), "--strategy", "index-sensitive"]) == 0
+    assert capsys.readouterr().out == "accepted\n"
+
+
+def test_endless_reply_exits_1_at_the_cap(capsys):
+    start = time.monotonic()
+    assert run(["refute", "--base", data("one_point.txt"), "--type", TYPE_A,
+                "--strategy", "prog:cat /dev/zero"]) == 1
+    assert time.monotonic() - start < 2
+    assert capsys.readouterr().err == (
+        f"error: strategy 'prog:cat' sent a reply longer than "
+        f"{refuter.MAX_REPLY_BYTES} bytes\n")
+
+
+def running_members(group: int) -> list[int]:
+    """Pids of the processes in process group ``group`` that have not
+    exited; a killed process stays a zombie until its new parent reaps it."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                state, _, pgrp = fh.read().rsplit(")", 1)[1].split()[:3]
+        except OSError:
+            continue  # exited while listed
+        if int(pgrp) == group and state not in ("Z", "X"):
+            pids.append(int(entry))
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+def test_program_ignoring_eof_is_killed_with_its_children(tmp_path, capsys):
+    """A program that answers, then ignores EOF and runs a child, holds a
+    successful run for the 1 s grace; then its whole process group is
+    killed, the child included."""
+    pidfile = tmp_path / "pid"
+    command = (f"sh -c 'echo $$ > {pidfile}; "
+               "while read l; do echo answer above b:0:0; done; sleep 30'")
+    start = time.monotonic()
+    assert run(["refute", "--base", data("one_point.txt"), "--type", TYPE_A,
+                "--strategy", f"prog:{command}"]) == 0
+    assert time.monotonic() - start < 3
+    assert "kind MonochromaticTriangle" in capsys.readouterr().out
+    group = int(pidfile.read_text())
+    deadline = time.monotonic() + 1  # SIGKILL lands soon, not at once
+    while running_members(group) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert running_members(group) == []

@@ -1,0 +1,177 @@
+"""Seeded fuzzing of the text formats through the CLI.
+
+Line and token mutations of structure, type, pair and certificate texts run
+through ``cli.run`` in one child process whose address space is capped, so
+a blow-up fails the test, not the machine.  Every run must end in exit 0, 1
+or 2 with no traceback.  A certificate line mutant (whole lines deleted,
+duplicated, moved, swapped, shuffled, cut off or inserted, so no line is
+new) that changes the header, the verdict or a POINTS line other than
+``type`` must exit 1: those lines are the certificate's frame, which the
+reader holds to what the writer writes.  A token mutant may forge a field
+value, which is the checker's to reject.
+
+Run ``python tests/test_fuzz.py SEED COUNT`` to fuzz by hand; it prints a
+JSON summary.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import random
+import resource
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
+ADDRESS_SPACE = 1 << 30   # bytes
+SEED = 13
+COUNT = 600               # mutants per input
+
+TYPE_A = "type supp=a cut=1 colors=b:0:1 level=0\n"
+TOKENS = ("a", "b", "u0", "x", "t1", "q", "pair", "point", "color", "structure",
+          "level", "b:0:0", "b:0:01", "b:1:0", "m:0", "k:0:ff", "b:0:-1", "99",
+          "-1", "supp=a", "cut=9", "colors=", "level=7", "query", "extend",
+          "fwd", "above", "self", "-", "POINTS", "None", "reason=self-claim")
+
+
+def line_mutant(rng: random.Random, lines: list[str], pool: list[str]) -> list[str]:
+    """``lines`` with whole lines rearranged: no line is new to the inputs."""
+    out = list(lines)
+    i = rng.randrange(len(out))
+    op = rng.randrange(7)
+    if op == 0:
+        del out[i]
+    elif op == 1:
+        out.insert(i, out[i])
+    elif op == 2:
+        out.insert(rng.randrange(len(out)), out.pop(i))
+    elif op == 3:
+        j = rng.randrange(len(out))
+        out[i], out[j] = out[j], out[i]
+    elif op == 4:
+        run = out[i:i + rng.randrange(2, 6)]
+        rng.shuffle(run)
+        out[i:i + len(run)] = run
+    elif op == 5:
+        del out[i:]
+    else:
+        out.insert(i, rng.choice(pool))
+    return out
+
+
+def token_mutant(rng: random.Random, lines: list[str]) -> list[str]:
+    """``lines`` with one token replaced, dropped or doubled, or one line
+    cut short."""
+    out = list(lines)
+    i = rng.randrange(len(out))
+    tok = out[i].split(" ")
+    k = rng.randrange(len(tok))
+    op = rng.randrange(4)
+    if op == 0:
+        tok[k] = rng.choice(TOKENS)
+    elif op == 1:
+        del tok[k]
+    elif op == 2:
+        tok.insert(k, tok[k])
+    else:
+        tok = [out[i][:rng.randrange(len(out[i]) + 1)]]
+    out[i] = " ".join(tok)
+    return out
+
+
+def frame_lines(lines: list[str]) -> list[str] | None:
+    """The lines before STRUCTURE, the POINTS lines other than ``type`` and
+    the verdict section; None without one of those section heads."""
+    lines = [line for line in lines if line.strip()]
+    if any(head not in lines for head in ("STRUCTURE", "POINTS", "ALPHA", "VERDICT")):
+        return None
+    points = lines[lines.index("POINTS") + 1:lines.index("ALPHA")]
+    return (lines[:lines.index("STRUCTURE")]
+            + [line for line in points if not line.startswith("type ")]
+            + lines[lines.index("VERDICT"):])
+
+
+def _read(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
+def fuzz(seed: int, count: int) -> dict:
+    """Run ``count`` mutants of every input and return the number of runs,
+    of certificate runs that must exit 1, and the first few failures."""
+    from colorder.cli import run
+    from golden_cases import GOLDEN, data
+
+    certs = {name: strategy for name, strategy in (
+        ("refute_constant.txt", "constant"),
+        ("refute_index.txt", "index-sensitive"),
+        ("refute_fault_order.txt", "randomized-with-fixed-seed"),
+        ("refute_fault_triangle.txt", "constant"))}
+    texts = {name: _read(os.path.join(GOLDEN, name)) for name in certs}
+    for name in ("two_point.txt", "three_point.txt", "embed_target.txt", "iso_id_a.txt"):
+        texts[name] = _read(data(name))
+    texts["type"] = TYPE_A
+    pool = sorted({line for text in texts.values() for line in text.splitlines()})
+    rng = random.Random(seed)
+    runs, frame_runs, failures = 0, 0, []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.txt")
+
+        def argvs(name: str) -> list[list[str]]:
+            if name in certs:
+                return [["check-cert", "--cert", path, "--strategy", certs[name]]]
+            if name == "type":
+                return [["refute", "--base", data("one_point.txt"), "--type-file", path,
+                         "--strategy", "constant", "--depth", "2"]]
+            if name == "iso_id_a.txt":
+                return [["limit-extend-iso", "--steps", "10", "--seed-file",
+                         data("two_point.txt"), "--iso", path, "--point", "b"]]
+            return [["validate", path], ["types", "--base", path, "--budget", "1"],
+                    ["refute", "--base", path, "--type", "type supp= cut=0 colors= level=0",
+                     "--strategy", "index-sensitive", "--depth", "2"]]
+
+        for name, text in texts.items():
+            lines = text.splitlines()
+            for k in range(count):
+                by_line = k % 2 == 0
+                mutant = line_mutant(rng, lines, pool) if by_line else token_mutant(rng, lines)
+                with open(path, "w") as fh:
+                    fh.write("".join(line + "\n" for line in mutant))
+                must_exit_1 = (by_line and name in certs
+                               and frame_lines(mutant) != frame_lines(lines))
+                for argv in argvs(name):
+                    out, err = io.StringIO(), io.StringIO()
+                    try:
+                        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                            code = run(argv)
+                    except Exception as exc:  # the CLI would print a traceback
+                        code, err = None, io.StringIO(f"Traceback: {exc!r}")
+                    runs += 1
+                    frame_runs += must_exit_1
+                    if (code not in (0, 1, 2) or "Traceback" in err.getvalue()
+                            or (must_exit_1 and code != 1)):
+                        failures.append({"argv": argv[0], "input": name, "code": code,
+                                         "stderr": err.getvalue()[-300:],
+                                         "mutant": "\n".join(mutant)[-2000:]})
+    return {"runs": runs, "frame_runs": frame_runs, "failures": failures[:5]}
+
+
+def test_mutated_inputs_end_in_a_defined_exit_code():
+    child = subprocess.run([sys.executable, __file__, str(SEED), str(COUNT)],
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    summary = json.loads(child.stdout)
+    assert summary["failures"] == []
+    assert summary["runs"] == COUNT * 15
+    assert summary["frame_runs"] > COUNT
+
+
+if __name__ == "__main__":
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+    sys.path.insert(0, SRC)
+    print(json.dumps(fuzz(int(sys.argv[1]), int(sys.argv[2]))))

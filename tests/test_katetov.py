@@ -273,6 +273,18 @@ def test_K_restricts_to_base(two_point):
         two_point.points, colors_of(two_point), ext.struct.level)
 
 
+def test_K_extends_the_base_palette():
+    """The extension adds its colors to its base's palette, whose ids never
+    change meaning, so the base (a lazy stage among them) reads as before."""
+    x = apply_K(FinStruct.build("a", {}), 1).struct
+    before = [list(row) for row in x.rows]
+    ext = apply_K(x, 1)
+    assert ext.struct.palette is x.palette
+    assert [list(row) for row in x.rows] == before
+    assert validate(x).ok
+    assert [list(row) for row in ext.struct.restrict(x.points).rows] == before
+
+
 def test_K_is_triangle_free_exhaustively():
     patterns = {0: 0, 1: 0, 2: 0, 3: 0}
     for x in all_structures(3, 2):

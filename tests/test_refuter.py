@@ -361,6 +361,30 @@ def test_parse_certificate_rejects_garbage():
         parse_certificate(text.replace("VERDICT", "VERDIKT"))
 
 
+def test_parse_certificate_reads_the_structure_leniently():
+    """Blank lines aside, only the structure section may differ from what
+    the writer writes: its color lines may come in any order."""
+    _, _, cert = equiv_certificate()
+    text = format_certificate(cert)
+    colors = [line for line in text.splitlines() if line.startswith("color ")]
+    reordered = text.replace("\n".join(colors), "\n".join(reversed(colors)))
+    assert reordered != text
+    again = parse_certificate(reordered.replace("\n", "\n\n"))
+    assert format_certificate(again) == text
+    assert check_certificate(again, make_strategy("index-sensitive")).ok
+
+
+def test_parse_certificate_refuses_a_triangle_without_q():
+    """Without its ``q`` line a triangle certificate reads q as None, which
+    shows in the frame as ``q None``, so it is refused, not a crash."""
+    _, _, cert = mono_certificate()
+    text = format_certificate(cert)
+    cut = text.replace(f"\nq {cert.q.text()}\n", "\n", 1)
+    assert cut != text
+    with pytest.raises(InputError, match="^certificate is not in canonical form$"):
+        parse_certificate(cut)
+
+
 # ---------------------------------------------------------------------------
 # external strategies over the line protocol
 # ---------------------------------------------------------------------------

@@ -216,3 +216,17 @@ def test_realize_type_matches_the_dict_reference(grown_structure, seed, anchor):
     assert u == "fresh" and new.points == ref.points
     assert colors_of(new) == colors_of(ref)
     assert validate(new).ok
+
+
+def test_type_equality_agrees_with_key_across_palettes():
+    """Equal types over equal bases are equal even when the palettes list
+    their colors in different orders."""
+    text = "structure s level 0\npoint a\n"
+    _, x = parse_struct(text)
+    _, y = parse_struct(text)
+    y.palette.id(B(0, 5))
+    a = parse_type("type supp=a cut=1 colors=b:0:1 level=0", x)
+    b = parse_type("type supp=a cut=1 colors=b:0:1 level=0", y)
+    assert x == y and a.ids != b.ids
+    assert a.key() == b.key() and a == b
+    assert a != parse_type("type supp=a cut=1 colors=b:0:5 level=0", y)
