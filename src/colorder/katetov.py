@@ -6,12 +6,18 @@ its minimal consistent position and ordered against other type elements by
 the type order, one sort key (``types.order_key``) that encodes its four
 rules; colors between a type element and an unsupported base point use the
 next level's marker, and colors between two type elements encode the
-isomorphism class of their joint configuration, computed straight from the
-two types' columns (``OnePointType.column``) and the base palette's texts;
-the tests keep a frozenset-keyed ``PairStructure`` as the reference.  The
-extension shares its base's palette, and the lazy rows enter each pair
-color into it as its canonical text (``pair_text``), so no ``ColorTerm``
-is built for a pair until a caller reads that color as a term.
+isomorphism class of their joint configuration; the tests keep a
+frozenset-keyed ``PairStructure`` as the reference.
+
+A configuration's shape depends only on the base and the two types'
+layouts (``OnePointType.column``), so a :class:`PairTemplates` map builds
+one template per pair of layouts and a pair color fills it with the two
+types' color texts.  Templates hold base pair texts, so a map belongs to
+one base: an extension's lazy rows keep their base's map as long as they
+live, and :func:`pair_text` builds one for its single call.  The lazy rows
+enter each pair color into the palette they share with their base as its
+canonical text, so no ``ColorTerm`` is built for a pair until a caller
+reads that color as a term.
 The morphism map transports types along embeddings, making the whole thing
 a functor that raises the level by one.
 """
@@ -20,11 +26,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 from collections.abc import Sequence
+from dataclasses import dataclass
+from operator import itemgetter
 
-from .core import (HOLE, ColorTerm, Embedding, FinStruct, InputError, Palette,
-                   code_of_parts, format_struct, validate)
+from .core import (HOLE, ColorTerm, Embedding, FinStruct, InputError,
+                   format_struct, validate)
 from .types import (OnePointType, check_type_count, enumerate_types, format_type,
                     gap_index, order_key, transport)
 
@@ -65,35 +72,69 @@ def pair_color(xi: OnePointType, psi: OnePointType) -> ColorTerm:
 def pair_text(lo: OnePointType, hi: OnePointType) -> str:
     """The canonical text ``k:<level+1>:<hex>`` of :func:`pair_color` for
     two distinct types over one base, ``lo`` below ``hi`` in type order,
-    built without a ``ColorTerm``; lazy extension rows enter it into their
-    palette as text.
-
-    The configuration is the support union with one mark per type, the
-    lower type's mark first; its pair texts come from the base palette and
-    from each type's ``column``, with ``?`` between the two marks.  The
-    tests' ``PairStructure`` builds the same configuration point by point
-    from the definitions and is the reference.
+    built without a ``ColorTerm`` from a :class:`PairTemplates` map made for
+    this one call.  The tests' ``PairStructure`` builds the same
+    configuration point by point from the definitions and is the reference.
     """
-    lo_supp, lo_gap, lo_col = lo.column
-    hi_supp, hi_gap, hi_col = hi.column
-    seq: list = sorted({*lo_supp, *hi_supp})   # the support union, as positions
-    # each mark goes after the union positions below its type's gap; lo's
-    # gap is not above hi's, so inserting hi first puts lo first on a tie
-    k_hi = bisect_left(seq, hi_gap)
-    k_lo = bisect_left(seq, lo_gap)
-    seq.insert(k_hi, hi_col)
-    seq.insert(k_lo, lo_col)
-    rows, texts = lo.base.rows, lo.base.palette.texts
-    parts: list[str] = []
-    for i, a in enumerate(seq):
-        rest = seq[i + 1:]
-        if a.__class__ is int:    # a base position: base text, or a mark's column
-            row = rows[a]
-            parts.extend([texts[row[b]] if b.__class__ is int else b[a] for b in rest])
-        else:                     # a mark's column: its text, or the hole
-            parts.extend([a[b] if b.__class__ is int else "?" for b in rest])
-    code = code_of_parts(len(seq), parts, (k_lo, k_hi + 1))
-    return f"k:{lo.base.level + 1}:{code.encode('utf-8').hex()}"
+    return PairTemplates(lo.base).text(lo, hi)
+
+
+class PairTemplates(dict):
+    """The pair-color templates of one base, keyed by the layouts of the
+    lower and the higher type (``OnePointType.column``).
+
+    A pair's configuration is the support union with one mark per type, the
+    lower type's mark first.  Once the base and the two layouts are known,
+    its shape is fixed: the union size, the mark indices, the base pair
+    texts inside the union, the ``?`` between the marks, and which entries
+    are a support color of ``lo`` or of ``hi`` or the next level's marker.
+    A template holds that shape as an ``itemgetter`` over
+    ``lo_texts + hi_texts + fixed``, with the hex of the code's head and
+    tail, so a pair costs one lookup, one gather, one join and one hex.
+    Building a template reads base rows only inside the support union.
+    """
+
+    def __init__(self, base: FinStruct):
+        super().__init__()
+        self._base = base
+
+    def text(self, lo: OnePointType, hi: OnePointType) -> str:
+        lo_layout, lo_texts = lo.column
+        hi_layout, hi_texts = hi.column
+        head, gather, fixed, tail = self[lo_layout, hi_layout]
+        return head + ";".join(gather(lo_texts + hi_texts + fixed)).encode().hex() + tail
+
+    def __missing__(self, key: tuple) -> tuple:
+        (lo_supp, lo_gap), (hi_supp, hi_gap) = key
+        base = self._base
+        seq: list = sorted({*lo_supp, *hi_supp})   # the support union, as positions
+        # a mark is the map from its type's support positions to their
+        # indices in lo_texts + hi_texts; it goes after the union positions
+        # below its type's gap.  lo's gap is not above hi's, so inserting hi
+        # first puts lo first on a tie
+        k_hi = bisect_left(seq, hi_gap)
+        k_lo = bisect_left(seq, lo_gap)
+        seq.insert(k_hi, {p: len(lo_supp) + i for i, p in enumerate(hi_supp)})
+        seq.insert(k_lo, {p: i for i, p in enumerate(lo_supp)})
+        off = len(lo_supp) + len(hi_supp)
+        fixed = [ColorTerm.marker(base.level + 1).text(), "?"]   # at off, off + 1
+        rows, texts = base.rows, base.palette.texts
+        order: list[int] = []
+        for i, a in enumerate(seq):
+            for b in seq[i + 1:]:
+                if a.__class__ is dict:    # a mark: its color toward b, or the hole
+                    order.append(a.get(b, off) if b.__class__ is int else off + 1)
+                elif b.__class__ is dict:  # a base position below a mark
+                    order.append(b.get(a, off))
+                else:                      # two base positions: the base color
+                    order.append(off + len(fixed))
+                    fixed.append(texts[rows[a][b]])
+        # the configuration has at least three points (two distinct types
+        # cannot both have empty support), so the gather returns a tuple
+        head = f"k:{base.level + 1}:" + f"{len(seq)}|".encode().hex()
+        tail = f"|{k_lo},{k_hi + 1}".encode().hex()
+        got = self[key] = (head, itemgetter(*order), tuple(fixed), tail)
+        return got
 
 
 # ---------------------------------------------------------------------------
@@ -106,17 +147,18 @@ class _ExtensionRows(Sequence):
     The rows of base points are stored: they hold the base colors and the
     colors to every type element.  The row of a type element is a view whose
     entries against other type elements are pair colors, computed as text
-    on first read and kept in ``pair_cache`` by position pair, so large
-    extensions stay usable as long as only a sparse set of their pairs is
-    inspected.
+    on first read from the base's ``templates`` and kept in ``pair_cache``
+    by position pair, so large extensions stay usable as long as only a
+    sparse set of their pairs is inspected.
     Type elements sit in type order, so the lower position of a pair holds
     the lower type.
     """
 
-    def __init__(self, base_rows: list, types: list, palette: Palette):
+    def __init__(self, base_rows: list, types: list, base: FinStruct):
         self._rows = base_rows   # position -> stored row, or None for a type element
         self._types = types      # position -> type, or None for a base point
-        self._palette = palette
+        self._palette = base.palette
+        self.templates = PairTemplates(base)
         self.pair_cache: dict[tuple[int, int], int] = {}
 
     def __len__(self) -> int:
@@ -136,7 +178,7 @@ class _ExtensionRows(Sequence):
         key = (i, j) if i < j else (j, i)
         got = self.pair_cache.get(key)
         if got is None:
-            text = pair_text(self._types[key[0]], self._types[key[1]])
+            text = self.templates.text(self._types[key[0]], self._types[key[1]])
             got = self.pair_cache[key] = self._palette.id_text(text)
         return got
 
@@ -227,7 +269,7 @@ def apply_K(x: FinStruct, budget: int) -> ExtendedStructure:
         columns.append(col)
     base_rows = [None if p in type_of else tuple(col[x.pos[p]] for col in columns)
                  for p in points]
-    rows = _ExtensionRows(base_rows, [type_of.get(p) for p in points], x.palette)
+    rows = _ExtensionRows(base_rows, [type_of.get(p) for p in points], x)
     struct = FinStruct.of_rows(tuple(points), rows, x.palette, level)
     return ExtendedStructure(x, struct, tuple(zip(ids, taus)))
 

@@ -454,12 +454,14 @@ def check_certificate(cert: RefutationCertificate,
                       strategy: ExtensionStrategy) -> CheckResult:
     """Independently re-verify every field of a certificate.
 
-    Checks structure validity, each recorded query (its structure hash and
-    the strategy's answer, re-asked in that structure: the base plus the
-    non-base points queried so far, this one included, as :func:`refute`
-    asks), both realizers' types, the partial isomorphism (which must fix
-    the base pointwise), the back-and-forth transcript, and the verdict
-    condition for the certificate's kind.
+    Checks structure validity, the type (held to its canonical spelling),
+    each recorded query (its structure hash and the strategy's answer,
+    re-asked in that structure: the base plus the non-base points queried
+    so far, this one included, as :func:`refute` asks), both realizers'
+    types, the partial isomorphism (which must fix the base pointwise),
+    the back-and-forth transcript (in :func:`refute`'s step order, ending
+    at alpha pair for pair), and the verdict condition for the
+    certificate's kind.
     """
     s = cert.structure
     try:
@@ -477,6 +479,8 @@ def check_certificate(cert: RefutationCertificate,
         tau = parse_type(cert.tau_text, x)
     except InputError as exc:
         return CheckResult(False, f"bad-type: {exc}")
+    if format_type(tau) != cert.tau_text:
+        return CheckResult(False, "type-not-canonical")
 
     # replay every recorded answer in the structure its query saw
     seen, seen_hash = x, structure_hash(x)
@@ -541,13 +545,16 @@ def check_certificate(cert: RefutationCertificate,
     if not cert.alpha.check(s):
         return CheckResult(False, "alpha-not-iso")
 
-    # transcript replay: proper back-and-forth from the seed map, a subset of alpha
+    # transcript replay: the back-and-forth ``refute`` runs from the seed
+    # map, fwd on even steps and bwd on odd ones, ending at alpha in order
     seed_pairs = tuple((p, p) for p in cert.base_points) + ((cert.t1, cert.t2),)
     iso = PartialIso(seed_pairs)
-    for direction, u, w in cert.transcript:
+    for k, (direction, u, w) in enumerate(cert.transcript):
         pair = {"fwd": (u, w), "bwd": (w, u)}.get(direction)
         if pair is None:
             return CheckResult(False, "bad-transcript-direction")
+        if direction != ("fwd" if k % 2 == 0 else "bwd"):
+            return CheckResult(False, f"transcript-step-order at step {k}")
         if pair[0] in iso.domain() or pair[1] in iso.range():
             return CheckResult(False, "transcript-collision")
         if not iso.admits(s, *pair):  # the earlier pairs are already checked
@@ -555,7 +562,7 @@ def check_certificate(cert: RefutationCertificate,
         iso = iso.extended(*pair)
     if len(cert.transcript) != cert.extension_depth:
         return CheckResult(False, "depth-mismatch")
-    if set(iso.pairs) != set(cert.alpha.pairs):
+    if iso.pairs != cert.alpha.pairs:
         return CheckResult(False, "alpha-transcript-divergence")
 
     if cert.kind == MONO:

@@ -77,16 +77,16 @@ class OnePointType:
         return self.key() == other.key() and self.base == other.base
 
     @cached_property
-    def column(self) -> tuple[list[int], int, list[str]]:
-        """The support positions in the base, the gap, and the color text
-        toward every base position: the support color, else the next
-        level's marker.  Computed once per type, without reading base rows;
-        ``katetov.pair_text`` reads it."""
-        supp = [self.base.pos[p] for p in self.support]
-        texts = [ColorTerm.marker(self.base.level + 1).text()] * len(self.base.points)
-        for i, c in zip(supp, self.ids):
-            texts[i] = self.base.palette.texts[c]
-        return supp, gap_index(self), texts
+    def column(self) -> tuple[tuple[tuple[int, ...], int], tuple[str, ...]]:
+        """The layout key, support positions in the base and the gap, and
+        the text of each support color.  Computed once per type, without
+        reading base rows.  ``katetov.PairTemplates`` builds one template
+        per pair of layouts over a base and fills it with two types'
+        texts; a position outside the support reads the next level's marker
+        from the template."""
+        texts = self.base.palette.texts
+        return ((tuple(map(self.base.pos.__getitem__, self.support)), gap_index(self)),
+                tuple(map(texts.__getitem__, self.ids)))
 
 
 def insert_position(ambient: FinStruct, support: Sequence[str], cut: int) -> int:

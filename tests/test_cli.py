@@ -149,6 +149,32 @@ def test_forged_query_hash_exits_2(tmp_path, capsys):
     assert capsys.readouterr().out == "rejected hash-mismatch at u0\n"
 
 
+INDEX_TYPE_LINE = "type type supp=a cut=1 colors=b:0:1 level=0\n"
+INDEX_ALPHA = "pair a a\npair u0 u1\npair u1 u2\npair u3 u0\npair u2 u4\n"
+INDEX_STEPS = "extend fwd u1 u2\nextend bwd u0 u3\nextend fwd u2 u4\n"
+
+
+@pytest.mark.parametrize("old,new,reason", [
+    (INDEX_TYPE_LINE, INDEX_TYPE_LINE.replace("level=0", "level=0 "), "type-not-canonical"),
+    (INDEX_TYPE_LINE, INDEX_TYPE_LINE.replace("type type", "type type "),
+     "type-not-canonical"),
+    (INDEX_ALPHA, "".join(reversed(INDEX_ALPHA.splitlines(True))),
+     "alpha-transcript-divergence"),
+    (INDEX_STEPS, "extend fwd u1 u2\nextend fwd u2 u4\nextend bwd u0 u3\n",
+     "transcript-step-order at step 1"),
+], ids=["type-trailing-space", "type-double-space", "alpha-reversed", "bwd-moved"])
+def test_certificate_other_than_refute_writes_is_rejected(tmp_path, capsys, old, new, reason):
+    """A certificate the checker would replay, but spelled or ordered other
+    than ``refute`` writes it: the type line off its canonical spelling,
+    alpha in another order, or the steps out of fwd/bwd alternation."""
+    text = golden_bytes("refute_index.txt").decode()
+    assert old in text
+    cert = tmp_path / "cert.txt"
+    cert.write_text(text.replace(old, new, 1))
+    assert run(["check-cert", "--cert", str(cert), "--strategy", "index-sensitive"]) == 2
+    assert capsys.readouterr().out == f"rejected {reason}\n"
+
+
 def test_check_cert_wrong_strategy_exits_2(capsys):
     cert = os.path.join(GOLDEN, "refute_constant.txt")
     assert run(["check-cert", "--cert", cert,

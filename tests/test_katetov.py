@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -11,8 +12,8 @@ from colorder.katetov import (EQ, GT, LT, apply_K, apply_K_morphism,
 from colorder.types import (OnePointType, enumerate_types, transport,
                             type_of_point)
 from helpers import (all_embeddings, all_structures, colors_of, consistent_placements,
-                     order_type_vs_point, pair_structure, reference_pair_color,
-                     reference_type_less, struct_of)
+                     order_type_vs_point, pair_structure, random_coloring,
+                     reference_pair_color, reference_type_less, struct_of)
 
 B = ColorTerm.base
 
@@ -245,6 +246,77 @@ def test_claim_equivalence_preserved_both_directions():
                 for i in range(len(pairs)):
                     for j in range(i + 1, len(pairs)):
                         assert (codes[i] == codes[j]) == (icodes[i] == icodes[j])
+
+
+def digest_of(text: str) -> tuple[int, str]:
+    body = text.encode("utf-8")
+    return len(body), hashlib.sha256(body).hexdigest()
+
+
+def test_three_point_extension_and_stage_two_pair_bytes():
+    """Byte pins at the sizes where most layouts occur: the k-apply text of
+    a seeded three-color 3-point base at budget 3, and 2000 seeded stage-2
+    pair texts over a lazy base.  Both digests were taken from the pair
+    colors that walked each pair's configuration, before templates."""
+    x = FinStruct.build("xyz", random_coloring(random.Random(6), "xyz", 3))
+    assert len(set(colors_of(x).values())) == 3
+    ext = apply_K(x, 3)
+    assert digest_of(format_extended(ext)) == (
+        1738421, "63a6c1ebbdc0e536ba9da6aeec86d00a8c3dd4790c18194557f2ed31050aa74b")
+    n = len(ext.elements)
+    assert len(ext.struct.rows.templates) == 209 < n * (n - 1) // 2
+    taus = [tau for _, tau in iterate_K(FinStruct.build("a", {}), 2, [1, 1])[-1].elements]
+    rng = random.Random(14)
+    texts = []
+    for _ in range(2000):
+        i, j = sorted(rng.sample(range(len(taus)), 2))
+        texts.append(pair_text(taus[i], taus[j]) + "\n")
+    assert digest_of("".join(texts)) == (
+        1225204, "5f1a9165663b0d240bbeb1db9b8a0233e03fd0f7913f4f20cae5c8991c77340f")
+
+
+def test_pair_templates_belong_to_one_base():
+    """Two bases on the same points with other colors on every pair share
+    every layout, so a template kept by layouts alone would give the second
+    base the first one's base pair texts.  Read in either order in one
+    process, each base's pair colors equal the reference, and the two
+    differ on every pair of keys whose support union holds a base pair."""
+    def three(ab, ac, bc):
+        return FinStruct.build("abc", {pair_of("a", "b"): B(0, ab),
+                                       pair_of("a", "c"): B(0, ac),
+                                       pair_of("b", "c"): B(0, bc)})
+
+    for order in ((0, 1, 2), (1, 2, 0)), ((1, 2, 0), (0, 1, 2)):
+        texts = []
+        for colors in order:
+            ext = apply_K(three(*colors), 2)
+            s = ext.struct
+            got = {}
+            for (u, lo), (v, hi) in itertools.combinations(ext.elements, 2):
+                text = s.palette.texts[s.rows[s.pos[u]][s.pos[v]]]
+                assert text == pair_text(lo, hi) == reference_pair_color(lo, hi).text()
+                got[lo.key(), hi.key()] = text, len({*lo.support, *hi.support})
+            texts.append(got)
+        first, second = texts
+        common = first.keys() & second.keys()
+        assert len(common) == 990
+        for key in common:
+            (a, union), (b, _) = first[key], second[key]
+            assert (a != b) == (union >= 2)
+
+
+def test_four_point_extension_matches_the_reference():
+    """Every type pair of a budget-1 extension of a seeded 4-point base,
+    read through the lazy rows, has the reference pair color.  At budget 1
+    a layout fixes its type, so each pair builds its own template."""
+    x = FinStruct.build("wxyz", random_coloring(random.Random(0), "wxyz", 3))
+    ext = apply_K(x, 1)
+    s = ext.struct
+    pairs = list(itertools.combinations(ext.elements, 2))
+    assert len(pairs) == 496
+    for (u, lo), (v, hi) in pairs:
+        assert s.color(u, v) == reference_pair_color(lo, hi)
+    assert len(s.rows.templates) == len(pairs)
 
 
 # ---------------------------------------------------------------------------
