@@ -18,17 +18,21 @@ form of a coloring lives in ``tests/helpers.py`` as a reference).
 
 Costs: a color lookup is O(1); ``validate`` makes O(n^2) big-int operations
 over per-color neighbour bitmasks (:func:`row_masks`); realizing a point
-picks each of its colors from such masks and copies each row once with one
-new entry; a functor extension (``katetov.apply_K``) keeps the rows of its
-type elements lazy and computes each pair color on first read.
+picks each of its colors from such masks, and since a stored row is an
+``array('i')`` (:func:`stored_row`), each old row is copied with one memcpy
+and its new entry inserted with one memmove; a functor extension
+(``katetov.apply_K``) keeps the rows of its type elements lazy and computes
+each pair color on first read.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
 
 
 class InputError(ValueError):
@@ -121,6 +125,13 @@ def color_less(c1: ColorTerm, c2: ColorTerm) -> bool:
 # ---------------------------------------------------------------------------
 
 HOLE = -1  # row entry of the diagonal and of a pair left uncolored
+
+
+def stored_row(ids: Iterable[int]) -> array:
+    """A row as a structure stores it: an ``array('i')`` of color ids.
+    Copying one is a memcpy and inserting an entry a memmove; fill it from
+    a list or tuple, which array copies in one C loop."""
+    return array("i", ids)
 
 
 def pair_of(u: str, v: str) -> frozenset:
@@ -243,7 +254,8 @@ def _build_checked(pts: tuple[str, ...], pair_ids: Mapping[tuple[int, int], int]
     """The checked structure over ``palette`` whose pair at positions
     ``(i, j)``, ``i < j``, has color id ``pair_ids[i, j]``.  Points,
     completeness and level are checked before any row is allocated, so a
-    missing pair (the first in position order) costs no O(n^2) memory."""
+    missing pair (the first in position order) costs no O(n^2) memory.
+    The rows are filled as lists and each is then stored once."""
     _check_points(pts)
     n = len(pts)
     if len(pair_ids) < n * (n - 1) // 2:
@@ -256,7 +268,7 @@ def _build_checked(pts: tuple[str, ...], pair_ids: Mapping[tuple[int, int], int]
     rows = [[HOLE] * n for _ in pts]
     for (i, j), c in pair_ids.items():
         rows[i][j] = rows[j][i] = c
-    return FinStruct.of_rows(pts, tuple(map(tuple, rows)), palette, level)
+    return FinStruct.of_rows(pts, tuple(map(stored_row, rows)), palette, level)
 
 
 class FinStruct:
@@ -267,9 +279,15 @@ class FinStruct:
     color between points ``i`` and ``j`` (HOLE on the diagonal) and
     ``palette.color(id)`` is that color (``palette.texts[id]`` its text), so
     a lookup costs two position lookups and two indexings.  ``rows`` is a
-    tuple of tuples, or, for a functor extension, a lazy provider with the
-    same indexing.  ``level`` bounds the levels of all colors.  Values are
-    immutable after construction.
+    tuple of :func:`stored_row` arrays, or, for a functor extension, a lazy
+    provider with the same indexing whose stored rows are such arrays.
+    ``level`` bounds the levels of all colors.
+
+    Values are immutable after construction.  Arrays are mutable, so this
+    is a rule of the code, not of the type: no code writes a row after
+    :meth:`of_rows`.  A new structure copies the rows it changes, and
+    earlier structures, kept as ``OnePointType.base`` or by a caller, stay
+    as they were.
 
     :meth:`build` is the one checked constructor and :meth:`of_rows` the
     unchecked one; a structure with a HOLE off the diagonal can only come
@@ -339,7 +357,8 @@ class FinStruct:
             if p not in self.pos:
                 raise InputError(f"unknown point {p!r}")
         idx = [i for i, p in enumerate(self.points) if p in keep]
-        rows = tuple(tuple(map(self.rows[i].__getitem__, idx)) for i in idx)
+        get = itemgetter(*idx) if len(idx) > 1 else lambda row: [row[j] for j in idx]
+        rows = tuple(stored_row(get(self.rows[i])) for i in idx)
         return FinStruct.of_rows(tuple(self.points[i] for i in idx), rows,
                                  self.palette, self.level)
 
@@ -593,7 +612,7 @@ def amalgamate(a: FinStruct, b: FinStruct, over: FinStruct,
         masks[i][c] = masks[i].get(c, 0) | 1 << j
         masks[j][c] = masks[j].get(c, 0) | 1 << i
 
-    result = FinStruct.of_rows(tuple(merged), tuple(map(tuple, rows)), palette, level)
+    result = FinStruct.of_rows(tuple(merged), tuple(map(stored_row, rows)), palette, level)
     verdict = validate(result)
     assert verdict.ok, f"amalgam invalid: {verdict.reason}"
     return Amalgam(result,

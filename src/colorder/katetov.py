@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .core import (HOLE, ColorTerm, Embedding, FinStruct, InputError,
-                   format_struct, validate)
+                   format_struct, stored_row, validate)
 from .types import (OnePointType, check_type_count, enumerate_types, format_type,
                     gap_index, order_key, transport)
 
@@ -144,12 +144,13 @@ class PairTemplates(dict):
 class _ExtensionRows(Sequence):
     """Lazy row provider of an extended structure.
 
-    The rows of base points are stored: they hold the base colors and the
-    colors to every type element.  The row of a type element is a view whose
-    entries against other type elements are pair colors, computed as text
-    on first read from the base's ``templates`` and kept in ``pair_cache``
-    by position pair, so large extensions stay usable as long as only a
-    sparse set of their pairs is inspected.
+    The rows of base points are stored, as ``core.stored_row`` arrays: they
+    hold the base colors and the colors to every type element.  The row of
+    a type element is a view whose entries against other type elements are
+    pair colors, computed as text on first read from the base's
+    ``templates`` and kept in ``pair_cache`` by position pair, so large
+    extensions stay usable as long as only a sparse set of their pairs is
+    inspected.  A slice of that view is a stored row too.
     Type elements sit in type order, so the lower position of a pair holds
     the lower type.
     """
@@ -196,7 +197,7 @@ class _ElementRow(Sequence):
 
     def __getitem__(self, j):
         if isinstance(j, slice):
-            return [self._rows.cid(self._i, k) for k in range(*j.indices(len(self)))]
+            return stored_row([self._rows.cid(self._i, k) for k in range(*j.indices(len(self)))])
         if not 0 <= j < len(self):
             raise IndexError(j)
         return self._rows.cid(self._i, j)
@@ -267,7 +268,7 @@ def apply_K(x: FinStruct, budget: int) -> ExtendedStructure:
         for q, c in zip(tau.support, tau.ids):
             col[x.pos[q]] = c
         columns.append(col)
-    base_rows = [None if p in type_of else tuple(col[x.pos[p]] for col in columns)
+    base_rows = [None if p in type_of else stored_row([col[x.pos[p]] for col in columns])
                  for p in points]
     rows = _ExtensionRows(base_rows, [type_of.get(p) for p in points], x)
     struct = FinStruct.of_rows(tuple(points), rows, x.palette, level)

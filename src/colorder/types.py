@@ -17,9 +17,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .core import HOLE, ColorTerm, FinStruct, InputError, row_masks, validate
+from .core import HOLE, ColorTerm, FinStruct, InputError, row_masks, stored_row, validate
 
 @dataclass(frozen=True, eq=False)
 class OnePointType:
@@ -109,7 +110,9 @@ def order_key(tau: OnePointType) -> tuple:
     Encodes four rules, in order: separation by a base point (the gap),
     support size, the largest point of the support symmetric difference (the
     type containing it comes first), and the color at the largest support
-    point where the colorings disagree.
+    point where the colorings disagree.  :func:`enumerate_types` builds the
+    same keys with each color's key read once and the last three parts
+    shared by a support's cuts.
     """
     pos, color = tau.base.pos, tau.base.palette.color
     return (gap_index(tau), len(tau.support),
@@ -189,20 +192,25 @@ def enumerate_types(x: FinStruct, level: int, budget: int) -> list[OnePointType]
     if x.level > level:
         raise InputError("base structure exceeds the enumeration level")
     pool = allowed_colors(x, level, budget)
-    out: list[OnePointType] = []
+    color_key = {c: x.palette.color(c).sort_key() for c in pool}
+    out: list[tuple[tuple, OnePointType]] = []  # (order_key, type)
     for size in range(len(x.points) + 1):
-        for supp in itertools.combinations(x.points, size):
-            supp_pairs = [(i, j, x.rows[x.pos[supp[i]]][x.pos[supp[j]]])
+        for idx in itertools.combinations(range(len(x.points)), size):
+            supp = tuple(map(x.points.__getitem__, idx))
+            supp_pairs = [(i, j, x.rows[idx[i]][idx[j]])
                           for i, j in itertools.combinations(range(size), 2)]
+            gaps = [0, *(i + 1 for i in idx)]  # gap_index of each cut
+            negated = tuple(-i for i in reversed(idx))
             for ids in itertools.product(pool, repeat=size):
                 if any(ids[i] == ids[j] == c for i, j, c in supp_pairs):
                     continue
-                for cut in range(size + 1):
-                    out.append(OnePointType(x, supp, cut, ids, level))
+                rest = (size, negated, tuple(map(color_key.__getitem__, reversed(ids))))
+                out.extend(((gaps[cut], *rest), OnePointType(x, supp, cut, ids, level))
+                           for cut in range(size + 1))
                 if len(out) > MAX_TYPES:
                     raise InputError(f"more than {MAX_TYPES} types")
-    out.sort(key=order_key)
-    return out
+    out.sort(key=itemgetter(0))
+    return [tau for _, tau in out]
 
 
 def fresh_point_name(s: FinStruct) -> str:
@@ -267,10 +275,11 @@ def insert_point(f: FinStruct, tau: OnePointType, u: str,
     masks.append(assigned)
     rows = []
     for row, c in zip(f.rows, new):
-        row = list(row)
+        row = row[:]  # a memcpy; the insert is a memmove
         row.insert(ins, c)
-        rows.append(tuple(row))
-    rows.insert(ins, (*new[:ins], HOLE, *new[ins:]))
+        rows.append(row)
+    new.insert(ins, HOLE)
+    rows.insert(ins, stored_row(new))
     pts = (*f.points[:ins], u, *f.points[ins:])
     return FinStruct.of_rows(pts, tuple(rows), pal, f.level)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from colorder.core import (HOLE, ColorTerm, FinStruct, InputError, Palette,
-                           code_of_parts, is_embedding, pair_of)
+                           code_of_parts, is_embedding, pair_of, stored_row)
 
 POINT_NAMES = "abcdefgh"
 
@@ -29,7 +29,7 @@ def struct_of(points, colors: Mapping[frozenset, ColorTerm], level: int = 0) -> 
     for key, c in colors.items():
         i, j = (pos[p] for p in key)
         rows[i][j] = rows[j][i] = palette.id(c)
-    return FinStruct.of_rows(pts, tuple(map(tuple, rows)), palette, level)
+    return FinStruct.of_rows(pts, tuple(map(stored_row, rows)), palette, level)
 
 
 def colors_of(s: FinStruct) -> dict[frozenset, ColorTerm]:

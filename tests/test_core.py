@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,8 @@ from colorder.core import (ColorTerm, Embedding, FinStruct, InputError,
                            amalgamate, canonical_code, color_less,
                            is_embedding, pair_of, parse_struct, format_struct,
                            validate)
+from colorder.katetov import apply_K
+from colorder.limit import Approximation, grow
 from colorder.types import OnePointType, point_key, realize_type
 from helpers import (all_embeddings, all_structures, colors_of, marked_isomorphic,
                      random_coloring, reference_is_embedding, reference_verdict,
@@ -435,3 +438,31 @@ def test_parse_rejects_duplicate_point():
     text = "structure s level 0\npoint a\npoint a\n"
     with pytest.raises(InputError):
         parse_struct(text)
+
+
+# ---------------------------------------------------------------------------
+# row storage
+# ---------------------------------------------------------------------------
+
+def test_every_producer_stores_array_rows():
+    """build, parse_struct, restrict, amalgamate, realize_type and the
+    approximation's insert_point, and apply_K's stored base rows (and a
+    slice of a lazy type-element row) are all array('i') rows."""
+    def stored(rows):
+        return len(rows) > 0 and all(type(r) is array and r.typecode == "i" for r in rows)
+
+    x = FinStruct.build("abc", {pair_of("a", "b"): B(0, 0), pair_of("a", "c"): B(0, 1),
+                                pair_of("b", "c"): B(0, 0)})
+    over = x.restrict("a")
+    y = FinStruct.build("ad", {pair_of("a", "d"): B(0, 2)})
+    amalgam = amalgamate(x, y, over, Embedding.build(over, x, {"a": "a"}),
+                         Embedding.build(over, y, {"a": "a"}))
+    realized, _ = realize_type(x, OnePointType.build(x, ("b",), 1, (B(0, 1),), 0))
+    ext = apply_K(x, 1).struct
+    base_rows = [ext.rows[ext.pos[p]] for p in x.points]
+    element = next(i for i, p in enumerate(ext.points) if p not in x)
+    for rows in (x.rows, parse_struct(format_struct(x))[1].rows, x.restrict("ac").rows,
+                 over.rows, amalgam.result.rows, realized.rows,
+                 grow(Approximation(budget_cap=2), 60).current.rows,
+                 base_rows, [ext.rows[element][:]]):
+        assert stored(rows)

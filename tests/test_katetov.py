@@ -9,7 +9,7 @@ from colorder.core import (PAIRCODE, ColorTerm, Embedding, FinStruct,
 from colorder.katetov import (EQ, GT, LT, apply_K, apply_K_morphism,
                               compare_types, format_extended, gap_index,
                               iterate_K, pair_color, pair_text)
-from colorder.types import (OnePointType, enumerate_types, transport,
+from colorder.types import (OnePointType, enumerate_types, order_key, transport,
                             type_of_point)
 from helpers import (all_embeddings, all_structures, colors_of, consistent_placements,
                      order_type_vs_point, pair_structure, random_coloring,
@@ -94,6 +94,25 @@ def test_enumeration_follows_reference_order(one_point):
             assert not reference_type_less(t2, t1)
     assert len(taus) == 9296
     assert {c.kind for tau in taus for c in tau.colors} == {"b", "m", "k"}
+
+
+def test_enumeration_order_is_the_sort_by_order_key(one_point):
+    """enumerate_types builds its sort keys without calling order_key; the
+    order it returns is that of sorting the same types, shuffled, by
+    order_key, on seeded 2- to 4-point bases at budgets 1-3 and on stage 2
+    of the iterated functor over one point."""
+    rng = random.Random(15)
+    cases = []
+    for names in ("pq", "pqr", "pqrs"):
+        x = FinStruct.build(names, random_coloring(rng, names, 2))
+        cases.extend(enumerate_types(x, 0, budget) for budget in (1, 2, 3))
+    stage2 = iterate_K(one_point, 2, [1, 1])[1]
+    cases.append([tau for _, tau in stage2.elements])
+    for taus in cases:
+        shuffled = taus[:]
+        rng.shuffle(shuffled)
+        assert sorted(shuffled, key=order_key) == taus
+    assert len(cases[-1]) == 9296
 
 
 def test_compare_rule3_largest_difference_point():

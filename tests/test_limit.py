@@ -90,6 +90,42 @@ class ReferenceCheckedApproximation(Approximation):
         return u
 
 
+class BaseKeepingApproximation(Approximation):
+    """Keeps the base of every realized task, with its bytes and verdict
+    at the time of the realization."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.kept: list = []
+
+    def _realize(self, tau: OnePointType) -> str:
+        self.kept.append(snapshot(tau.base))
+        return super()._realize(tau)
+
+
+def snapshot(s: FinStruct) -> tuple:
+    return s, format_struct(s), validate(s)
+
+
+def test_kept_structures_stay_as_they_were():
+    """Rows are mutable arrays, yet no code writes one after it is stored:
+    the approximation's earlier structures and the bases of its realized
+    tasks (restrictions from the schedule, and the whole structure for an
+    embed's transported types) format to the same bytes and validate the
+    same after the approximation grows further."""
+    rng = random.Random(4)
+    a = grow(BaseKeepingApproximation(budget_cap=3), 300)
+    kept = [snapshot(a.current)]
+    names = [f"e{k}" for k in range(5)]
+    a, _ = embed(a, FinStruct.build(names, random_coloring(rng, names, 3)))
+    kept.append(snapshot(a.current))
+    grow(a, 600)
+    kept.extend(a.kept)
+    assert any(s is not a.current and len(s) > 30 for s, _, _ in kept)
+    for s, body, verdict in kept:
+        assert (format_struct(s), validate(s)) == (body, verdict)
+
+
 def test_every_realization_matches_the_dict_reference():
     """Grown from a non-empty seed, then by embeds and back-and-forth steps:
     every new point, colored from the neighbour masks the approximation
