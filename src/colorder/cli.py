@@ -240,7 +240,7 @@ def _cmd_refute(args) -> int:
     base = _load_struct(args.base)
     if (args.type_text is None) == (args.type_file is None):
         raise InputError("give exactly one of --type and --type-file")
-    type_text = args.type_text or _read(args.type_file).strip()
+    type_text = args.type_text if args.type_file is None else _read(args.type_file).strip()
     tau = parse_type(type_text, base)
     with make_strategy(args.strategy, args.seed) as strategy:
         cert = refute(base, tau, strategy, args.depth)

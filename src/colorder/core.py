@@ -21,8 +21,9 @@ over per-color neighbour bitmasks (:func:`row_masks`); realizing a point
 picks each of its colors from such masks, and since a stored row is an
 ``array('i')`` (:func:`stored_row`), each old row is copied with one memcpy
 and its new entry inserted with one memmove; a functor extension
-(``katetov.apply_K``) keeps the rows of its type elements lazy and computes
-each pair color on first read.
+(``katetov.apply_K``) keeps the rows of its type elements lazy: a reader of
+ids computes each pair color on first read, and printing takes each row's
+texts from the extension (``row_texts``) without entering them.
 """
 
 from __future__ import annotations
@@ -632,15 +633,22 @@ def code_of_parts(n: int, color_texts: Iterable[str], marked_positions: Iterable
             + ",".join(str(i) for i in marked_positions))
 
 
-def _pair_texts(s: FinStruct) -> Iterator[str]:
-    """The text of every pair color, in lexicographic position order, read
-    from the palette's texts.  An uncolored pair raises InputError."""
+def _pair_texts(s: FinStruct) -> Iterator[Iterable[str]]:
+    """Per position ``i``, the texts of the pair colors between point ``i``
+    and every later point, in position order.  A row provider with a
+    ``row_texts(i)`` method (a functor extension) gives them itself;
+    stored rows are read through the palette's texts, and an uncolored
+    pair raises InputError."""
+    row_texts = getattr(s.rows, "row_texts", None)
+    if row_texts is not None:
+        yield from map(row_texts, range(len(s.points)))
+        return
     texts = s.palette.texts
     for i, row in enumerate(s.rows):
         tail = row[i + 1:]
         if HOLE in tail:
             _check_complete(s)  # raises on the first uncolored pair
-        yield from map(texts.__getitem__, tail)
+        yield map(texts.__getitem__, tail)
 
 
 def canonical_code(s: FinStruct, marked: Sequence[str] = ()) -> CanonicalCode:
@@ -650,7 +658,8 @@ def canonical_code(s: FinStruct, marked: Sequence[str] = ()) -> CanonicalCode:
     for m in marked:
         if m not in s:
             raise InputError(f"marked point {m!r} not in structure")
-    return code_of_parts(len(s.points), _pair_texts(s), (s.index(m) for m in marked))
+    return code_of_parts(len(s.points), itertools.chain.from_iterable(_pair_texts(s)),
+                         (s.index(m) for m in marked))
 
 
 # ---------------------------------------------------------------------------
@@ -658,10 +667,12 @@ def canonical_code(s: FinStruct, marked: Sequence[str] = ()) -> CanonicalCode:
 # ---------------------------------------------------------------------------
 
 def format_struct(s: FinStruct, name: str = "s") -> str:
+    pts = s.points
     lines = [f"structure {name} level {s.level}"]
-    lines.extend(f"point {p}" for p in s.points)
-    lines.extend(f"color {u} {v} {text}"
-                 for (u, v), text in zip(s.pairs(), _pair_texts(s)))
+    lines.extend(f"point {p}" for p in pts)
+    for i, texts in enumerate(_pair_texts(s)):
+        u = pts[i]
+        lines.extend(f"color {u} {v} {text}" for v, text in zip(pts[i + 1:], texts))
     return "\n".join(lines) + "\n"
 
 

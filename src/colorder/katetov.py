@@ -14,10 +14,12 @@ layouts (``OnePointType.column``), so a :class:`PairTemplates` map builds
 one template per pair of layouts and a pair color fills it with the two
 types' color texts.  Templates hold base pair texts, so a map belongs to
 one base: an extension's lazy rows keep their base's map as long as they
-live, and :func:`pair_text` builds one for its single call.  The lazy rows
-enter each pair color into the palette they share with their base as its
-canonical text, so no ``ColorTerm`` is built for a pair until a caller
-reads that color as a term.
+live, and :func:`pair_text` builds one for its single call.  Printing an
+extension reads each row's pair texts from the templates
+(``_ExtensionRows.row_texts``), so it adds no palette entry and no cache
+entry and builds no ``ColorTerm``.  Only a reader of ids enters a pair
+color into the palette they share with their base, as its canonical text,
+and keeps its id in ``pair_cache``.
 The morphism map transports types along embeddings, making the whole thing
 a functor that raises the level by one.
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -147,10 +149,12 @@ class _ExtensionRows(Sequence):
     The rows of base points are stored, as ``core.stored_row`` arrays: they
     hold the base colors and the colors to every type element.  The row of
     a type element is a view whose entries against other type elements are
-    pair colors, computed as text on first read from the base's
-    ``templates`` and kept in ``pair_cache`` by position pair, so large
-    extensions stay usable as long as only a sparse set of their pairs is
-    inspected.  A slice of that view is a stored row too.
+    pair colors, computed from the base's ``templates``.  Printing reads
+    them as texts through :meth:`row_texts`; a reader of ids goes through
+    :meth:`cid`, which enters each color into the palette on first read and
+    keeps its id in ``pair_cache`` by position pair, so large extensions
+    stay usable as long as only a sparse set of their pairs is inspected.
+    A slice of that view is a stored row too.
     Type elements sit in type order, so the lower position of a pair holds
     the lower type.
     """
@@ -182,6 +186,19 @@ class _ExtensionRows(Sequence):
             text = self.templates.text(self._types[key[0]], self._types[key[1]])
             got = self.pair_cache[key] = self._palette.id_text(text)
         return got
+
+    def row_texts(self, i: int) -> Iterable[str]:
+        """The color texts between position ``i`` and every later position,
+        in position order: a stored row's entries through the palette, and
+        a type-type pair straight from its template, so printing enters no
+        color into the palette or ``pair_cache``."""
+        rows, texts = self._rows, self._palette.texts
+        row = rows[i]
+        if row is not None:
+            return map(texts.__getitem__, row[i + 1:])
+        lo, text = self._types[i], self.templates.text
+        return [texts[r[i]] if r is not None else text(lo, t)
+                for r, t in zip(rows[i + 1:], self._types[i + 1:])]
 
 
 class _ElementRow(Sequence):

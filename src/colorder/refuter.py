@@ -175,9 +175,11 @@ class SubprocessStrategy(Strategy):
     one (which is rejected as a strategy fault).  Bytes that are not UTF-8
     read as U+FFFD, so such a reply is a malformed line, not a crash.  A
     reply that takes longer than ``ANSWER_DEADLINE_S``, or runs past
-    ``MAX_REPLY_BYTES`` without a newline, raises InputError.  The program
-    runs in a session of its own, so leaving the ``with`` block can end
-    everything it started.
+    ``MAX_REPLY_BYTES`` without a newline, raises InputError, so a stalled
+    strategy ends the run with exit 1 and no certificate.  There is no
+    ``timeout`` fault certificate: checking one would mean waiting out the
+    same deadline.  The program runs in a session of its own, so leaving
+    the ``with`` block can end everything it started.
     """
 
     def __init__(self, argv: list[str]):

@@ -188,6 +188,11 @@ def test_refute_requires_exactly_one_type_source(capsys):
                 "--type", "type supp= cut=0 colors= level=0",
                 "--type-file", data("one_point.txt"),
                 "--strategy", "constant"]) == 1
+    capsys.readouterr()
+    # an empty --type is a type text to parse, not a missing one
+    assert run(["refute", "--base", data("one_point.txt"), "--type", "",
+                "--strategy", "constant"]) == 1
+    assert capsys.readouterr().err == "error: bad type text ''\n"
 
 
 def test_k_apply_point_count(capsys):

@@ -10,8 +10,17 @@ new) that changes the header, the verdict or a POINTS line other than
 reader holds to what the writer writes.  A token mutant may forge a field
 value, which is the checker's to reject.
 
-Run ``python tests/test_fuzz.py SEED COUNT`` to fuzz by hand; it prints a
-JSON summary.
+A second case swaps the value of one numeric or name argument of a golden
+invocation for a drawn one, in the same capped child.  Every drawn value has
+a bounded cost: negatives, 0, 1, 2 and small counts, a huge ``--budget``
+(which the type cap rejects from the base's size), budget lists whose length
+differs from ``--stages``, malformed type texts and partial-isomorphism
+files.  A huge ``--steps`` or ``--depth`` is a long job, not a fault, so none
+is drawn.  Exit 1 must come with ``error:`` or the usage line on stderr.
+
+Run ``python tests/test_fuzz.py SEED COUNT`` to fuzz the texts by hand, and
+``python tests/test_fuzz.py --args SEED COUNT`` to fuzz argument values; each
+prints a JSON summary.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ SRC = os.path.join(os.path.dirname(HERE), "src")
 ADDRESS_SPACE = 1 << 30   # bytes
 SEED = 13
 COUNT = 600               # mutants per input
+ARG_COUNT = 1000          # argument-value draws
 
 TYPE_A = "type supp=a cut=1 colors=b:0:1 level=0\n"
 TOKENS = ("a", "b", "u0", "x", "t1", "q", "pair", "point", "color", "structure",
@@ -101,10 +111,22 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def cli_run(argv: list[str]) -> tuple[int | None, str]:
+    """The exit code and stderr of ``cli.run(argv)``; an exception, which
+    the CLI would print as a traceback, gives None and a traceback line."""
+    from colorder.cli import run
+
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return run(argv), err.getvalue()
+    except Exception as exc:
+        return None, f"Traceback: {exc!r}"
+
+
 def fuzz(seed: int, count: int) -> dict:
     """Run ``count`` mutants of every input and return the number of runs,
     of certificate runs that must exit 1, and the first few failures."""
-    from colorder.cli import run
     from golden_cases import GOLDEN, data
 
     certs = {name: strategy for name, strategy in (
@@ -145,33 +167,90 @@ def fuzz(seed: int, count: int) -> dict:
                 must_exit_1 = (by_line and name in certs
                                and frame_lines(mutant) != frame_lines(lines))
                 for argv in argvs(name):
-                    out, err = io.StringIO(), io.StringIO()
-                    try:
-                        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                            code = run(argv)
-                    except Exception as exc:  # the CLI would print a traceback
-                        code, err = None, io.StringIO(f"Traceback: {exc!r}")
+                    code, err = cli_run(argv)
                     runs += 1
                     frame_runs += must_exit_1
-                    if (code not in (0, 1, 2) or "Traceback" in err.getvalue()
+                    if (code not in (0, 1, 2) or "Traceback" in err
                             or (must_exit_1 and code != 1)):
                         failures.append({"argv": argv[0], "input": name, "code": code,
-                                         "stderr": err.getvalue()[-300:],
+                                         "stderr": err[-300:],
                                          "mutant": "\n".join(mutant)[-2000:]})
     return {"runs": runs, "frame_runs": frame_runs, "failures": failures[:5]}
 
 
-def test_mutated_inputs_end_in_a_defined_exit_code():
-    child = subprocess.run([sys.executable, __file__, str(SEED), str(COUNT)],
+SMALL = ("-2", "-1", "0", "1", "2", "3", "x", "", "1.5")
+ARG_VALUES = {
+    "--budget": SMALL + ("1000000000",),
+    "--stages": ("-1", "0", "1", "3", "x"),        # the golden budget list has 2
+    "--budgets": ("", ",", "2", "-1", "0,0,0", "2,2,2", "2,x"),
+    "--depth": SMALL,
+    "--steps": SMALL,
+    "--size": SMALL,
+    "--samples": SMALL,
+    "--point": ("a", "b", "u0", "u3", "zz", "-", ""),
+    "--type": ("", "type", TYPE_A.strip(), "type supp= cut=0 colors= level=0",
+               "type supp=a cut=0 colors=b:0:0 level=0", "type supp=a cut=2 colors=b:0:1 level=0",
+               "type supp=a cut=-1 colors=b:0:1 level=0", "type supp=z cut=1 colors=b:0:1 level=0",
+               "type supp=a,a cut=1 colors=b:0:1,b:0:1 level=0",
+               "type supp=a cut=1 colors=b:0:1 level=1", "type supp=a cut=1 colors=m:1 level=0",
+               "type supp=a cut=1 colors=k:1:ff level=0", "type supp=a cut=1 colors= level=0"),
+}
+ISO_TEXTS = ("", "pair a a\n", "pair b b\n", "pair a b\n", "pair b a\n", "pair a a\npair a a\n",
+             "pair a a\npair b a\n", "pair a zz\n", "pair u0 a\n", "pair a\n", "nonsense\n")
+
+
+def fuzz_args(seed: int, count: int) -> dict:
+    """Run ``count`` golden invocations, each with the value of one covered
+    argument swapped for a drawn one, and return the number of runs, the
+    arguments drawn and the first few failures."""
+    from golden_cases import CASES
+
+    cases = [argv for _, argv, _ in CASES if any(a in ARG_VALUES or a == "--iso" for a in argv)]
+    rng = random.Random(seed)
+    drawn, failures = set(), []
+    with tempfile.TemporaryDirectory() as tmp:
+        isos = [os.path.join(tmp, "missing.txt"), tmp]
+        for k, text in enumerate(ISO_TEXTS):
+            isos.append(os.path.join(tmp, f"iso{k}.txt"))
+            with open(isos[-1], "w") as fh:
+                fh.write(text)
+        values = dict(ARG_VALUES, **{"--iso": tuple(isos)})
+        for _ in range(count):
+            argv = list(rng.choice(cases))
+            i = rng.choice([i for i, a in enumerate(argv) if a in values])
+            argv[i + 1] = rng.choice(values[argv[i]])
+            drawn.add(argv[i])
+            code, err = cli_run(argv)
+            if (code not in (0, 1, 2) or "Traceback" in err
+                    or (code == 1 and "error:" not in err and "usage:" not in err)):
+                failures.append({"argv": argv, "code": code, "stderr": err[-300:]})
+    return {"runs": count, "drawn": sorted(drawn), "failures": failures[:5]}
+
+
+def _child(*args: str) -> dict:
+    child = subprocess.run([sys.executable, __file__, *args],
                            capture_output=True, text=True, timeout=300)
     assert child.returncode == 0, child.stderr
-    summary = json.loads(child.stdout)
+    return json.loads(child.stdout)
+
+
+def test_mutated_inputs_end_in_a_defined_exit_code():
+    summary = _child(str(SEED), str(COUNT))
     assert summary["failures"] == []
     assert summary["runs"] == COUNT * 15
     assert summary["frame_runs"] > COUNT
 
 
+def test_drawn_argument_values_end_in_a_defined_exit_code():
+    summary = _child("--args", str(SEED), str(ARG_COUNT))
+    assert summary["failures"] == []
+    assert summary["drawn"] == sorted([*ARG_VALUES, "--iso"])
+
+
 if __name__ == "__main__":
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
     sys.path.insert(0, SRC)
-    print(json.dumps(fuzz(int(sys.argv[1]), int(sys.argv[2]))))
+    if sys.argv[1] == "--args":
+        print(json.dumps(fuzz_args(int(sys.argv[2]), int(sys.argv[3]))))
+    else:
+        print(json.dumps(fuzz(int(sys.argv[1]), int(sys.argv[2]))))

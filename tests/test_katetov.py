@@ -5,7 +5,8 @@ import random
 import pytest
 
 from colorder.core import (PAIRCODE, ColorTerm, Embedding, FinStruct,
-                           InputError, is_embedding, pair_of, validate)
+                           InputError, canonical_code, format_struct,
+                           is_embedding, pair_of, validate)
 from colorder.katetov import (EQ, GT, LT, apply_K, apply_K_morphism,
                               compare_types, format_extended, gap_index,
                               iterate_K, pair_color, pair_text)
@@ -529,9 +530,10 @@ def test_stage_two_extension_stays_lazy():
 
 
 def test_format_extended_builds_no_pair_code_term(monkeypatch):
-    """Formatting an extension enters every type-type pair color into the
-    palette as text and builds no ``k:`` ColorTerm; the texts, and the terms
-    read back afterwards, are the pair colors."""
+    """Formatting an extension reads every type-type pair color from its
+    template: it builds no ``k:`` ColorTerm, enters no color into the
+    palette and caches no pair.  The texts and terms read back afterwards
+    through ids are the pair colors."""
     three = FinStruct.build("abc", {pair_of("a", "b"): B(0, 0),
                                     pair_of("a", "c"): B(0, 1),
                                     pair_of("b", "c"): B(0, 0)})
@@ -545,15 +547,49 @@ def test_format_extended_builds_no_pair_code_term(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(ColorTerm, "__post_init__", counting)
+    palette_size = len(s.palette.texts)
     format_extended(ext)
     monkeypatch.undo()
     assert PAIRCODE not in kinds
-    n = len(ext.elements)
-    assert len(s.rows.pair_cache) == n * (n - 1) // 2 == 1326
+    assert len(ext.elements) == 52
+    assert len(s.rows.pair_cache) == 0
+    assert len(s.palette.texts) == palette_size
     for (u, tu), (v, tv) in itertools.combinations(ext.elements, 2):
         color = pair_color(tu, tv)
         assert s.palette.texts[s.rows[s.pos[u]][s.pos[v]]] == color.text()
         assert s.color(u, v) == color
+
+
+def test_printed_pair_texts_equal_the_colors_read_through_ids():
+    """The text path of an extension (stored rows through the palette,
+    type-type pairs straight from the templates) gives the bytes of the id
+    path: the restricted copy reads every color through ``cid``.  Printing
+    agrees with a cold ``pair_cache`` and with one partly filled by a seeded
+    sample of reads, and so do canonical codes with and without marks.  A
+    full id-path copy of the 4-point budget-3 extension (668 points) takes
+    seconds, so there a seeded sample of rows is compared."""
+    rng = random.Random(16)
+    for names in ("pq", "pqr", "pqrs"):
+        x = FinStruct.build(names, random_coloring(rng, names, 3))
+        for budget in (1, 2, 3):
+            s = apply_K(x, budget).struct
+            n = len(s.points)
+            if n > 200:
+                assert (names, budget, n) == ("pqrs", 3, 668)
+                texts = s.palette.texts
+                for i in rng.sample(range(n), 24):
+                    assert list(s.rows.row_texts(i)) == [texts[c] for c in s.rows[i][i + 1:]]
+                continue
+            cold = format_struct(s)
+            warm = apply_K(x, budget).struct
+            for _ in range(n):
+                warm.color(*rng.sample(warm.points, 2))
+            assert 0 < len(warm.rows.pair_cache) < n * (n - 1) // 2
+            marks = rng.sample(s.points, 2)
+            ids = s.restrict(s.points)
+            assert format_struct(warm) == cold == format_struct(ids)
+            for m in ((), marks):
+                assert canonical_code(warm, m) == canonical_code(s, m) == canonical_code(ids, m)
 
 
 def test_pair_color_reads_only_its_support_union():
