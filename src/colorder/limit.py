@@ -51,7 +51,7 @@ class Approximation:
             raise InputError("budget cap must be at least 1")
         self.current = seed
         self.budget_cap = budget_cap
-        self.ledger: set[tuple] = set()  # keys of realized types
+        self.ledger: set[tuple] = set()  # keys of realized types: color texts, palette-free
         self.birth: list[str] = list(seed.points)
         self.steps_done = 0
         self._next_name = 0  # every u<k> with k below it is taken
@@ -113,10 +113,8 @@ class Approximation:
 
     def format(self, name: str = "approx") -> str:
         out = [format_struct(self.current, name), "ledger\n"]
-        lines = sorted(
-            f"task supp={','.join(supp)} cut={cut} "
-            f"colors={','.join(c.text() for c in cols)}\n"
-            for supp, cut, cols in self.ledger)
+        lines = sorted(f"task supp={','.join(supp)} cut={cut} colors={','.join(texts)}\n"
+                       for supp, cut, texts in self.ledger)
         return "".join(out) + "".join(lines)
 
 

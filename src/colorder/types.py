@@ -7,9 +7,11 @@ the support by the new point must itself be a valid structure.
 
 A type's colors are ids in its base's palette, so enumeration, ordering,
 realizer search and realization compare ints.  A type over one palette is
-carried to another only through ``Palette.translate``; color terms are made
-only at the boundary: ``format_type``, ``parse_type``, strategies and
-certificates read ``OnePointType.colors``.
+carried to another only through ``Palette.translate``.  Its identity,
+``OnePointType.key()``, spells the colors as canonical texts, which
+``format_type``, the functor's columns and a limit's ledger read.  Color
+terms are made only at the boundary: ``parse_type``, strategies, level
+checks and certificates read ``OnePointType.colors``.
 """
 
 from __future__ import annotations
@@ -28,11 +30,13 @@ class OnePointType:
 
     ``support`` lists the involved base points in base order, ``cut`` in
     [0, len(support)] places the new point among them (0 = below all), and
-    ``ids`` aligns with ``support``: color ids in ``base.palette``, which
-    ``colors`` reads as terms for the text form and strategies; a crossing
-    to another palette goes through ``Palette.translate``.  ``key()`` is
-    the palette-free identity, and two types are equal when their bases are
-    equal and their keys are.  The level plays no role in either.
+    ``ids`` aligns with ``support``: color ids in ``base.palette``; a
+    crossing to another palette goes through ``Palette.translate``.
+    ``key()``, the support, the cut and the colors' canonical texts, is the
+    palette-free identity: two types are equal when their bases are equal
+    and their keys are, and the level plays no role in either.  ``colors``
+    reads the ids as terms for boundary readers: strategies, level checks
+    and certificates.
     """
 
     base: FinStruct
@@ -69,8 +73,8 @@ class OnePointType:
     def colors(self) -> tuple[ColorTerm, ...]:
         return tuple(map(self.base.palette.color, self.ids))
 
-    def key(self) -> tuple:
-        return (self.support, self.cut, self.colors)
+    def key(self) -> tuple[tuple[str, ...], int, tuple[str, ...]]:
+        return (self.support, self.cut, tuple(map(self.base.palette.texts.__getitem__, self.ids)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OnePointType):
@@ -85,9 +89,8 @@ class OnePointType:
         per pair of layouts over a base and fills it with two types'
         texts; a position outside the support reads the next level's marker
         from the template."""
-        texts = self.base.palette.texts
         return ((tuple(map(self.base.pos.__getitem__, self.support)), gap_index(self)),
-                tuple(map(texts.__getitem__, self.ids)))
+                self.key()[2])
 
 
 def insert_position(ambient: FinStruct, support: Sequence[str], cut: int) -> int:
@@ -156,8 +159,11 @@ def type_of_point(s: FinStruct, u: str, over: Iterable[str]) -> OnePointType:
 
 def allowed_colors(x: FinStruct, level: int, budget: int) -> list[int]:
     """The enumeration's color pool as ids in ``x.palette``: budget-many base
-    colors per level up to ``level``, plus x's marker and pair-code colors."""
-    pool = [x.palette.id_text(f"b:{l}:{n}") for l in range(level + 1) for n in range(budget)]
+    colors per level up to ``level``, plus x's marker and pair-code colors.
+    The base part is empty, with no loop over levels, when no support can
+    use it: over an empty base or at a budget below 1."""
+    levels = range(level + 1) if x.points and budget > 0 else ()
+    pool = [x.palette.id_text(f"b:{l}:{n}") for l in levels for n in range(budget)]
     used: set[int] = set()
     for row in x.rows:
         used.update(row)
@@ -313,9 +319,8 @@ def transport(tau: OnePointType, mapping: Mapping[str, str],
 # ---------------------------------------------------------------------------
 
 def format_type(tau: OnePointType) -> str:
-    supp = ",".join(tau.support)
-    cols = ",".join(map(tau.base.palette.texts.__getitem__, tau.ids))
-    return f"type supp={supp} cut={tau.cut} colors={cols} level={tau.level}"
+    supp, cut, texts = tau.key()
+    return f"type supp={','.join(supp)} cut={cut} colors={','.join(texts)} level={tau.level}"
 
 
 def parse_type(text: str, base: FinStruct) -> OnePointType:

@@ -96,6 +96,12 @@ def brute_force_types(x: FinStruct, level: int, budget: int):
     return found
 
 
+def text_keys(triples) -> set:
+    """Oracle triples as ``OnePointType.key()`` spells them: each color as
+    its canonical text."""
+    return {(supp, cut, tuple(map(ColorTerm.text, cols))) for supp, cut, cols in triples}
+
+
 def marked_isomorphic(s: FinStruct, ms, t: FinStruct, mt) -> bool:
     """Search all bijections for one preserving order, colors and marks."""
     if len(s.points) != len(t.points) or len(ms) != len(mt):

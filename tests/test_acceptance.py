@@ -20,7 +20,7 @@ from colorder.refuter import (BUNDLED_STRATEGIES, EQUIV, FAULT, MONO,
                               refute)
 from colorder.types import enumerate_types, transport
 from helpers import (all_embeddings, all_structures, brute_force_types,
-                     pair_structure, reference_pair_color)
+                     pair_structure, reference_pair_color, text_keys)
 
 B = ColorTerm.base
 
@@ -126,7 +126,7 @@ def test_criterion_05_type_count_oracle():
                 got = enumerate_types(x, 0, budget)
                 want = brute_force_types(x, 0, budget)
                 assert len(got) == len(want)
-                assert {t.key() for t in got} == set(want)
+                assert {t.key() for t in got} == text_keys(want)
         one = FinStruct.build("a", {})
         two = FinStruct.build("ab", {pair_of("a", "b"): B(0, 0)})
         assert len(enumerate_types(FinStruct.empty(), 0, 2)) == 1

@@ -1,6 +1,8 @@
 import hashlib
+import json
 import os
 import shlex
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -323,6 +325,47 @@ def test_enumeration_past_the_cap_exits_1(tmp_path, capsys, argv):
     assert capsys.readouterr() == ("", "error: more than 100000 types\n")
     assert peak < 40 * 2**20
     assert time.monotonic() - start < 20
+
+
+CAPPED_RUN = """
+import contextlib, io, json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.path.insert(0, sys.argv[1])
+from colorder.cli import run
+out = io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stdout(out):
+    code = run(sys.argv[2:])
+print(json.dumps([code, out.getvalue(), time.perf_counter() - start]))
+"""
+
+
+def capped_run(argv: list[str]) -> tuple[int, str, float]:
+    """Exit code, stdout and seconds of ``cli.run(argv)`` in a child whose
+    address space is capped at 1 GiB; a traceback fails the test."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    child = subprocess.run([sys.executable, "-c", CAPPED_RUN, src, *argv],
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0 and "Traceback" not in child.stderr, child.stderr
+    return tuple(json.loads(child.stdout))
+
+
+@pytest.mark.parametrize("argv,option,small", [
+    (["types", "--base", data("empty.txt"), "--budget", "1"], "--level", 0),
+    (["types", "--base", data("two_point.txt"), "--budget", "0"], "--level", 0),
+    (["k-apply", "--base", data("empty.txt")], "--budget", 1),
+], ids=["types-empty-level", "types-budget-0-level", "k-apply-empty-budget"])
+def test_unused_color_pool_is_not_built(argv, option, small):
+    """Over an empty base, or with budget 0, no type has a base color to
+    draw, so a huge level or budget costs nothing: the output is the small
+    value's, with the enumeration level printed in each type line."""
+    huge = 100_000_000
+    code, out, seconds = capped_run([*argv, option, str(huge)])
+    want_code, want, _ = capped_run([*argv, option, str(small)])
+    if option == "--level":
+        want = want.replace(f"level={small}\n", f"level={huge}\n")
+    assert code == want_code == 0 and out == want
+    assert seconds < 1
 
 
 @pytest.mark.parametrize("command", ["refute", "check-cert"])

@@ -10,7 +10,7 @@ from colorder.core import (ColorTerm, FinStruct, InputError, canonical_code,
 from colorder.limit import (Approximation, PartialIso, embed,
                             extend_partial_iso, format_pairs, grow,
                             parse_pairs, saturation_check)
-from colorder.types import OnePointType, enumerate_types
+from colorder.types import OnePointType, enumerate_types, parse_type
 from helpers import (all_structures, random_coloring, reference_iso_check,
                      reference_realize, struct_of)
 
@@ -56,6 +56,34 @@ def test_grow_is_idempotent_on_realized_tasks():
     size = len(grown(40).current.points)
     b = grown(40)
     assert len(b.current.points) == size
+
+
+def test_ledger_is_palette_free():
+    # a task parsed over an equal seed whose palette lists b:0:1 first has
+    # other color ids than over the approximation's own palette
+    pairs = [(pair_of("a", "b"), B(0, 0)), (pair_of("a", "c"), B(0, 1)),
+             (pair_of("b", "c"), B(0, 1))]
+    seed = FinStruct.build("abc", dict(pairs))
+    copy = FinStruct.build("abc", dict(reversed(pairs)))
+    assert copy == seed and copy.palette.texts != seed.palette.texts
+    text = "type supp=a cut=0 colors=b:0:0 level=0"
+    own, foreign = parse_type(text, seed), parse_type(text, copy)
+    assert own.ids != foreign.ids
+    a = Approximation(seed)
+    a.realize(foreign)
+    assert a.ledger == {own.key()}
+    # steps 1-4 meet the free type; step 5 is this task over {a}, which
+    # realizes a new point unless the ledger already holds it
+    fresh = grow(Approximation(seed), 4)
+    size = len(fresh.current.points)
+    assert own.key() not in fresh.ledger
+    grow(fresh, 1)
+    assert own.key() in fresh.ledger and len(fresh.current.points) == size + 1
+    grow(a, 4)
+    size, tasks = len(a.current.points), len(a.ledger)
+    grow(a, 1)
+    assert (len(a.current.points), len(a.ledger)) == (size, tasks)
+    assert "task supp=a cut=0 colors=b:0:0\n" in a.format()
 
 
 def test_saturation_window_zero_is_vacuous():
