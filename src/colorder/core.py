@@ -32,7 +32,7 @@ import itertools
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Container, Iterable, Iterator, Mapping, Sequence
 from operator import itemgetter
 
 
@@ -133,6 +133,14 @@ def stored_row(ids: Iterable[int]) -> array:
     Copying one is a memcpy and inserting an entry a memmove; fill it from
     a list or tuple, which array copies in one C loop."""
     return array("i", ids)
+
+
+def gather(idx: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """A reader that takes a row and gives back its entries at positions
+    ``idx`` as a tuple, read in C: the one way to read a row segment."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return (lambda row: (row[idx[0]],)) if idx else (lambda row: ())
 
 
 def pair_of(u: str, v: str) -> frozenset:
@@ -358,7 +366,7 @@ class FinStruct:
             if p not in self.pos:
                 raise InputError(f"unknown point {p!r}")
         idx = [i for i, p in enumerate(self.points) if p in keep]
-        get = itemgetter(*idx) if len(idx) > 1 else lambda row: [row[j] for j in idx]
+        get = gather(idx)
         rows = tuple(stored_row(get(self.rows[i])) for i in idx)
         return FinStruct.of_rows(tuple(self.points[i] for i in idx), rows,
                                  self.palette, self.level)
@@ -372,13 +380,8 @@ class FinStruct:
             return True
         if not isinstance(other, FinStruct):
             return NotImplemented
-        if self.points != other.points or self.level != other.level:
-            return False
-        if self.palette is other.palette:
-            return all(tuple(r1) == tuple(r2) for r1, r2 in zip(self.rows, other.rows))
-        trans = self.palette.translate(other.palette)
-        return all(tuple(r1) == tuple(map(trans.__getitem__, r2))
-                   for r1, r2 in zip(self.rows, other.rows))
+        return (self.points == other.points and self.level == other.level
+                and preserves(zip(self.points, self.points), other, self))
 
     __hash__ = None  # structures hold mappings; hash their canonical code
 
@@ -458,25 +461,31 @@ def validate(s: FinStruct) -> Verdict:
 # Embeddings
 # ---------------------------------------------------------------------------
 
+def preserves(pairs: Iterable[tuple[str, str]], s: FinStruct, t: FinStruct) -> bool:
+    """True iff ``pairs`` (a point of ``s``, a point of ``t``) form an
+    injective map that keeps the order and the color of every two points;
+    an unknown point gives False.  Sorted by source position, both sides
+    must strictly increase, and past the diagonal each source row gathered
+    at the sources must equal its image row gathered at the images."""
+    spos, tpos = s.pos, t.pos
+    try:
+        ij = sorted([(spos[u], tpos[v]) for u, v in pairs])
+    except KeyError:
+        return False
+    if not all(i0 < i1 and j0 < j1 for (i0, j0), (i1, j1) in zip(ij, ij[1:])):
+        return False
+    from_s, from_t = gather([i for i, _ in ij]), gather([j for _, j in ij])
+    if s.palette is not t.palette:  # read the colors of s as ids of t
+        trans, get = t.palette.translate(s.palette).__getitem__, from_s
+        from_s = lambda row: tuple(map(trans, get(row)))
+    srows, trows = s.rows, t.rows
+    return all(from_s(srows[i])[k:] == from_t(trows[j])[k:] for k, (i, j) in enumerate(ij, 1))
+
+
 def is_embedding(mapping: Mapping[str, str], s: FinStruct, t: FinStruct) -> bool:
     """True iff ``mapping`` is an injective, order- and color-preserving map
     of the points of ``s`` into ``t``."""
-    if set(mapping) != set(s.points):
-        return False
-    images = [mapping[p] for p in s.points]
-    if len(set(images)) != len(images):
-        return False
-    if any(im not in t for im in images):
-        return False
-    idx = [t.pos[im] for im in images]
-    if any(a >= b for a, b in zip(idx, idx[1:])):
-        return False
-    trans = t.palette.translate(s.palette)
-    for i, row in enumerate(s.rows):
-        trow = t.rows[idx[i]]
-        if any(trow[idx[j]] != trans[row[j]] for j in range(i + 1, len(idx))):
-            return False
-    return True
+    return len(mapping) == len(s.points) and preserves(mapping.items(), s, t)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import Embedding, FinStruct, InputError, format_struct, row_masks, validate
+from .core import (Embedding, FinStruct, InputError, format_struct, gather, preserves,
+                   row_masks, validate)
 from .types import (OnePointType, check_realizable, enumerate_types, insert_point,
                     point_key)
 
@@ -82,15 +83,12 @@ class Approximation:
         """Smallest point (in structure order) realizing the task, if any."""
         s = self.current
         idx = [s.pos[p] for p in tau.support]
-        ids = list(s.palette.translate_ids(tau.base.palette, tau.ids))
+        ids = s.palette.translate_ids(tau.base.palette, tau.ids)
         # the points with the type's cut lie strictly between two support points
         lo = idx[tau.cut - 1] + 1 if tau.cut else 0
         hi = idx[tau.cut] if tau.cut < len(idx) else len(s.points)
-        for i in range(lo, hi):
-            row = s.rows[i]
-            if [row[j] for j in idx] == ids:
-                return s.points[i]
-        return None
+        get, rows = gather(idx), s.rows
+        return next((s.points[i] for i in range(lo, hi) if get(rows[i]) == ids), None)
 
     def realize(self, tau: OnePointType) -> str:
         """Realize ``tau`` as a new point named ``u<k>``, the first such
@@ -174,12 +172,7 @@ class PartialIso:
     def check(self, s: FinStruct) -> bool:
         """A bijection between points of ``s`` that preserves order and
         colors; its inverse then does too."""
-        iso = PartialIso(())
-        for u, v in self.pairs:
-            if not iso.admits(s, u, v):
-                return False
-            iso = iso.extended(u, v)
-        return True
+        return preserves(self.pairs, s, s)
 
     def admits(self, s: FinStruct, u: str, v: str) -> bool:
         """Whether this map, itself a partial isomorphism of ``s``, stays one

@@ -424,27 +424,26 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
         return fault(code)
     q2, side2 = ans2.color, ans2.side
 
-    alpha = PartialIso(tuple((p, p) for p in x.points) + ((t1, t2),))
-    assert alpha.check(a.current), "realizers are not interchangeable"
+    fwd = {p: p for p in x.points} | {t1: t2}
+    assert PartialIso(tuple(fwd.items())).check(a.current), "realizers are not interchangeable"
+    bwd = {w: u for u, w in fwd.items()}
     transcript: list[ExtendRecord] = []
-    cur_iso = alpha
     for k in range(depth):
         forth = k % 2 == 0  # even steps extend the map, odd steps its inverse
-        side = cur_iso if forth else cur_iso.inverse()
-        taken = set(side.domain())
-        u = next((p for p in a.current.points if p not in taken), None)
+        side, other = (fwd, bwd) if forth else (bwd, fwd)
+        u = next((p for p in a.current.points if p not in side), None)
         if u is None:
             break
-        side = side.extended(u, realize_image(a, a.current, side.fwd(), u))
-        cur_iso = side if forth else side.inverse()
-        transcript.append(("fwd" if forth else "bwd", u, side.pairs[-1][1]))
+        w = side[u] = realize_image(a, a.current, side, u)
+        other[w] = u
+        transcript.append(("fwd" if forth else "bwd", u, w))
 
     kind = MONO if (q2 == q and side2 == side1) else EQUIV
     return RefutationCertificate(
         kind=kind, structure=a.current, base_points=x.points,
         tau_text=format_type(tau), queries=tuple(queries),
         t1=t1, t2=t2, q=q, q2=q2, side1=side1, side2=side2,
-        alpha=cur_iso, transcript=tuple(transcript),
+        alpha=PartialIso(tuple(fwd.items())), transcript=tuple(transcript),
         extension_depth=len(transcript))
 
 
@@ -551,17 +550,20 @@ def check_certificate(cert: RefutationCertificate,
     # map, fwd on even steps and bwd on odd ones, ending at alpha in order
     seed_pairs = tuple((p, p) for p in cert.base_points) + ((cert.t1, cert.t2),)
     iso = PartialIso(seed_pairs)
+    domain, image = set(iso.domain()), set(iso.range())
     for k, (direction, u, w) in enumerate(cert.transcript):
         pair = {"fwd": (u, w), "bwd": (w, u)}.get(direction)
         if pair is None:
             return CheckResult(False, "bad-transcript-direction")
         if direction != ("fwd" if k % 2 == 0 else "bwd"):
             return CheckResult(False, f"transcript-step-order at step {k}")
-        if pair[0] in iso.domain() or pair[1] in iso.range():
+        if pair[0] in domain or pair[1] in image:
             return CheckResult(False, "transcript-collision")
         if not iso.admits(s, *pair):  # the earlier pairs are already checked
             return CheckResult(False, "transcript-step-invalid")
         iso = iso.extended(*pair)
+        domain.add(pair[0])
+        image.add(pair[1])
     if len(cert.transcript) != cert.extension_depth:
         return CheckResult(False, "depth-mismatch")
     if iso.pairs != cert.alpha.pairs:
@@ -722,10 +724,9 @@ def control_lo(order: tuple[str, ...] | list[str], cut: int, depth: int,
             if not free:
                 free = [grow_at(len(points))]
             u = rng.choice(free)
-            dom_sorted = sorted(m, key=points.index)
-            lo = max((points.index(m[d]) for d in dom_sorted
+            lo = max((points.index(m[d]) for d in m
                       if points.index(d) < points.index(u)), default=-1)
-            hi = min((points.index(m[d]) for d in dom_sorted
+            hi = min((points.index(m[d]) for d in m
                       if points.index(d) > points.index(u)),
                      default=len(points))
             taken = set(m.values())

@@ -22,7 +22,8 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .core import HOLE, ColorTerm, FinStruct, InputError, row_masks, stored_row, validate
+from .core import (HOLE, ColorTerm, FinStruct, InputError, gather, preserves, row_masks,
+                   stored_row, validate)
 
 @dataclass(frozen=True, eq=False)
 class OnePointType:
@@ -129,13 +130,12 @@ def point_key(s: FinStruct, u: str, over_sorted: tuple[str, ...]) -> tuple:
     i = s.index(u)
     if u in over_sorted:
         raise InputError(f"degenerate pair ({u!r}, {u!r})")
-    idx = [s.index(p) for p in over_sorted]
-    row = s.rows[i]
-    ids = [row[j] for j in idx]
+    idx = list(map(s.index, over_sorted))
+    ids = gather(idx)(s.rows[i])
     if HOLE in ids:
         v = over_sorted[ids.index(HOLE)]
         raise InputError("missing color for pair ({}, {})".format(*sorted((u, v))))
-    return (over_sorted, sum(1 for j in idx if j < i), tuple(ids))
+    return (over_sorted, sum(1 for j in idx if j < i), ids)
 
 
 def type_of_point(s: FinStruct, u: str, over: Iterable[str]) -> OnePointType:
@@ -232,13 +232,8 @@ def check_realizable(f: FinStruct, tau: OnePointType) -> None:
     for p in tau.support:
         if p not in f:
             raise InputError(f"support point {p!r} missing from the ambient structure")
-    idx = [f.pos[p] for p in tau.support]
-    base_idx = [tau.base.pos[p] for p in tau.support]
-    trans = f.palette.translate(tau.base.palette)
-    for a, b in itertools.combinations(range(len(idx)), 2):
-        if (idx[a] >= idx[b] or f.rows[idx[a]][idx[b]]
-                != trans[tau.base.rows[base_idx[a]][base_idx[b]]]):
-            raise InputError("type support disagrees with the ambient structure")
+    if not preserves(zip(tau.support, tau.support), tau.base, f):
+        raise InputError("type support disagrees with the ambient structure")
     for c in tau.colors:
         if c.level > f.level:
             raise InputError(f"type color {c.text()} exceeds ambient level {f.level}")
@@ -309,8 +304,6 @@ def transport(tau: OnePointType, mapping: Mapping[str, str],
     colors, anchored on ``new_base``.
     """
     supp = tuple(mapping[p] for p in tau.support)
-    if tuple(new_base.sorted_points(supp)) != supp:
-        raise InputError("mapping does not preserve the support order")
     return OnePointType.build(new_base, supp, tau.cut, tau.colors, tau.level)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from colorder.core import (HOLE, ColorTerm, FinStruct, InputError, Palette,
-                           code_of_parts, is_embedding, pair_of, stored_row)
+                           code_of_parts, pair_of, stored_row)
 
 POINT_NAMES = "abcdefgh"
 
@@ -175,8 +175,8 @@ def reference_iso_check(pairs, s: FinStruct) -> bool:
         return False
     dom = s.restrict(fwd)
     rng = s.restrict(fwd.values())
-    return (is_embedding(fwd, dom, rng)
-            and is_embedding({v: u for u, v in pairs}, rng, dom))
+    return (reference_is_embedding(fwd, dom, rng)
+            and reference_is_embedding({v: u for u, v in pairs}, rng, dom))
 
 
 def reference_verdict(s: FinStruct):

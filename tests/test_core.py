@@ -149,6 +149,13 @@ def test_restrict_eq_and_embeddings_match_their_definitions(seed):
         m = dict(zip(r.points, images))
         for src, dst, mm in ((r, s, m), (r, copy, m), (copy.restrict(sub), s, m)):
             assert is_embedding(mm, src, dst) == reference_is_embedding(mm, src, dst)
+    # 0- and 1-point sources, over the target's palette and over another one
+    for size in range(min(n, 1) + 1):
+        for src in (s.restrict(names[:size]), copy.restrict(names[:size])):
+            for images in itertools.permutations(names + ["zz"], size):
+                m = dict(zip(src.points, images))
+                for dst in (s, copy):
+                    assert is_embedding(m, src, dst) == reference_is_embedding(m, src, dst)
 
 
 # ---------------------------------------------------------------------------

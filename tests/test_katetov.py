@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from colorder.core import (PAIRCODE, ColorTerm, Embedding, FinStruct,
+from colorder.core import (HOLE, PAIRCODE, ColorTerm, Embedding, FinStruct,
                            InputError, canonical_code, format_struct,
                            is_embedding, pair_of, validate)
 from colorder.katetov import (EQ, GT, LT, apply_K, apply_K_morphism,
@@ -363,6 +363,15 @@ def test_K_restricts_to_base(two_point):
     ext = apply_K(two_point, 2)
     assert ext.struct.restrict(two_point.points) == struct_of(
         two_point.points, colors_of(two_point), ext.struct.level)
+    # 0, 1 and 2 points, type elements among them, read through the lazy rows
+    s, ids = ext.struct, ext.element_ids()
+    for sub in ((), ids[:1], ("b",), (ids[0], ids[-1]), ("a", ids[5])):
+        r = s.restrict(sub)
+        assert r.points == s.sorted_points(sub)
+        assert colors_of(r) == {pair_of(u, v): s.color(u, v)
+                                for u, v in itertools.combinations(r.points, 2)}
+        assert [list(row) for row in r.rows] == [
+            [HOLE if u == v else r.palette.id(s.color(u, v)) for v in r.points] for u in r.points]
 
 
 def test_K_extends_the_base_palette():

@@ -8,7 +8,7 @@ from colorder.core import (ColorTerm, FinStruct, InputError, format_struct, pair
                            parse_struct, validate)
 from colorder.types import (OnePointType, enumerate_types, format_type,
                             insert_position, parse_type, realize_type,
-                            type_of_point)
+                            transport, type_of_point)
 from colorder.limit import Approximation, grow
 from helpers import (all_structures, brute_force_types, colors_of,
                      consistent_placements, reference_realize, text_keys)
@@ -161,6 +161,18 @@ def test_realize_rejects_a_support_that_disagrees(two_point, realize):
     tau = OnePointType.build(other, ("a", "b"), 1, (B(0, 0), B(0, 0)), 0)
     with pytest.raises(InputError, match="type support disagrees"):
         realize(two_point, tau)
+    # the same colors in the other order
+    with pytest.raises(InputError, match="type support disagrees"):
+        realize(FinStruct.build("ba", {pair_of("a", "b"): B(0, 1)}), tau)
+
+
+def test_transport_rejects_an_order_reversing_mapping(two_point):
+    """The image support must list the base points in base order, which
+    ``OnePointType.build`` checks for every transported type."""
+    tau = OnePointType.build(two_point, ("a", "b"), 1, (B(0, 1), B(0, 2)), 0)
+    assert transport(tau, {"a": "a", "b": "b"}, two_point) == tau
+    with pytest.raises(InputError, match="support must list distinct base points in base order"):
+        transport(tau, {"a": "b", "b": "a"}, two_point)
 
 
 def test_realize_rejects_colliding_name(two_point):
