@@ -142,7 +142,10 @@ def _cmd_amalgamate(args) -> int:
         if path is None:
             mapping = {p: p for p in over.points}
         else:
-            mapping = dict(parse_pairs(_read(path)).pairs)
+            pairs = parse_pairs(_read(path)).pairs
+            mapping = dict(pairs)
+            if len(mapping) < len(pairs):   # a common point listed twice
+                raise InputError("not an embedding")
         return Embedding.build(over, target, mapping)
 
     am = amalgamate(left, right, over, load_map(args.left_map, left),

@@ -22,7 +22,8 @@ picks each of its colors from such masks, and since a stored row is an
 ``array('i')`` (:func:`stored_row`), each old row is copied with one memcpy
 and its new entry inserted with one memmove; a functor extension
 (``katetov.apply_K``) keeps the rows of its type elements lazy: a reader of
-ids computes each pair color on first read, and printing takes each row's
+ids computes a pair color's text on each read and looks its id up in
+``Palette.ids``, the one text-to-id table, and printing takes each row's
 texts from the extension (``row_texts``) without entering them.
 """
 
@@ -428,29 +429,28 @@ def validate(s: FinStruct) -> Verdict:
     The level bound is checked first; either violation names the first
     offending pair or triple in position order.
 
-    One pass over the rows builds, per point and color, the bitmask of the
-    points joined to it in that color; a pair (i, j) of color c then closes
-    a triangle with exactly the points k > j set in both masks of c, so the
-    scan costs one big-int AND per pair.
+    One pass over each row past the diagonal, so each pair is read once,
+    builds per point and color the bitmask of the later points joined to
+    it in that color (bit 0 the next point); a pair (i, j) of color c then
+    closes a triangle with exactly the points k > j set in both masks of
+    c, so the scan costs one big-int AND per pair.
     """
     pts, rows, pal = s.points, s.rows, s.palette.color
-    n = len(pts)
     _check_points(pts)
-    masks = row_masks(rows)
-    if s.level < 0 or any(m.get(HOLE) != 1 << i for i, m in enumerate(masks)):
+    tails = [row[i + 1:] for i, row in enumerate(rows)]
+    masks = row_masks(tails)
+    if s.level < 0 or any(HOLE in m for m in masks):
         _check_complete(s)
-    used = {c for m in masks for c in m if c != HOLE}
+    used = {c for m in masks for c in m}
     over = [c for c in used if pal(c).level > s.level]
     for i, m in enumerate(masks):
-        later = [(_lowest_bit(m[c] >> (i + 1)), c) for c in over if m.get(c, 0) >> (i + 1)]
+        later = [(_lowest_bit(m[c]), c) for c in over if c in m]
         if later:
             j, c = min(later)
             return Verdict(False, "level-bound", (pts[i], pts[i + 1 + j], pts[i]), pal(c))
-    for i in range(n):
-        mi, row = masks[i], rows[i]
-        for j in range(i + 1, n):
-            c = row[j]
-            common = (mi[c] & masks[j][c]) >> (j + 1)
+    for i, (mi, tail) in enumerate(zip(masks, tails)):
+        for j, c in enumerate(tail, i + 1):
+            common = (mi[c] >> (j - i)) & masks[j].get(c, 0)
             if common:
                 k = j + 1 + _lowest_bit(common)
                 return Verdict(False, "monochromatic-triangle", (pts[i], pts[j], pts[k]), pal(c))
@@ -465,8 +465,8 @@ def preserves(pairs: Iterable[tuple[str, str]], s: FinStruct, t: FinStruct) -> b
     """True iff ``pairs`` (a point of ``s``, a point of ``t``) form an
     injective map that keeps the order and the color of every two points;
     an unknown point gives False.  Sorted by source position, both sides
-    must strictly increase, and past the diagonal each source row gathered
-    at the sources must equal its image row gathered at the images."""
+    must strictly increase, and each source row must agree with its image
+    row at every later source, so each pair is read once on either side."""
     spos, tpos = s.pos, t.pos
     try:
         ij = sorted([(spos[u], tpos[v]) for u, v in pairs])
@@ -474,12 +474,15 @@ def preserves(pairs: Iterable[tuple[str, str]], s: FinStruct, t: FinStruct) -> b
         return False
     if not all(i0 < i1 and j0 < j1 for (i0, j0), (i1, j1) in zip(ij, ij[1:])):
         return False
-    from_s, from_t = gather([i for i, _ in ij]), gather([j for _, j in ij])
-    if s.palette is not t.palette:  # read the colors of s as ids of t
-        trans, get = t.palette.translate(s.palette).__getitem__, from_s
-        from_s = lambda row: tuple(map(trans, get(row)))
     srows, trows = s.rows, t.rows
-    return all(from_s(srows[i])[k:] == from_t(trows[j])[k:] for k, (i, j) in enumerate(ij, 1))
+    trans = None if s.palette is t.palette else t.palette.translate(s.palette)
+    for k, (i, j) in enumerate(ij, 1):
+        srow, trow = srows[i], trows[j]
+        for a, b in ij[k:]:
+            c = srow[a]
+            if (c if trans is None else trans[c]) != trow[b]:   # s's colors as ids of t
+                return False
+    return True
 
 
 def is_embedding(mapping: Mapping[str, str], s: FinStruct, t: FinStruct) -> bool:

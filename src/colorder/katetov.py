@@ -16,10 +16,10 @@ types' color texts.  Templates hold base pair texts, so a map belongs to
 one base: an extension's lazy rows keep their base's map as long as they
 live, and :func:`pair_text` builds one for its single call.  Printing an
 extension reads each row's pair texts from the templates
-(``_ExtensionRows.row_texts``), so it adds no palette entry and no cache
-entry and builds no ``ColorTerm``.  Only a reader of ids enters a pair
-color into the palette they share with their base, as its canonical text,
-and keeps its id in ``pair_cache``.
+(``_ExtensionRows.row_texts``), so it adds no palette entry and builds no
+``ColorTerm``.  Only a reader of ids enters a pair color into the palette
+they share with their base, as its canonical text; ``Palette.ids`` is the
+one table from that text to its id.
 The morphism map transports types along embeddings, making the whole thing
 a functor that raises the level by one.
 """
@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .core import (HOLE, ColorTerm, Embedding, FinStruct, InputError,
-                   format_struct, stored_row, validate)
-from .types import (OnePointType, check_type_count, enumerate_types, format_type,
-                    gap_index, order_key, transport)
+                   format_struct, stored_row)
+from .types import (OnePointType, enumerate_types, format_type, gap_index,
+                    order_key, transport)
 
 LT = -1
 EQ = 0
@@ -151,8 +151,8 @@ class _ExtensionRows(Sequence):
     a type element is a view whose entries against other type elements are
     pair colors, computed from the base's ``templates``.  Printing reads
     them as texts through :meth:`row_texts`; a reader of ids goes through
-    :meth:`cid`, which enters each color into the palette on first read and
-    keeps its id in ``pair_cache`` by position pair, so large extensions
+    :meth:`cid`, which fills the pair's template and looks its text up in
+    the palette's ``ids``, adding it on first read, so large extensions
     stay usable as long as only a sparse set of their pairs is inspected.
     A slice of that view is a stored row too.
     Type elements sit in type order, so the lower position of a pair holds
@@ -164,7 +164,6 @@ class _ExtensionRows(Sequence):
         self._types = types      # position -> type, or None for a base point
         self._palette = base.palette
         self.templates = PairTemplates(base)
-        self.pair_cache: dict[tuple[int, int], int] = {}
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -180,18 +179,14 @@ class _ExtensionRows(Sequence):
             return row[i]
         if i == j:
             return HOLE
-        key = (i, j) if i < j else (j, i)
-        got = self.pair_cache.get(key)
-        if got is None:
-            text = self.templates.text(self._types[key[0]], self._types[key[1]])
-            got = self.pair_cache[key] = self._palette.id_text(text)
-        return got
+        lo, hi = (i, j) if i < j else (j, i)
+        return self._palette.id_text(self.templates.text(self._types[lo], self._types[hi]))
 
     def row_texts(self, i: int) -> Iterable[str]:
         """The color texts between position ``i`` and every later position,
         in position order: a stored row's entries through the palette, and
         a type-type pair straight from its template, so printing enters no
-        color into the palette or ``pair_cache``."""
+        color into the palette."""
         rows, texts = self._rows, self._palette.texts
         row = rows[i]
         if row is not None:
@@ -244,11 +239,8 @@ def apply_K(x: FinStruct, budget: int) -> ExtendedStructure:
 
     The output restricted to ``x`` is ``x`` itself; every new element
     realizes exactly its defining type; the result is valid one level up.
+    ``enumerate_types`` rejects an invalid base and one with too many types.
     """
-    check_type_count(x, x.level, budget)
-    v = validate(x)
-    if not v:
-        raise InputError(f"invalid structure: {v.reason}")
     level = x.level + 1
     taus = enumerate_types(x, x.level, budget)
 
@@ -270,24 +262,25 @@ def apply_K(x: FinStruct, budget: int) -> ExtendedStructure:
         if gap < len(x.points):
             points.append(x.points[gap])
 
-    # column of every position against the base points, by base position.
-    # The extension extends x's palette, whose ids never change meaning.
-    base_cols = [tuple(row) for row in x.rows]
-    marker = x.palette.id(ColorTerm.marker(level))
+    # A base point's stored row reads the base row at each base point and,
+    # at each type element, the type's color to it if it is in the support,
+    # the marker if not.  The extension extends x's palette, whose ids
+    # never change meaning.
+    pos, marker = x.pos, x.palette.id(ColorTerm.marker(level))
     type_of = dict(zip(ids, taus))
-    columns = []
-    for p in points:
-        tau = type_of.get(p)
-        if tau is None:
-            columns.append(base_cols[x.pos[p]])
+    types = [type_of.get(p) for p in points]   # per position: a type, None for a base point
+    at = [pos.get(p) for p in points]          # per position: a base position, None for a type
+    supports = [None if tau is None else dict(zip(map(pos.__getitem__, tau.support), tau.ids))
+                for tau in types]              # per type element: base position to id
+    base_rows = []
+    for i in at:
+        if i is None:                          # a type element: its row stays lazy
+            base_rows.append(None)
             continue
-        col = [marker] * len(x.points)
-        for q, c in zip(tau.support, tau.ids):
-            col[x.pos[q]] = c
-        columns.append(col)
-    base_rows = [None if p in type_of else stored_row([col[x.pos[p]] for col in columns])
-                 for p in points]
-    rows = _ExtensionRows(base_rows, [type_of.get(p) for p in points], x)
+        row = x.rows[i]
+        base_rows.append(stored_row([row[a] if a is not None else m.get(i, marker)
+                                     for a, m in zip(at, supports)]))
+    rows = _ExtensionRows(base_rows, types, x)
     struct = FinStruct.of_rows(tuple(points), rows, x.palette, level)
     return ExtendedStructure(x, struct, tuple(zip(ids, taus)))
 

@@ -246,6 +246,53 @@ def test_extend_iso_unknown_point_exits_1(capsys):
     assert capsys.readouterr().err == "error: unknown point 'nope'\n"
 
 
+@pytest.mark.parametrize("argv", [["types", "--budget", "1"], ["k-apply", "--budget", "1"],
+                                  ["k-iterate", "--stages", "1", "--budgets", "1"]])
+def test_invalid_base_exits_1(capsys, argv):
+    assert run(argv + ["--base", data("mono3.txt")]) == 1
+    assert capsys.readouterr() == ("", "error: invalid base structure: monochromatic-triangle\n")
+
+
+def run_amalgamate(tmp_path, left_map: str | None, right_map: str | None) -> int:
+    """``amalgamate`` of the golden's three files, with map files holding
+    the given texts."""
+    argv = ["amalgamate", "--left", data("amal_left.txt"), "--right", data("amal_right.txt"),
+            "--over", data("amal_over.txt")]
+    for flag, text in (("--left-map", left_map), ("--right-map", right_map)):
+        if text is not None:
+            path = tmp_path / f"{flag[2:]}.txt"
+            path.write_text(text)
+            argv += [flag, str(path)]
+    return run(argv)
+
+
+def test_amalgamate_identity_maps_give_the_golden(tmp_path, capsys):
+    assert run_amalgamate(tmp_path, "pair x x\n", "pair x x\n") == 0
+    assert capsys.readouterr() == (golden_bytes("amalgamate.txt").decode(), "")
+
+
+def test_amalgamate_left_map_renames_the_private_point(tmp_path, capsys):
+    assert run_amalgamate(tmp_path, "pair x a1\n", None) == 0
+    assert capsys.readouterr() == ("structure amalgam level 0\n"
+                                   "point x.a\npoint x\npoint b1\n"
+                                   "color x.a x b:0:0\ncolor x.a b1 b:0:1\ncolor x b1 b:0:0\n"
+                                   "embedding left\npair x x.a\npair a1 x\n"
+                                   "embedding right\npair x x\npair b1 b1\n", "")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("pair x x\npair x a1\n", "not an embedding"),
+    ("pair x x\npair x x\n", "not an embedding"),
+    ("pair zz a1\n", "not an embedding"),
+    ("pair x\n", "line 1: expected 'pair <id> <id>'"),
+])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_bad_amalgamate_map_exits_1(tmp_path, capsys, side, text, message):
+    maps = (text, None) if side == "left" else (None, text)
+    assert run_amalgamate(tmp_path, *maps) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_type_file_input(tmp_path, capsys):
     tf = tmp_path / "tau.txt"
     tf.write_text("type supp=a cut=1 colors=b:0:1 level=0\n")

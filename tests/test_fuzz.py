@@ -15,8 +15,10 @@ invocation for a drawn one, in the same capped child.  Every drawn value has
 a bounded cost: negatives, 0, 1, 2 and small counts, a huge ``--budget``
 (which the type cap rejects from the base's size), budget lists whose length
 differs from ``--stages``, malformed type texts and partial-isomorphism
-files.  A huge ``--steps`` or ``--depth`` is a long job, not a fault, so none
-is drawn.  Exit 1 must come with ``error:`` or the usage line on stderr.
+files.  An ``amalgamate`` invocation draws ``--left-map``, ``--right-map``
+or both from seeded pair files over its points.
+A huge ``--steps`` or ``--depth`` is a long job, not a fault, so none is
+drawn.  Exit 1 must come with ``error:`` or the usage line on stderr.
 
 Run ``python tests/test_fuzz.py SEED COUNT`` to fuzz the texts by hand, and
 ``python tests/test_fuzz.py --args SEED COUNT`` to fuzz argument values; each
@@ -197,29 +199,55 @@ ARG_VALUES = {
 }
 ISO_TEXTS = ("", "pair a a\n", "pair b b\n", "pair a b\n", "pair b a\n", "pair a a\npair a a\n",
              "pair a a\npair b a\n", "pair a zz\n", "pair u0 a\n", "pair a\n", "nonsense\n")
+MAP_POINTS = ("x", "a1", "b1", "zz")   # the amalgamate golden's points, and an unknown one
+MAP_FILES = 16
+VALID_MAPS = ("pair x x\n", "pair x a1\n", "pair x b1\n")   # each valid on one side at least
+
+
+def map_text(rng: random.Random) -> str:
+    """An amalgamate map file: up to three pair lines over ``MAP_POINTS``,
+    now and then with a malformed line."""
+    lines = [f"pair {rng.choice(MAP_POINTS)} {rng.choice(MAP_POINTS)}"
+             for _ in range(rng.randrange(4))]
+    if rng.randrange(8) == 0:
+        lines.insert(rng.randrange(len(lines) + 1), "pair x")
+    return "".join(line + "\n" for line in lines)
 
 
 def fuzz_args(seed: int, count: int) -> dict:
     """Run ``count`` golden invocations, each with the value of one covered
-    argument swapped for a drawn one, and return the number of runs, the
-    arguments drawn and the first few failures."""
+    argument swapped for a drawn one (an ``amalgamate`` one with one map
+    file drawn or both), and return the number of runs, the arguments
+    drawn and the first few failures."""
     from golden_cases import CASES
 
-    cases = [argv for _, argv, _ in CASES if any(a in ARG_VALUES or a == "--iso" for a in argv)]
+    cases = [argv for _, argv, _ in CASES
+             if argv[0] == "amalgamate" or any(a in ARG_VALUES or a == "--iso" for a in argv)]
     rng = random.Random(seed)
     drawn, failures = set(), []
     with tempfile.TemporaryDirectory() as tmp:
-        isos = [os.path.join(tmp, "missing.txt"), tmp]
-        for k, text in enumerate(ISO_TEXTS):
-            isos.append(os.path.join(tmp, f"iso{k}.txt"))
-            with open(isos[-1], "w") as fh:
-                fh.write(text)
-        values = dict(ARG_VALUES, **{"--iso": tuple(isos)})
+        def files(kind: str, texts) -> tuple[str, ...]:
+            """A missing file, a directory and one file per text."""
+            paths = [os.path.join(tmp, "missing.txt"), tmp]
+            for k, text in enumerate(texts):
+                paths.append(os.path.join(tmp, f"{kind}{k}.txt"))
+                with open(paths[-1], "w") as fh:
+                    fh.write(text)
+            return tuple(paths)
+
+        values = dict(ARG_VALUES, **{"--iso": files("iso", ISO_TEXTS)})
+        maps = files("map", [*VALID_MAPS, *(map_text(rng) for _ in range(MAP_FILES))])
         for _ in range(count):
             argv = list(rng.choice(cases))
-            i = rng.choice([i for i, a in enumerate(argv) if a in values])
-            argv[i + 1] = rng.choice(values[argv[i]])
-            drawn.add(argv[i])
+            if argv[0] == "amalgamate":   # one map file or both, never neither
+                flags = rng.choice((["--left-map"], ["--right-map"], ["--left-map", "--right-map"]))
+                for flag in flags:
+                    argv += [flag, rng.choice(maps)]
+                drawn.update(flags)
+            else:
+                i = rng.choice([i for i, a in enumerate(argv) if a in values])
+                argv[i + 1] = rng.choice(values[argv[i]])
+                drawn.add(argv[i])
             code, err = cli_run(argv)
             if (code not in (0, 1, 2) or "Traceback" in err
                     or (code == 1 and "error:" not in err and "usage:" not in err)):
@@ -244,7 +272,7 @@ def test_mutated_inputs_end_in_a_defined_exit_code():
 def test_drawn_argument_values_end_in_a_defined_exit_code():
     summary = _child("--args", str(SEED), str(ARG_COUNT))
     assert summary["failures"] == []
-    assert summary["drawn"] == sorted([*ARG_VALUES, "--iso"])
+    assert summary["drawn"] == sorted([*ARG_VALUES, "--iso", "--left-map", "--right-map"])
 
 
 if __name__ == "__main__":

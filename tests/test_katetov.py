@@ -5,13 +5,13 @@ import random
 import pytest
 
 from colorder.core import (HOLE, PAIRCODE, ColorTerm, Embedding, FinStruct,
-                           InputError, canonical_code, format_struct,
+                           InputError, Palette, canonical_code, format_struct,
                            is_embedding, pair_of, validate)
-from colorder.katetov import (EQ, GT, LT, apply_K, apply_K_morphism,
+from colorder.katetov import (EQ, GT, LT, PairTemplates, apply_K, apply_K_morphism,
                               compare_types, format_extended, gap_index,
                               iterate_K, pair_color, pair_text)
-from colorder.types import (OnePointType, enumerate_types, order_key, transport,
-                            type_of_point)
+from colorder.types import (OnePointType, enumerate_types, order_key, realize_type,
+                            transport, type_of_point)
 from helpers import (all_embeddings, all_structures, colors_of, consistent_placements,
                      order_type_vs_point, pair_structure, random_coloring,
                      reference_pair_color, reference_type_less, struct_of)
@@ -516,52 +516,86 @@ def test_iterate_second_stage_realizes_all_budget_types(one_point):
     assert audited == len(stage2.elements)
 
 
-def test_stage_two_extension_stays_lazy():
-    """Reading a few stage-2 colors computes only those type-type pair
-    colors: the lazy rows cache one entry per distinct pair read."""
+def record_pair_reads(monkeypatch) -> list[tuple]:
+    """Record, from now on, every pair color that a ``PairTemplates`` map
+    is asked for, as (map, lower type, higher type)."""
+    asked: list[tuple] = []
+    text = PairTemplates.text
+
+    def recording(self, lo, hi):
+        asked.append((self, lo, hi))
+        return text(self, lo, hi)
+
+    monkeypatch.setattr(PairTemplates, "text", recording)
+    return asked
+
+
+def pairs_asked(asked, rows) -> list[tuple[int, int]]:
+    """The position pairs, lower first, that the lazy rows ``rows`` asked
+    their own templates for among the records ``asked``."""
+    pos = {id(t): i for i, t in enumerate(rows._types) if t is not None}
+    return [(pos[id(lo)], pos[id(hi)]) for m, lo, hi in asked if m is rows.templates]
+
+
+def test_stage_two_extension_stays_lazy(monkeypatch):
+    """Building stage 2 computes none of its type-type pair colors, and
+    reading a few of them computes only those, reading stage-1 pair colors
+    only inside the support unions of the pairs read."""
     one = FinStruct.build("a", {})
+    asked = record_pair_reads(monkeypatch)
     ext = iterate_K(one, 2, [1, 1])[-1]
-    rows = ext.struct.rows
-    assert len(rows.pair_cache) == 0
+    s = ext.struct
+    assert pairs_asked(asked, s.rows) == []
+    assert not any(t.startswith("k:2:") for t in s.palette.texts)
+    built = len(asked)
     ids = ext.element_ids()
     assert len(ids) == 9296
     picks = [(ids[0], ids[5]), (ids[9000], ids[17]), (ids[4001], ids[4000])]
     for u, v in picks:
-        assert ext.struct.color(u, v) == pair_color(ext.type_of(u), ext.type_of(v))
-    ext.struct.color(ids[5], ids[0])                  # a pair read before
-    ext.struct.color(ext.base.points[0], ids[3])      # base to type: stored
-    assert len(rows.pair_cache) == len(picks)
-    # building stage 2 validated and copied every stage-1 row; the stage-1
-    # cache still holds only pairs inside the support unions of the picks
+        assert s.color(u, v) == pair_color(ext.type_of(u), ext.type_of(v))
+    s.color(ids[5], ids[0])                           # a pair read before
+    s.color(ext.base.points[0], ids[3])               # base to type: stored
+    assert set(pairs_asked(asked, s.rows)) == {tuple(sorted((s.pos[u], s.pos[v])))
+                                                for u, v in picks}
     unions = [{ext.base.pos[p] for p in ext.type_of(u).support + ext.type_of(v).support}
               for u, v in picks]
-    assert all(any({i, j} <= un for un in unions) for i, j in ext.base.rows.pair_cache)
+    base_asked = pairs_asked(asked[built:], ext.base.rows)
+    assert base_asked
+    assert all(any({i, j} <= un for un in unions) for i, j in base_asked)
 
 
 def test_format_extended_builds_no_pair_code_term(monkeypatch):
     """Formatting an extension reads every type-type pair color from its
-    template: it builds no ``k:`` ColorTerm, enters no color into the
-    palette and caches no pair.  The texts and terms read back afterwards
+    template: it builds no ``k:`` ColorTerm, computes no id and enters no
+    color into the palette.  The texts and terms read back afterwards
     through ids are the pair colors."""
     three = FinStruct.build("abc", {pair_of("a", "b"): B(0, 0),
                                     pair_of("a", "c"): B(0, 1),
                                     pair_of("b", "c"): B(0, 0)})
+    asked = record_pair_reads(monkeypatch)
     ext = apply_K(three, 2)
     s = ext.struct
-    kinds = []
-    post_init = ColorTerm.__post_init__
+    assert pairs_asked(asked, s.rows) == []             # building computes none
+    assert not any(t.startswith("k:") for t in s.palette.texts)
+    kinds, id_reads = [], []
+    post_init, id_text = ColorTerm.__post_init__, Palette.id_text
 
     def counting(self):
         kinds.append(self.kind)
         post_init(self)
 
+    def reading(self, text):
+        id_reads.append(text)
+        return id_text(self, text)
+
     monkeypatch.setattr(ColorTerm, "__post_init__", counting)
+    monkeypatch.setattr(Palette, "id_text", reading)
     palette_size = len(s.palette.texts)
     format_extended(ext)
     monkeypatch.undo()
     assert PAIRCODE not in kinds
     assert len(ext.elements) == 52
-    assert len(s.rows.pair_cache) == 0
+    assert id_reads == []
     assert len(s.palette.texts) == palette_size
     for (u, tu), (v, tv) in itertools.combinations(ext.elements, 2):
         color = pair_color(tu, tv)
@@ -569,12 +603,13 @@ def test_format_extended_builds_no_pair_code_term(monkeypatch):
         assert s.color(u, v) == color
 
 
-def test_printed_pair_texts_equal_the_colors_read_through_ids():
+def test_printed_pair_texts_equal_the_colors_read_through_ids(monkeypatch):
     """The text path of an extension (stored rows through the palette,
     type-type pairs straight from the templates) gives the bytes of the id
     path: the restricted copy reads every color through ``cid``.  Printing
-    agrees with a cold ``pair_cache`` and with one partly filled by a seeded
-    sample of reads, and so do canonical codes with and without marks.  A
+    agrees before and after a seeded sample of reads through ids, which
+    computes some of the type-type pair colors but not all, and so do
+    canonical codes with and without marks.  A
     full id-path copy of the 4-point budget-3 extension (668 points) takes
     seconds, so there a seeded sample of rows is compared."""
     rng = random.Random(16)
@@ -590,10 +625,12 @@ def test_printed_pair_texts_equal_the_colors_read_through_ids():
                     assert list(s.rows.row_texts(i)) == [texts[c] for c in s.rows[i][i + 1:]]
                 continue
             cold = format_struct(s)
-            warm = apply_K(x, budget).struct
-            for _ in range(n):
-                warm.color(*rng.sample(warm.points, 2))
-            assert 0 < len(warm.rows.pair_cache) < n * (n - 1) // 2
+            with monkeypatch.context() as mp:
+                asked = record_pair_reads(mp)
+                warm = apply_K(x, budget).struct
+                for _ in range(n):
+                    warm.color(*rng.sample(warm.points, 2))
+            assert 0 < len(set(pairs_asked(asked, warm.rows))) < n * (n - 1) // 2
             marks = rng.sample(s.points, 2)
             ids = s.restrict(s.points)
             assert format_struct(warm) == cold == format_struct(ids)
@@ -601,24 +638,44 @@ def test_printed_pair_texts_equal_the_colors_read_through_ids():
                 assert canonical_code(warm, m) == canonical_code(s, m) == canonical_code(ids, m)
 
 
-def test_pair_color_reads_only_its_support_union():
-    """Over a lazy extension, a type's column reads no base row, and a pair
-    color reads only the base pairs inside the two supports' union."""
+def test_pair_color_reads_only_its_support_union(monkeypatch):
+    """Over a lazy extension, which computes no type-type pair color when
+    built, a type's column reads no base row, and a pair color reads only
+    the base pairs inside the two supports' union."""
     three = FinStruct.build("abc", {pair_of("a", "b"): B(0, 0),
                                     pair_of("a", "c"): B(0, 1),
                                     pair_of("b", "c"): B(0, 0)})
+    asked = record_pair_reads(monkeypatch)
     ext = apply_K(three, 2)
-    s, cache = ext.struct, ext.struct.rows.pair_cache
+    s = ext.struct
+    assert pairs_asked(asked, s.rows) == []
     ids = ext.element_ids()
     colors = (ColorTerm.marker(1), B(1, 0), B(0, 1))   # distinct: no triangle
     xi = OnePointType.build(s, s.sorted_points({ids[3], "b", ids[40]}), 1, colors, 1)
     psi = OnePointType.build(s, s.sorted_points({"a", ids[7], ids[40]}), 3, colors, 1)
-    read = set(cache)
-    assert read == {(s.pos[ids[3]], s.pos[ids[40]]), (s.pos[ids[7]], s.pos[ids[40]])}
+    assert set(pairs_asked(asked, s.rows)) == {(s.pos[ids[3]], s.pos[ids[40]]),
+                                               (s.pos[ids[7]], s.pos[ids[40]])}
+    read = len(asked)
     xi.column, psi.column
-    assert set(cache) == read
+    assert len(asked) == read
     union = {s.pos[p] for p in xi.support + psi.support}
     got = pair_color(xi, psi)
-    assert all({i, j} <= union for i, j in cache)
-    assert len(cache) == 3                      # every type-type pair of the union
+    read = pairs_asked(asked, s.rows)
+    assert all({i, j} <= union for i, j in read)
+    assert len(set(read)) == 3                  # every type-type pair of the union
     assert got == reference_pair_color(xi, psi)
+
+
+def test_realize_type_over_an_extension(one_point):
+    """``realize_type`` reads an extension's lazy rows through ids and
+    copies a type element's row as a slice: the result is valid, keeps the
+    extension, and its new point realizes the type."""
+    ext = apply_K(one_point, 1)
+    s, ids = ext.struct, ext.element_ids()
+    colors = (B(1, 0), B(0, 0), ColorTerm.marker(1))   # distinct: no triangle
+    tau = OnePointType.build(s, s.sorted_points({ids[0], "a", ids[-1]}), 2, colors, 1)
+    f, u = realize_type(s, tau)
+    assert validate(f)
+    assert f.restrict(s.points) == s
+    assert type_of_point(f, u, tau.support).key() == tau.key()
+    assert [f.color(u, p) for p in tau.support] == list(colors)
