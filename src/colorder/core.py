@@ -237,11 +237,15 @@ class _IdMap(dict):
         return got
 
 
+def _check_id(what: str, p: str) -> None:  # one token of a line
+    if not p or any(ch.isspace() for ch in p):
+        raise InputError(f"bad {what} {p!r}")
+
+
 def _check_points(pts: tuple[str, ...]) -> None:
     seen = set()
     for p in pts:
-        if not p or any(ch.isspace() for ch in p):
-            raise InputError(f"bad point id {p!r}")
+        _check_id("point id", p)
         if p in seen:
             raise InputError(f"duplicate point {p!r}")
         seen.add(p)
@@ -679,6 +683,7 @@ def canonical_code(s: FinStruct, marked: Sequence[str] = ()) -> CanonicalCode:
 # ---------------------------------------------------------------------------
 
 def format_struct(s: FinStruct, name: str = "s") -> str:
+    _check_id("structure name", name)  # the header must read back
     pts = s.points
     lines = [f"structure {name} level {s.level}"]
     lines.extend(f"point {p}" for p in pts)
@@ -691,12 +696,17 @@ def format_struct(s: FinStruct, name: str = "s") -> str:
 def parse_struct(text: str) -> tuple[str, FinStruct]:
     """Parse the line format.  Rejects duplicate points, duplicate pairs and
     missing pairs."""
+    return parse_struct_lines(enumerate(text.splitlines(), 1))
+
+
+def parse_struct_lines(lines: Iterable[tuple[int, str]]) -> tuple[str, FinStruct]:
+    """:func:`parse_struct` over ``(line number, line)`` pairs."""
     name = None
     level = 0
     points: dict[str, int] = {}  # insertion-ordered, O(1) membership
     pair_ids: dict[tuple[int, int], int] = {}  # (i, j), i < j -> color id
     palette = Palette()
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in lines:
         line = raw.strip()
         if not line:
             continue

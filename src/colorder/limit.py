@@ -174,24 +174,6 @@ class PartialIso:
         colors; its inverse then does too."""
         return preserves(self.pairs, s, s)
 
-    def admits(self, s: FinStruct, u: str, v: str) -> bool:
-        """Whether this map, itself a partial isomorphism of ``s``, stays one
-        with the pair (u, v) added: ``u`` and ``v`` are points of ``s`` new
-        to the domain and the range, and the new pair agrees in order and
-        color with every old pair."""
-        pos = s.pos
-        i, j = pos.get(u), pos.get(v)
-        if i is None or j is None:
-            return False
-        row_u, row_v = s.rows[i], s.rows[j]
-        for a, b in self.pairs:
-            if a == u or b == v:
-                return False
-            pa, pb = pos[a], pos[b]
-            if (pa < i) != (pb < j) or row_u[pa] != row_v[pb]:
-                return False
-        return True
-
 
 def realize_image(a: Approximation, s: FinStruct, mapping: dict[str, str],
                   u: str) -> str:
@@ -207,7 +189,7 @@ def realize_image(a: Approximation, s: FinStruct, mapping: dict[str, str],
     builds its map with this step from a validated structure,
     ``extend_partial_iso`` checks its map first, and ``refute`` checks
     ``alpha`` and extends it only by this step.  The certificate checker
-    re-verifies every step independently."""
+    checks the finished map once, and so every step along with it."""
     dom = s.sorted_points(mapping)
     _, cut, ids = point_key(s, u, dom)  # ids in s.palette, foreign only from embed
     target = OnePointType(a.current, tuple(mapping[d] for d in dom), cut,
@@ -254,8 +236,13 @@ def format_pairs(pairs: Iterable[tuple[str, str]]) -> str:
 
 
 def parse_pairs(text: str) -> PartialIso:
+    return parse_pair_lines(enumerate(text.splitlines(), 1))
+
+
+def parse_pair_lines(lines: Iterable[tuple[int, str]]) -> PartialIso:
+    """:func:`parse_pairs` over ``(line number, line)`` pairs."""
     pairs = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in lines:
         line = raw.strip()
         if not line:
             continue

@@ -13,6 +13,9 @@ from typing import Mapping
 
 from colorder.core import (HOLE, ColorTerm, FinStruct, InputError, Palette,
                            code_of_parts, pair_of, stored_row)
+from colorder.refuter import (ABOVE, EQUIV, FAULT, MONO, QueryContext,
+                              structure_hash)
+from colorder.types import format_type, parse_type
 
 POINT_NAMES = "abcdefgh"
 
@@ -321,3 +324,141 @@ def reference_pair_color(xi, psi, ordered: bool = False) -> ColorTerm:
     """``katetov.pair_color`` from the reference pair structure's code."""
     code = pair_structure(xi, psi, ordered).code()
     return ColorTerm.pair_code(xi.base.level + 1, code.encode().hex())
+
+
+# ---------------------------------------------------------------------------
+# The certificate checker from its definitions
+# ---------------------------------------------------------------------------
+
+def reference_restrict(s: FinStruct, subset) -> FinStruct:
+    """The substructure on ``subset``, copied pair by pair into a new
+    palette, its points in the order of ``s``."""
+    pts = [p for p in s.points if p in set(subset)]
+    return struct_of(pts, {pair_of(u, v): s.color(u, v)
+                           for u, v in itertools.combinations(pts, 2)}, s.level)
+
+
+def reference_fault(x: FinStruct, tau, answers):
+    """What a strategy's last answers (point -> (side, color) tokens) claim
+    about the virtual point over the base ``x``: the first fault, or None,
+    with the virtual point's colors and the base points below it.  Answers
+    at the type's support are not read.  Faults, in the order they are
+    sought: a base answer that claims the virtual point itself or a color
+    above the base's level (in the order the points were first asked);
+    once every base point has a color, a below-set that is not an initial
+    segment of the base, then a base pair colored like the virtual point's
+    two colors to its ends; a non-base answer that claims the virtual point
+    or a color above the level; and a first non-base answer whose color
+    equals a virtual color over the base."""
+    vcol = dict(zip(tau.support, tau.colors))
+    below = set(tau.support[:tau.cut])
+    asked = [(p, side, color) for p, (side, color) in answers.items() if p not in vcol]
+
+    def own_fault(side: str, color: str):
+        if side == "self":
+            return "self-claim"
+        if ColorTerm.parse(color).level > x.level:
+            return "level-bound"
+        return None
+
+    for p, side, color in asked:
+        if p in x:
+            if fault := own_fault(side, color):
+                return fault, vcol, below
+            vcol[p] = ColorTerm.parse(color)
+            if side == ABOVE:
+                below.add(p)
+    if set(vcol) == set(x.points):
+        if any(v not in below and w in below for v, w in x.pairs()):
+            return "incoherent-order", vcol, below
+        if any(vcol[v] == vcol[w] == x.color(v, w) for v, w in x.pairs()):
+            return "virtual-triangle", vcol, below
+    new = [(side, color) for p, side, color in asked if p not in x]
+    for side, color in new:
+        if fault := own_fault(side, color):
+            return fault, vcol, below
+    if new and ColorTerm.parse(new[0][1]) in vcol.values():
+        return "virtual-triangle", vcol, below
+    return None, vcol, below
+
+
+def reference_check(cert, strategy) -> bool:
+    """Whether ``cert`` is evidence against ``strategy``, from the
+    definitions: the structure is valid; the base is distinct points of it,
+    listed in order, and the type is canonical over it; every query's
+    structure (the base and the non-base points asked so far, copied out of
+    the structure) has the recorded hash, and the strategy, asked there,
+    gives the recorded answer; the answers' claims show the recorded fault,
+    or none.  Otherwise both realizers are distinct non-base points that
+    carry the claimed virtual colors and cut over the base, the pair
+    between them has color ``q``, and each has its recorded answer; alpha
+    is a partial isomorphism that fixes the base and maps ``t1`` to ``t2``;
+    the transcript alternates fwd, bwd, ... from fwd and, after the seed
+    map, spells alpha's pairs (a bwd pair flipped), one step per unit of
+    depth; and the kind's condition holds."""
+    s, base = cert.structure, tuple(cert.base_points)
+    if not reference_verdict(s)[0]:
+        return False
+    if any(p not in s for p in base):
+        return False
+    at = [s.points.index(p) for p in base]
+    if at != sorted(set(at)):
+        return False
+    x = reference_restrict(s, base)
+    try:
+        tau = parse_type(cert.tau_text, x)
+    except InputError:
+        return False
+    if format_type(tau) != cert.tau_text:
+        return False
+    asked: set[str] = set()
+    answers = {}
+    for point, h, side, color in cert.queries:
+        if point not in s:
+            return False
+        asked.add(point)
+        seen = reference_restrict(s, asked | set(base))
+        if structure_hash(seen) != h:
+            return False
+        answers[point] = strategy.answer(QueryContext(seen, base, tau, point, h)).tokens()
+        if answers[point] != (side, color):
+            return False
+    fault, vcol, below = reference_fault(x, tau, answers)
+    if cert.kind == FAULT:
+        return fault is not None and fault == cert.reason
+    if cert.kind not in (MONO, EQUIV) or fault is not None:
+        return False
+
+    t1, t2 = cert.t1, cert.t2
+    if None in (t1, t2, cert.q, cert.q2) or t1 == t2:
+        return False
+    if t1 not in s or t2 not in s or t1 in base or t2 in base:
+        return False
+    if set(vcol) != set(base):
+        return False
+    for t in (t1, t2):
+        if any(s.color(t, p) != vcol[p] or (s.index(p) < s.index(t)) != (p in below)
+               for p in base):
+            return False
+    if s.color(t1, t2) != cert.q:
+        return False
+    if (answers.get(t1), answers.get(t2)) != ((cert.side1, cert.q.text()),
+                                              (cert.side2, cert.q2.text())):
+        return False
+
+    if cert.alpha is None or not reference_iso_check(cert.alpha.pairs, s):
+        return False
+    amap = dict(cert.alpha.pairs)
+    if any(amap.get(p) != p for p in base) or amap.get(t1) != t2:
+        return False
+    steps = cert.transcript
+    if [d for d, _, _ in steps] != ["fwd" if k % 2 == 0 else "bwd" for k in range(len(steps))]:
+        return False
+    spelled = [(u, w) if d == "fwd" else (w, u) for d, u, w in steps]
+    if tuple(cert.alpha.pairs) != tuple([(p, p) for p in base] + [(t1, t2)] + spelled):
+        return False
+    if len(steps) != cert.extension_depth:
+        return False
+
+    same = cert.q2 == cert.q and cert.side1 == cert.side2
+    return same if cert.kind == MONO else not same

@@ -11,6 +11,8 @@ import pytest
 
 from colorder import refuter
 from colorder.cli import run
+from colorder.core import InputError, parse_struct
+from colorder.limit import parse_pairs
 from golden_cases import CASES, CHECK_CASES, GOLDEN, data
 
 
@@ -28,6 +30,32 @@ def test_golden_reproduces(tmp_path, name, argv, expected):
     assert run(argv + ["--out", str(out2)]) == expected
     assert out1.read_bytes() == out2.read_bytes()
     assert out1.read_bytes() == golden_bytes(name)
+
+
+GOLDEN_RUN = """
+import json, os, sys
+sys.path[:0] = sys.argv[1:3]
+from colorder.cli import run
+from golden_cases import CASES, CHECK_CASES
+print(json.dumps({name: run(argv + ["--out", os.path.join(sys.argv[3], name)])
+                  for name, argv, _ in CASES + CHECK_CASES}))
+"""
+
+
+@pytest.mark.parametrize("seed", ["1", "12345"])
+def test_goldens_hold_under_other_hash_seeds(tmp_path, seed):
+    """Every golden invocation, run in one child process whose str hashes
+    take another seed, writes its golden bytes: no output follows the
+    order of a set or dict of strs."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    child = subprocess.run([sys.executable, "-c", GOLDEN_RUN, src, tests, str(tmp_path)],
+                           env={**os.environ, "PYTHONHASHSEED": seed},
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    codes = json.loads(child.stdout)
+    for name, _, expected in CASES + CHECK_CASES:
+        assert (codes[name], (tmp_path / name).read_bytes()) == (expected, golden_bytes(name))
 
 
 def test_pretty_is_whitespace_only():
@@ -177,6 +205,27 @@ def test_certificate_other_than_refute_writes_is_rejected(tmp_path, capsys, old,
     assert capsys.readouterr().out == f"rejected {reason}\n"
 
 
+@pytest.mark.parametrize("lineno,first,last,message", [
+    (12, 4, 25, "bad color line"),
+    (38, 37, 41, "expected 'pair <id> <id>'"),
+], ids=["structure", "alpha"])
+def test_certificate_parse_error_cites_the_file_line(tmp_path, capsys, lineno, first, last,
+                                                     message):
+    """A bad line inside the STRUCTURE or ALPHA section is cited by its
+    line in the certificate; the same section read as a file of its own
+    cites its line there, as before."""
+    lines = golden_bytes("refute_index.txt").decode().splitlines(True)
+    lines[lineno - 1] = lines[lineno - 1].rsplit(" ", 1)[0] + "\n"  # drop the last token
+    cert = tmp_path / "cert.txt"
+    cert.write_text("".join(lines))
+    assert run(["check-cert", "--cert", str(cert), "--strategy", "index-sensitive"]) == 1
+    assert capsys.readouterr() == ("", f"error: line {lineno}: {message}\n")
+    section = "".join(lines[first - 1:last])
+    reader = parse_struct if lineno == 12 else parse_pairs
+    with pytest.raises(InputError, match=f"^line {lineno - first + 1}: {message}$"):
+        reader(section)
+
+
 def test_check_cert_wrong_strategy_exits_2(capsys):
     cert = os.path.join(GOLDEN, "refute_constant.txt")
     assert run(["check-cert", "--cert", cert,
@@ -237,6 +286,31 @@ def test_refute_depth_200_bytes(tmp_path, capsys, strategy, size, digest):
     assert (len(body), hashlib.sha256(body).hexdigest()) == (size, digest)
     assert run(["check-cert", "--cert", str(cert), "--strategy", strategy]) == 0
     assert capsys.readouterr().out == "accepted\n"
+
+
+@pytest.mark.parametrize("name", ["", "a b", "x\ny"], ids=["empty", "space", "newline"])
+def test_k_apply_rejects_a_name_its_header_cannot_hold(tmp_path, capsys, name):
+    """A structure name is one token of the header line, as a point id is
+    of its line; any other name exits 1 and writes nothing."""
+    out = tmp_path / "k.txt"
+    argv = ["k-apply", "--base", data("two_point.txt"), "--budget", "1", "--name", name]
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: bad structure name {name!r}\n")
+    assert run(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_k_apply_name_reads_back(tmp_path, capsys):
+    """The structure part of ``k-apply --name`` output, the lines before
+    its ``types`` sidecar, validates under that name."""
+    out = tmp_path / "k.txt"
+    assert run(["k-apply", "--base", data("two_point.txt"), "--budget", "1",
+                "--name", "K.1", "--out", str(out)]) == 0
+    structure = out.read_text().split("types\n")[0]
+    assert structure.startswith("structure K.1 level 1\n")
+    out.write_text(structure)
+    assert run(["validate", str(out)]) == 0
+    assert capsys.readouterr() == ("valid\n", "")
 
 
 def test_extend_iso_unknown_point_exits_1(capsys):

@@ -390,18 +390,3 @@ def test_pair_lines_roundtrip():
     assert parse_pairs(format_pairs(p.pairs)) == p
     with pytest.raises(InputError):
         parse_pairs("pair a\n")
-
-
-def test_admits_agrees_with_reference_on_small_maps():
-    """Adding one pair to a valid map of at most two pairs, including
-    repeated and unknown points, against the copying reference check."""
-    for s in all_structures(3, 2):
-        names = s.points + ("zz",)
-        pairs = list(itertools.product(names, repeat=2))
-        for size in range(3):
-            for chosen in itertools.product(pairs, repeat=size):
-                if not reference_iso_check(chosen, s):
-                    continue
-                for u, v in pairs:
-                    assert (PartialIso(chosen).admits(s, u, v)
-                            == reference_iso_check(chosen + ((u, v),), s))

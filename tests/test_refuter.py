@@ -1,7 +1,12 @@
+import ast
 import dataclasses
+import inspect
+import random
+import re
 import stat
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +21,8 @@ from colorder.refuter import (ABOVE, BELOW, BUNDLED_STRATEGIES, EQUIV, FAULT,
                               format_control_report, make_strategy,
                               parse_certificate, refute)
 from colorder.types import OnePointType, enumerate_types, format_type
-from helpers import all_structures, colors_of, struct_of
+from helpers import (all_structures, colors_of, reference_check, reference_iso_check,
+                     struct_of)
 
 B = ColorTerm.base
 
@@ -258,25 +264,30 @@ def test_mono_mutants_rejected():
 
 
 def test_transcript_replay_names_each_fault():
+    """A transcript is read as a spelling of alpha: a step in an unknown
+    direction is named as such, and any step that spells a pair other than
+    alpha's, whether it repeats a point or breaks the order and colors,
+    diverges from alpha."""
     _, _, cert = mono_certificate()
     s, (fwd, bwd) = cert.structure, cert.transcript[:2]
     assert fwd[0] == "fwd" and bwd[0] == "bwd"
     a, t1, t2 = cert.base_points[0], cert.t1, cert.t2
-    seed = PartialIso(((a, a), (t1, t2)))
-    # a fresh image that the seed map does not admit for the first point
-    wrong = next(w for w in s.points if w not in seed.range()
-                 and not seed.admits(s, fwd[1], w))
+    seed = ((a, a), (t1, t2))
+    # a fresh image that no partial isomorphism extending the seed map has
+    wrong = next(w for w in s.points if w not in (a, t2)
+                 and not reference_iso_check(seed + ((fwd[1], w),), s))
 
     def reason(first, second=bwd):
         mutant = dataclasses.replace(cert, transcript=(first, second) + cert.transcript[2:])
         return check_certificate(mutant, make_strategy("constant")).reason
 
     assert reason(("sideways",) + fwd[1:]) == "bad-transcript-direction"
-    assert reason(("fwd", a, fwd[2])) == "transcript-collision"       # domain side
-    assert reason(("fwd", fwd[1], t2)) == "transcript-collision"      # range side
-    assert reason(fwd, ("bwd", t2, bwd[2])) == "transcript-collision"  # range side
-    assert reason(fwd, ("bwd", bwd[1], t1)) == "transcript-collision"  # domain side
-    assert reason(("fwd", fwd[1], wrong)) == "transcript-step-invalid"
+    for first, second in ((("fwd", a, fwd[2]), bwd),         # domain collision
+                          (("fwd", fwd[1], t2), bwd),        # range collision
+                          (fwd, ("bwd", t2, bwd[2])),        # range collision
+                          (fwd, ("bwd", bwd[1], t1)),        # domain collision
+                          (("fwd", fwd[1], wrong), bwd)):    # breaks the map
+        assert reason(first, second) == "alpha-transcript-divergence"
 
 
 def equiv_mutants(cert: RefutationCertificate):
@@ -339,6 +350,133 @@ def test_fault_mutants_rejected():
         assert not res.ok, f"mutant accepted: {res}"
         count += 1
     assert count >= 10
+
+
+SWEEP_SEED = 21
+
+
+def honest_certificates() -> list[tuple[str, RefutationCertificate]]:
+    """(strategy name, certificate) pairs from ``refute``: over a one-point
+    base and both two-point bases, each bundled strategy meets its budget-2
+    types in a seeded order until it has given two triangle or
+    equivariance certificates and one fault certificate (or runs out of
+    types); the requested depth cycles through 0-6 over the kept ones."""
+    rng = random.Random(SWEEP_SEED)
+    bases = [FinStruct.build("a", {})]
+    bases += [FinStruct.build("ab", {pair_of("a", "b"): B(0, k)}) for k in (0, 1)]
+    out = []
+    for base in bases:
+        for name in sorted(BUNDLED_STRATEGIES):
+            left = {True: 1, False: 2}  # fault certificates, the others
+            types = enumerate_types(base, 0, 2)
+            for tau in rng.sample(types, len(types)):
+                cert = refute(base, tau, make_strategy(name), len(out) % 7)
+                if left[cert.kind == FAULT]:
+                    left[cert.kind == FAULT] -= 1
+                    out.append((name, cert))
+    return out
+
+
+def single_edits(cert: RefutationCertificate, rng: random.Random, per_field: int = 6):
+    """Seeded edits of one field of ``cert`` each: up to ``per_field`` of
+    each kind, drawn from every way to edit that field over the
+    structure's points and a few colors."""
+    s, base, replace = cert.structure, cert.base_points, dataclasses.replace
+    pts = s.points + ("zz",)
+    colors = sorted({*colors_of(s).values(), *(B(0, k) for k in range(4)), B(1, 0)},
+                    key=ColorTerm.sort_key)
+
+    def pick(options):
+        return rng.sample(options, min(per_field, len(options)))
+
+    def edited(seq, k, item):  # item None drops entry k; k past the end appends
+        return tuple(seq[:k]) + (() if item is None else (item,)) + tuple(seq[k + 1:])
+
+    def swapped(seq, k):
+        return tuple(seq[:k]) + (seq[k + 1], seq[k]) + tuple(seq[k + 2:])
+
+    for (u, v), c in pick([(uv, c) for uv in s.pairs() for c in colors if c != s.color(*uv)]):
+        yield replace(cert, structure=recolor(s, u, v, c))
+    bases = [edited(base, k, p) for k in range(len(base) + 1) for p in (*pts, None)]
+    bases += [swapped(base, k) for k in range(len(base) - 1)]
+    yield from pick([replace(cert, base_points=b) for b in dict.fromkeys(bases) if b != base])
+    for field in ("t1", "t2"):
+        yield from pick([replace(cert, **{field: p}) for p in (*pts, None)
+                         if p != getattr(cert, field)])
+    for field in ("q", "q2"):
+        yield from pick([replace(cert, **{field: c}) for c in colors if c != getattr(cert, field)])
+    for field in ("side1", "side2"):
+        yield replace(cert, **{field: ABOVE if getattr(cert, field) == BELOW else BELOW})
+    for field, seq in (("alpha", cert.alpha.pairs if cert.alpha else ()),
+                       ("transcript", cert.transcript)):
+        wrap = PartialIso if field == "alpha" else tuple
+        options = [edited(seq, k, None) for k in range(len(seq))]
+        options += [swapped(seq, k) for k in range(len(seq) - 1)]
+        for k, entry in enumerate(seq):
+            for i, old in enumerate(entry):
+                news = ("fwd", "bwd", "sideways") if (field, i) == ("transcript", 0) else pts
+                options += [edited(seq, k, entry[:i] + (new,) + entry[i + 1:])
+                            for new in news if new != old]
+        yield from (replace(cert, **{field: wrap(o)}) for o in pick(options))
+    flip = {"fwd": "bwd", "bwd": "fwd"}  # a step's pair spelled the other way round
+    yield from pick([replace(cert, transcript=edited(cert.transcript, k, (flip[d], w, u)))
+                     for k, (d, u, w) in enumerate(cert.transcript)])
+    yield replace(cert, extension_depth=cert.extension_depth + 1)
+    if cert.extension_depth:
+        yield replace(cert, extension_depth=cert.extension_depth - 1)
+    yield from (replace(cert, kind=k) for k in (MONO, EQUIV, FAULT) if k != cert.kind)
+
+
+def test_checker_agrees_with_the_reference_on_single_edits():
+    """Every honest certificate is accepted, and on every seeded edit of one
+    of its fields the checker's verdict is the reference checker's; an
+    accepted edit reads back from its text and is accepted again."""
+    rng = random.Random(SWEEP_SEED)
+    kinds, depths, verdicts = set(), set(), []
+    for name, cert in honest_certificates():
+        strategy = make_strategy(name)
+        kinds.add(cert.kind)
+        if cert.kind != FAULT:
+            depths.add(cert.extension_depth)
+        assert check_certificate(cert, strategy).ok and reference_check(cert, strategy)
+        for m in single_edits(cert, rng):
+            ok = check_certificate(m, strategy).ok
+            assert ok == reference_check(m, strategy), (name, m)
+            verdicts.append(ok)
+            if ok:
+                assert check_certificate(parse_certificate(format_certificate(m)), strategy).ok
+    assert kinds == {MONO, EQUIV, FAULT} and depths == set(range(7))
+    assert len(verdicts) > 1000 and 0 < sum(verdicts) < len(verdicts)
+
+
+def checker_reasons() -> list[re.Pattern]:
+    """Every reason ``check_certificate`` can return, read from its source:
+    each ``CheckResult(False, ...)`` text, a formatted field matching any
+    text."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(check_certificate)))
+    patterns = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "CheckResult" \
+                and len(node.args) == 2:
+            reason = node.args[1]
+            parts = reason.values if isinstance(reason, ast.JoinedStr) else [reason]
+            patterns.append(re.compile("".join(
+                re.escape(p.value) if isinstance(p, ast.Constant) else ".+" for p in parts)))
+    return patterns
+
+
+def test_readme_names_only_reasons_the_checker_returns():
+    """Each `rejected <reason>` the README names, with ``<k>`` read as a
+    step number, is a reason the checker can return."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    named = [" ".join(m.split()).replace("<k>", "3")
+             for m in re.findall(r"`rejected\s+([^`]+)`", readme.read_text())]
+    patterns = checker_reasons()
+    assert len(named) >= 3
+    for reason in named:
+        assert any(p.fullmatch(reason) for p in patterns), reason
+    for retired in ("transcript-collision", "transcript-step-invalid"):
+        assert not any(p.fullmatch(retired) for p in patterns)
 
 
 def test_forged_hash_names_its_query():
