@@ -12,10 +12,10 @@ realizers.  Either way a machine-checkable certificate comes out; answers
 that contradict the strategy's own type constraints yield a strategy-fault
 certificate instead.  :func:`refute` and :func:`check_certificate` find
 such a fault with one analysis, ``_fault_analysis``, so they agree on it.
-The checker checks the partial isomorphism once and reads the transcript
-as a spelling of its pairs.  The certificate text is spelled once, by
-``_frame``: the writer fills it in, and the reader holds the text it read
-to it.
+The checker states each rule once: it checks the partial isomorphism once
+and reads the transcript as a spelling of its pairs.  The certificate text
+is spelled once, by ``_frame``: the writer fills it in, and the reader
+holds the text it read to it.
 
 The module also bundles the positive control: on pure linear orders (no
 colors) the canonical cut strategy survives every sampled automorphism
@@ -286,6 +286,7 @@ class RefutationCertificate:
     ``queries`` records every strategy answer in order; for the triangle and
     equivariance kinds, ``alpha`` is the partial isomorphism fixing the base
     pointwise and swapping the two realizers, extended along ``transcript``.
+    A strategy fault sets none of the fields after ``queries`` but ``reason``.
     """
 
     kind: str
@@ -303,6 +304,12 @@ class RefutationCertificate:
     transcript: tuple[ExtendRecord, ...] = ()
     extension_depth: int = 0
     reason: str = ""
+
+    def recorded_answers(self) -> tuple[tuple[str | None, str | None], ...]:
+        """The answers recorded at ``t1`` and ``t2`` as (side, color text)
+        tokens, None where a field is unset."""
+        return tuple((side, None if c is None else c.text())
+                     for side, c in ((self.side1, self.q), (self.side2, self.q2)))
 
 
 @dataclass(frozen=True)
@@ -404,9 +411,8 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
     for p in x.points:
         if p not in tau.support and (code := ask(p)[1]):
             return fault(code)
-    code, vcol, vbelow = _fault_analysis(x, tau, answers)
-    if code:
-        return fault(code)
+    # no fault here: one in an answer ended the loop, and a built type has none
+    _, vcol, vbelow = _fault_analysis(x, tau, answers)
     full = OnePointType.build(x, x.points, len(vbelow),
                               tuple(vcol[p] for p in x.points), x.level)
     t1 = a.realize(full)
@@ -455,17 +461,20 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
 
 def check_certificate(cert: RefutationCertificate,
                       strategy: ExtensionStrategy) -> CheckResult:
-    """Independently re-verify every field of a certificate.
+    """Independently re-verify every field of a certificate, each rule once.
 
-    Checks structure validity, the type (held to its canonical spelling),
-    each recorded query (its structure hash and the strategy's answer,
-    re-asked in that structure: the base plus the non-base points queried
-    so far, this one included, as :func:`refute` asks), both realizers'
-    types, the partial isomorphism (which must fix the base pointwise),
-    the back-and-forth transcript as data (its steps alternate as
-    :func:`refute` takes them, and after the seed map they spell alpha
-    pair for pair, so alpha's one check covers them), and the verdict
-    condition for the certificate's kind.
+    Checks structure validity, the base (points of the structure in its
+    order), the type (held to its canonical spelling), each recorded query
+    (its structure hash and the strategy's answer, re-asked in that
+    structure: the base plus the non-base points queried so far, this one
+    included, as :func:`refute` asks), and then the kind's fields.  A
+    strategy fault must be the one the replayed answers show, with no
+    back-and-forth field set.  Otherwise both realizers must be distinct
+    non-base points of the full type, with their recorded answers; the
+    transcript steps must alternate as :func:`refute` takes them and, after
+    the seed map, spell alpha pair for pair; alpha's one order-and-color
+    check then also rejects a second image of a base point or of ``t1``;
+    and the verdict condition must hold.
     """
     s = cert.structure
     try:
@@ -474,11 +483,9 @@ def check_certificate(cert: RefutationCertificate,
         return CheckResult(False, f"malformed-structure: {exc}")
     if not v:
         return CheckResult(False, f"invalid-structure: {v.reason}")
-    if any(p not in s for p in cert.base_points):
-        return CheckResult(False, "base-not-in-structure")
-    x = s.restrict(cert.base_points)
-    if tuple(x.points) != tuple(cert.base_points):
+    if s.sorted_points(cert.base_points) != tuple(cert.base_points):
         return CheckResult(False, "base-order-mismatch")
+    x = s.restrict(cert.base_points)
     try:
         tau = parse_type(cert.tau_text, x)
     except InputError as exc:
@@ -508,67 +515,50 @@ def check_certificate(cert: RefutationCertificate,
             return CheckResult(False, "fault-not-reproduced")
         if fault != cert.reason:
             return CheckResult(False, f"fault-mismatch: {fault} != {cert.reason}")
+        if (cert.t1, cert.t2, cert.q, cert.q2, cert.side1, cert.side2, cert.alpha,
+                cert.transcript, cert.extension_depth) != (None,) * 7 + ((), 0):
+            return CheckResult(False, "fault-with-back-and-forth")
         return CheckResult(True)
 
     if cert.kind not in (MONO, EQUIV):
         return CheckResult(False, f"unknown-kind {cert.kind!r}")
     if fault is not None:
         return CheckResult(False, "hidden-strategy-fault")
-    if cert.t1 is None or cert.t2 is None or cert.q is None or cert.q2 is None:
-        return CheckResult(False, "missing-fields")
-    if cert.t1 not in s or cert.t2 not in s or cert.t1 == cert.t2:
+    t1, t2 = cert.t1, cert.t2
+    if t1 == t2 or any(t not in s or t in x for t in (t1, t2)):
         return CheckResult(False, "bad-realizers")
-    if cert.t1 in x.pos or cert.t2 in x.pos:
-        return CheckResult(False, "realizer-inside-base")
 
     # both realizers must carry the strategy's full type over the base
     if len(vcol) != len(x.points):
         return CheckResult(False, "unqueried-base-point")
     expected_key = (x.points, len(vbelow), tuple(s.palette.id(vcol[p]) for p in x.points))
-    for t in (cert.t1, cert.t2):
+    for t in (t1, t2):
         if point_key(s, t, x.points) != expected_key:
             return CheckResult(False, f"realizer-type-mismatch at {t}")
-    if s.color(cert.t1, cert.t2) != cert.q:
+    if s.color(t1, t2) != cert.q:
         return CheckResult(False, "pair-color-mismatch")
-    for t, rec_q, rec_side in ((cert.t1, cert.q, cert.side1),
-                               (cert.t2, cert.q2, cert.side2)):
-        if t not in answers:
-            return CheckResult(False, "unqueried-realizer")
-        if answers[t] != (rec_side, rec_q.text()):
-            return CheckResult(False, "recorded-answer-mismatch")
-
-    # alpha must fix the base pointwise and swap the realizers
-    if cert.alpha is None:
-        return CheckResult(False, "missing-alpha")
-    amap = cert.alpha.fwd()
-    for p in cert.base_points:
-        if amap.get(p) != p:
-            return CheckResult(False, "alpha-moves-base")
-    if amap.get(cert.t1) != cert.t2:
-        return CheckResult(False, "alpha-misses-realizers")
-    if not cert.alpha.check(s):
-        return CheckResult(False, "alpha-not-iso")
+    if (answers.get(t1), answers.get(t2)) != cert.recorded_answers():
+        return CheckResult(False, "recorded-answer-mismatch")
 
     # the transcript spells alpha past the seed map, as ``refute`` walks its
     # back-and-forth: fwd on even steps, bwd (its pair flipped) on odd ones
-    pairs = [(p, p) for p in cert.base_points] + [(cert.t1, cert.t2)]
+    pairs = [(p, p) for p in x.points] + [(t1, t2)]
     for k, (direction, u, w) in enumerate(cert.transcript):
-        if direction not in ("fwd", "bwd"):
-            return CheckResult(False, "bad-transcript-direction")
         if direction != ("fwd" if k % 2 == 0 else "bwd"):
             return CheckResult(False, f"transcript-step-order at step {k}")
         pairs.append((u, w) if direction == "fwd" else (w, u))
     if len(cert.transcript) != cert.extension_depth:
         return CheckResult(False, "depth-mismatch")
-    if tuple(pairs) != cert.alpha.pairs:
+    if cert.alpha is None or tuple(pairs) != cert.alpha.pairs:
         return CheckResult(False, "alpha-transcript-divergence")
+    if not cert.alpha.check(s):
+        return CheckResult(False, "alpha-not-iso")
 
-    if cert.kind == MONO:
-        if cert.q2 != cert.q or cert.side1 != cert.side2:
-            return CheckResult(False, "triangle-condition-fails")
-    else:
-        if cert.q2 == cert.q and cert.side1 == cert.side2:
-            return CheckResult(False, "no-violation")
+    same = (cert.side1, cert.q) == (cert.side2, cert.q2)
+    if cert.kind == MONO and not same:
+        return CheckResult(False, "triangle-condition-fails")
+    if cert.kind == EQUIV and same:
+        return CheckResult(False, "no-violation")
     return CheckResult(True)
 
 
@@ -585,9 +575,9 @@ def _frame(cert: RefutationCertificate, structure: str = "") -> str:
     kind but a strategy fault has all six realizer fields; one the reader
     did not find is None and shows as ``None``, so the text lacks a line
     the frame has."""
-    q, q2 = (None if c is None else c.text() for c in (cert.q, cert.q2))
+    (side1, q), (side2, q2) = cert.recorded_answers()
     scalars = (("t1", cert.t1), ("t2", cert.t2), ("q", q), ("qprime", q2),
-               ("side1", cert.side1), ("side2", cert.side2))
+               ("side1", side1), ("side2", side2))
     if cert.kind == FAULT:
         verdict = f"reason={cert.reason}"
     elif cert.kind == MONO:

@@ -384,20 +384,25 @@ def reference_fault(x: FinStruct, tau, answers):
 
 def reference_check(cert, strategy) -> bool:
     """Whether ``cert`` is evidence against ``strategy``, from the
-    definitions: the structure is valid; the base is distinct points of it,
-    listed in order, and the type is canonical over it; every query's
-    structure (the base and the non-base points asked so far, copied out of
-    the structure) has the recorded hash, and the strategy, asked there,
-    gives the recorded answer; the answers' claims show the recorded fault,
-    or none.  Otherwise both realizers are distinct non-base points that
-    carry the claimed virtual colors and cut over the base, the pair
-    between them has color ``q``, and each has its recorded answer; alpha
-    is a partial isomorphism that fixes the base and maps ``t1`` to ``t2``;
-    the transcript alternates fwd, bwd, ... from fwd and, after the seed
-    map, spells alpha's pairs (a bwd pair flipped), one step per unit of
-    depth; and the kind's condition holds."""
+    definitions: the structure is colored in full and valid; the base is
+    distinct points of it, listed in order, and the type is canonical over
+    it; every query's structure (the base and the non-base points asked so
+    far, copied out of the structure) has the recorded hash, and the
+    strategy, asked there, gives the recorded answer; the answers' claims
+    show the recorded fault, or none.  A fault certificate leaves every
+    realizer field, alpha, the transcript and the depth unset.  Otherwise
+    both realizers are distinct non-base points that carry the claimed
+    virtual colors and cut over the base, the pair between them has color
+    ``q``, and each has its recorded answer; alpha is a partial isomorphism
+    that fixes the base and maps ``t1`` to ``t2``; the transcript
+    alternates fwd, bwd, ... from fwd and, after the seed map, spells
+    alpha's pairs (a bwd pair flipped), one step per unit of depth; and
+    the kind's condition holds."""
     s, base = cert.structure, tuple(cert.base_points)
-    if not reference_verdict(s)[0]:
+    try:
+        if not reference_verdict(s)[0]:
+            return False
+    except KeyError:  # an uncolored pair
         return False
     if any(p not in s for p in base):
         return False
@@ -425,7 +430,10 @@ def reference_check(cert, strategy) -> bool:
             return False
     fault, vcol, below = reference_fault(x, tau, answers)
     if cert.kind == FAULT:
-        return fault is not None and fault == cert.reason
+        unset = all(getattr(cert, field) is None
+                    for field in ("t1", "t2", "q", "q2", "side1", "side2", "alpha"))
+        return (fault is not None and fault == cert.reason and unset
+                and cert.transcript == () and cert.extension_depth == 0)
     if cert.kind not in (MONO, EQUIV) or fault is not None:
         return False
 

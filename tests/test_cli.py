@@ -184,24 +184,36 @@ INDEX_ALPHA = "pair a a\npair u0 u1\npair u1 u2\npair u3 u0\npair u2 u4\n"
 INDEX_STEPS = "extend fwd u1 u2\nextend bwd u0 u3\nextend fwd u2 u4\n"
 
 
-@pytest.mark.parametrize("old,new,reason", [
-    (INDEX_TYPE_LINE, INDEX_TYPE_LINE.replace("level=0", "level=0 "), "type-not-canonical"),
-    (INDEX_TYPE_LINE, INDEX_TYPE_LINE.replace("type type", "type type "),
+INDEX = ("refute_index.txt", "index-sensitive")
+FAULT_TRIANGLE = ("refute_fault_triangle.txt", "constant")
+
+
+@pytest.mark.parametrize("golden,old,new,reason", [
+    (INDEX, INDEX_TYPE_LINE, INDEX_TYPE_LINE.replace("level=0", "level=0 "),
      "type-not-canonical"),
-    (INDEX_ALPHA, "".join(reversed(INDEX_ALPHA.splitlines(True))),
+    (INDEX, INDEX_TYPE_LINE, INDEX_TYPE_LINE.replace("type type", "type type "),
+     "type-not-canonical"),
+    (INDEX, INDEX_ALPHA, "".join(reversed(INDEX_ALPHA.splitlines(True))),
      "alpha-transcript-divergence"),
-    (INDEX_STEPS, "extend fwd u1 u2\nextend fwd u2 u4\nextend bwd u0 u3\n",
+    (INDEX, INDEX_STEPS, "extend fwd u1 u2\nextend fwd u2 u4\nextend bwd u0 u3\n",
      "transcript-step-order at step 1"),
-], ids=["type-trailing-space", "type-double-space", "alpha-reversed", "bwd-moved"])
-def test_certificate_other_than_refute_writes_is_rejected(tmp_path, capsys, old, new, reason):
+    (FAULT_TRIANGLE, "depth 0\nALPHA\n", "depth 7\nALPHA\npair a a\n",
+     "fault-with-back-and-forth"),
+    (FAULT_TRIANGLE, "VERDICT\n", "extend fwd a a\nVERDICT\n", "fault-with-back-and-forth"),
+], ids=["type-trailing-space", "type-double-space", "alpha-reversed", "bwd-moved",
+        "fault-depth-and-alpha", "fault-extend-step"])
+def test_certificate_other_than_refute_writes_is_rejected(tmp_path, capsys, golden, old, new,
+                                                          reason):
     """A certificate the checker would replay, but spelled or ordered other
     than ``refute`` writes it: the type line off its canonical spelling,
-    alpha in another order, or the steps out of fwd/bwd alternation."""
-    text = golden_bytes("refute_index.txt").decode()
+    alpha in another order, the steps out of fwd/bwd alternation, or a
+    strategy fault that carries a depth, an alpha pair or a step."""
+    name, strategy = golden
+    text = golden_bytes(name).decode()
     assert old in text
     cert = tmp_path / "cert.txt"
     cert.write_text(text.replace(old, new, 1))
-    assert run(["check-cert", "--cert", str(cert), "--strategy", "index-sensitive"]) == 2
+    assert run(["check-cert", "--cert", str(cert), "--strategy", strategy]) == 2
     assert capsys.readouterr().out == f"rejected {reason}\n"
 
 

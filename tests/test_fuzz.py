@@ -2,23 +2,29 @@
 
 Line and token mutations of structure, type, pair and certificate texts run
 through ``cli.run`` in one child process whose address space is capped, so
-a blow-up fails the test, not the machine.  Every run must end in exit 0, 1
-or 2 with no traceback.  A certificate line mutant (whole lines deleted,
-duplicated, moved, swapped, shuffled, cut off or inserted, so no line is
-new) that changes the header, the verdict or a POINTS line other than
-``type`` must exit 1: those lines are the certificate's frame, which the
-reader holds to what the writer writes.  A token mutant may forge a field
-value, which is the checker's to reject.
+a blow-up fails the test, not the machine.  A structure mutant is read by
+``validate``, ``types`` and ``refute``, and by ``amalgamate --left`` or
+``embed --structure`` in turn.  Every run must end in exit 0, 1 or 2 with
+no traceback.  A certificate line mutant (whole lines deleted, duplicated,
+moved, swapped, shuffled, cut off or inserted, so no line is new) that
+changes the header, the verdict or a POINTS line other than ``type`` must
+exit 1: those lines are the certificate's frame, which the reader holds to
+what the writer writes.  A token mutant may forge a field value, which is
+the checker's to reject.
 
 A second case swaps the value of one numeric or name argument of a golden
-invocation for a drawn one, in the same capped child.  Every drawn value has
-a bounded cost: negatives, 0, 1, 2 and small counts, a huge ``--budget``
-(which the type cap rejects from the base's size), budget lists whose length
-differs from ``--stages``, malformed type texts and partial-isomorphism
-files.  An ``amalgamate`` invocation draws ``--left-map``, ``--right-map``
-or both from seeded pair files over its points.
-A huge ``--steps`` or ``--depth`` is a long job, not a fault, so none is
-drawn.  Exit 1 must come with ``error:`` or the usage line on stderr.
+invocation (``check-cert`` ones included) for a drawn one, in the same
+capped child.  ``--level``, ``--seed`` and ``--name``, which no golden
+invocation of ``types``, ``refute``, ``check-cert`` or ``k-apply`` spells,
+are first added there with their defaults, so they are drawn too.  Every
+drawn value has a bounded cost: negatives, 0, 1, 2 and small counts, a
+huge ``--budget`` or ``--level`` (which the type cap rejects from the
+base's size), budget lists whose length differs from ``--stages``,
+malformed type texts and partial-isomorphism files.  An ``amalgamate``
+invocation draws ``--left-map``, ``--right-map`` or both from seeded pair
+files over its points.  A huge ``--steps`` or ``--depth`` is a long job,
+not a fault, so none is drawn.  Exit 1 must come with ``error:`` or the
+usage line on stderr.
 
 Run ``python tests/test_fuzz.py SEED COUNT`` to fuzz the texts by hand, and
 ``python tests/test_fuzz.py --args SEED COUNT`` to fuzz argument values; each
@@ -146,7 +152,8 @@ def fuzz(seed: int, count: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.txt")
 
-        def argvs(name: str) -> list[list[str]]:
+        def argvs(name: str, k: int) -> list[list[str]]:
+            """The invocations that read mutant ``k`` of input ``name``."""
             if name in certs:
                 return [["check-cert", "--cert", path, "--strategy", certs[name]]]
             if name == "type":
@@ -155,9 +162,14 @@ def fuzz(seed: int, count: int) -> dict:
             if name == "iso_id_a.txt":
                 return [["limit-extend-iso", "--steps", "10", "--seed-file",
                          data("two_point.txt"), "--iso", path, "--point", "b"]]
+            # amalgamate and embed take turns, each a line and a token mutant
+            composite = (["amalgamate", "--left", path, "--right", data("three_point.txt"),
+                          "--over", data("one_point.txt")],
+                         ["embed", "--steps", "0", "--budget", "2", "--structure", path])
             return [["validate", path], ["types", "--base", path, "--budget", "1"],
                     ["refute", "--base", path, "--type", "type supp= cut=0 colors= level=0",
-                     "--strategy", "index-sensitive", "--depth", "2"]]
+                     "--strategy", "index-sensitive", "--depth", "2"],
+                    composite[k // 2 % 2]]
 
         for name, text in texts.items():
             lines = text.splitlines()
@@ -168,7 +180,7 @@ def fuzz(seed: int, count: int) -> dict:
                     fh.write("".join(line + "\n" for line in mutant))
                 must_exit_1 = (by_line and name in certs
                                and frame_lines(mutant) != frame_lines(lines))
-                for argv in argvs(name):
+                for argv in argvs(name, k):
                     code, err = cli_run(argv)
                     runs += 1
                     frame_runs += must_exit_1
@@ -183,6 +195,10 @@ def fuzz(seed: int, count: int) -> dict:
 SMALL = ("-2", "-1", "0", "1", "2", "3", "x", "", "1.5")
 ARG_VALUES = {
     "--budget": SMALL + ("1000000000",),
+    "--level": SMALL + ("1000000000",),
+    "--cut": SMALL,
+    "--seed": SMALL,
+    "--name": ("", " ", "K", "a b", "x\ny", "K.1", "-", "stage1"),
     "--stages": ("-1", "0", "1", "3", "x"),        # the golden budget list has 2
     "--budgets": ("", ",", "2", "-1", "0,0,0", "2,2,2", "2,x"),
     "--depth": SMALL,
@@ -199,6 +215,10 @@ ARG_VALUES = {
 }
 ISO_TEXTS = ("", "pair a a\n", "pair b b\n", "pair a b\n", "pair b a\n", "pair a a\npair a a\n",
              "pair a a\npair b a\n", "pair a zz\n", "pair u0 a\n", "pair a\n", "nonsense\n")
+# an option no golden invocation of the command spells, spelled with its
+# default so that a draw may replace it
+DEFAULTS = {"types": ("--level", "0"), "k-apply": ("--name", "K"),
+            "refute": ("--seed", "0"), "check-cert": ("--seed", "0")}
 MAP_POINTS = ("x", "a1", "b1", "zz")   # the amalgamate golden's points, and an unknown one
 MAP_FILES = 16
 VALID_MAPS = ("pair x x\n", "pair x a1\n", "pair x b1\n")   # each valid on one side at least
@@ -219,9 +239,10 @@ def fuzz_args(seed: int, count: int) -> dict:
     argument swapped for a drawn one (an ``amalgamate`` one with one map
     file drawn or both), and return the number of runs, the arguments
     drawn and the first few failures."""
-    from golden_cases import CASES
+    from golden_cases import CASES, CHECK_CASES
 
-    cases = [argv for _, argv, _ in CASES
+    cases = [[*argv, *DEFAULTS.get(argv[0], ())] for _, argv, _ in CASES + CHECK_CASES]
+    cases = [argv for argv in cases
              if argv[0] == "amalgamate" or any(a in ARG_VALUES or a == "--iso" for a in argv)]
     rng = random.Random(seed)
     drawn, failures = set(), []
@@ -265,7 +286,7 @@ def _child(*args: str) -> dict:
 def test_mutated_inputs_end_in_a_defined_exit_code():
     summary = _child(str(SEED), str(COUNT))
     assert summary["failures"] == []
-    assert summary["runs"] == COUNT * 15
+    assert summary["runs"] == COUNT * 18
     assert summary["frame_runs"] > COUNT
 
 

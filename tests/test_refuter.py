@@ -20,11 +20,12 @@ from colorder.refuter import (ABOVE, BELOW, BUNDLED_STRATEGIES, EQUIV, FAULT,
                               control_lo, format_certificate,
                               format_control_report, make_strategy,
                               parse_certificate, refute)
-from colorder.types import OnePointType, enumerate_types, format_type
+from colorder.types import OnePointType, enumerate_types, format_type, parse_type
 from helpers import (all_structures, colors_of, reference_check, reference_iso_check,
                      struct_of)
 
 B = ColorTerm.base
+TYPE_A = "type supp=a cut=1 colors=b:0:1 level=0"
 
 
 def battery():
@@ -75,44 +76,58 @@ def test_identity_dependent_strategy_breaks_equivariance():
     assert check_certificate(cert, make_strategy("index-sensitive")).ok
 
 
-class TwoFacedStrategy:
-    """Answers q on the first realizer and a different color on the second,
-    but replays deterministically by query order."""
+class ScriptedStrategy:
+    """Answers by the number of non-base points in the structure it is
+    shown: ``script[0]`` at a base point, ``script[1]`` at ``t1`` and
+    ``script[2]`` at ``t2``, so each check replays it."""
 
-    name = "two-faced"
+    name = "scripted"
 
-    def __init__(self):
-        self.count = 0
+    def __init__(self, *script: StrategyAnswer):
+        self.script = script
 
     def answer(self, ctx: QueryContext) -> StrategyAnswer:
-        if ctx.point in ctx.base_points:
-            return StrategyAnswer(ABOVE, B(0, 0))
-        self.count += 1
-        return StrategyAnswer(ABOVE, B(0, 0) if self.count == 1 else B(0, 1))
+        return self.script[len(ctx.current.points) - len(ctx.base_points)]
+
+
+SELF = StrategyAnswer("", None, self_claim=True)
+FINE = StrategyAnswer(ABOVE, B(0, 0))
+OVER = StrategyAnswer(ABOVE, B(1, 0))  # a color above the base's level 0
+TWO_FACED = (FINE, FINE, StrategyAnswer(ABOVE, B(0, 1)))  # q, then another color
 
 
 def test_deliberate_second_answer_flip():
     x = FinStruct.build("a", {})
     tau = OnePointType.build(x, ("a",), 1, (B(0, 1),), 0)
-    cert = refute(x, tau, TwoFacedStrategy(), 2)
+    cert = refute(x, tau, ScriptedStrategy(*TWO_FACED), 2)
     assert cert.kind == EQUIV
     assert (cert.q, cert.q2) == (B(0, 0), B(0, 1))
-    assert check_certificate(cert, TwoFacedStrategy()).ok
-
-
-class SelfClaimStrategy:
-    name = "self-claim"
-
-    def answer(self, ctx: QueryContext) -> StrategyAnswer:
-        return StrategyAnswer("", None, self_claim=True)
+    assert check_certificate(cert, ScriptedStrategy(*TWO_FACED)).ok
 
 
 def test_self_claim_is_a_strategy_fault():
     x = FinStruct.build("a", {})
     tau = OnePointType.build(x, ("a",), 1, (B(0, 0),), 0)
-    cert = refute(x, tau, SelfClaimStrategy(), 3)
+    cert = refute(x, tau, ScriptedStrategy(SELF, SELF, SELF), 3)
     assert cert.kind == FAULT and cert.reason == "self-claim"
-    assert check_certificate(cert, SelfClaimStrategy()).ok
+    assert check_certificate(cert, ScriptedStrategy(SELF, SELF, SELF)).ok
+
+
+@pytest.mark.parametrize("type_text,script,reason", [
+    ("type supp= cut=0 colors= level=0", (SELF, FINE, FINE), "self-claim"),
+    ("type supp= cut=0 colors= level=0", (OVER, FINE, FINE), "level-bound"),
+    (TYPE_A, (FINE, FINE, SELF), "self-claim"),
+    (TYPE_A, (FINE, FINE, OVER), "level-bound"),
+], ids=["self-at-base", "over-level-at-base", "self-at-t2", "over-level-at-t2"])
+def test_fault_at_a_base_point_or_at_t2(type_text, script, reason):
+    """A fault in a base point's answer ends the run before any point is
+    realized; one in the second realizer's answer ends it after both are."""
+    x = FinStruct.build("a", {})
+    cert = refute(x, parse_type(type_text, x), ScriptedStrategy(*script), 3)
+    assert (cert.kind, cert.reason) == (FAULT, reason)
+    assert [q[0] for q in cert.queries] == (["a"] if script[0] != FINE else ["u0", "u1"])
+    assert check_certificate(cert, ScriptedStrategy(*script)).ok
+    assert reference_check(cert, ScriptedStrategy(*script))
 
 
 def test_inconsistent_constant_answer_is_a_fault():
@@ -265,9 +280,9 @@ def test_mono_mutants_rejected():
 
 def test_transcript_replay_names_each_fault():
     """A transcript is read as a spelling of alpha: a step in an unknown
-    direction is named as such, and any step that spells a pair other than
-    alpha's, whether it repeats a point or breaks the order and colors,
-    diverges from alpha."""
+    direction is out of the fwd/bwd order, and any step that spells a pair
+    other than alpha's, whether it repeats a point or breaks the order and
+    colors, diverges from alpha."""
     _, _, cert = mono_certificate()
     s, (fwd, bwd) = cert.structure, cert.transcript[:2]
     assert fwd[0] == "fwd" and bwd[0] == "bwd"
@@ -281,7 +296,7 @@ def test_transcript_replay_names_each_fault():
         mutant = dataclasses.replace(cert, transcript=(first, second) + cert.transcript[2:])
         return check_certificate(mutant, make_strategy("constant")).reason
 
-    assert reason(("sideways",) + fwd[1:]) == "bad-transcript-direction"
+    assert reason(("sideways",) + fwd[1:]) == "transcript-step-order at step 0"
     for first, second in ((("fwd", a, fwd[2]), bwd),         # domain collision
                           (("fwd", fwd[1], t2), bwd),        # range collision
                           (fwd, ("bwd", t2, bwd[2])),        # range collision
@@ -355,32 +370,51 @@ def test_fault_mutants_rejected():
 SWEEP_SEED = 21
 
 
+def sweep_strategy(name: str):
+    """A bundled strategy by name, or the structure-reading one."""
+    return SizeSensitiveStrategy() if name == SizeSensitiveStrategy.name else make_strategy(name)
+
+
+SWEEP_STRATEGIES = (*sorted(BUNDLED_STRATEGIES), SizeSensitiveStrategy.name)
+
+
 def honest_certificates() -> list[tuple[str, RefutationCertificate]]:
     """(strategy name, certificate) pairs from ``refute``: over a one-point
-    base and both two-point bases, each bundled strategy meets its budget-2
-    types in a seeded order until it has given two triangle or
-    equivariance certificates and one fault certificate (or runs out of
-    types); the requested depth cycles through 0-6 over the kept ones."""
+    base, both two-point bases and a three-point one, each bundled strategy
+    and the structure-reading one meet their budget-2 types in a seeded
+    order until each has given two triangle or equivariance certificates
+    and one fault certificate (or runs out of types); the requested depth
+    cycles through 0-6 over the kept ones."""
     rng = random.Random(SWEEP_SEED)
     bases = [FinStruct.build("a", {})]
     bases += [FinStruct.build("ab", {pair_of("a", "b"): B(0, k)}) for k in (0, 1)]
+    bases.append(FinStruct.build("abc", {pair_of("a", "b"): B(0, 0), pair_of("a", "c"): B(0, 1),
+                                         pair_of("b", "c"): B(0, 0)}))
     out = []
     for base in bases:
-        for name in sorted(BUNDLED_STRATEGIES):
+        for name in SWEEP_STRATEGIES:
             left = {True: 1, False: 2}  # fault certificates, the others
             types = enumerate_types(base, 0, 2)
             for tau in rng.sample(types, len(types)):
-                cert = refute(base, tau, make_strategy(name), len(out) % 7)
+                cert = refute(base, tau, sweep_strategy(name), len(out) % 7)
                 if left[cert.kind == FAULT]:
                     left[cert.kind == FAULT] -= 1
                     out.append((name, cert))
+                if not any(left.values()):
+                    break
     return out
+
+
+FAULT_REASONS = ("", "self-claim", "level-bound", "incoherent-order", "virtual-triangle",
+                 "unheard-of")
 
 
 def single_edits(cert: RefutationCertificate, rng: random.Random, per_field: int = 6):
     """Seeded edits of one field of ``cert`` each: up to ``per_field`` of
     each kind, drawn from every way to edit that field over the
-    structure's points and a few colors."""
+    structure's points, a few colors, the types over the base and a few
+    spellings of them, the recorded hashes and a forged one, and the fault
+    reasons."""
     s, base, replace = cert.structure, cert.base_points, dataclasses.replace
     pts = s.points + ("zz",)
     colors = sorted({*colors_of(s).values(), *(B(0, k) for k in range(4)), B(1, 0)},
@@ -400,6 +434,16 @@ def single_edits(cert: RefutationCertificate, rng: random.Random, per_field: int
     bases = [edited(base, k, p) for k in range(len(base) + 1) for p in (*pts, None)]
     bases += [swapped(base, k) for k in range(len(base) - 1)]
     yield from pick([replace(cert, base_points=b) for b in dict.fromkeys(bases) if b != base])
+    texts = [format_type(t) for t in enumerate_types(s.restrict(base), 0, 2)]
+    texts += [cert.tau_text + " ", cert.tau_text.replace(" ", "  ", 1), "type", ""]
+    yield from pick([replace(cert, tau_text=t) for t in texts if t != cert.tau_text])
+    hashes = sorted({h for _, h, _, _ in cert.queries} | {"deadbeefdeadbeef"})
+    tokens = (pts, hashes, (ABOVE, BELOW, "self"), [c.text() for c in colors] + ["-"])
+    for i, news in enumerate(tokens):  # point, hash, side, color
+        yield from pick([replace(cert, queries=edited(cert.queries, k,
+                                                      query[:i] + (new,) + query[i + 1:]))
+                         for k, query in enumerate(cert.queries)
+                         for new in news if new != query[i]])
     for field in ("t1", "t2"):
         yield from pick([replace(cert, **{field: p}) for p in (*pts, None)
                          if p != getattr(cert, field)])
@@ -425,6 +469,7 @@ def single_edits(cert: RefutationCertificate, rng: random.Random, per_field: int
     if cert.extension_depth:
         yield replace(cert, extension_depth=cert.extension_depth - 1)
     yield from (replace(cert, kind=k) for k in (MONO, EQUIV, FAULT) if k != cert.kind)
+    yield from (replace(cert, reason=r) for r in FAULT_REASONS if r != cert.reason)
 
 
 def test_checker_agrees_with_the_reference_on_single_edits():
@@ -433,8 +478,9 @@ def test_checker_agrees_with_the_reference_on_single_edits():
     accepted edit reads back from its text and is accepted again."""
     rng = random.Random(SWEEP_SEED)
     kinds, depths, verdicts = set(), set(), []
-    for name, cert in honest_certificates():
-        strategy = make_strategy(name)
+    certs = honest_certificates()
+    for name, cert in certs:
+        strategy = sweep_strategy(name)
         kinds.add(cert.kind)
         if cert.kind != FAULT:
             depths.add(cert.extension_depth)
@@ -446,6 +492,8 @@ def test_checker_agrees_with_the_reference_on_single_edits():
             if ok:
                 assert check_certificate(parse_certificate(format_certificate(m)), strategy).ok
     assert kinds == {MONO, EQUIV, FAULT} and depths == set(range(7))
+    assert {len(cert.base_points) for _, cert in certs} == {1, 2, 3}
+    assert {name for name, _ in certs} == set(SWEEP_STRATEGIES)
     assert len(verdicts) > 1000 and 0 < sum(verdicts) < len(verdicts)
 
 
@@ -475,8 +523,113 @@ def test_readme_names_only_reasons_the_checker_returns():
     assert len(named) >= 3
     for reason in named:
         assert any(p.fullmatch(reason) for p in patterns), reason
-    for retired in ("transcript-collision", "transcript-step-invalid"):
+    for retired in ("transcript-collision", "transcript-step-invalid", "missing-fields",
+                    "missing-alpha", "alpha-moves-base", "alpha-misses-realizers",
+                    "realizer-inside-base", "unqueried-realizer", "base-not-in-structure",
+                    "bad-transcript-direction"):
         assert not any(p.fullmatch(retired) for p in patterns)
+
+
+def with_extra_point(cert: RefutationCertificate, color: ColorTerm) -> RefutationCertificate:
+    """The certificate with a point ``zz`` added last to its structure,
+    joined to every point in ``color``, and made its first realizer: no
+    query saw it, so every query's hash stays."""
+    s = cert.structure
+    cols = colors_of(s) | {pair_of(p, "zz"): color for p in s.points}
+    return dataclasses.replace(cert, structure=struct_of(s.points + ("zz",), cols, s.level),
+                               t1="zz")
+
+
+def lacking_base_query() -> tuple[RefutationCertificate, str]:
+    """The first non-fault depth-0 certificate over a two-point base whose
+    type leaves a base point to its query, with that query dropped."""
+    x = FinStruct.build("ab", {pair_of("a", "b"): B(0, 0)})
+    for tau in enumerate_types(x, 0, 2):
+        for name in sorted(BUNDLED_STRATEGIES):
+            cert = refute(x, tau, make_strategy(name), 0)
+            if cert.kind != FAULT and len(tau.support) < 2:
+                queries = tuple(q for q in cert.queries if q[0] in tau.support or q[0] not in x)
+                return dataclasses.replace(cert, queries=queries), name
+    raise AssertionError("no such certificate")
+
+
+def reason_cases() -> list[tuple[str, RefutationCertificate, str, str]]:
+    """(mutant name, certificate, strategy name, reason): one named mutant
+    of a small honest certificate for each reason the checker can give."""
+    _, _, mono = mono_certificate()
+    _, _, equiv = equiv_certificate()
+    _, _, fault = fault_certificate()
+    replace, s, a, t1 = dataclasses.replace, mono.structure, mono.base_points[0], mono.t1
+    first, h, _, color = mono.queries[0]
+    holed = colors_of(s)
+    del holed[pair_of(a, t1)]
+    sideways = (("sideways",) + mono.transcript[0][1:],) + mono.transcript[1:]
+    return [
+        ("pair-uncolored", replace(mono, structure=struct_of(s.points, holed)), "constant",
+         f"malformed-structure: missing color for pair ({a}, {t1})"),
+        ("pair-over-level", replace(mono, structure=recolor(s, a, t1, B(1, 0))), "constant",
+         "invalid-structure: level-bound"),
+        ("base-unknown-point", replace(mono, base_points=("zz",)), "constant",
+         "base-order-mismatch"),
+        ("type-unparsable", replace(mono, tau_text="type"), "constant",
+         "bad-type: bad type text 'type'"),
+        ("type-trailing-space", replace(mono, tau_text=mono.tau_text + " "), "constant",
+         "type-not-canonical"),
+        ("query-at-unknown-point", replace(mono, queries=(("zz", h, ABOVE, color),)),
+         "constant", "query-point-missing"),
+        ("query-hash-forged", forged_hash(mono), "constant", f"hash-mismatch at {first}"),
+        ("query-side-flipped", replace(mono, queries=((first, h, BELOW, color),)
+                                       + mono.queries[1:]),
+         "constant", f"answer-mismatch at {first}"),
+        ("fault-claimed-without-one", replace(mono, kind=FAULT), "constant",
+         "fault-not-reproduced"),
+        ("fault-misnamed", replace(fault, reason="self-claim"), "constant",
+         "fault-mismatch: virtual-triangle != self-claim"),
+        ("fault-with-depth-and-alpha",
+         replace(fault, extension_depth=7, alpha=PartialIso(((a, a),))), "constant",
+         "fault-with-back-and-forth"),
+        ("kind-unheard-of", replace(mono, kind="Unheard0fKind"), "constant",
+         "unknown-kind 'Unheard0fKind'"),
+        ("fault-called-triangle", replace(fault, kind=MONO), "constant", "hidden-strategy-fault"),
+        ("realizer-in-base", replace(mono, t2=a), "constant", "bad-realizers"),
+        ("base-query-dropped", *lacking_base_query(), "unqueried-base-point"),
+        ("realizer-of-another-type", with_extra_point(mono, B(0, 9)), "constant",
+         "realizer-type-mismatch at zz"),
+        ("q-forged", replace(mono, q=B(0, 5)), "constant", "pair-color-mismatch"),
+        ("q2-forged", replace(mono, q2=B(0, 5)), "constant", "recorded-answer-mismatch"),
+        ("alpha-second-image-of-base",
+         replace(mono, transcript=mono.transcript + (("bwd", a, a),),
+                 alpha=PartialIso(mono.alpha.pairs + ((a, a),)),
+                 extension_depth=mono.extension_depth + 1), "constant", "alpha-not-iso"),
+        ("step-sideways", replace(mono, transcript=sideways), "constant",
+         "transcript-step-order at step 0"),
+        ("depth-raised", replace(mono, extension_depth=mono.extension_depth + 1), "constant",
+         "depth-mismatch"),
+        ("alpha-reversed", replace(mono, alpha=PartialIso(mono.alpha.pairs[::-1])), "constant",
+         "alpha-transcript-divergence"),
+        ("violation-called-triangle", replace(equiv, kind=MONO), "index-sensitive",
+         "triangle-condition-fails"),
+        ("triangle-called-violation", replace(mono, kind=EQUIV), "constant", "no-violation"),
+    ]
+
+
+REASON_CASES = reason_cases()
+
+
+@pytest.mark.parametrize("cert,name,reason", [case[1:] for case in REASON_CASES],
+                         ids=[case[0] for case in REASON_CASES])
+def test_each_named_mutant_gets_its_reason(cert, name, reason):
+    assert check_certificate(cert, make_strategy(name)) == refuter.CheckResult(False, reason)
+    assert not reference_check(cert, make_strategy(name))
+
+
+def test_named_mutants_reach_every_reason():
+    """The named mutants give every reason the checker's source names, one
+    reason each."""
+    patterns = checker_reasons()
+    reached = [[p for p in patterns if p.fullmatch(case[-1])] for case in REASON_CASES]
+    assert all(len(hits) == 1 for hits in reached)
+    assert sorted(hits[0].pattern for hits in reached) == sorted(p.pattern for p in patterns)
 
 
 def test_forged_hash_names_its_query():
