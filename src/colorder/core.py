@@ -33,7 +33,7 @@ import itertools
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from collections.abc import Callable, Container, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from operator import itemgetter
 
 
@@ -366,11 +366,7 @@ class FinStruct:
             yield self.points[i], self.points[j]
 
     def restrict(self, subset: Iterable[str]) -> "FinStruct":
-        keep = set(subset)
-        for p in keep:
-            if p not in self.pos:
-                raise InputError(f"unknown point {p!r}")
-        idx = [i for i, p in enumerate(self.points) if p in keep]
+        idx = sorted(map(self.index, set(subset)))
         get = gather(idx)
         rows = tuple(stored_row(get(self.rows[i])) for i in idx)
         return FinStruct.of_rows(tuple(self.points[i] for i in idx), rows,
@@ -470,7 +466,9 @@ def preserves(pairs: Iterable[tuple[str, str]], s: FinStruct, t: FinStruct) -> b
     injective map that keeps the order and the color of every two points;
     an unknown point gives False.  Sorted by source position, both sides
     must strictly increase, and each source row must agree with its image
-    row at every later source, so each pair is read once on either side."""
+    row at every later source, so each pair is read once on either side.
+    The one order-and-color check: ``is_embedding``, ``PartialIso.check``,
+    ``types.check_realizable`` and ``FinStruct.__eq__`` call it."""
     spos, tpos = s.pos, t.pos
     try:
         ij = sorted([(spos[u], tpos[v]) for u, v in pairs])
@@ -564,9 +562,12 @@ def amalgamate(a: FinStruct, b: FinStruct, over: FinStruct,
     Deterministic policy: disjoint amalgamation (nothing outside the common
     part is identified); the order is completed by sorting new points first
     by their cut over the common part, a-side before b-side, then by original
-    relative order; cross colors are assigned pair by pair in position order,
-    each the smallest base color creating no monochromatic triangle with the
-    pairs colored so far.
+    relative order, the new points of cut k right before the k-th common
+    point; in that order a new point keeps its name unless a common or an
+    earlier new point has it, and is then ``<p>.a`` (``<p>.b`` from ``b``),
+    else the first free of ``<p>.a1``, ``<p>.a2``, ...; cross colors are
+    assigned pair by pair in position order, each the smallest base color
+    creating no monochromatic triangle with the pairs colored so far.
     """
     for s, label in ((a, "left"), (b, "right"), (over, "common")):
         v = validate(s)
@@ -580,34 +581,30 @@ def amalgamate(a: FinStruct, b: FinStruct, over: FinStruct,
         raise InputError("invalid embedding of the common part")
 
     level = max(a.level, b.level, over.level)
-    back_a = {into_a.apply(p): p for p in over.points}
-    back_b = {into_b.apply(p): p for p in over.points}
-    image_a, image_b = back_a.keys(), back_b.keys()
-
-    def cut_over_common(s: FinStruct, image: Container[str], p: str) -> int:
-        return sum(1 for q in s.points[: s.index(p)] if q in image)
-
-    # one sort: a new point by (cut over the common part, side, original
-    # position), common point g by (g, 2, 0), after the new points of its
-    # cut; no two keys tie, so names are never compared
+    # each side's map starts as its embedding reversed, and walking a side
+    # counts the cut over the common part at each new point.  One sort puts
+    # a new point by (cut, side, original position) and common point g by
+    # (g, 2, 0), after the new points of its cut; no two keys tie, so names
+    # are never compared.  The new points are named in that order
+    maps = ({q: g for g, q in into_a.mapping}, {q: g for g, q in into_b.mapping})
     order = [(g, 2, 0, p) for g, p in enumerate(over.points)]
-    for side, s, image in ((0, a, image_a), (1, b, image_b)):
+    for side, (s, m) in enumerate(zip((a, b), maps)):
+        cut = 0
         for i, p in enumerate(s.points):
-            if p not in image:
-                order.append((cut_over_common(s, image, p), side, i, p))
+            if p in m:
+                cut += 1
+            else:
+                order.append((cut, side, i, p))
     order.sort()
 
     used = set(over.points)
-    name_of: dict[tuple[int, str], str] = {}
     merged: list[str] = []
     for _, side, _, p in order:
-        name = p if side == 2 else _fresh_id(p, used, "a" if side == 0 else "b")
+        name = p
+        if side < 2:
+            name = maps[side][p] = _fresh_id(p, used, "ab"[side])
         used.add(name)
-        name_of[(side, p)] = name
         merged.append(name)
-
-    map_a = {p: (back_a[p] if p in image_a else name_of[(0, p)]) for p in a.points}
-    map_b = {p: (back_b[p] if p in image_b else name_of[(1, p)]) for p in b.points}
 
     # rows over the merged order: both sides' own pairs first (they agree on
     # the common part), then the cross pairs, position-lexicographic, each the
@@ -615,7 +612,7 @@ def amalgamate(a: FinStruct, b: FinStruct, over: FinStruct,
     at = {p: k for k, p in enumerate(merged)}
     palette = Palette()
     rows = [[HOLE] * len(merged) for _ in merged]
-    for s, m in ((a, map_a), (b, map_b)):
+    for s, m in zip((a, b), maps):
         trans = palette.translate(s.palette)
         idx = [at[m[p]] for p in s.points]
         for i, row in enumerate(s.rows):
@@ -633,8 +630,8 @@ def amalgamate(a: FinStruct, b: FinStruct, over: FinStruct,
     verdict = validate(result)
     assert verdict.ok, f"amalgam invalid: {verdict.reason}"
     return Amalgam(result,
-                   Embedding.build(a, result, map_a),
-                   Embedding.build(b, result, map_b))
+                   Embedding.build(a, result, maps[0]),
+                   Embedding.build(b, result, maps[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ a functor that raises the level by one.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
@@ -253,23 +252,19 @@ def apply_K(x: FinStruct, budget: int) -> ExtendedStructure:
         used.add(tid)
         ids.append(tid)
 
-    by_gap: dict[int, list[str]] = defaultdict(list)
-    for tid, tau in zip(ids, taus):
-        by_gap[gap_index(tau)].append(tid)
-    points: list[str] = []
-    for gap in range(len(x.points) + 1):
-        points.extend(by_gap.get(gap, ()))
-        if gap < len(x.points):
-            points.append(x.points[gap])
-
-    # A base point's stored row reads the base row at each base point and,
-    # at each type element, the type's color to it if it is in the support,
-    # the marker if not.  The extension extends x's palette, whose ids
-    # never change meaning.
+    # One sort lays out the points: a type element by (gap, 0, type index),
+    # base position i by (i, 1, i).  The gap is the type order's first rule,
+    # so the elements of one gap keep their type order, below the base point
+    # that closes the gap.  A base point's stored row reads the base row at
+    # each base point and, at each type element, the type's color to it if
+    # it is in the support, the marker if not.  The extension extends x's
+    # palette, whose ids never change meaning.
+    layout = sorted([(gap_index(tau), 0, k) for k, tau in enumerate(taus)]
+                    + [(i, 1, i) for i in range(len(x.points))])
+    points = tuple(x.points[k] if is_base else ids[k] for _, is_base, k in layout)
+    types = [None if is_base else taus[k] for _, is_base, k in layout]  # None: a base point
+    at = [k if is_base else None for _, is_base, k in layout]           # None: a type element
     pos, marker = x.pos, x.palette.id(ColorTerm.marker(level))
-    type_of = dict(zip(ids, taus))
-    types = [type_of.get(p) for p in points]   # per position: a type, None for a base point
-    at = [pos.get(p) for p in points]          # per position: a base position, None for a type
     supports = [None if tau is None else dict(zip(map(pos.__getitem__, tau.support), tau.ids))
                 for tau in types]              # per type element: base position to id
     base_rows = []
@@ -281,7 +276,7 @@ def apply_K(x: FinStruct, budget: int) -> ExtendedStructure:
         base_rows.append(stored_row([row[a] if a is not None else m.get(i, marker)
                                      for a, m in zip(at, supports)]))
     rows = _ExtensionRows(base_rows, types, x)
-    struct = FinStruct.of_rows(tuple(points), rows, x.palette, level)
+    struct = FinStruct.of_rows(points, rows, x.palette, level)
     return ExtendedStructure(x, struct, tuple(zip(ids, taus)))
 
 

@@ -80,7 +80,10 @@ class Approximation:
                 yield self.current.restrict(subset)
 
     def realizer_of(self, tau: OnePointType) -> str | None:
-        """Smallest point (in structure order) realizing the task, if any."""
+        """Smallest point (in structure order) realizing the task, if any.
+        Only the points between the support points around the cut can; each
+        one's row is gathered at the support positions (``core.gather``)
+        and compared, as a tuple, with the type's ids."""
         s = self.current
         idx = [s.pos[p] for p in tau.support]
         ids = s.palette.translate_ids(tau.base.palette, tau.ids)

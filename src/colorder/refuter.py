@@ -35,9 +35,9 @@ import signal
 import subprocess
 import time
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Iterable, Protocol
 
-from .core import (ColorTerm, FinStruct, InputError, canonical_code,
+from .core import (ColorTerm, FinStruct, InputError, Palette, canonical_code,
                    format_struct, parse_struct_lines, validate)
 from .limit import (Approximation, PartialIso, format_pairs, parse_pair_lines,
                     realize_image)
@@ -286,7 +286,8 @@ class RefutationCertificate:
     ``queries`` records every strategy answer in order; for the triangle and
     equivariance kinds, ``alpha`` is the partial isomorphism fixing the base
     pointwise and swapping the two realizers, extended along ``transcript``.
-    A strategy fault sets none of the fields after ``queries`` but ``reason``.
+    A strategy fault sets none of the fields after ``queries`` but
+    ``reason``, and no other kind sets ``reason``.
     """
 
     kind: str
@@ -321,17 +322,19 @@ class CheckResult:
         return self.ok
 
 
-def _fault_analysis(x: FinStruct, tau: OnePointType,
-                    answers: dict[str, tuple[str, str]]
-                    ) -> tuple[str | None, dict[str, ColorTerm], set[str]]:
-    """The first strategy fault in each queried point's last answer tokens
-    (None if there is none), with the virtual point's colors and below-set
-    over the base.  :func:`refute` runs it after every answer and
-    :func:`check_certificate` on the replayed log, so they agree on faults."""
+def _fault_analysis(x: FinStruct, tau: OnePointType, queries: Iterable[QueryRecord]
+                    ) -> tuple[str | None, dict[str, ColorTerm], set[str],
+                               dict[str, tuple[str, str]]]:
+    """The first strategy fault in the query log's last answer at each
+    point (None if there is none), the virtual point's colors and below-set
+    over the base, and those last answers' tokens by point.  :func:`refute`
+    runs it after every answer and :func:`check_certificate` on the
+    replayed log, so they agree on faults."""
+    last = {point: (side, color) for point, _, side, color in queries}
     vcol = dict(zip(tau.support, tau.colors))
     vbelow = set(tau.support[: tau.cut])
     parsed = {p: StrategyAnswer.from_tokens(*tokens)
-              for p, tokens in answers.items() if p not in vcol}
+              for p, tokens in last.items() if p not in vcol}
     others = [ans for p, ans in parsed.items() if p not in x.pos]
 
     def first_fault() -> str | None:
@@ -361,7 +364,7 @@ def _fault_analysis(x: FinStruct, tau: OnePointType,
             return "virtual-triangle"
         return None
 
-    return first_fault(), vcol, vbelow
+    return first_fault(), vcol, vbelow, last
 
 
 def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
@@ -375,10 +378,11 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
     Each query sees the base plus the non-base points queried so far, this
     one included: the base points outside the type's support are asked
     first, then ``t1`` right after its realization, then ``t2`` right after
-    its; the back-and-forth asks nothing.  :func:`check_certificate`
-    rebuilds every query's structure from this.  After each answer the log
-    so far goes through :func:`_fault_analysis`, and the first fault ends
-    the run.
+    its; the back-and-forth asks nothing, and walks two dicts, the map and
+    its inverse, each step one :func:`realize_image` on one of them and an
+    update of both.  :func:`check_certificate` rebuilds every query's
+    structure from this.  After each answer the log so far goes through
+    :func:`_fault_analysis`, and the first fault ends the run.
     """
     if depth < 0:
         raise InputError("depth must be nonnegative")
@@ -389,7 +393,6 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
         raise InputError("type must sit over the given base")
     a = Approximation(seed=x)
     queries: list[QueryRecord] = []
-    answers: dict[str, tuple[str, str]] = {}  # point -> (side, color) tokens
 
     def ask(point: str) -> tuple[StrategyAnswer, str | None]:
         """The strategy's answer at ``point`` in the current structure, and
@@ -399,9 +402,8 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
         if not ans.self_claim and (ans.color is None
                                    or ans.side not in (ABOVE, BELOW)):
             raise InputError("strategy returned a malformed answer")
-        answers[point] = ans.tokens()
-        queries.append((point, h, *answers[point]))
-        return ans, _fault_analysis(x, tau, answers)[0]
+        queries.append((point, h, *ans.tokens()))
+        return ans, _fault_analysis(x, tau, queries)[0]
 
     def fault(code: str) -> RefutationCertificate:
         return RefutationCertificate(
@@ -412,7 +414,7 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
         if p not in tau.support and (code := ask(p)[1]):
             return fault(code)
     # no fault here: one in an answer ended the loop, and a built type has none
-    _, vcol, vbelow = _fault_analysis(x, tau, answers)
+    _, vcol, vbelow, _ = _fault_analysis(x, tau, queries)
     full = OnePointType.build(x, x.points, len(vbelow),
                               tuple(vcol[p] for p in x.points), x.level)
     t1 = a.realize(full)
@@ -469,14 +471,20 @@ def check_certificate(cert: RefutationCertificate,
     structure: the base plus the non-base points queried so far, this one
     included, as :func:`refute` asks), and then the kind's fields.  A
     strategy fault must be the one the replayed answers show, with no
-    back-and-forth field set.  Otherwise both realizers must be distinct
-    non-base points of the full type, with their recorded answers; the
-    transcript steps must alternate as :func:`refute` takes them and, after
-    the seed map, spell alpha pair for pair; alpha's one order-and-color
-    check then also rejects a second image of a base point or of ``t1``;
-    and the verdict condition must hold.
+    back-and-forth field set.  Otherwise no fault may show and no reason be
+    set; both realizers must be distinct non-base points of the full type,
+    with their recorded answers; the transcript steps must alternate as
+    :func:`refute` takes them and, after the seed map, spell alpha pair for
+    pair; alpha's one order-and-color check then also rejects a second image
+    of a base point or of ``t1``; and the verdict condition must hold.
     """
-    s = cert.structure
+    # check a copy whose private palette has the same texts under the same
+    # ids, so what checking enters (a forged type's colors) stays out of
+    # the caller's palette
+    s, palette = cert.structure, Palette()
+    for text in s.palette.texts:
+        palette.id_text(text)
+    s = FinStruct.of_rows(s.points, s.rows, palette, s.level)
     try:
         v = validate(s)
     except InputError as exc:
@@ -495,7 +503,6 @@ def check_certificate(cert: RefutationCertificate,
 
     # replay every recorded answer in the structure its query saw
     seen, seen_hash = x, structure_hash(x)
-    answers: dict[str, tuple[str, str]] = {}   # point -> last (side, color)
     for point, h, side, color in cert.queries:
         if point not in s:
             return CheckResult(False, "query-point-missing")
@@ -504,11 +511,10 @@ def check_certificate(cert: RefutationCertificate,
             seen_hash = structure_hash(seen)
         if seen_hash != h:
             return CheckResult(False, f"hash-mismatch at {point}")
-        answers[point] = strategy.answer(
-            QueryContext(seen, x.points, tau, point, h)).tokens()
-        if answers[point] != (side, color):
+        answer = strategy.answer(QueryContext(seen, x.points, tau, point, h))
+        if answer.tokens() != (side, color):
             return CheckResult(False, f"answer-mismatch at {point}")
-    fault, vcol, vbelow = _fault_analysis(x, tau, answers)
+    fault, vcol, vbelow, last = _fault_analysis(x, tau, cert.queries)
 
     if cert.kind == FAULT:
         if fault is None:
@@ -524,6 +530,8 @@ def check_certificate(cert: RefutationCertificate,
         return CheckResult(False, f"unknown-kind {cert.kind!r}")
     if fault is not None:
         return CheckResult(False, "hidden-strategy-fault")
+    if cert.reason:
+        return CheckResult(False, "reason-without-fault")
     t1, t2 = cert.t1, cert.t2
     if t1 == t2 or any(t not in s or t in x for t in (t1, t2)):
         return CheckResult(False, "bad-realizers")
@@ -537,7 +545,7 @@ def check_certificate(cert: RefutationCertificate,
             return CheckResult(False, f"realizer-type-mismatch at {t}")
     if s.color(t1, t2) != cert.q:
         return CheckResult(False, "pair-color-mismatch")
-    if (answers.get(t1), answers.get(t2)) != cert.recorded_answers():
+    if (last.get(t1), last.get(t2)) != cert.recorded_answers():
         return CheckResult(False, "recorded-answer-mismatch")
 
     # the transcript spells alpha past the seed map, as ``refute`` walks its

@@ -55,7 +55,7 @@ class OnePointType:
         cols = tuple(colors)
         if len(supp) != len(cols):
             raise InputError("support and colors must align")
-        if tuple(base.sorted_points(supp)) != supp or len(set(supp)) != len(supp):
+        if base.sorted_points(supp) != supp:
             raise InputError("support must list distinct base points in base order")
         if not 0 <= cut <= len(supp):
             raise InputError(f"cut {cut} out of range for support of size {len(supp)}")
@@ -254,23 +254,25 @@ def insert_point(f: FinStruct, tau: OnePointType, u: str,
     point ``i`` in that color.  A color is then admissible for a point
     exactly when its mask shares no bit with the new point's mask so far,
     so each point costs a few big-int ANDs.  Both are updated in place to
-    describe the result; the new point's id is ``len(masks)``.
+    describe the result: the new point's id is ``len(masks)``, and an old
+    point's mask takes its bit as soon as their color is fixed (no test
+    reads that bit, as the new point's own masks hold old ids only).
     """
     pal, pos = f.palette, f.pos
     new = [HOLE] * len(f.points)  # color ids from u, by old position
     assigned: dict[int, int] = {}  # the new point's masks
+    bit = 1 << len(masks)  # the new point's bit in the old points' masks
     for p, c in zip(tau.support, pal.translate_ids(tau.base.palette, tau.ids)):
+        i = ids[pos[p]]
         new[pos[p]] = c
-        assigned[c] = assigned.get(c, 0) | 1 << ids[pos[p]]
+        assigned[c] = assigned.get(c, 0) | 1 << i
+        masks[i][c] = masks[i].get(c, 0) | bit
     smallest = pal.admissible_base
     for v, i in enumerate(ids):
         if new[v] == HOLE:
             c = new[v] = smallest(assigned, masks[i])
             assigned[c] = assigned.get(c, 0) | 1 << i
-    bit = 1 << len(masks)
-    for i, c in zip(ids, new):
-        m = masks[i]
-        m[c] = m.get(c, 0) | bit
+            masks[i][c] = masks[i].get(c, 0) | bit
     ins = insert_position(f, tau.support, tau.cut)
     ids.insert(ins, len(masks))
     masks.append(assigned)

@@ -390,14 +390,14 @@ def reference_check(cert, strategy) -> bool:
     far, copied out of the structure) has the recorded hash, and the
     strategy, asked there, gives the recorded answer; the answers' claims
     show the recorded fault, or none.  A fault certificate leaves every
-    realizer field, alpha, the transcript and the depth unset.  Otherwise
-    both realizers are distinct non-base points that carry the claimed
-    virtual colors and cut over the base, the pair between them has color
-    ``q``, and each has its recorded answer; alpha is a partial isomorphism
-    that fixes the base and maps ``t1`` to ``t2``; the transcript
-    alternates fwd, bwd, ... from fwd and, after the seed map, spells
-    alpha's pairs (a bwd pair flipped), one step per unit of depth; and
-    the kind's condition holds."""
+    realizer field, alpha, the transcript and the depth unset; any other
+    certificate leaves the reason unset.  Otherwise both realizers are
+    distinct non-base points that carry the claimed virtual colors and cut
+    over the base, the pair between them has color ``q``, and each has its
+    recorded answer; alpha is a partial isomorphism that fixes the base and
+    maps ``t1`` to ``t2``; the transcript alternates fwd, bwd, ... from fwd
+    and, after the seed map, spells alpha's pairs (a bwd pair flipped), one
+    step per unit of depth; and the kind's condition holds."""
     s, base = cert.structure, tuple(cert.base_points)
     try:
         if not reference_verdict(s)[0]:
@@ -434,7 +434,7 @@ def reference_check(cert, strategy) -> bool:
                     for field in ("t1", "t2", "q", "q2", "side1", "side2", "alpha"))
         return (fault is not None and fault == cert.reason and unset
                 and cert.transcript == () and cert.extension_depth == 0)
-    if cert.kind not in (MONO, EQUIV) or fault is not None:
+    if cert.kind not in (MONO, EQUIV) or fault is not None or cert.reason:
         return False
 
     t1, t2 = cert.t1, cert.t2
@@ -470,3 +470,59 @@ def reference_check(cert, strategy) -> bool:
 
     same = cert.q2 == cert.q and cert.side1 == cert.side2
     return same if cert.kind == MONO else not same
+
+
+# ---------------------------------------------------------------------------
+# Amalgamation from its policy
+# ---------------------------------------------------------------------------
+
+def reference_amalgamate(a: FinStruct, b: FinStruct, over: FinStruct,
+                         into_a: Mapping[str, str], into_b: Mapping[str, str]):
+    """``amalgamate`` from its stated policy, as (points, coloring keyed by
+    two-element frozensets, left map, right map).  A point of ``a`` or ``b``
+    outside the image of ``over`` is new; its cut is the number of image
+    points below it on its side.  The new points of cut k go right before
+    the k-th common point (after the last when k is the size of ``over``),
+    left side first, each side in its own order.  In that order each new
+    point is named ``<p>`` if no common point and no earlier new point has
+    that name, else ``<p>.a`` (``<p>.b`` on the right), else the first free
+    of ``<p>.a1``, ``<p>.a2``, ...  Each side's pairs keep their colors,
+    and every other pair, in position order, takes the smallest ``b:0:n``
+    that closes no triangle with the pairs colored before it."""
+    new = []   # (cut, side, position on the side, point)
+    for side, (s, into) in enumerate(((a, into_a), (b, into_b))):
+        image = set(into.values())
+        for i, p in enumerate(s.points):
+            if p not in image:
+                new.append((sum(q in image for q in s.points[:i]), side, i, p))
+    slots = []   # (side, point) in the amalgam's order; side None for a common point
+    for k in range(len(over.points) + 1):
+        slots += [(side, p) for cut, side, _, p in sorted(new) if cut == k]
+        if k < len(over.points):
+            slots.append((None, over.points[k]))
+    used = set(over.points)
+    maps = ({im: g for g, im in into_a.items()}, {im: g for g, im in into_b.items()})
+    points = []
+    for side, p in slots:
+        name = p
+        if side is not None:
+            tag = "ab"[side]
+            candidates = itertools.chain((p, f"{p}.{tag}"),
+                                         (f"{p}.{tag}{k}" for k in itertools.count(1)))
+            name = next(c for c in candidates if c not in used)
+            maps[side][p] = name
+        used.add(name)
+        points.append(name)
+    cols = {}
+    for s, m in zip((a, b), maps):
+        for u, v in s.pairs():
+            cols[pair_of(m[u], m[v])] = s.color(u, v)
+    for u, v in itertools.combinations(points, 2):
+        if pair_of(u, v) in cols:
+            continue
+        n = 0
+        while any(cols.get(pair_of(u, w)) == ColorTerm.base(0, n) == cols.get(pair_of(v, w))
+                  for w in points if w not in (u, v)):
+            n += 1
+        cols[pair_of(u, v)] = ColorTerm.base(0, n)
+    return tuple(points), cols, maps[0], maps[1]

@@ -13,8 +13,8 @@ from colorder.katetov import apply_K
 from colorder.limit import Approximation, grow
 from colorder.types import OnePointType, point_key, realize_type
 from helpers import (all_embeddings, all_structures, colors_of, marked_isomorphic,
-                     random_coloring, reference_is_embedding, reference_verdict,
-                     struct_of)
+                     random_coloring, reference_amalgamate, reference_is_embedding,
+                     reference_verdict, struct_of)
 
 B = ColorTerm.base
 M = ColorTerm.marker
@@ -316,6 +316,44 @@ def test_amalgamate_exhaustive_small_instances():
                 assert is_embedding(am.right.as_dict, b, am.result)
                 checked += 1
     assert checked > 100
+
+
+# names for a common part: the structures' own (so a new point may meet a
+# common name), names that force the numbered suffixes on either side, and
+# names no side uses
+COMMON_NAMES = (("a", "b"), ("a", "a.a"), ("a.b", "a"), ("y", "z"))
+
+
+def test_amalgamate_matches_the_reference_policy():
+    """Over every common part of up to two points, under each naming, every
+    a and b of up to three points in two colors and every pair of
+    embeddings, the amalgam's points, pair colors and both maps are the
+    reference policy's."""
+    structures = all_structures(3, 2)
+    commons = {}   # points -> structure, so a renaming that changes nothing is kept once
+    for x in (s for s in structures if len(s.points) <= 2):
+        for names in COMMON_NAMES:
+            rename = dict(zip(x.points, names))
+            renamed = struct_of(names[:len(x.points)],
+                                {pair_of(rename[u], rename[v]): x.color(u, v)
+                                 for u, v in x.pairs()})
+            commons[renamed.points, canonical_code(renamed)] = renamed
+    checked, bumped, cross = 0, set(), set()
+    for x in commons.values():
+        for a in structures:
+            ia = all_embeddings(x, a)
+            for b in structures:
+                for ma, mb in itertools.product(ia, all_embeddings(x, b)):
+                    am = amalgamate(a, b, x, Embedding.build(x, a, ma), Embedding.build(x, b, mb))
+                    points, cols, left, right = reference_amalgamate(a, b, x, ma, mb)
+                    got = am.result
+                    assert got.points == points, (x.points, a.points, b.points, ma, mb)
+                    assert colors_of(got) == cols and got.level == 0
+                    assert am.left.as_dict == left and am.right.as_dict == right
+                    bumped.update(p[p.index("."):] for p in points if "." in p)
+                    cross.update(cols.values())
+                    checked += 1
+    assert checked > 1000 and {".a", ".b", ".a1", ".b1"} <= bumped and B(0, 2) in cross
 
 
 # ---------------------------------------------------------------------------

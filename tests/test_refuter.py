@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import inspect
 import random
 import re
@@ -207,6 +208,51 @@ def test_structure_reading_strategy_certificates_accepted():
                 assert res.ok, (format_type(tau), depth, res.reason)
                 kinds.add(cert.kind)
     assert kinds == {EQUIV, FAULT}
+
+
+class HashedStrategy:
+    """Deterministic in (seed, structure hash, point).  At a base point it
+    answers the side the type's cut gives and a color no other base point
+    gets; anywhere else, a side and one of ``b:0:0``-``b:0:2`` drawn from
+    a hash of the seed, the hash of the structure it is shown and the
+    point."""
+
+    name = "hashed"
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def answer(self, ctx: QueryContext) -> StrategyAnswer:
+        if ctx.point in ctx.base_points:
+            k, below = ctx.base_points.index(ctx.point), ctx.tau.support[:ctx.tau.cut]
+            under = bool(below) and k <= ctx.base_points.index(below[-1])
+            return StrategyAnswer(ABOVE if under else BELOW, B(0, 3 + k))
+        key = f"{self.seed}:{ctx.structure_hash}:{ctx.point}".encode()
+        h = int.from_bytes(hashlib.sha256(key).digest()[:4], "big")
+        return StrategyAnswer(ABOVE if h & 1 else BELOW, B(0, (h >> 1) % 3))
+
+
+def test_hashed_strategy_certificates_accepted():
+    """Completeness over strategies whose answers follow the hash of the
+    structure they are shown: every honest certificate, over 1- to 3-point
+    bases, every budget-2 type, depths 0-6 and three seeds, is accepted by
+    the checker and by the reference, also read back from its text, so the
+    checker rebuilds each query's structure to its hash."""
+    bases = [FinStruct.build("a", {})]
+    bases += [FinStruct.build("ab", {pair_of("a", "b"): B(0, k)}) for k in (0, 1)]
+    bases.append(FinStruct.build("abc", {pair_of("a", "b"): B(0, 0), pair_of("a", "c"): B(0, 1),
+                                         pair_of("b", "c"): B(0, 0)}))
+    kinds = []
+    for seed in range(3):
+        strategy = HashedStrategy(seed)
+        for x in bases:
+            for tau in enumerate_types(x, 0, 2):
+                cert = refute(x, tau, strategy, len(kinds) % 7)
+                for c in (cert, parse_certificate(format_certificate(cert))):
+                    res = check_certificate(c, strategy)
+                    assert res.ok and reference_check(c, strategy), (seed, tau, res.reason)
+                kinds.append(cert.kind)
+    assert min(map(kinds.count, (MONO, EQUIV, FAULT))) > 10
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +637,7 @@ def reason_cases() -> list[tuple[str, RefutationCertificate, str, str]]:
         ("kind-unheard-of", replace(mono, kind="Unheard0fKind"), "constant",
          "unknown-kind 'Unheard0fKind'"),
         ("fault-called-triangle", replace(fault, kind=MONO), "constant", "hidden-strategy-fault"),
+        ("triangle-with-reason", replace(mono, reason="x"), "constant", "reason-without-fault"),
         ("realizer-in-base", replace(mono, t2=a), "constant", "bad-realizers"),
         ("base-query-dropped", *lacking_base_query(), "unqueried-base-point"),
         ("realizer-of-another-type", with_extra_point(mono, B(0, 9)), "constant",
@@ -641,6 +688,26 @@ def test_forged_hash_names_its_query():
         for k, (point, *_) in enumerate(cert.queries):
             res = check_certificate(forged_hash(cert, k), make_strategy(name))
             assert res.reason == f"hash-mismatch at {point}"
+
+
+def test_checking_leaves_the_certificate_palette_as_it_was():
+    """Checking an honest or a forged certificate enters no color into the
+    palette of its structure: a forged type's color stays out of it."""
+    _, _, mono = mono_certificate()
+    forged = dataclasses.replace(mono, tau_text=mono.tau_text.replace("b:0:1", "b:0:7"))
+    assert forged.tau_text == "type supp=a cut=1 colors=b:0:7 level=0"
+    cases = [(maker()[2], name, True) for maker, name in ((mono_certificate, "constant"),
+                                                          (equiv_certificate, "index-sensitive"),
+                                                          (fault_certificate, "constant"))]
+    cases += [(forged, "constant", False), (forged_hash(mono), "constant", False),
+              (parse_certificate(format_certificate(forged)), "constant", False)]
+    for cert, name, honest in cases:
+        palette = cert.structure.palette
+        before = (list(palette.texts), dict(palette.ids))
+        assert check_certificate(cert, make_strategy(name)).ok == honest
+        assert (palette.texts, palette.ids) == before
+    assert check_certificate(forged, make_strategy("constant")).reason == \
+        "realizer-type-mismatch at u0"
 
 
 def test_parse_certificate_rejects_garbage():
