@@ -498,7 +498,10 @@ class Embedding:
     """An order- and color-preserving injection between structures.
 
     ``mapping`` pairs source points with their images, listed in source
-    order.  Use :meth:`build` for checked construction.
+    order.  :meth:`build` checks a map that comes from outside.  The code's
+    own embeddings hold by construction and use the plain constructor: the
+    identity, the amalgam maps, ``limit.embed``'s map and the functor's
+    morphism map.
     """
 
     source: FinStruct
@@ -627,11 +630,8 @@ def amalgamate(a: FinStruct, b: FinStruct, over: FinStruct,
         masks[j][c] = masks[j].get(c, 0) | 1 << i
 
     result = FinStruct.of_rows(tuple(merged), tuple(map(stored_row, rows)), palette, level)
-    verdict = validate(result)
-    assert verdict.ok, f"amalgam invalid: {verdict.reason}"
-    return Amalgam(result,
-                   Embedding.build(a, result, maps[0]),
-                   Embedding.build(b, result, maps[1]))
+    return Amalgam(result, *(Embedding(s, result, tuple((p, m[p]) for p in s.points))
+                             for s, m in zip((a, b), maps)))
 
 
 # ---------------------------------------------------------------------------

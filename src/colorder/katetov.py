@@ -20,8 +20,10 @@ extension reads each row's pair texts from the templates
 ``ColorTerm``.  Only a reader of ids enters a pair color into the palette
 they share with their base, as its canonical text; ``Palette.ids`` is the
 one table from that text to its id.
-The morphism map transports types along embeddings, making the whole thing
-a functor that raises the level by one.
+The morphism map checks its embedding once, then maps each type element to
+the element whose key is the type's key with the support carried along the
+embedding, making the whole thing a functor that raises the level by one;
+its result is an embedding by construction and is not re-checked.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .core import (HOLE, ColorTerm, Embedding, FinStruct, InputError,
-                   format_struct, stored_row)
-from .types import (OnePointType, enumerate_types, format_type, gap_index,
-                    order_key, transport)
+                   format_struct, is_embedding, stored_row)
+from .types import OnePointType, enumerate_types, format_type, gap_index, order_key
 
 LT = -1
 EQ = 0
@@ -282,18 +283,18 @@ def apply_K(x: FinStruct, budget: int) -> ExtendedStructure:
 
 def apply_K_morphism(e: Embedding, budget: int) -> Embedding:
     """The functor on embeddings: base points map as before, the element of
-    a type maps to the element of the transported type."""
+    a type maps to the element of the transported type, found by its key.
+    Only ``e``, an embedding within one level, is checked."""
+    if e.source.level != e.target.level or not is_embedding(e.as_dict, e.source, e.target):
+        raise InputError("not an embedding")
     kx = apply_K(e.source, budget)
     ky = apply_K(e.target, budget)
     lookup = {tau.key(): tid for tid, tau in ky.elements}
     mapping = dict(e.mapping)
     for tid, tau in kx.elements:
-        image = transport(tau, e.as_dict, e.target)
-        try:
-            mapping[tid] = lookup[image.key()]
-        except KeyError:
-            raise AssertionError("transported type missing from the target extension")
-    return Embedding.build(kx.struct, ky.struct, mapping)
+        supp, cut, texts = tau.key()
+        mapping[tid] = lookup[tuple(map(e.apply, supp)), cut, texts]
+    return Embedding(kx.struct, ky.struct, tuple((p, mapping[p]) for p in kx.struct.points))
 
 
 def iterate_K(x: FinStruct, stages: int, budgets: Sequence[int]) -> list[ExtendedStructure]:

@@ -225,7 +225,7 @@ def embed(a: Approximation, s: FinStruct) -> tuple[Approximation, Embedding]:
     mapping: dict[str, str] = {}
     for q in s.points:
         mapping[q] = realize_image(a, s, mapping, q)
-    return a, Embedding.build(s, a.current, mapping)
+    return a, Embedding(s, a.current, tuple(mapping.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ fresh point, asks for the color q to that point, realizes a second point of
 the same type at distance q from the first, and compares the strategy's
 answers on the two.  Equal answers close a monochromatic triangle; unequal
 answers break equivariance under the partial isomorphism swapping the two
-realizers.  Either way a machine-checkable certificate comes out; answers
-that contradict the strategy's own type constraints yield a strategy-fault
-certificate instead.  :func:`refute` and :func:`check_certificate` find
-such a fault with one analysis, ``_fault_analysis``, so they agree on it.
+realizers.  Either way a machine-checkable certificate comes out.  Some
+answers that contradict the type yield a strategy-fault certificate
+instead: the faults are those ``_fault_analysis`` states, and a triangle
+of the strategy's own claims through ``t2`` is not among them, so such a
+run still ends in one of the two kinds above.  :func:`refute` and
+:func:`check_certificate` find a fault with that one analysis, so they
+agree on it.
 The checker states each rule once: it checks the partial isomorphism once
 and reads the transcript as a spelling of its pairs.  The certificate text
 is spelled once, by ``_frame``: the writer fills it in, and the reader
@@ -41,7 +44,7 @@ from .core import (ColorTerm, FinStruct, InputError, Palette, canonical_code,
                    format_struct, parse_struct_lines, validate)
 from .limit import (Approximation, PartialIso, format_pairs, parse_pair_lines,
                     realize_image)
-from .types import OnePointType, format_type, parse_type, point_key
+from .types import OnePointType, check_realizable, format_type, parse_type, point_key
 
 MONO = "MonochromaticTriangle"
 EQUIV = "EquivarianceViolation"
@@ -329,7 +332,17 @@ def _fault_analysis(x: FinStruct, tau: OnePointType, queries: Iterable[QueryReco
     point (None if there is none), the virtual point's colors and below-set
     over the base, and those last answers' tokens by point.  :func:`refute`
     runs it after every answer and :func:`check_certificate` on the
-    replayed log, so they agree on faults."""
+    replayed log, so they agree on faults.
+
+    The faults, in this order: at a base point, a ``self`` answer or a
+    color above the base level; once every base point has a color, a
+    below-set that is not an initial segment (``incoherent-order``) or two
+    base points whose color equals both their virtual colors
+    (``virtual-triangle``); at a non-base point, a ``self`` answer or a
+    color above the base level; and the first non-base answer, ``t1``'s,
+    equal to a virtual color over the base (``virtual-triangle``).  Only
+    ``t1``'s color is held against the base: ``t2``'s answer closing a
+    triangle with a base point is no fault."""
     last = {point: (side, color) for point, _, side, color in queries}
     vcol = dict(zip(tau.support, tau.colors))
     vbelow = set(tau.support[: tau.cut])
@@ -371,9 +384,10 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
            depth: int) -> RefutationCertificate:
     """Run the two-realizer procedure against a strategy.
 
-    Always returns a certificate: a monochromatic triangle when the strategy
-    treats both realizers alike, an equivariance violation when it does not,
-    and a strategy fault when its answers leave the class on their own.
+    Always returns a certificate: a strategy fault when its answers show
+    one of the faults :func:`_fault_analysis` states, else a monochromatic
+    triangle when the strategy treats both realizers alike and an
+    equivariance violation when it does not.
 
     Each query sees the base plus the non-base points queried so far, this
     one included: the base points outside the type's support are asked
@@ -391,6 +405,7 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
         raise InputError(f"invalid base structure: {v.reason}")
     if tau.base != x:
         raise InputError("type must sit over the given base")
+    check_realizable(x, tau)
     a = Approximation(seed=x)
     queries: list[QueryRecord] = []
 
@@ -435,7 +450,6 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
     q2, side2 = ans2.color, ans2.side
 
     fwd = {p: p for p in x.points} | {t1: t2}
-    assert PartialIso(tuple(fwd.items())).check(a.current), "realizers are not interchangeable"
     bwd = {w: u for u, w in fwd.items()}
     transcript: list[ExtendRecord] = []
     for k in range(depth):

@@ -159,15 +159,15 @@ def type_of_point(s: FinStruct, u: str, over: Iterable[str]) -> OnePointType:
 
 def allowed_colors(x: FinStruct, level: int, budget: int) -> list[int]:
     """The enumeration's color pool as ids in ``x.palette``: budget-many base
-    colors per level up to ``level``, plus x's marker and pair-code colors.
+    colors per level up to ``level``, plus the marker and pair-code colors
+    of a valid ``x``, each pair read once.
     The base part is empty, with no loop over levels, when no support can
     use it: over an empty base or at a budget below 1."""
     levels = range(level + 1) if x.points and budget > 0 else ()
     pool = [x.palette.id_text(f"b:{l}:{n}") for l in levels for n in range(budget)]
     used: set[int] = set()
-    for row in x.rows:
-        used.update(row)
-    used.discard(HOLE)
+    for i, row in enumerate(x.rows):
+        used.update(row[i + 1:])
     pal = x.palette.color
     seen = sorted((c for c in used if pal(c).kind != "b" and pal(c).level <= level),
                   key=lambda c: pal(c).sort_key())

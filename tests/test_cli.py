@@ -258,6 +258,16 @@ def test_refute_requires_exactly_one_type_source(capsys):
     assert capsys.readouterr().err == "error: bad type text ''\n"
 
 
+@pytest.mark.parametrize("color,strategy", [("b:1:0", "constant"), ("m:1", "support-echo")])
+def test_refute_names_the_ambient_level_of_a_type_color(capsys, color, strategy):
+    """A type color above the base's level is reported against that level,
+    not against the level of the full type built inside the run."""
+    assert run(["refute", "--base", data("one_point.txt"),
+                "--type", f"type supp=a cut=1 colors={color} level=1",
+                "--strategy", strategy]) == 1
+    assert capsys.readouterr() == ("", f"error: type color {color} exceeds ambient level 0\n")
+
+
 def test_k_apply_point_count(capsys):
     assert run(["k-apply", "--base", data("two_point.txt"),
                 "--budget", "2"]) == 0

@@ -445,6 +445,34 @@ def test_K_morphism_is_embedding_and_natural():
                     assert ke.as_dict[p] == emb[p]
 
 
+def test_K_morphism_rejects_a_hand_made_non_embedding():
+    """The morphism map checks the embedding it is given: a map that swaps
+    the order, one that changes a color, and one between two levels."""
+    y = FinStruct.build("abc", {pair_of("a", "b"): B(0, 0), pair_of("a", "c"): B(0, 1),
+                                pair_of("b", "c"): B(0, 0)})
+    x = y.restrict("ab")
+    for pairs in ((("a", "b"), ("b", "a")),    # order swapped
+                  (("a", "a"), ("b", "c"))):   # b:0:0 carried to b:0:1
+        with pytest.raises(InputError, match="^not an embedding$"):
+            apply_K_morphism(Embedding(x, y, pairs), 2)
+    up = FinStruct.build("abc", colors_of(y), level=1)
+    with pytest.raises(InputError, match="^not an embedding$"):
+        apply_K_morphism(Embedding(x, up, (("a", "a"), ("b", "b"))), 2)
+
+
+def test_K_morphism_adds_only_the_marker_to_the_palettes():
+    """The morphism map reads no pair color of either extension, so each
+    palette gains the next level's marker and nothing else."""
+    y = FinStruct.build("abcd", {pair_of(u, v): B(0, (i + j) % 3)
+                                 for (i, u), (j, v) in itertools.combinations(enumerate("abcd"), 2)})
+    z = FinStruct.build("abc", {pair_of("a", "b"): B(0, 0), pair_of("a", "c"): B(0, 1),
+                                pair_of("b", "c"): B(0, 0)})
+    for x, target in ((y.restrict("abc"), y), (z.restrict("ab"), z)):
+        before = (list(x.palette.texts), list(target.palette.texts))
+        apply_K_morphism(Embedding.build(x, target, {p: p for p in x.points}), 2)
+        assert (x.palette.texts, target.palette.texts) == tuple(t + ["m:1"] for t in before)
+
+
 def test_K_preserves_composition():
     structures = small_structures()
     for x in structures:

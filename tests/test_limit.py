@@ -11,8 +11,8 @@ from colorder.limit import (Approximation, PartialIso, embed,
                             extend_partial_iso, format_pairs, grow,
                             parse_pairs, saturation_check)
 from colorder.types import OnePointType, enumerate_types, parse_type
-from helpers import (all_structures, random_coloring, reference_iso_check,
-                     reference_realize, struct_of)
+from helpers import (all_structures, random_coloring, reference_is_embedding,
+                     reference_iso_check, reference_realize, struct_of)
 
 B = ColorTerm.base
 
@@ -165,7 +165,8 @@ def test_every_realization_matches_the_dict_reference():
     grown_n = a.checked
     for size in (4, 5, 6):
         names = [f"e{k}" for k in range(size)]
-        a, _ = embed(a, FinStruct.build(names, random_coloring(rng, names, 3)))
+        a, e = embed(a, FinStruct.build(names, random_coloring(rng, names, 3)))
+        assert reference_is_embedding(e.as_dict, e.source, e.target)
     embedded_n = a.checked - grown_n
     over = seed.points[:2]
     classes: dict = {}
