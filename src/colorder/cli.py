@@ -293,6 +293,9 @@ def run(argv: list[str]) -> int:
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
+        return 1
 
 
 def main() -> None:

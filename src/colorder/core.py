@@ -528,8 +528,12 @@ class Embedding:
         return self.as_dict[p]
 
     def compose(self, then: "Embedding") -> "Embedding":
-        """This embedding followed by ``then``."""
-        if self.target != then.source:
+        """This embedding followed by ``then``.  Two middle structures that
+        are different objects are compared as text (points, level and pair
+        texts), which enters no color into either palette."""
+        mid, other = self.target, then.source
+        if mid is not other and (mid.points, mid.level, canonical_code(mid)) != (
+                other.points, other.level, canonical_code(other)):
             raise InputError("non-composable embeddings")
         return Embedding.build(
             self.source, then.target,

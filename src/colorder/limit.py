@@ -188,11 +188,13 @@ def realize_image(a: Approximation, s: FinStruct, mapping: dict[str, str],
     The target needs no re-check: it is the type of an existing point of
     a valid ``s`` carried through a map that preserves order and colors,
     so its support is ordered, agrees with ``a.current`` and closes no
-    monochromatic triangle.  Every caller passes a checked map: ``embed``
+    monochromatic triangle.  Every caller passes such a map: ``embed``
     builds its map with this step from a validated structure,
-    ``extend_partial_iso`` checks its map first, and ``refute`` checks
-    ``alpha`` and extends it only by this step.  The certificate checker
-    checks the finished map once, and so every step along with it."""
+    ``extend_partial_iso`` checks its map first, and ``refute`` starts
+    from the map fixing the base and sending ``t1`` to ``t2``, a realizer
+    of the same type over it, and extends it only by this step.  The
+    certificate checker checks the finished map once, and so every step
+    along with it."""
     dom = s.sorted_points(mapping)
     _, cut, ids = point_key(s, u, dom)  # ids in s.palette, foreign only from embed
     target = OnePointType(a.current, tuple(mapping[d] for d in dom), cut,
@@ -239,13 +241,8 @@ def format_pairs(pairs: Iterable[tuple[str, str]]) -> str:
 
 
 def parse_pairs(text: str) -> PartialIso:
-    return parse_pair_lines(enumerate(text.splitlines(), 1))
-
-
-def parse_pair_lines(lines: Iterable[tuple[int, str]]) -> PartialIso:
-    """:func:`parse_pairs` over ``(line number, line)`` pairs."""
     pairs = []
-    for lineno, raw in lines:
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue

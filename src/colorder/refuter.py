@@ -15,10 +15,11 @@ of the strategy's own claims through ``t2`` is not among them, so such a
 run still ends in one of the two kinds above.  :func:`refute` and
 :func:`check_certificate` find a fault with that one analysis, so they
 agree on it.
-The checker states each rule once: it checks the partial isomorphism once
-and reads the transcript as a spelling of its pairs.  The certificate text
+A certificate stores each fact once: its kind, the answers at the
+realizers, alpha and the depth are read off the query log and the
+transcript, so the checker states each rule once.  The certificate text
 is spelled once, by ``_frame``: the writer fills it in, and the reader
-holds the text it read to it.
+reads the stored fields and holds the text it read to it.
 
 The module also bundles the positive control: on pure linear orders (no
 colors) the canonical cut strategy survives every sampled automorphism
@@ -42,8 +43,7 @@ from typing import Iterable, Protocol
 
 from .core import (ColorTerm, FinStruct, InputError, Palette, canonical_code,
                    format_struct, parse_struct_lines, validate)
-from .limit import (Approximation, PartialIso, format_pairs, parse_pair_lines,
-                    realize_image)
+from .limit import Approximation, PartialIso, format_pairs, realize_image
 from .types import OnePointType, check_realizable, format_type, parse_type, point_key
 
 MONO = "MonochromaticTriangle"
@@ -286,34 +286,46 @@ ExtendRecord = tuple[str, str, str]          # fwd|bwd, point, image
 class RefutationCertificate:
     """Machine-checkable evidence against one strategy run.
 
-    ``queries`` records every strategy answer in order; for the triangle and
-    equivariance kinds, ``alpha`` is the partial isomorphism fixing the base
-    pointwise and swapping the two realizers, extended along ``transcript``.
-    A strategy fault sets none of the fields after ``queries`` but
-    ``reason``, and no other kind sets ``reason``.
+    ``queries`` records every strategy answer in order.  A strategy fault
+    sets ``reason`` and nothing after ``queries``; any other run sets the
+    realizers ``t1`` and ``t2`` and the back-and-forth ``transcript``.  The
+    kind, the answers at the realizers, alpha and the depth (the length of
+    the transcript) are read off these fields.
     """
 
-    kind: str
     structure: FinStruct
     base_points: tuple[str, ...]
     tau_text: str
     queries: tuple[QueryRecord, ...]
     t1: str | None = None
     t2: str | None = None
-    q: ColorTerm | None = None
-    q2: ColorTerm | None = None
-    side1: str | None = None
-    side2: str | None = None
-    alpha: PartialIso | None = None
     transcript: tuple[ExtendRecord, ...] = ()
-    extension_depth: int = 0
     reason: str = ""
 
     def recorded_answers(self) -> tuple[tuple[str | None, str | None], ...]:
-        """The answers recorded at ``t1`` and ``t2`` as (side, color text)
-        tokens, None where a field is unset."""
-        return tuple((side, None if c is None else c.text())
-                     for side, c in ((self.side1, self.q), (self.side2, self.q2)))
+        """The log's last answers at ``t1`` and ``t2`` as (side, color
+        text) tokens, ``(None, None)`` for a point it does not hold."""
+        last = {point: (side, color) for point, _, side, color in self.queries}
+        return tuple(last.get(t, (None, None)) for t in (self.t1, self.t2))
+
+    @property
+    def kind(self) -> str:
+        """A strategy fault when ``reason`` is set; else a monochromatic
+        triangle when the answers at ``t1`` and ``t2`` agree, and an
+        equivariance violation when they do not."""
+        if self.reason:
+            return FAULT
+        first, second = self.recorded_answers()
+        return MONO if first == second else EQUIV
+
+    @property
+    def alpha(self) -> PartialIso:
+        """The partial isomorphism the transcript spells: the seed map,
+        each base point to itself in order and then ``t1`` to ``t2``,
+        followed by each step's pair, a ``bwd`` step's flipped."""
+        seed = tuple((p, p) for p in self.base_points) + ((self.t1, self.t2),)
+        return PartialIso(seed + tuple((w, u) if d == "bwd" else (u, w)
+                                       for d, u, w in self.transcript))
 
 
 @dataclass(frozen=True)
@@ -420,14 +432,13 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
         queries.append((point, h, *ans.tokens()))
         return ans, _fault_analysis(x, tau, queries)[0]
 
-    def fault(code: str) -> RefutationCertificate:
-        return RefutationCertificate(
-            kind=FAULT, structure=a.current, base_points=x.points,
-            tau_text=format_type(tau), queries=tuple(queries), reason=code)
+    def certificate(**fields) -> RefutationCertificate:
+        return RefutationCertificate(a.current, x.points, format_type(tau),
+                                     tuple(queries), **fields)
 
     for p in x.points:
         if p not in tau.support and (code := ask(p)[1]):
-            return fault(code)
+            return certificate(reason=code)
     # no fault here: one in an answer ended the loop, and a built type has none
     _, vcol, vbelow, _ = _fault_analysis(x, tau, queries)
     full = OnePointType.build(x, x.points, len(vbelow),
@@ -435,8 +446,8 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
     t1 = a.realize(full)
     ans1, code = ask(t1)
     if code:
-        return fault(code)
-    q, side1 = ans1.color, ans1.side
+        return certificate(reason=code)
+    q = ans1.color
 
     cur = a.current
     supp2 = cur.sorted_points(x.points + (t1,))
@@ -444,10 +455,8 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
     cut2 = supp2.index(t1) + 1
     tau2 = OnePointType.build(cur, supp2, cut2, colors2, cur.level)
     t2 = a.realize(tau2)
-    ans2, code = ask(t2)
-    if code:
-        return fault(code)
-    q2, side2 = ans2.color, ans2.side
+    if code := ask(t2)[1]:
+        return certificate(reason=code)
 
     fwd = {p: p for p in x.points} | {t1: t2}
     bwd = {w: u for u, w in fwd.items()}
@@ -461,14 +470,7 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
         w = side[u] = realize_image(a, a.current, side, u)
         other[w] = u
         transcript.append(("fwd" if forth else "bwd", u, w))
-
-    kind = MONO if (q2 == q and side2 == side1) else EQUIV
-    return RefutationCertificate(
-        kind=kind, structure=a.current, base_points=x.points,
-        tau_text=format_type(tau), queries=tuple(queries),
-        t1=t1, t2=t2, q=q, q2=q2, side1=side1, side2=side2,
-        alpha=PartialIso(tuple(fwd.items())), transcript=tuple(transcript),
-        extension_depth=len(transcript))
+    return certificate(t1=t1, t2=t2, transcript=tuple(transcript))
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +485,15 @@ def check_certificate(cert: RefutationCertificate,
     order), the type (held to its canonical spelling), each recorded query
     (its structure hash and the strategy's answer, re-asked in that
     structure: the base plus the non-base points queried so far, this one
-    included, as :func:`refute` asks), and then the kind's fields.  A
+    included, as :func:`refute` asks), and then the fields of its kind.  A
     strategy fault must be the one the replayed answers show, with no
-    back-and-forth field set.  Otherwise no fault may show and no reason be
-    set; both realizers must be distinct non-base points of the full type,
-    with their recorded answers; the transcript steps must alternate as
-    :func:`refute` takes them and, after the seed map, spell alpha pair for
-    pair; alpha's one order-and-color check then also rejects a second image
-    of a base point or of ``t1``; and the verdict condition must hold.
+    realizer or step set.  Otherwise no fault may show; both realizers must
+    be distinct non-base points the log asks, of the full type, joined in
+    the color answered at ``t1``; the transcript steps must alternate as
+    :func:`refute` takes them; and alpha, the map they spell after the seed
+    map, passes one order-and-color check, which also rejects a second
+    image of a base point or of ``t1``.  The kind, alpha and the depth are
+    read off the stored fields, so no rule compares a copy with its source.
     """
     # check a copy whose private palette has the same texts under the same
     # ids, so what checking enters (a forged type's colors) stays out of
@@ -535,19 +538,14 @@ def check_certificate(cert: RefutationCertificate,
             return CheckResult(False, "fault-not-reproduced")
         if fault != cert.reason:
             return CheckResult(False, f"fault-mismatch: {fault} != {cert.reason}")
-        if (cert.t1, cert.t2, cert.q, cert.q2, cert.side1, cert.side2, cert.alpha,
-                cert.transcript, cert.extension_depth) != (None,) * 7 + ((), 0):
+        if (cert.t1, cert.t2, cert.transcript) != (None, None, ()):
             return CheckResult(False, "fault-with-back-and-forth")
         return CheckResult(True)
 
-    if cert.kind not in (MONO, EQUIV):
-        return CheckResult(False, f"unknown-kind {cert.kind!r}")
     if fault is not None:
         return CheckResult(False, "hidden-strategy-fault")
-    if cert.reason:
-        return CheckResult(False, "reason-without-fault")
     t1, t2 = cert.t1, cert.t2
-    if t1 == t2 or any(t not in s or t in x for t in (t1, t2)):
+    if t1 == t2 or any(t not in s or t in x or t not in last for t in (t1, t2)):
         return CheckResult(False, "bad-realizers")
 
     # both realizers must carry the strategy's full type over the base
@@ -557,30 +555,16 @@ def check_certificate(cert: RefutationCertificate,
     for t in (t1, t2):
         if point_key(s, t, x.points) != expected_key:
             return CheckResult(False, f"realizer-type-mismatch at {t}")
-    if s.color(t1, t2) != cert.q:
+    if s.color(t1, t2).text() != last[t1][1]:
         return CheckResult(False, "pair-color-mismatch")
-    if (last.get(t1), last.get(t2)) != cert.recorded_answers():
-        return CheckResult(False, "recorded-answer-mismatch")
 
-    # the transcript spells alpha past the seed map, as ``refute`` walks its
-    # back-and-forth: fwd on even steps, bwd (its pair flipped) on odd ones
-    pairs = [(p, p) for p in x.points] + [(t1, t2)]
-    for k, (direction, u, w) in enumerate(cert.transcript):
+    # the steps alternate as ``refute`` walks its back-and-forth, fwd on
+    # even steps and bwd on odd ones; alpha is the map they spell
+    for k, (direction, _, _) in enumerate(cert.transcript):
         if direction != ("fwd" if k % 2 == 0 else "bwd"):
             return CheckResult(False, f"transcript-step-order at step {k}")
-        pairs.append((u, w) if direction == "fwd" else (w, u))
-    if len(cert.transcript) != cert.extension_depth:
-        return CheckResult(False, "depth-mismatch")
-    if cert.alpha is None or tuple(pairs) != cert.alpha.pairs:
-        return CheckResult(False, "alpha-transcript-divergence")
     if not cert.alpha.check(s):
         return CheckResult(False, "alpha-not-iso")
-
-    same = (cert.side1, cert.q) == (cert.side2, cert.q2)
-    if cert.kind == MONO and not same:
-        return CheckResult(False, "triangle-condition-fails")
-    if cert.kind == EQUIV and same:
-        return CheckResult(False, "no-violation")
     return CheckResult(True)
 
 
@@ -593,30 +577,33 @@ _SECTIONS = ("STRUCTURE", "POINTS", "ALPHA", "TRANSCRIPT", "VERDICT")
 
 def _frame(cert: RefutationCertificate, structure: str = "") -> str:
     """Certificate v1 with ``structure`` as the body of its STRUCTURE
-    section: the one spelling of every line outside that section.  Every
-    kind but a strategy fault has all six realizer fields; one the reader
-    did not find is None and shows as ``None``, so the text lacks a line
-    the frame has."""
+    section: the one spelling of every line outside that section, the
+    ``kind``, ``q``, ``qprime``, ``side1``, ``side2``, ``depth``, ALPHA and
+    verdict lines spelling what is read off the stored fields.  Every kind
+    but a strategy fault has both realizers; one the reader did not find is
+    None and shows as ``None``, so the text lacks a line the frame has."""
+    kind = cert.kind
     (side1, q), (side2, q2) = cert.recorded_answers()
     scalars = (("t1", cert.t1), ("t2", cert.t2), ("q", q), ("qprime", q2),
                ("side1", side1), ("side2", side2))
-    if cert.kind == FAULT:
+    if kind == FAULT:
         verdict = f"reason={cert.reason}"
-    elif cert.kind == MONO:
+    elif kind == MONO:
         verdict = f"q={q}"
     else:
         verdict = f"q={q} qprime={q2}"
-    text = [f"certificate v1\nkind {cert.kind}\nSTRUCTURE\n", structure, "POINTS\n"]
+    text = [f"certificate v1\nkind {kind}\nSTRUCTURE\n", structure, "POINTS\n"]
     text.append(" ".join(("x", *cert.base_points)) + "\n")
     text.append(f"type {cert.tau_text}\n")
-    if cert.kind != FAULT:
+    if kind != FAULT:
         text += [f"{key} {value}\n" for key, value in scalars]
-    text.append(f"depth {cert.extension_depth}\nALPHA\n")
-    text.append(format_pairs(cert.alpha.pairs if cert.alpha is not None else ()))
+    text.append(f"depth {len(cert.transcript)}\nALPHA\n")
+    if kind != FAULT:
+        text.append(format_pairs(cert.alpha.pairs))
     text.append("TRANSCRIPT\n")
     text += [f"query {p} {h} {side} {color}\n" for p, h, side, color in cert.queries]
     text += [f"extend {d} {u} {w}\n" for d, u, w in cert.transcript]
-    text.append(f"VERDICT\n{cert.kind} {verdict}\n")
+    text.append(f"VERDICT\n{kind} {verdict}\n")
     return "".join(text)
 
 
@@ -628,48 +615,39 @@ def parse_certificate(text: str) -> RefutationCertificate:
     """Read certificate v1 strictly: blank lines aside, the text must be
     what :func:`format_certificate` writes, except that the STRUCTURE
     section is :func:`parse_struct`'s to read (its color lines may come in
-    any order; an error there or in ALPHA cites its line in the text).
-    The fields are read leniently, and the text is accepted only if its
+    any order; an error there cites its line in the text).  Only the
+    stored fields are read, leniently, and the text is accepted only if its
     lines outside the structure equal :func:`_frame` of what was read; any
-    other text raises InputError."""
+    other text raises InputError, citing the first line that differs (the
+    text's last line for a missing one) unless a section head is missing or
+    out of order."""
     raw = text.splitlines()
     heads = [i for i, line in enumerate(raw) if line in _SECTIONS]
     if [raw[i] for i in heads] != list(_SECTIONS):
         raise InputError("certificate is not in canonical form")
-    # each section as (line number, line) pairs, numbered as in the text
-    structure, points, alpha, transcript_lines, verdict = (
-        enumerate(raw[i + 1:j], i + 2) for i, j in zip(heads, heads[1:] + [len(raw)]))
-    points, transcript_lines, verdict = ([line for _, line in section if line.strip()]
-                                         for section in (points, transcript_lines, verdict))
-    head = [line for line in raw[:heads[0]] if line.strip()]
-    fields = {key: values for key, *values in map(str.split, head + points)}
-    tau_text = next((line[5:] for line in points
+    points, _, records, verdict = ([line.split() for line in raw[i + 1:j] if line.strip()]
+                                   for i, j in zip(heads[1:], heads[2:] + [len(raw)]))
+    fields = {key: values for key, *values in points}
+    tau_text = next((line[5:] for line in raw[heads[1] + 1:heads[2]]
                      if line.startswith("type ") and line[5:].strip()), None)
-
-    def first(key: str) -> str | None:
-        return next(iter(fields.get(key, ())), None)
-
-    try:
-        depth = int(first("depth") or 0)
-    except ValueError:
-        raise InputError(f"bad depth {first('depth')!r}") from None
-    q, q2 = (None if first(key) is None else ColorTerm.parse(first(key))
-             for key in ("q", "qprime"))
-    records = [line.split() for line in transcript_lines]
-    queries = [tuple(tok[1:]) for tok in records if tok[0] == "query" and len(tok) == 5]
-    transcript = [tuple(tok[1:]) for tok in records if tok[0] == "extend" and len(tok) == 4]
-    reasons = [t for t in " ".join(verdict).split() if t.startswith("reason=")]
-    pairs = parse_pair_lines(alpha)
+    t1, t2 = (next(iter(fields.get(key, ())), None) for key in ("t1", "t2"))
+    queries = tuple(tuple(tok[1:]) for tok in records if tok[0] == "query" and len(tok) == 5)
+    transcript = tuple(tuple(tok[1:]) for tok in records if tok[0] == "extend" and len(tok) == 4)
+    reasons = [t for t in itertools.chain(*verdict) if t.startswith("reason=")]
     cert = RefutationCertificate(
-        kind=first("kind"), structure=parse_struct_lines(structure)[1],
-        base_points=tuple(fields.get("x", ())), tau_text=tau_text,
-        queries=tuple(queries), t1=first("t1"), t2=first("t2"), q=q, q2=q2,
-        side1=first("side1"), side2=first("side2"),
-        alpha=pairs if pairs.pairs else None, transcript=tuple(transcript),
-        extension_depth=depth, reason=reasons[0][len("reason="):] if reasons else "")
-    outside = head + ["STRUCTURE"] + [line for line in raw[heads[1]:] if line.strip()]
-    if "".join(line + "\n" for line in outside) != _frame(cert):
-        raise InputError("certificate is not in canonical form")
+        structure=parse_struct_lines(enumerate(raw[heads[0] + 1:heads[1]], heads[0] + 2))[1],
+        base_points=tuple(fields.get("x", ())), tau_text=tau_text, queries=queries,
+        t1=t1, t2=t2, transcript=transcript,
+        reason=reasons[0][len("reason="):] if reasons else "")
+    # the lines outside the structure, numbered as in the text, against the frame's
+    numbered = itertools.chain(enumerate(raw[:heads[0] + 1], 1),
+                               enumerate(raw[heads[1]:], heads[1] + 1))
+    outside = [(n, line) for n, line in numbered if line.strip()]
+    frame = _frame(cert).splitlines()
+    if [line for _, line in outside] != frame:
+        for (n, line), want in itertools.zip_longest(outside, frame, fillvalue=(len(raw), None)):
+            if line != want:
+                raise InputError(f"line {n}: certificate is not in canonical form")
     return cert
 
 

@@ -13,8 +13,7 @@ from typing import Mapping
 
 from colorder.core import (HOLE, ColorTerm, FinStruct, InputError, Palette,
                            code_of_parts, pair_of, stored_row)
-from colorder.refuter import (ABOVE, EQUIV, FAULT, MONO, QueryContext,
-                              structure_hash)
+from colorder.refuter import ABOVE, QueryContext, structure_hash
 from colorder.types import format_type, parse_type
 
 POINT_NAMES = "abcdefgh"
@@ -389,15 +388,16 @@ def reference_check(cert, strategy) -> bool:
     it; every query's structure (the base and the non-base points asked so
     far, copied out of the structure) has the recorded hash, and the
     strategy, asked there, gives the recorded answer; the answers' claims
-    show the recorded fault, or none.  A fault certificate leaves every
-    realizer field, alpha, the transcript and the depth unset; any other
-    certificate leaves the reason unset.  Otherwise both realizers are
-    distinct non-base points that carry the claimed virtual colors and cut
-    over the base, the pair between them has color ``q``, and each has its
-    recorded answer; alpha is a partial isomorphism that fixes the base and
-    maps ``t1`` to ``t2``; the transcript alternates fwd, bwd, ... from fwd
-    and, after the seed map, spells alpha's pairs (a bwd pair flipped), one
-    step per unit of depth; and the kind's condition holds."""
+    show the recorded fault, or none.  A certificate with a reason is a
+    fault certificate and leaves both realizers unset and the transcript
+    empty.  Otherwise both realizers are distinct non-base points that the
+    log asks, that carry the claimed virtual colors and cut over the base,
+    and whose pair has the color answered at ``t1``; the transcript
+    alternates fwd, bwd, ... from fwd; and alpha, worked out here as the
+    map fixing the base and sending ``t1`` to ``t2`` followed by the
+    steps' pairs (a bwd pair flipped), is a partial isomorphism.  The
+    answers, alpha and the depth come from the log and the transcript, and
+    the kind from the reason, never from the certificate's properties."""
     s, base = cert.structure, tuple(cert.base_points)
     try:
         if not reference_verdict(s)[0]:
@@ -429,16 +429,13 @@ def reference_check(cert, strategy) -> bool:
         if answers[point] != (side, color):
             return False
     fault, vcol, below = reference_fault(x, tau, answers)
-    if cert.kind == FAULT:
-        unset = all(getattr(cert, field) is None
-                    for field in ("t1", "t2", "q", "q2", "side1", "side2", "alpha"))
-        return (fault is not None and fault == cert.reason and unset
-                and cert.transcript == () and cert.extension_depth == 0)
-    if cert.kind not in (MONO, EQUIV) or fault is not None or cert.reason:
+    t1, t2, steps = cert.t1, cert.t2, cert.transcript
+    if cert.reason:
+        return fault == cert.reason and t1 is None and t2 is None and steps == ()
+    if fault is not None:
         return False
 
-    t1, t2 = cert.t1, cert.t2
-    if None in (t1, t2, cert.q, cert.q2) or t1 == t2:
+    if t1 == t2 or t1 not in answers or t2 not in answers:
         return False
     if t1 not in s or t2 not in s or t1 in base or t2 in base:
         return False
@@ -448,28 +445,12 @@ def reference_check(cert, strategy) -> bool:
         if any(s.color(t, p) != vcol[p] or (s.index(p) < s.index(t)) != (p in below)
                for p in base):
             return False
-    if s.color(t1, t2) != cert.q:
+    if s.color(t1, t2) != ColorTerm.parse(answers[t1][1]):
         return False
-    if (answers.get(t1), answers.get(t2)) != ((cert.side1, cert.q.text()),
-                                              (cert.side2, cert.q2.text())):
-        return False
-
-    if cert.alpha is None or not reference_iso_check(cert.alpha.pairs, s):
-        return False
-    amap = dict(cert.alpha.pairs)
-    if any(amap.get(p) != p for p in base) or amap.get(t1) != t2:
-        return False
-    steps = cert.transcript
     if [d for d, _, _ in steps] != ["fwd" if k % 2 == 0 else "bwd" for k in range(len(steps))]:
         return False
     spelled = [(u, w) if d == "fwd" else (w, u) for d, u, w in steps]
-    if tuple(cert.alpha.pairs) != tuple([(p, p) for p in base] + [(t1, t2)] + spelled):
-        return False
-    if len(steps) != cert.extension_depth:
-        return False
-
-    same = cert.q2 == cert.q and cert.side1 == cert.side2
-    return same if cert.kind == MONO else not same
+    return reference_iso_check([(p, p) for p in base] + [(t1, t2)] + spelled, s)
 
 
 # ---------------------------------------------------------------------------

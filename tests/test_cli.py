@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -188,44 +189,60 @@ INDEX = ("refute_index.txt", "index-sensitive")
 FAULT_TRIANGLE = ("refute_fault_triangle.txt", "constant")
 
 
-@pytest.mark.parametrize("golden,old,new,reason", [
-    (INDEX, INDEX_TYPE_LINE, INDEX_TYPE_LINE.replace("level=0", "level=0 "),
-     "type-not-canonical"),
-    (INDEX, INDEX_TYPE_LINE, INDEX_TYPE_LINE.replace("type type", "type type "),
-     "type-not-canonical"),
-    (INDEX, INDEX_ALPHA, "".join(reversed(INDEX_ALPHA.splitlines(True))),
-     "alpha-transcript-divergence"),
-    (INDEX, INDEX_STEPS, "extend fwd u1 u2\nextend fwd u2 u4\nextend bwd u0 u3\n",
-     "transcript-step-order at step 1"),
-    (FAULT_TRIANGLE, "depth 0\nALPHA\n", "depth 7\nALPHA\npair a a\n",
-     "fault-with-back-and-forth"),
-    (FAULT_TRIANGLE, "VERDICT\n", "extend fwd a a\nVERDICT\n", "fault-with-back-and-forth"),
+def rejected(reason: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``check-cert`` on a rejected text."""
+    return 2, f"rejected {reason}\n", ""
+
+
+def off_frame(lineno: int) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``check-cert`` on a text whose line
+    ``lineno`` is the first that ``refute`` would not write."""
+    return 1, "", f"error: line {lineno}: certificate is not in canonical form\n"
+
+
+@pytest.mark.parametrize("golden,edits,expected", [
+    (INDEX, [(INDEX_TYPE_LINE, INDEX_TYPE_LINE.replace("level=0", "level=0 "))],
+     rejected("type-not-canonical")),
+    (INDEX, [(INDEX_TYPE_LINE, INDEX_TYPE_LINE.replace("type type", "type type "))],
+     rejected("type-not-canonical")),
+    (INDEX, [(INDEX_ALPHA, "".join(reversed(INDEX_ALPHA.splitlines(True))))], off_frame(37)),
+    (INDEX, [(INDEX_ALPHA, "pair a a\npair u0 u1\npair u1 u2\npair u2 u4\npair u3 u0\n"),
+             (INDEX_STEPS, "extend fwd u1 u2\nextend fwd u2 u4\nextend bwd u0 u3\n")],
+     rejected("transcript-step-order at step 1")),
+    (FAULT_TRIANGLE, [("depth 0\nALPHA\n", "depth 7\nALPHA\npair a a\n")], off_frame(11)),
+    (FAULT_TRIANGLE, [("VERDICT\n", "extend fwd a a\nVERDICT\n")], off_frame(11)),
 ], ids=["type-trailing-space", "type-double-space", "alpha-reversed", "bwd-moved",
         "fault-depth-and-alpha", "fault-extend-step"])
-def test_certificate_other_than_refute_writes_is_rejected(tmp_path, capsys, golden, old, new,
-                                                          reason):
-    """A certificate the checker would replay, but spelled or ordered other
-    than ``refute`` writes it: the type line off its canonical spelling,
-    alpha in another order, the steps out of fwd/bwd alternation, or a
-    strategy fault that carries a depth, an alpha pair or a step."""
+def test_certificate_other_than_refute_writes_is_rejected(tmp_path, capsys, golden, edits,
+                                                          expected):
+    """A certificate spelled or ordered other than ``refute`` writes it:
+    the type line off its canonical spelling, the steps out of fwd/bwd
+    alternation (ALPHA, which spells them, moved along), alpha in another
+    order, or a strategy fault that carries a depth, an alpha pair or a
+    step.  The checker rejects the first two; the others are off the
+    frame, since ALPHA and the depth spell the steps."""
     name, strategy = golden
     text = golden_bytes(name).decode()
-    assert old in text
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
     cert = tmp_path / "cert.txt"
-    cert.write_text(text.replace(old, new, 1))
-    assert run(["check-cert", "--cert", str(cert), "--strategy", strategy]) == 2
-    assert capsys.readouterr().out == f"rejected {reason}\n"
+    cert.write_text(text)
+    code = run(["check-cert", "--cert", str(cert), "--strategy", strategy])
+    assert (code, *capsys.readouterr()) == expected
 
 
-@pytest.mark.parametrize("lineno,first,last,message", [
-    (12, 4, 25, "bad color line"),
-    (38, 37, 41, "expected 'pair <id> <id>'"),
+@pytest.mark.parametrize("lineno,first,last,message,reader,own_message", [
+    (12, 4, 25, "bad color line", parse_struct, "bad color line"),
+    (38, 37, 41, "certificate is not in canonical form", parse_pairs,
+     "expected 'pair <id> <id>'"),
 ], ids=["structure", "alpha"])
 def test_certificate_parse_error_cites_the_file_line(tmp_path, capsys, lineno, first, last,
-                                                     message):
+                                                     message, reader, own_message):
     """A bad line inside the STRUCTURE or ALPHA section is cited by its
-    line in the certificate; the same section read as a file of its own
-    cites its line there, as before."""
+    line in the certificate; ALPHA is not read but held to the pairs the
+    transcript spells, so its error is the canonical-form one.  The same
+    section read as a file of its own cites its line there, as before."""
     lines = golden_bytes("refute_index.txt").decode().splitlines(True)
     lines[lineno - 1] = lines[lineno - 1].rsplit(" ", 1)[0] + "\n"  # drop the last token
     cert = tmp_path / "cert.txt"
@@ -233,8 +250,7 @@ def test_certificate_parse_error_cites_the_file_line(tmp_path, capsys, lineno, f
     assert run(["check-cert", "--cert", str(cert), "--strategy", "index-sensitive"]) == 1
     assert capsys.readouterr() == ("", f"error: line {lineno}: {message}\n")
     section = "".join(lines[first - 1:last])
-    reader = parse_struct if lineno == 12 else parse_pairs
-    with pytest.raises(InputError, match=f"^line {lineno - first + 1}: {message}$"):
+    with pytest.raises(InputError, match=f"^line {lineno - first + 1}: {own_message}$"):
         reader(section)
 
 
@@ -511,6 +527,21 @@ def test_unused_color_pool_is_not_built(argv, option, small):
     assert seconds < 1
 
 
+def test_running_out_of_memory_exits_1():
+    """A run that exhausts its address space ends with exit 1 and one
+    error line, not a traceback.  The cap is set in the child alone."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    child = subprocess.run(
+        [sys.executable, "-m", "colorder.cli", "control-lo", "--size", "100000000",
+         "--cut", "0", "--samples", "0"],
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap,
+        capture_output=True, text=True, timeout=60)
+    assert (child.returncode, child.stdout, child.stderr) == (1, "", "error: out of memory\n")
+
+
 @pytest.mark.parametrize("command", ["refute", "check-cert"])
 def test_silent_program_strategy_times_out(monkeypatch, capsys, command):
     """A program that never replies ends the run after the per-reply
@@ -526,25 +557,50 @@ def test_silent_program_strategy_times_out(monkeypatch, capsys, command):
         "", "error: strategy 'prog:sleep' did not answer within 0.5 s\n")
 
 
-@pytest.mark.parametrize("old,new", [
-    ("MonochromaticTriangle q=b:0:0", "MonochromaticTriangle q=b:0:7 forged=yes"),
-    ("kind MonochromaticTriangle", "kind MonochromaticTriangle extra"),
-    ("x a", "x a\nbogus field"),
-    ("t1 u0", "t1 u0\nt1 u0"),
-    ("q b:0:0", "q b:0:00"),
-    ("side1 above\n", ""),
+@pytest.mark.parametrize("old,new,lineno", [
+    ("MonochromaticTriangle q=b:0:0", "MonochromaticTriangle q=b:0:7 forged=yes", 49),
+    ("kind MonochromaticTriangle", "kind MonochromaticTriangle extra", 2),
+    ("x a", "x a\nbogus field", 28),
+    ("t1 u0", "t1 u0\nt1 u0", 30),
+    ("q b:0:0", "q b:0:00", 31),
+    ("side1 above\n", "", 33),
 ], ids=["verdict", "kind", "stray-field", "repeated-field", "color-spelling",
         "missing-field"])
-def test_certificate_outside_canonical_form_exits_1(tmp_path, capsys, old, new):
+def test_certificate_outside_canonical_form_exits_1(tmp_path, capsys, old, new, lineno):
     """Each edit leaves the certificate's meaning for the checker alone, or
-    drops a field it would reject, but is not what the writer writes."""
+    drops a field it would reject, but is not what the writer writes; the
+    error cites the first line that differs."""
     text = golden_bytes("refute_constant.txt").decode()
     forged = text.replace(old, new, 1)
     assert forged != text
     cert = tmp_path / "cert.txt"
     cert.write_text(forged)
     assert run(["check-cert", "--cert", str(cert), "--strategy", "constant"]) == 1
-    assert capsys.readouterr() == ("", "error: certificate is not in canonical form\n")
+    assert capsys.readouterr() == (
+        "", f"error: line {lineno}: certificate is not in canonical form\n")
+
+
+@pytest.mark.parametrize("old,new,lineno", [
+    ("kind MonochromaticTriangle", "kind EquivarianceViolation", 2),
+    ("q b:0:0", "q b:0:1", 31),
+    ("qprime b:0:0", "qprime b:0:1", 32),
+    ("side1 above", "side1 below", 33),
+    ("side2 above", "side2 below", 34),
+    ("depth 3", "depth 2", 35),
+    ("pair u3 u0", "pair u0 u3", 40),
+    ("MonochromaticTriangle q=b:0:0", "EquivarianceViolation q=b:0:0 qprime=b:0:0", 49),
+], ids=["kind", "q", "qprime", "side1", "side2", "depth", "alpha-pair", "verdict"])
+def test_forged_derived_line_exits_1_at_its_line(tmp_path, capsys, old, new, lineno):
+    """The kind, the answers at the realizers, the depth, ALPHA and the
+    verdict are read off the query log and the transcript, so each of
+    their lines, forged alone, is off the frame at that line."""
+    text = golden_bytes("refute_constant.txt").decode()
+    assert text.splitlines()[lineno - 1] == old
+    cert = tmp_path / "cert.txt"
+    cert.write_text(text.replace(old + "\n", new + "\n", 1))
+    assert run(["check-cert", "--cert", str(cert), "--strategy", "constant"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: line {lineno}: certificate is not in canonical form\n")
 
 
 def test_pretty_certificate_is_accepted(tmp_path, capsys):

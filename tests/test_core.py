@@ -238,6 +238,20 @@ def test_embedding_build_rejects_bad_maps(two_point):
         Embedding.build(two_point, two_point, {"a": "b", "b": "a"})
 
 
+def test_compose_refuses_a_different_middle_structure(two_point):
+    """Composing needs the same middle structure: one that differs in a
+    point, in one pair color or in its level is refused, and an equal one
+    built apart composes."""
+    f = Embedding.identity(two_point)
+    for middle in (FinStruct.build("ax", {pair_of("a", "x"): B(0, 0)}),
+                   FinStruct.build("ab", {pair_of("a", "b"): B(0, 1)}),
+                   FinStruct.build("ab", {pair_of("a", "b"): B(0, 0)}, level=1)):
+        with pytest.raises(InputError, match="^non-composable embeddings$"):
+            f.compose(Embedding.identity(middle))
+    copy = FinStruct.build("ab", {pair_of("a", "b"): B(0, 0)})
+    assert f.compose(Embedding.identity(copy)).mapping == (("a", "a"), ("b", "b"))
+
+
 # ---------------------------------------------------------------------------
 # amalgamation
 # ---------------------------------------------------------------------------

@@ -473,6 +473,30 @@ def test_K_morphism_adds_only_the_marker_to_the_palettes():
         assert (x.palette.texts, target.palette.texts) == tuple(t + ["m:1"] for t in before)
 
 
+def test_composing_morphism_maps_reads_the_middle_as_text():
+    """The morphism maps of ``a -> ab`` and ``ab -> abc`` carry two
+    separately built extensions of ``ab``; composing them compares the two
+    as text, so the shared palette gains exactly what checking the
+    composite map alone adds."""
+
+    def maps():
+        z = FinStruct.build("abc", {pair_of("a", "b"): B(0, 0), pair_of("a", "c"): B(0, 1),
+                                    pair_of("b", "c"): B(0, 0)})
+        y = z.restrict("ab")
+        kf = apply_K_morphism(Embedding.build(z.restrict("a"), y, {"a": "a"}), 2)
+        kg = apply_K_morphism(Embedding.build(y, z, {"a": "a", "b": "b"}), 2)
+        assert kf.target is not kg.source
+        return z.palette, kf, kg
+
+    palette, kf, kg = maps()
+    before = len(palette.texts)
+    kf.compose(kg)
+    composed = palette.texts[before:]
+    palette, kf, kg = maps()
+    Embedding.build(kf.source, kg.target, {p: kg.apply(q) for p, q in kf.mapping})
+    assert palette.texts[before:] == composed
+
+
 def test_K_preserves_composition():
     structures = small_structures()
     for x in structures:

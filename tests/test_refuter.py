@@ -13,7 +13,7 @@ import pytest
 
 from colorder import refuter
 from colorder.core import ColorTerm, FinStruct, InputError, pair_of
-from colorder.limit import PartialIso, realize_image
+from colorder.limit import realize_image
 from colorder.refuter import (ABOVE, BELOW, BUNDLED_STRATEGIES, EQUIV, FAULT,
                               MONO, QueryContext,
                               RefutationCertificate, StrategyAnswer,
@@ -64,16 +64,16 @@ def fault_certificate():
 
 def test_constant_strategy_yields_triangle():
     _, _, cert = mono_certificate()
-    assert cert.q == B(0, 0) and cert.q2 == B(0, 0)
-    assert cert.side1 == cert.side2
-    assert cert.structure.color(cert.t1, cert.t2) == cert.q
+    assert cert.recorded_answers() == ((ABOVE, "b:0:0"), (ABOVE, "b:0:0"))
+    assert cert.structure.color(cert.t1, cert.t2) == B(0, 0)
     assert check_certificate(cert, make_strategy("constant")).ok
 
 
 def test_identity_dependent_strategy_breaks_equivariance():
     _, _, cert = equiv_certificate()
-    assert cert.q != cert.q2
-    assert cert.extension_depth == 3
+    first, second = cert.recorded_answers()
+    assert first[1] != second[1]
+    assert len(cert.transcript) == 3
     assert check_certificate(cert, make_strategy("index-sensitive")).ok
 
 
@@ -102,7 +102,7 @@ def test_deliberate_second_answer_flip():
     tau = OnePointType.build(x, ("a",), 1, (B(0, 1),), 0)
     cert = refute(x, tau, ScriptedStrategy(*TWO_FACED), 2)
     assert cert.kind == EQUIV
-    assert (cert.q, cert.q2) == (B(0, 0), B(0, 1))
+    assert cert.recorded_answers() == ((ABOVE, "b:0:0"), (ABOVE, "b:0:1"))
     assert check_certificate(cert, ScriptedStrategy(*TWO_FACED)).ok
 
 
@@ -175,7 +175,7 @@ def test_battery_at_smaller_depths(depth):
     for strategy in battery():
         cert = refute(x, tau, strategy, depth)
         if cert.kind != FAULT:
-            assert cert.extension_depth == depth
+            assert len(cert.transcript) == depth
         assert check_certificate(cert, make_strategy(strategy.name)).ok
 
 
@@ -284,33 +284,32 @@ def forged_hash(cert: RefutationCertificate, k: int = 0) -> RefutationCertificat
     return dataclasses.replace(cert, queries=tuple(queries))
 
 
+def forged_type(cert: RefutationCertificate) -> RefutationCertificate:
+    """The certificate with its type claiming ``b:0:7`` for ``b:0:1``, a
+    color neither realizer has to the base."""
+    return dataclasses.replace(cert, tau_text=cert.tau_text.replace("b:0:1", "b:0:7"))
+
+
 def mono_mutants(cert: RefutationCertificate):
-    s = cert.structure
+    s, a, steps = cert.structure, cert.base_points[0], cert.transcript
     other = next(p for p in s.points
                  if p not in (cert.t1, cert.t2) and p not in cert.base_points)
     yield dataclasses.replace(cert, structure=recolor(s, cert.t1, cert.t2, B(0, 5)))
-    yield dataclasses.replace(cert, structure=recolor(s, cert.base_points[0], cert.t1, B(0, 5)))
-    yield dataclasses.replace(cert, q=B(0, 5))
-    yield dataclasses.replace(cert, q2=B(0, 5))
-    yield dataclasses.replace(cert, t2=cert.base_points[0])
+    yield dataclasses.replace(cert, structure=recolor(s, a, cert.t1, B(0, 5)))
+    yield dataclasses.replace(cert, t2=a)
     yield dataclasses.replace(cert, t2=cert.t1)
     yield dataclasses.replace(cert, t1=other)
-    yield dataclasses.replace(cert, alpha=None)
-    yield dataclasses.replace(cert, alpha=PartialIso(
-        tuple((p, cert.t1 if p == cert.base_points[0] else p)
-              for p in cert.base_points) + ((cert.t1, cert.t2),)))
-    yield dataclasses.replace(cert, transcript=cert.transcript[:-1])
-    yield dataclasses.replace(
-        cert, transcript=cert.transcript[:-1]
-        + ((cert.transcript[-1][0], cert.transcript[-1][1], cert.t1),))
+    yield dataclasses.replace(cert, t1=cert.t2, t2=cert.t1)
+    yield dataclasses.replace(cert, transcript=steps[:-1] + (steps[-1][:2] + (cert.t1,),))
+    yield dataclasses.replace(cert, transcript=steps + (("bwd", a, a),))
+    yield dataclasses.replace(cert, transcript=(("bwd",) + steps[0][1:],) + steps[1:])
     yield dataclasses.replace(cert, queries=cert.queries[1:])
     flipped = list(cert.queries)
     point, h, side, color = flipped[0]
     flipped[0] = (point, h, BELOW if side == ABOVE else ABOVE, color)
     yield dataclasses.replace(cert, queries=tuple(flipped))
-    yield dataclasses.replace(cert, kind=EQUIV)
-    yield dataclasses.replace(cert, extension_depth=cert.extension_depth + 1)
-    yield dataclasses.replace(cert, side2=BELOW if cert.side2 == ABOVE else ABOVE)
+    yield dataclasses.replace(cert, reason="virtual-triangle")
+    yield forged_type(cert)
     yield forged_hash(cert)
 
 
@@ -325,10 +324,10 @@ def test_mono_mutants_rejected():
 
 
 def test_transcript_replay_names_each_fault():
-    """A transcript is read as a spelling of alpha: a step in an unknown
-    direction is out of the fwd/bwd order, and any step that spells a pair
-    other than alpha's, whether it repeats a point or breaks the order and
-    colors, diverges from alpha."""
+    """Alpha is the map the transcript spells: a step in an unknown
+    direction is out of the fwd/bwd order, and a step whose pair repeats a
+    point or breaks the order and colors makes that map no partial
+    isomorphism."""
     _, _, cert = mono_certificate()
     s, (fwd, bwd) = cert.structure, cert.transcript[:2]
     assert fwd[0] == "fwd" and bwd[0] == "bwd"
@@ -348,26 +347,28 @@ def test_transcript_replay_names_each_fault():
                           (fwd, ("bwd", t2, bwd[2])),        # range collision
                           (fwd, ("bwd", bwd[1], t1)),        # domain collision
                           (("fwd", fwd[1], wrong), bwd)):    # breaks the map
-        assert reason(first, second) == "alpha-transcript-divergence"
+        assert reason(first, second) == "alpha-not-iso"
 
 
 def equiv_mutants(cert: RefutationCertificate):
-    s = cert.structure
-    yield dataclasses.replace(cert, kind=MONO)
-    yield dataclasses.replace(cert, q2=cert.q)
-    yield dataclasses.replace(cert, q=cert.q2)
+    s, a, steps = cert.structure, cert.base_points[0], cert.transcript
+    other = next(p for p in s.points
+                 if p not in (cert.t1, cert.t2) and p not in cert.base_points)
     yield dataclasses.replace(cert, structure=recolor(s, cert.t1, cert.t2, B(0, 5)))
-    yield dataclasses.replace(cert, structure=recolor(s, cert.base_points[0], cert.t2, B(0, 5)))
+    yield dataclasses.replace(cert, structure=recolor(s, a, cert.t2, B(0, 5)))
     yield dataclasses.replace(cert, t1=cert.t2, t2=cert.t1)
-    yield dataclasses.replace(cert, alpha=None)
-    yield dataclasses.replace(cert, alpha=PartialIso(cert.alpha.pairs[1:]))
-    yield dataclasses.replace(cert, transcript=())
+    yield dataclasses.replace(cert, t2=other)
+    yield dataclasses.replace(cert, transcript=steps + (("bwd", a, a),))
+    yield dataclasses.replace(cert, transcript=(steps[1], steps[0]) + steps[2:])
     yield dataclasses.replace(cert, queries=cert.queries[:-1])
+    first_answer = cert.recorded_answers()[0][1]
     rewritten = list(cert.queries)
     point, h, side, color = rewritten[-1]
-    rewritten[-1] = (point, h, side, cert.q.text())
+    rewritten[-1] = (point, h, side, first_answer)
     yield dataclasses.replace(cert, queries=tuple(rewritten))
     yield dataclasses.replace(cert, base_points=cert.base_points + (cert.t1,))
+    yield dataclasses.replace(cert, reason="virtual-triangle")
+    yield forged_type(cert)
     yield forged_hash(cert)
 
 
@@ -382,8 +383,9 @@ def test_equiv_mutants_rejected():
 
 
 def fault_mutants(cert: RefutationCertificate):
-    s = cert.structure
+    s, a = cert.structure, cert.base_points[0]
     yield dataclasses.replace(cert, reason="self-claim")
+    yield dataclasses.replace(cert, reason="level-bound")
     yield dataclasses.replace(cert, reason="")
     yield dataclasses.replace(cert, queries=())
     yield dataclasses.replace(cert, queries=cert.queries[:-1])
@@ -391,15 +393,14 @@ def fault_mutants(cert: RefutationCertificate):
     point, h, side, color = rewritten[-1]
     rewritten[-1] = (point, h, side, B(0, 1).text())
     yield dataclasses.replace(cert, queries=tuple(rewritten))
-    yield dataclasses.replace(cert, kind=MONO)
-    yield dataclasses.replace(cert, kind=EQUIV)
-    yield dataclasses.replace(cert, kind="Unheard0fKind")
     mono_cols = {k: B(0, 0) for k in colors_of(s)}
     if len(s.points) >= 3:
         yield dataclasses.replace(cert, structure=struct_of(s.points, mono_cols, s.level))
     yield dataclasses.replace(cert, base_points=())
     yield dataclasses.replace(cert, base_points=cert.base_points * 2)
     yield dataclasses.replace(cert, tau_text="type supp= cut=0 colors= level=0")
+    yield dataclasses.replace(cert, t1=cert.queries[-1][0])
+    yield dataclasses.replace(cert, transcript=(("fwd", a, a),))
     yield forged_hash(cert)
 
 
@@ -456,11 +457,11 @@ FAULT_REASONS = ("", "self-claim", "level-bound", "incoherent-order", "virtual-t
 
 
 def single_edits(cert: RefutationCertificate, rng: random.Random, per_field: int = 6):
-    """Seeded edits of one field of ``cert`` each: up to ``per_field`` of
-    each kind, drawn from every way to edit that field over the
-    structure's points, a few colors, the types over the base and a few
-    spellings of them, the recorded hashes and a forged one, and the fault
-    reasons."""
+    """Seeded edits of one stored field of ``cert`` each: up to
+    ``per_field`` of each kind, drawn from every way to edit that field
+    over the structure's points, a few colors, the types over the base and
+    a few spellings of them, the recorded hashes and a forged one, and the
+    fault reasons."""
     s, base, replace = cert.structure, cert.base_points, dataclasses.replace
     pts = s.points + ("zz",)
     colors = sorted({*colors_of(s).values(), *(B(0, k) for k in range(4)), B(1, 0)},
@@ -493,28 +494,18 @@ def single_edits(cert: RefutationCertificate, rng: random.Random, per_field: int
     for field in ("t1", "t2"):
         yield from pick([replace(cert, **{field: p}) for p in (*pts, None)
                          if p != getattr(cert, field)])
-    for field in ("q", "q2"):
-        yield from pick([replace(cert, **{field: c}) for c in colors if c != getattr(cert, field)])
-    for field in ("side1", "side2"):
-        yield replace(cert, **{field: ABOVE if getattr(cert, field) == BELOW else BELOW})
-    for field, seq in (("alpha", cert.alpha.pairs if cert.alpha else ()),
-                       ("transcript", cert.transcript)):
-        wrap = PartialIso if field == "alpha" else tuple
-        options = [edited(seq, k, None) for k in range(len(seq))]
-        options += [swapped(seq, k) for k in range(len(seq) - 1)]
-        for k, entry in enumerate(seq):
-            for i, old in enumerate(entry):
-                news = ("fwd", "bwd", "sideways") if (field, i) == ("transcript", 0) else pts
-                options += [edited(seq, k, entry[:i] + (new,) + entry[i + 1:])
-                            for new in news if new != old]
-        yield from (replace(cert, **{field: wrap(o)}) for o in pick(options))
+    steps = cert.transcript
+    options = [edited(steps, k, None) for k in range(len(steps))]
+    options += [swapped(steps, k) for k in range(len(steps) - 1)]
+    for k, step in enumerate(steps):
+        for i, old in enumerate(step):
+            news = ("fwd", "bwd", "sideways") if i == 0 else pts
+            options += [edited(steps, k, step[:i] + (new,) + step[i + 1:])
+                        for new in news if new != old]
+    yield from (replace(cert, transcript=o) for o in pick(options))
     flip = {"fwd": "bwd", "bwd": "fwd"}  # a step's pair spelled the other way round
-    yield from pick([replace(cert, transcript=edited(cert.transcript, k, (flip[d], w, u)))
-                     for k, (d, u, w) in enumerate(cert.transcript)])
-    yield replace(cert, extension_depth=cert.extension_depth + 1)
-    if cert.extension_depth:
-        yield replace(cert, extension_depth=cert.extension_depth - 1)
-    yield from (replace(cert, kind=k) for k in (MONO, EQUIV, FAULT) if k != cert.kind)
+    yield from pick([replace(cert, transcript=edited(steps, k, (flip[d], w, u)))
+                     for k, (d, u, w) in enumerate(steps)])
     yield from (replace(cert, reason=r) for r in FAULT_REASONS if r != cert.reason)
 
 
@@ -529,7 +520,7 @@ def test_checker_agrees_with_the_reference_on_single_edits():
         strategy = sweep_strategy(name)
         kinds.add(cert.kind)
         if cert.kind != FAULT:
-            depths.add(cert.extension_depth)
+            depths.add(len(cert.transcript))
         assert check_certificate(cert, strategy).ok and reference_check(cert, strategy)
         for m in single_edits(cert, rng):
             ok = check_certificate(m, strategy).ok
@@ -572,18 +563,10 @@ def test_readme_names_only_reasons_the_checker_returns():
     for retired in ("transcript-collision", "transcript-step-invalid", "missing-fields",
                     "missing-alpha", "alpha-moves-base", "alpha-misses-realizers",
                     "realizer-inside-base", "unqueried-realizer", "base-not-in-structure",
-                    "bad-transcript-direction"):
+                    "bad-transcript-direction", "unknown-kind 'x'", "reason-without-fault",
+                    "recorded-answer-mismatch", "depth-mismatch", "alpha-transcript-divergence",
+                    "triangle-condition-fails", "no-violation"):
         assert not any(p.fullmatch(retired) for p in patterns)
-
-
-def with_extra_point(cert: RefutationCertificate, color: ColorTerm) -> RefutationCertificate:
-    """The certificate with a point ``zz`` added last to its structure,
-    joined to every point in ``color``, and made its first realizer: no
-    query saw it, so every query's hash stays."""
-    s = cert.structure
-    cols = colors_of(s) | {pair_of(p, "zz"): color for p in s.points}
-    return dataclasses.replace(cert, structure=struct_of(s.points + ("zz",), cols, s.level),
-                               t1="zz")
 
 
 def lacking_base_query() -> tuple[RefutationCertificate, str]:
@@ -627,36 +610,25 @@ def reason_cases() -> list[tuple[str, RefutationCertificate, str, str]]:
         ("query-side-flipped", replace(mono, queries=((first, h, BELOW, color),)
                                        + mono.queries[1:]),
          "constant", f"answer-mismatch at {first}"),
-        ("fault-claimed-without-one", replace(mono, kind=FAULT), "constant",
+        ("fault-claimed-without-one", replace(mono, reason="virtual-triangle"), "constant",
          "fault-not-reproduced"),
         ("fault-misnamed", replace(fault, reason="self-claim"), "constant",
          "fault-mismatch: virtual-triangle != self-claim"),
-        ("fault-with-depth-and-alpha",
-         replace(fault, extension_depth=7, alpha=PartialIso(((a, a),))), "constant",
+        ("fault-with-depth-and-alpha", replace(fault, transcript=(("fwd", a, a),)), "constant",
          "fault-with-back-and-forth"),
-        ("kind-unheard-of", replace(mono, kind="Unheard0fKind"), "constant",
-         "unknown-kind 'Unheard0fKind'"),
-        ("fault-called-triangle", replace(fault, kind=MONO), "constant", "hidden-strategy-fault"),
-        ("triangle-with-reason", replace(mono, reason="x"), "constant", "reason-without-fault"),
+        ("fault-called-triangle", replace(fault, reason=""), "constant", "hidden-strategy-fault"),
         ("realizer-in-base", replace(mono, t2=a), "constant", "bad-realizers"),
         ("base-query-dropped", *lacking_base_query(), "unqueried-base-point"),
-        ("realizer-of-another-type", with_extra_point(mono, B(0, 9)), "constant",
-         "realizer-type-mismatch at zz"),
-        ("q-forged", replace(mono, q=B(0, 5)), "constant", "pair-color-mismatch"),
-        ("q2-forged", replace(mono, q2=B(0, 5)), "constant", "recorded-answer-mismatch"),
+        ("realizer-of-another-type", forged_type(mono), "constant",
+         "realizer-type-mismatch at u0"),
+        # the realizers swapped: the answer at t1 is then the old t2's
+        ("q-forged", replace(equiv, t1=equiv.t2, t2=equiv.t1), "index-sensitive",
+         "pair-color-mismatch"),
         ("alpha-second-image-of-base",
-         replace(mono, transcript=mono.transcript + (("bwd", a, a),),
-                 alpha=PartialIso(mono.alpha.pairs + ((a, a),)),
-                 extension_depth=mono.extension_depth + 1), "constant", "alpha-not-iso"),
+         replace(mono, transcript=mono.transcript + (("bwd", a, a),)), "constant",
+         "alpha-not-iso"),
         ("step-sideways", replace(mono, transcript=sideways), "constant",
          "transcript-step-order at step 0"),
-        ("depth-raised", replace(mono, extension_depth=mono.extension_depth + 1), "constant",
-         "depth-mismatch"),
-        ("alpha-reversed", replace(mono, alpha=PartialIso(mono.alpha.pairs[::-1])), "constant",
-         "alpha-transcript-divergence"),
-        ("violation-called-triangle", replace(equiv, kind=MONO), "index-sensitive",
-         "triangle-condition-fails"),
-        ("triangle-called-violation", replace(mono, kind=EQUIV), "constant", "no-violation"),
     ]
 
 
@@ -694,7 +666,7 @@ def test_checking_leaves_the_certificate_palette_as_it_was():
     """Checking an honest or a forged certificate enters no color into the
     palette of its structure: a forged type's color stays out of it."""
     _, _, mono = mono_certificate()
-    forged = dataclasses.replace(mono, tau_text=mono.tau_text.replace("b:0:1", "b:0:7"))
+    forged = forged_type(mono)
     assert forged.tau_text == "type supp=a cut=1 colors=b:0:7 level=0"
     cases = [(maker()[2], name, True) for maker, name in ((mono_certificate, "constant"),
                                                           (equiv_certificate, "index-sensitive"),
@@ -733,13 +705,16 @@ def test_parse_certificate_reads_the_structure_leniently():
 
 
 def test_parse_certificate_refuses_a_triangle_without_q():
-    """Without its ``q`` line a triangle certificate reads q as None, which
-    shows in the frame as ``q None``, so it is refused, not a crash."""
+    """The ``q`` line spells the log's answer at ``t1``: a triangle
+    certificate without it is refused, not a crash, citing the line where
+    the frame has it."""
     _, _, cert = mono_certificate()
     text = format_certificate(cert)
-    cut = text.replace(f"\nq {cert.q.text()}\n", "\n", 1)
+    line = f"q {cert.recorded_answers()[0][1]}"
+    cut = text.replace(f"\n{line}\n", "\n", 1)
     assert cut != text
-    with pytest.raises(InputError, match="^certificate is not in canonical form$"):
+    lineno = text.splitlines().index(line) + 1
+    with pytest.raises(InputError, match=f"^line {lineno}: certificate is not in canonical form$"):
         parse_certificate(cut)
 
 
@@ -876,6 +851,6 @@ def test_back_and_forth_reads_no_color_text(monkeypatch):
     x = FinStruct.build("a", {})
     tau = OnePointType.build(x, ("a",), 1, (B(0, 1),), 0)
     cert = refute(x, tau, make_strategy("index-sensitive"), 100)
-    assert cert.extension_depth == 100
+    assert len(cert.transcript) == 100
     assert counts["text"] == 0
     assert counts["built"] == counts["first_reads"]
