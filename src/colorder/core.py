@@ -33,7 +33,7 @@ import itertools
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Container, Iterable, Iterator, Mapping, Sequence
 from operator import itemgetter
 
 
@@ -142,6 +142,14 @@ def gather(idx: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
     if len(idx) > 1:
         return itemgetter(*idx)
     return (lambda row: (row[idx[0]],)) if idx else (lambda row: ())
+
+
+def first_free(names: Iterable[str], used: Container[str]) -> str:
+    """The first of ``names`` that ``used`` lacks: the one search behind
+    the names of realized, grown and amalgamated points (``u<k>``,
+    ``g<k>``, ``<p>.a<k>``).  ``names`` must hold a free one; an iterator
+    is advanced past the name returned."""
+    return next(p for p in names if p not in used)
 
 
 def pair_of(u: str, v: str) -> frozenset:
@@ -551,17 +559,6 @@ class Amalgam:
     right: Embedding  # b -> result
 
 
-def _fresh_id(candidate: str, used: set[str], side: str) -> str:
-    if candidate not in used:
-        return candidate
-    bumped = f"{candidate}.{side}"
-    k = 0
-    while bumped in used:
-        k += 1
-        bumped = f"{candidate}.{side}{k}"
-    return bumped
-
-
 def amalgamate(a: FinStruct, b: FinStruct, over: FinStruct,
                into_a: Embedding, into_b: Embedding) -> Amalgam:
     """Amalgamate ``a`` and ``b`` over a common substructure.
@@ -609,7 +606,9 @@ def amalgamate(a: FinStruct, b: FinStruct, over: FinStruct,
     for _, side, _, p in order:
         name = p
         if side < 2:
-            name = maps[side][p] = _fresh_id(p, used, "ab"[side])
+            tag = f"{p}.{'ab'[side]}"
+            name = maps[side][p] = first_free(
+                itertools.chain((p, tag), (f"{tag}{k}" for k in itertools.count(1))), used)
         used.add(name)
         merged.append(name)
 

@@ -17,8 +17,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import (Embedding, FinStruct, InputError, format_struct, gather, preserves,
-                   row_masks, validate)
+from .core import (Embedding, FinStruct, InputError, first_free, format_struct, gather,
+                   preserves, row_masks, validate)
 from .types import (OnePointType, check_realizable, enumerate_types, insert_point,
                     point_key)
 
@@ -55,7 +55,8 @@ class Approximation:
         self.ledger: set[tuple] = set()  # keys of realized types: color texts, palette-free
         self.birth: list[str] = list(seed.points)
         self.steps_done = 0
-        self._next_name = 0  # every u<k> with k below it is taken
+        # u0, u1, ...; no name is ever freed, so each one passed is taken
+        self._names = map("u{}".format, itertools.count())
         self._masks = row_masks(seed.rows)  # neighbour masks, by birth id
         self._ids = list(range(len(seed.points)))  # birth ids, by position
         self._tasks = self._schedule()
@@ -103,10 +104,7 @@ class Approximation:
     def _realize(self, tau: OnePointType) -> str:
         """The write step, unchecked: ``tau`` must fit the current
         structure.  Colors the new point from the kept masks."""
-        while f"u{self._next_name}" in self.current:
-            self._next_name += 1
-        u = f"u{self._next_name}"
-        self._next_name += 1
+        u = first_free(self._names, self.current)
         self.current = insert_point(self.current, tau, u, self._masks, self._ids)
         self.birth.append(u)
         self.ledger.add(tau.key())

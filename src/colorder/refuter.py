@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Protocol
 
-from .core import (ColorTerm, FinStruct, InputError, Palette, canonical_code,
+from .core import (ColorTerm, FinStruct, InputError, Palette, canonical_code, first_free,
                    format_struct, parse_struct_lines, validate)
 from .limit import Approximation, PartialIso, format_pairs, realize_image
 from .types import OnePointType, check_realizable, format_type, parse_type, point_key
@@ -690,9 +690,7 @@ def control_lo(order: tuple[str, ...] | list[str], cut: int, depth: int,
     counter = itertools.count()
 
     def grow_at(pos: int) -> str:
-        p = f"g{next(counter)}"
-        while p in points:
-            p = f"g{next(counter)}"
+        p = first_free(map("g{}".format, counter), points)
         points.insert(pos, p)
         return p
 

@@ -19,11 +19,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .core import (HOLE, ColorTerm, FinStruct, InputError, gather, preserves, row_masks,
-                   stored_row, validate)
+from .core import (HOLE, ColorTerm, FinStruct, InputError, first_free, gather, preserves,
+                   row_masks, stored_row, validate)
 
 @dataclass(frozen=True, eq=False)
 class OnePointType:
@@ -114,9 +113,8 @@ def order_key(tau: OnePointType) -> tuple:
     Encodes four rules, in order: separation by a base point (the gap),
     support size, the largest point of the support symmetric difference (the
     type containing it comes first), and the color at the largest support
-    point where the colorings disagree.  :func:`enumerate_types` builds the
-    same keys with each color's key read once and the last three parts
-    shared by a support's cuts.
+    point where the colorings disagree.  :func:`enumerate_types` walks
+    this order without building the key; a test holds the walk to it.
     """
     pos, color = tau.base.pos, tau.base.palette.color
     return (gap_index(tau), len(tau.support),
@@ -189,41 +187,46 @@ def check_type_count(x: FinStruct, level: int, budget: int) -> None:
 
 def enumerate_types(x: FinStruct, level: int, budget: int) -> list[OnePointType]:
     """All valid types over ``x`` whose colors come from the budgeted pool,
-    sorted by the canonical type order.  More than ``MAX_TYPES`` of them
-    raise InputError, before the base is read when its size shows it."""
+    in the canonical type order, which the enumeration walks: by gap, then
+    support size, then supports by descending positions, then colors in
+    the color order with the largest support point's varying slowest.
+    Gap 0 meets every support and keeps its valid colorings; gap g + 1
+    reuses those of the supports holding position g, with the cut just
+    above it.  More than ``MAX_TYPES`` types raise InputError, before the
+    base is read when its size shows it, and else before a support's
+    colorings past the cap are built."""
     check_type_count(x, level, budget)
     v = validate(x)
     if not v:
         raise InputError(f"invalid base structure: {v.reason}")
     if x.level > level:
         raise InputError("base structure exceeds the enumeration level")
-    pool = allowed_colors(x, level, budget)
-    color_key = {c: x.palette.color(c).sort_key() for c in pool}
-    out: list[tuple[tuple, OnePointType]] = []  # (order_key, type)
-    for size in range(len(x.points) + 1):
-        for idx in itertools.combinations(range(len(x.points)), size):
-            supp = tuple(map(x.points.__getitem__, idx))
-            supp_pairs = [(i, j, x.rows[idx[i]][idx[j]])
-                          for i, j in itertools.combinations(range(size), 2)]
-            gaps = [0, *(i + 1 for i in idx)]  # gap_index of each cut
-            negated = tuple(-i for i in reversed(idx))
-            for ids in itertools.product(pool, repeat=size):
-                if any(ids[i] == ids[j] == c for i, j, c in supp_pairs):
-                    continue
-                rest = (size, negated, tuple(map(color_key.__getitem__, reversed(ids))))
-                out.extend(((gaps[cut], *rest), OnePointType(x, supp, cut, ids, level))
-                           for cut in range(size + 1))
-                if len(out) > MAX_TYPES:
-                    raise InputError(f"more than {MAX_TYPES} types")
-    out.sort(key=itemgetter(0))
-    return [tau for _, tau in out]
+    pool = sorted(allowed_colors(x, level, budget), key=lambda c: x.palette.color(c).sort_key())
+    n = len(x.points)
+    out: list[OnePointType] = []
+    holding: list[list] = [[] for _ in range(n)]  # (support, colorings) by the positions held
 
+    def emit(supp: tuple[str, ...], cut: int, colorings: list[tuple[int, ...]]) -> None:
+        out.extend(OnePointType(x, supp, cut, ids, level) for ids in colorings)
+        if len(out) > MAX_TYPES:
+            raise InputError(f"more than {MAX_TYPES} types")
 
-def fresh_point_name(s: FinStruct) -> str:
-    k = 0
-    while f"u{k}" in s:
-        k += 1
-    return f"u{k}"
+    for size in range(n + 1):
+        for rev in itertools.combinations(range(n - 1, -1, -1), size):
+            pairs = [(i, j, x.rows[rev[i]][rev[j]])
+                     for i, j in itertools.combinations(range(size), 2)]
+            valid = (cols[::-1] for cols in itertools.product(pool, repeat=size)
+                     if not any(cols[i] == cols[j] == c for i, j, c in pairs))
+            colorings = list(itertools.islice(valid, MAX_TYPES + 1 - len(out)))
+            supp = tuple(map(x.points.__getitem__, reversed(rev)))
+            emit(supp, 0, colorings)
+            if colorings:
+                for i in rev:
+                    holding[i].append((supp, colorings))
+    for p, point in enumerate(x.points):  # gap p + 1, just above position p
+        for supp, colorings in holding[p]:
+            emit(supp, supp.index(point) + 1, colorings)
+    return out
 
 
 def check_realizable(f: FinStruct, tau: OnePointType) -> None:
@@ -292,7 +295,7 @@ def realize_type(f: FinStruct, tau: OnePointType,
     """Extend ``f`` by one new point realizing ``tau``, after checking that
     ``tau`` fits ``f``; see :func:`insert_point`."""
     check_realizable(f, tau)
-    u = fresh_point_name(f) if name is None else name
+    u = first_free(map("u{}".format, itertools.count()), f) if name is None else name
     if u in f:
         raise InputError(f"point {u!r} already present")
     return insert_point(f, tau, u, row_masks(f.rows), list(range(len(f.points)))), u

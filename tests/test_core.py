@@ -338,6 +338,25 @@ def test_amalgamate_exhaustive_small_instances():
 COMMON_NAMES = (("a", "b"), ("a", "a.a"), ("a.b", "a"), ("y", "z"))
 
 
+def test_amalgamate_refuses_embeddings_that_do_not_fit(two_point):
+    """Each embedding must go from the common part into its own side, and
+    each must be an embedding; the other side may be right."""
+    x = FinStruct.build("a", {})
+    other = FinStruct.build("ab", {pair_of("a", "b"): B(0, 1)})
+    good = Embedding.build(x, two_point, {"a": "a"})
+    bad = Embedding(x, two_point, (("a", "zz"),))  # unchecked: a point two_point lacks
+    cases = [((good, Embedding.build(x, other, {"a": "a"})),
+              "right embedding does not go from the common part into the right structure"),
+             ((Embedding.build(x, other, {"a": "a"}), good),
+              "left embedding does not go from the common part into the left structure"),
+             ((good, bad), "invalid embedding of the common part"),
+             ((bad, good), "invalid embedding of the common part")]
+    for (into_a, into_b), message in cases:
+        with pytest.raises(InputError) as exc:
+            amalgamate(two_point, two_point, x, into_a, into_b)
+        assert str(exc.value) == message
+
+
 def test_amalgamate_matches_the_reference_policy():
     """Over every common part of up to two points, under each naming, every
     a and b of up to three points in two colors and every pair of
@@ -522,6 +541,59 @@ def test_parse_rejects_duplicate_point():
     text = "structure s level 0\npoint a\npoint a\n"
     with pytest.raises(InputError):
         parse_struct(text)
+
+
+HEAD = "structure s level 0\n"
+AB = HEAD + "point a\npoint b\n"
+M1 = "structure s level 1\npoint a\npoint b\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("structure s\n", "line 1: bad structure header"),
+    ("structure s level 0 x\n", "line 1: bad structure header"),
+    (HEAD + "structure t level 0\n", "line 2: bad structure header"),
+    ("structure s level one\n", "line 1: bad level"),
+    (HEAD + "point\n", "line 2: bad point line"),
+    (HEAD + "point a b\n", "line 2: bad point line"),
+    (HEAD + "point a\n\npoint a\n", "line 4: duplicate point 'a'"),
+    (AB + "color a b\n", "line 4: bad color line"),
+    (AB + "color a c b:0:0\n", "line 4: color for unknown point"),
+    (AB + "color a a b:0:0\n", "degenerate pair ('a', 'a')"),
+    (AB + "color a b b:0:0\ncolor b a b:0:1\n", "line 5: duplicate pair (b, a)"),
+    (AB + "colour a b b:0:0\n", "line 4: unknown directive 'colour'"),
+    (AB + "color a b b:0:0\ncolor a b b:0:1\nedge a b\n", "line 5: duplicate pair (a, b)"),
+    ("point a\n", "missing structure header"),
+    ("", "missing structure header"),
+    (AB, "missing color for pair (a, b)"),
+    ("structure s level -1\n", "negative level"),
+    (AB + "color a b b:0\n", "bad color term 'b:0'"),
+    # a term the constructor refuses is reported as a bad term, not with
+    # the constructor's own message (see the next test)
+    (AB + "color a b b:0:-1\n", "bad color term 'b:0:-1'"),
+    (AB + "color a b m:0\n", "bad color term 'm:0'"),
+    (M1 + "color a b k:1:AB\n", "bad color term 'k:1:AB'"),
+])
+def test_structure_reader_messages(text, message):
+    """Each bad text gets exactly this message, with the line number
+    wherever the reader gives one; the first error in a text wins, so a
+    duplicate pair is reported before a later unknown directive."""
+    with pytest.raises(InputError) as exc:
+        parse_struct(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ColorTerm.base(0, -1), "negative level or index in color term"),
+    (lambda: ColorTerm.marker(-1), "negative level or index in color term"),
+    (lambda: ColorTerm.marker(0), "'m' colors exist only at level >= 1"),
+    (lambda: ColorTerm.pair_code(0, "ab"), "'k' colors exist only at level >= 1"),
+    (lambda: ColorTerm.pair_code(1, "AB"), "pair-code payload must be lowercase hex"),
+    (lambda: ColorTerm.pair_code(1, ""), "pair-code payload must be lowercase hex"),
+])
+def test_color_term_messages(make, message):
+    with pytest.raises(InputError) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -98,10 +98,12 @@ def test_enumeration_follows_reference_order(one_point):
 
 
 def test_enumeration_order_is_the_sort_by_order_key(one_point):
-    """enumerate_types builds its sort keys without calling order_key; the
+    """enumerate_types walks the type order and builds no sort key; the
     order it returns is that of sorting the same types, shuffled, by
-    order_key, on seeded 2- to 4-point bases at budgets 1-3 and on stage 2
-    of the iterated functor over one point."""
+    order_key, on seeded 2- to 4-point bases at budgets 1-3, on stage 2
+    of the iterated functor over one point, and on K(one point) one level
+    up, whose pool (b:0:0, b:1:0, b:2:0, m:1, k:1:...) is not listed in
+    the color order."""
     rng = random.Random(15)
     cases = []
     for names in ("pq", "pqr", "pqrs"):
@@ -109,11 +111,13 @@ def test_enumeration_order_is_the_sort_by_order_key(one_point):
         cases.extend(enumerate_types(x, 0, budget) for budget in (1, 2, 3))
     stage2 = iterate_K(one_point, 2, [1, 1])[1]
     cases.append([tau for _, tau in stage2.elements])
+    cases.append(enumerate_types(apply_K(one_point, 1).struct, 2, 1))
     for taus in cases:
         shuffled = taus[:]
         rng.shuffle(shuffled)
         assert sorted(shuffled, key=order_key) == taus
-    assert len(cases[-1]) == 9296
+    assert len(cases[-2]) == 9296
+    assert len(cases[-1]) == 16662
 
 
 def test_compare_rule3_largest_difference_point():

@@ -22,6 +22,7 @@ from colorder.refuter import (ABOVE, BELOW, BUNDLED_STRATEGIES, EQUIV, FAULT,
                               format_control_report, make_strategy,
                               parse_certificate, refute)
 from colorder.types import OnePointType, enumerate_types, format_type, parse_type
+from golden_cases import GOLDEN
 from helpers import (all_structures, colors_of, reference_check, reference_iso_check,
                      struct_of)
 
@@ -274,6 +275,16 @@ def test_certificate_roundtrip_accepted():
         again = parse_certificate(text)
         assert check_certificate(again, make_strategy(name)).ok
         assert format_certificate(again) == text
+
+
+def test_point_named_like_a_verdict_field_round_trips():
+    """A point named ``reason=z`` on the last transcript line, just above
+    the VERDICT head, is read as a point and nothing else."""
+    text = re.sub(r"\bu4\b", "reason=z", (Path(GOLDEN) / "refute_index.txt").read_text())
+    assert text.splitlines()[-3:-1] == ["extend fwd u2 reason=z", "VERDICT"]
+    cert = parse_certificate(text)
+    assert cert.reason == ""
+    assert format_certificate(cert) == text
 
 
 def forged_hash(cert: RefutationCertificate, k: int = 0) -> RefutationCertificate:
@@ -814,6 +825,21 @@ def test_control_is_deterministic():
     r1 = control_lo(("a", "b"), 1, 3, 20)
     r2 = control_lo(("a", "b"), 1, 3, 20)
     assert format_control_report(r1) == format_control_report(r2)
+
+
+def test_control_grows_past_a_taken_name():
+    """Over the order ``g0`` the first growth skips the taken ``g0`` and
+    names ``g1``; ``grown`` counts both names drawn."""
+    r = control_lo(("g0",), 0, 1, 1)
+    assert (r.grown, r.checks, r.violations) == (2, 2, 0)
+
+
+def test_control_takes_zero_and_refuses_negative_depth_or_samples():
+    assert control_lo(("a",), 0, 0, 1).checks == 1
+    assert control_lo(("a",), 0, 1, 0).checks == 0
+    for depth, samples in ((-1, 1), (1, -1)):
+        with pytest.raises(InputError, match="depth and samples must be nonnegative"):
+            control_lo(("a",), 0, depth, samples)
 
 
 def test_control_rejects_bad_cut():

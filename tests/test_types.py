@@ -1,15 +1,19 @@
 import itertools
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from colorder import types
 from colorder.core import (ColorTerm, FinStruct, InputError, format_struct, pair_of,
                            parse_struct, validate)
-from colorder.types import (OnePointType, enumerate_types, format_type,
+from colorder.types import (MAX_TYPES, OnePointType, enumerate_types, format_type,
                             insert_position, parse_type, realize_type,
                             transport, type_of_point)
 from colorder.limit import Approximation, grow
+from golden_cases import data
 from helpers import (all_structures, brute_force_types, colors_of,
                      consistent_placements, reference_realize, text_keys)
 
@@ -97,6 +101,37 @@ def test_enumeration_is_sorted_and_valid(two_point):
         OnePointType.build(tau.base, tau.support, tau.cut, tau.colors, tau.level)
 
 
+def test_walk_holds_every_cap(monkeypatch, two_point):
+    """With the size bound out of the way, the walk itself raises at every
+    cap below the count, and a cap of exactly the count passes."""
+    taus = enumerate_types(two_point, 0, 2)
+    monkeypatch.setattr(types, "check_type_count", lambda *args: None)
+    for cap in range(len(taus) + 1):
+        monkeypatch.setattr(types, "MAX_TYPES", cap)
+        if cap < len(taus):
+            with pytest.raises(InputError, match=f"^more than {cap} types$"):
+                enumerate_types(two_point, 0, 2)
+        else:
+            assert enumerate_types(two_point, 0, 2) == taus
+
+
+def test_enumeration_cap_stops_before_a_whole_color_list():
+    """Over three points at budget 100 the cap is passed inside a two-point
+    support, whose colorings alone would number nearly 100**2 per support:
+    the walk builds no more of them than the cap needs.  Its traced peak is
+    near 18 MiB; building each support's whole list first peaks near
+    190 MiB."""
+    x = parse_struct(Path(data("three_point.txt")).read_text())[1]
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=f"more than {MAX_TYPES} types"):
+            enumerate_types(x, 0, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # realization
 # ---------------------------------------------------------------------------
@@ -179,6 +214,15 @@ def test_realize_rejects_colliding_name(two_point):
     tau = OnePointType.build(two_point, (), 0, (), 0)
     with pytest.raises(InputError):
         realize_type(two_point, tau, name="a")
+
+
+def test_realize_names_the_first_free_u():
+    """Over a structure holding ``u0`` and ``u1``, the new point is ``u2``."""
+    x = FinStruct.build(["u0", "u1"], {pair_of("u0", "u1"): B(0, 0)})
+    tau = OnePointType.build(x, ("u1",), 1, (B(0, 1),), 0)
+    f, u = realize_type(x, tau)
+    assert u == "u2"
+    assert f.points == ("u0", "u1", "u2")
 
 
 # ---------------------------------------------------------------------------
