@@ -156,9 +156,9 @@ def type_of_point(s: FinStruct, u: str, over: Iterable[str]) -> OnePointType:
 
 
 def allowed_colors(x: FinStruct, level: int, budget: int) -> list[int]:
-    """The enumeration's color pool as ids in ``x.palette``: budget-many base
-    colors per level up to ``level``, plus the marker and pair-code colors
-    of a valid ``x``, each pair read once.
+    """The enumeration's color pool as ids in ``x.palette``, in the color
+    order: budget-many base colors per level up to ``level``, plus the
+    marker and pair-code colors of a valid ``x``, each pair read once.
     The base part is empty, with no loop over levels, when no support can
     use it: over an empty base or at a budget below 1."""
     levels = range(level + 1) if x.points and budget > 0 else ()
@@ -167,9 +167,8 @@ def allowed_colors(x: FinStruct, level: int, budget: int) -> list[int]:
     for i, row in enumerate(x.rows):
         used.update(row[i + 1:])
     pal = x.palette.color
-    seen = sorted((c for c in used if pal(c).kind != "b" and pal(c).level <= level),
-                  key=lambda c: pal(c).sort_key())
-    return pool + seen
+    seen = (c for c in used if pal(c).kind != "b" and pal(c).level <= level)
+    return sorted([*pool, *seen], key=lambda c: pal(c).sort_key())
 
 
 MAX_TYPES = 100_000  # the most types one enumeration may produce
@@ -201,7 +200,7 @@ def enumerate_types(x: FinStruct, level: int, budget: int) -> list[OnePointType]
         raise InputError(f"invalid base structure: {v.reason}")
     if x.level > level:
         raise InputError("base structure exceeds the enumeration level")
-    pool = sorted(allowed_colors(x, level, budget), key=lambda c: x.palette.color(c).sort_key())
+    pool = allowed_colors(x, level, budget)
     n = len(x.points)
     out: list[OnePointType] = []
     holding: list[list] = [[] for _ in range(n)]  # (support, colorings) by the positions held

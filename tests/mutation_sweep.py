@@ -10,7 +10,7 @@ if it survives that, against the whole suite.  A run past its timeout
 counts as a kill (``hung``), since a flipped loop test can spin forever.
 
     python3 tests/mutation_sweep.py                  # 100 mutants, seed 1
-    python3 tests/mutation_sweep.py --count 40 --seed 7
+    python3 tests/mutation_sweep.py --count 40
     python3 tests/mutation_sweep.py --tree OTHER --functions types.enumerate_types
 
 The report lists killed mutants with the first test that failed, hung
@@ -53,6 +53,8 @@ FUNCTIONS = (
     "refuter.control_lo",
 )
 MEMORY_LIMIT = 2 << 30  # address space of each test run
+SEED = 1                # draws the mutants when fewer are asked for than there are sites
+TIMEOUT = 60.0          # seconds for a module's tests; the whole suite gets 4 * TIMEOUT
 
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
@@ -177,16 +179,13 @@ def main() -> int:
                     help="the tree to mutate (default: this one); it is copied, never edited")
     ap.add_argument("--functions", nargs="+", default=FUNCTIONS, metavar="MODULE.NAME")
     ap.add_argument("--count", type=int, default=100)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--timeout", type=float, default=60.0,
-                    help="seconds for a module's tests; the whole suite gets four times it")
     args = ap.parse_args()
 
     sites = mutation_sites(args.tree / "src", tuple(args.functions))
-    chosen = sorted(random.Random(args.seed).sample(sites, min(args.count, len(sites))),
+    chosen = sorted(random.Random(SEED).sample(sites, min(args.count, len(sites))),
                     key=sites.index)
     equivalents = known_equivalents()
-    print(f"{len(chosen)} of {len(sites)} mutants, seed {args.seed}", flush=True)
+    print(f"{len(chosen)} of {len(sites)} mutants, seed {SEED}", flush=True)
 
     results: dict[str, list[str]] = {"killed": [], "hung": [], "survived": [], "equivalent": []}
     with tempfile.TemporaryDirectory(prefix="mutation-sweep-") as tmp:
@@ -194,7 +193,7 @@ def main() -> int:
         shutil.copytree(args.tree, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_*"))
         for module in sorted({m.module for m in chosen}):
-            verdict, test = run_tests(tree, [f"tests/test_{module}.py"], args.timeout)
+            verdict, test = run_tests(tree, [f"tests/test_{module}.py"], TIMEOUT)
             if verdict != "survived":
                 print(f"unmutated tests/test_{module}.py does not pass: {verdict} {test}")
                 return 2
@@ -204,9 +203,9 @@ def main() -> int:
             path.write_bytes(raw[:m.start] + m.text.encode() + raw[m.end:])
             started = time.monotonic()
             try:
-                verdict, test = run_tests(tree, [f"tests/test_{m.module}.py"], args.timeout)
+                verdict, test = run_tests(tree, [f"tests/test_{m.module}.py"], TIMEOUT)
                 if verdict == "survived":
-                    verdict, test = run_tests(tree, ["tests"], 4 * args.timeout)
+                    verdict, test = run_tests(tree, ["tests"], 4 * TIMEOUT)
             finally:
                 path.write_bytes(raw)
             if verdict == "survived" and m.ident in equivalents:
