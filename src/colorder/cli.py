@@ -100,7 +100,7 @@ def _read(path: str) -> str:
     try:
         with open(path) as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 

@@ -12,8 +12,9 @@ a palette of canonical color texts, so hot loops compare ints; a color's
 palette to another only through ``Palette.translate``, and terms are made
 only where a color is read or written as text.  That is the one
 representation: ``FinStruct.build`` and ``parse_struct`` turn their input
-into ``(i, j) -> color id`` entries for one private checked constructor, and
-``FinStruct.of_rows`` is the unchecked constructor (the frozenset-keyed
+into one map per point, from each later position to the pair's color id,
+for one private checked constructor that fills the rows from those maps,
+and ``FinStruct.of_rows`` is the unchecked constructor (the frozenset-keyed
 form of a coloring lives in ``tests/helpers.py`` as a reference).
 
 Costs: a color lookup is O(1); ``validate`` makes O(n^2) big-int operations
@@ -111,6 +112,8 @@ class ColorTerm:
                 return ColorTerm.marker(int(parts[1]))
             if parts[0] == "k" and len(parts) == 3:
                 return ColorTerm.pair_code(int(parts[1]), parts[2])
+        except InputError as exc:
+            raise InputError(f"bad color term {text!r}: {exc}") from exc
         except ValueError as exc:
             raise InputError(f"bad color term {text!r}") from exc
         raise InputError(f"bad color term {text!r}")
@@ -271,26 +274,29 @@ def _check_complete(s: "FinStruct") -> None:
         raise InputError("negative level")
 
 
-def _build_checked(pts: tuple[str, ...], pair_ids: Mapping[tuple[int, int], int],
+def _build_checked(pts: tuple[str, ...], maps: Sequence[Mapping[int, int]],
                    palette: Palette, level: int) -> "FinStruct":
     """The checked structure over ``palette`` whose pair at positions
-    ``(i, j)``, ``i < j``, has color id ``pair_ids[i, j]``.  Points,
-    completeness and level are checked before any row is allocated, so a
-    missing pair (the first in position order) costs no O(n^2) memory.
-    The rows are filled as lists and each is then stored once."""
+    ``(i, j)``, ``i < j``, has color id ``maps[i][j]``: one map per point,
+    holding its later positions only.  Map ``i`` is complete when it holds
+    ``n - 1 - i`` entries, so the first short map holds the first missing
+    pair in position order.  Points, completeness and level are checked
+    before any row is allocated, so a missing pair costs no O(n^2) memory.
+    Each row is stored once and filled in place."""
     _check_points(pts)
     n = len(pts)
-    if len(pair_ids) < n * (n - 1) // 2:
-        i, j = next(ij for ij in itertools.combinations(range(n), 2)
-                    if ij not in pair_ids)
+    i = next((i for i, m in enumerate(maps) if len(m) < n - 1 - i), None)
+    if i is not None:
+        j = next(j for j in range(i + 1, n) if j not in maps[i])
         u, v = sorted((pts[i], pts[j]))
         raise InputError(f"missing color for pair ({u}, {v})")
     if level < 0:
         raise InputError("negative level")
-    rows = [[HOLE] * n for _ in pts]
-    for (i, j), c in pair_ids.items():
-        rows[i][j] = rows[j][i] = c
-    return FinStruct.of_rows(pts, tuple(map(stored_row, rows)), palette, level)
+    rows = tuple(stored_row([HOLE]) * n for _ in pts)
+    for i, (row, m) in enumerate(zip(rows, maps)):
+        for j, c in m.items():
+            row[j] = rows[j][i] = c
+    return FinStruct.of_rows(pts, rows, palette, level)
 
 
 class FinStruct:
@@ -334,13 +340,13 @@ class FinStruct:
         pts = tuple(points)
         pos = {p: i for i, p in enumerate(pts)}
         palette = Palette()
-        pair_ids: dict[tuple[int, int], int] = {}
+        maps: list[dict[int, int]] = [{} for _ in pts]
         for key, c in colors.items():
             ends = sorted(pos.get(p, -1) for p in key)
             if len(ends) != 2 or ends[0] < 0:
                 raise InputError(f"color given for unknown pair {sorted(key)}")
-            pair_ids[tuple(ends)] = palette.id(c)
-        return _build_checked(pts, pair_ids, palette, level)
+            maps[ends[0]][ends[1]] = palette.id(c)
+        return _build_checked(pts, maps, palette, level)
 
     @staticmethod
     def empty(level: int = 0) -> "FinStruct":
@@ -704,7 +710,7 @@ def parse_struct_lines(lines: Iterable[tuple[int, str]]) -> tuple[str, FinStruct
     name = None
     level = 0
     points: dict[str, int] = {}  # insertion-ordered, O(1) membership
-    pair_ids: dict[tuple[int, int], int] = {}  # (i, j), i < j -> color id
+    maps: list[dict[int, int]] = []  # per position i: later position j -> color id
     palette = Palette()
     for lineno, raw in lines:
         line = raw.strip()
@@ -725,6 +731,7 @@ def parse_struct_lines(lines: Iterable[tuple[int, str]]) -> tuple[str, FinStruct
             if tok[1] in points:
                 raise InputError(f"line {lineno}: duplicate point {tok[1]!r}")
             points[tok[1]] = len(points)
+            maps.append({})
         elif tok[0] == "color":
             if len(tok) != 4:
                 raise InputError(f"line {lineno}: bad color line")
@@ -733,16 +740,19 @@ def parse_struct_lines(lines: Iterable[tuple[int, str]]) -> tuple[str, FinStruct
                 raise InputError(f"line {lineno}: color for unknown point")
             i, j = points[u], points[v]
             if i == j:
-                raise InputError(f"degenerate pair ({u!r}, {u!r})")
-            key = (i, j) if i < j else (j, i)
-            if key in pair_ids:
+                raise InputError(f"line {lineno}: degenerate pair ({u!r}, {u!r})")
+            i, j = (i, j) if i < j else (j, i)
+            if j in maps[i]:
                 raise InputError(f"line {lineno}: duplicate pair ({u}, {v})")
             c = palette.ids.get(term)  # a canonical text already entered
             if c is None:
-                c = palette.id(ColorTerm.parse(term))
-            pair_ids[key] = c
+                try:
+                    c = palette.id(ColorTerm.parse(term))
+                except InputError as exc:
+                    raise InputError(f"line {lineno}: {exc}") from None
+            maps[i][j] = c
         else:
             raise InputError(f"line {lineno}: unknown directive {tok[0]!r}")
     if name is None:
         raise InputError("missing structure header")
-    return name, _build_checked(tuple(points), pair_ids, palette, level)
+    return name, _build_checked(tuple(points), maps, palette, level)

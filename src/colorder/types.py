@@ -189,11 +189,13 @@ def enumerate_types(x: FinStruct, level: int, budget: int) -> list[OnePointType]
     in the canonical type order, which the enumeration walks: by gap, then
     support size, then supports by descending positions, then colors in
     the color order with the largest support point's varying slowest.
-    Gap 0 meets every support and keeps its valid colorings; gap g + 1
-    reuses those of the supports holding position g, with the cut just
-    above it.  More than ``MAX_TYPES`` types raise InputError, before the
-    base is read when its size shows it, and else before a support's
-    colorings past the cap are built."""
+    A support can be colored only if its subsets can, so gap 0 grows each
+    colorable support by every position below its smallest, and each of
+    its colorings by the colors of the new point that close no triangle.
+    Gap g + 1 reuses the colorings of the supports holding position g,
+    with the cut just above it.  More than ``MAX_TYPES`` types raise
+    InputError, before the base is read when its size shows it, and else
+    before a support's colorings past the cap are built."""
     check_type_count(x, level, budget)
     v = validate(x)
     if not v:
@@ -201,27 +203,31 @@ def enumerate_types(x: FinStruct, level: int, budget: int) -> list[OnePointType]
     if x.level > level:
         raise InputError("base structure exceeds the enumeration level")
     pool = allowed_colors(x, level, budget)
-    n = len(x.points)
     out: list[OnePointType] = []
-    holding: list[list] = [[] for _ in range(n)]  # (support, colorings) by the positions held
+    holding: list[list] = [[] for _ in x.points]  # (support, colorings) by the positions held
 
     def emit(supp: tuple[str, ...], cut: int, colorings: list[tuple[int, ...]]) -> None:
         out.extend(OnePointType(x, supp, cut, ids, level) for ids in colorings)
         if len(out) > MAX_TYPES:
             raise InputError(f"more than {MAX_TYPES} types")
 
-    for size in range(n + 1):
-        for rev in itertools.combinations(range(n - 1, -1, -1), size):
-            pairs = [(i, j, x.rows[rev[i]][rev[j]])
-                     for i, j in itertools.combinations(range(size), 2)]
-            valid = (cols[::-1] for cols in itertools.product(pool, repeat=size)
-                     if not any(cols[i] == cols[j] == c for i, j, c in pairs))
-            colorings = list(itertools.islice(valid, MAX_TYPES + 1 - len(out)))
-            supp = tuple(map(x.points.__getitem__, reversed(rev)))
-            emit(supp, 0, colorings)
-            if colorings:
-                for i in rev:
-                    holding[i].append((supp, colorings))
+    emit((), 0, [()])
+    walk = [((), (), [()])]  # colorable supports (positions, points, colorings), grown as walked
+    for idx, supp, colorings in walk:
+        for q in reversed(range(idx[0] if idx else len(x.points))):
+            seg = gather(idx)(x.rows[q])  # q's pairs with the support
+            # q may not take the color of a support point whose pair with q
+            # has that color too: the three would close a triangle
+            valid = ((c, *cols) for cols in colorings
+                     for bad in [{a for a, b in zip(cols, seg) if a == b}]
+                     for c in pool if c not in bad)
+            new = list(itertools.islice(valid, MAX_TYPES + 1 - len(out)))
+            if new:
+                held, wider = (q, *idx), (x.points[q], *supp)
+                emit(wider, 0, new)
+                walk.append((held, wider, new))
+                for i in held:
+                    holding[i].append((wider, new))
     for p, point in enumerate(x.points):  # gap p + 1, just above position p
         for supp, colorings in holding[p]:
             emit(supp, supp.index(point) + 1, colorings)

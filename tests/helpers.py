@@ -507,3 +507,72 @@ def reference_amalgamate(a: FinStruct, b: FinStruct, over: FinStruct,
             n += 1
         cols[pair_of(u, v)] = ColorTerm.base(0, n)
     return tuple(points), cols, maps[0], maps[1]
+
+
+# ---------------------------------------------------------------------------
+# The structure reader
+# ---------------------------------------------------------------------------
+
+def reference_parse_struct(text: str) -> tuple[str, FinStruct]:
+    """The structure reader as one dict keyed by ``(i, j)`` position
+    pairs, ``i < j``, filled line by line and then copied into rows, with
+    the first missing pair found by a walk over every pair in position
+    order.  Its messages are the reader's.  A duplicate point is refused
+    at its own line, so the points need no second check."""
+    name = None
+    level = 0
+    points: dict[str, int] = {}
+    pair_ids: dict[tuple[int, int], int] = {}
+    palette = Palette()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        tok = line.split()
+        if tok[0] == "structure":
+            if name is not None or len(tok) != 4 or tok[2] != "level":
+                raise InputError(f"line {lineno}: bad structure header")
+            name = tok[1]
+            try:
+                level = int(tok[3])
+            except ValueError:
+                raise InputError(f"line {lineno}: bad level") from None
+        elif tok[0] == "point":
+            if len(tok) != 2:
+                raise InputError(f"line {lineno}: bad point line")
+            if tok[1] in points:
+                raise InputError(f"line {lineno}: duplicate point {tok[1]!r}")
+            points[tok[1]] = len(points)
+        elif tok[0] == "color":
+            if len(tok) != 4:
+                raise InputError(f"line {lineno}: bad color line")
+            u, v, term = tok[1], tok[2], tok[3]
+            if u not in points or v not in points:
+                raise InputError(f"line {lineno}: color for unknown point")
+            i, j = points[u], points[v]
+            if i == j:
+                raise InputError(f"line {lineno}: degenerate pair ({u!r}, {u!r})")
+            key = (i, j) if i < j else (j, i)
+            if key in pair_ids:
+                raise InputError(f"line {lineno}: duplicate pair ({u}, {v})")
+            try:
+                pair_ids[key] = palette.id(ColorTerm.parse(term))
+            except InputError as exc:
+                raise InputError(f"line {lineno}: {exc}") from None
+        else:
+            raise InputError(f"line {lineno}: unknown directive {tok[0]!r}")
+    if name is None:
+        raise InputError("missing structure header")
+    pts = tuple(points)
+    n = len(pts)
+    missing = next((ij for ij in itertools.combinations(range(n), 2) if ij not in pair_ids),
+                   None)
+    if missing is not None:
+        u, v = sorted(pts[k] for k in missing)
+        raise InputError(f"missing color for pair ({u}, {v})")
+    if level < 0:
+        raise InputError("negative level")
+    rows = [[HOLE] * n for _ in pts]
+    for (i, j), c in pair_ids.items():
+        rows[i][j] = rows[j][i] = c
+    return name, FinStruct.of_rows(pts, tuple(map(stored_row, rows)), palette, level)

@@ -8,6 +8,9 @@ mutant runs in a temporary copy of the tree, never in the tree itself:
 first against its module's test file, stopping at the first failure, and,
 if it survives that, against the whole suite.  A run past its timeout
 counts as a kill (``hung``), since a flipped loop test can spin forever.
+Every run loads ``mutation_profile.py``, from next to this script, as a
+pytest plugin: Hypothesis tests fail at their first failing example,
+with no shrinking.
 
     python3 tests/mutation_sweep.py                  # 100 mutants, seed 1
     python3 tests/mutation_sweep.py --count 40
@@ -41,6 +44,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 EQUIVALENTS = HERE / "mutation_equivalents.txt"
+PROFILE = HERE / "mutation_profile.py"  # the pytest plugin every run loads
 
 # the hot paths that the row and snapshot rewrites touch, plus the type walk
 # and every fresh-name search; ``module.Qual.name``, a class meaning all of it
@@ -145,12 +149,16 @@ def _limit_memory() -> None:
 
 
 def run_tests(tree: Path, targets: list[str], timeout: float) -> tuple[str, str]:
-    """("killed", first failing test) or ("hung", "") or ("survived", "")."""
+    """("killed", first failing test) or ("hung", "") or ("survived", "").
+    The plugin is imported from ``plugins`` next to ``tree``, the only
+    entry of ``PYTHONPATH``, so no outer path can shadow the copied tree."""
     shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
-           "--continue-on-collection-errors", *targets]
-    proc = subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                            text=True, start_new_session=True, preexec_fn=_limit_memory)
+           "-p", PROFILE.stem, "--continue-on-collection-errors", *targets]
+    env = dict(os.environ, PYTHONPATH=str(tree.parent / "plugins"))
+    proc = subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT, text=True, start_new_session=True,
+                            preexec_fn=_limit_memory)
     try:
         out, _ = proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
@@ -192,6 +200,8 @@ def main() -> int:
         tree = Path(tmp) / "tree"
         shutil.copytree(args.tree, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_*"))
+        (tree.parent / "plugins").mkdir()
+        shutil.copy(PROFILE, tree.parent / "plugins")
         for module in sorted({m.module for m in chosen}):
             verdict, test = run_tests(tree, [f"tests/test_{module}.py"], TIMEOUT)
             if verdict != "survived":

@@ -88,6 +88,21 @@ def test_missing_file_exits_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["types", "--budget", "1", "--base"],
+    ["check-cert", "--strategy", "constant", "--cert"],
+])
+def test_undecodable_file_exits_1(tmp_path, capsys, argv):
+    """A file that is not UTF-8 is unreadable input, not a crash: every
+    file option reads through one reader."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"structure s level 0\npoint \xff\n")
+    assert run(argv + [str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot read {bad}: ")
+    assert err.count("\n") == 1
+
+
 def test_unwritable_out_exits_1(tmp_path, capsys):
     out = tmp_path / "no_such_dir" / "out.txt"
     assert run(["validate", data("two_point.txt"), "--out", str(out)]) == 1

@@ -558,7 +558,7 @@ M1 = "structure s level 1\npoint a\npoint b\n"
     (HEAD + "point a\n\npoint a\n", "line 4: duplicate point 'a'"),
     (AB + "color a b\n", "line 4: bad color line"),
     (AB + "color a c b:0:0\n", "line 4: color for unknown point"),
-    (AB + "color a a b:0:0\n", "degenerate pair ('a', 'a')"),
+    (AB + "color a a b:0:0\n", "line 4: degenerate pair ('a', 'a')"),
     (AB + "color a b b:0:0\ncolor b a b:0:1\n", "line 5: duplicate pair (b, a)"),
     (AB + "colour a b b:0:0\n", "line 4: unknown directive 'colour'"),
     (AB + "color a b b:0:0\ncolor a b b:0:1\nedge a b\n", "line 5: duplicate pair (a, b)"),
@@ -566,12 +566,14 @@ M1 = "structure s level 1\npoint a\npoint b\n"
     ("", "missing structure header"),
     (AB, "missing color for pair (a, b)"),
     ("structure s level -1\n", "negative level"),
-    (AB + "color a b b:0\n", "bad color term 'b:0'"),
-    # a term the constructor refuses is reported as a bad term, not with
-    # the constructor's own message (see the next test)
-    (AB + "color a b b:0:-1\n", "bad color term 'b:0:-1'"),
-    (AB + "color a b m:0\n", "bad color term 'm:0'"),
-    (M1 + "color a b k:1:AB\n", "bad color term 'k:1:AB'"),
+    (AB + "color a b b:0\n", "line 4: bad color term 'b:0'"),
+    # a term the constructor refuses keeps the constructor's own reason
+    # (see the next test)
+    (AB + "color a b b:0:-1\n",
+     "line 4: bad color term 'b:0:-1': negative level or index in color term"),
+    (AB + "color a b m:0\n", "line 4: bad color term 'm:0': 'm' colors exist only at level >= 1"),
+    (M1 + "color a b k:1:AB\n",
+     "line 4: bad color term 'k:1:AB': pair-code payload must be lowercase hex"),
 ])
 def test_structure_reader_messages(text, message):
     """Each bad text gets exactly this message, with the line number

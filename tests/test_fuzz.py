@@ -290,6 +290,52 @@ def test_mutated_inputs_end_in_a_defined_exit_code():
     assert summary["frame_runs"] > COUNT
 
 
+READER_SEED = 29
+READER_MUTANTS = 40       # line and token mutants per text, of each kind
+
+
+def test_structure_reader_matches_the_reference_reader():
+    """The reader and ``helpers.reference_parse_struct`` give the same
+    name, points, level, rows and palette texts, or the same InputError
+    text, on canonical texts, on their lines shuffled, and on line and
+    token mutants of both."""
+    from colorder.core import InputError, format_struct, parse_struct
+    from colorder.katetov import apply_K
+    from colorder.limit import Approximation, grow
+    from golden_cases import data
+    from helpers import reference_parse_struct
+
+    def outcome(read, text: str):
+        try:
+            name, s = read(text)
+        except InputError as exc:
+            return str(exc)
+        return name, s.points, s.level, [list(row) for row in s.rows], s.palette.texts
+
+    two = parse_struct(_read(data("two_point.txt")))[1]
+    canonical = [_read(data(name)) for name in
+                 ("empty.txt", "one_point.txt", "two_point.txt", "three_point.txt",
+                  "embed_target.txt", "mono3.txt")]
+    canonical += [format_struct(grow(Approximation(budget_cap=2), 40).current, "grown"),
+                  format_struct(apply_K(two, 1).struct, "K")]
+    pool = sorted({line for text in canonical for line in text.splitlines()})
+    rng = random.Random(READER_SEED)
+    verdicts = set()
+    for text in canonical:
+        lines = text.splitlines()
+        shuffled = rng.sample(lines, len(lines))
+        variants = [lines, shuffled]
+        for base in (lines, shuffled):
+            variants += [line_mutant(rng, base, pool) for _ in range(READER_MUTANTS)]
+            variants += [token_mutant(rng, base) for _ in range(READER_MUTANTS)]
+        for variant in variants:
+            mutant = "".join(line + "\n" for line in variant)
+            got = outcome(parse_struct, mutant)
+            assert got == outcome(reference_parse_struct, mutant), mutant
+            verdicts.add(type(got))
+    assert verdicts == {str, tuple}
+
+
 def test_drawn_argument_values_end_in_a_defined_exit_code():
     summary = _child("--args", str(SEED), str(ARG_COUNT))
     assert summary["failures"] == []

@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 import tracemalloc
 from pathlib import Path
 
@@ -130,6 +131,28 @@ def test_enumeration_cap_stops_before_a_whole_color_list():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
+
+
+def test_budget_zero_visits_only_colorable_supports():
+    """A valid 30-point base at budget 0 has one type, over the empty
+    support.  No one-point support can be colored, so no larger one is
+    tried; a walk over all 2**30 supports runs past the alarm and fails."""
+    pts = [f"p{i}" for i in range(30)]
+    # the highest bit where i and j differ: three points never share it
+    x = FinStruct.build(pts, {pair_of(pts[i], pts[j]): B(0, (i ^ j).bit_length() - 1)
+                              for i, j in itertools.combinations(range(30), 2)})
+
+    def expire(*_):
+        raise TimeoutError("the enumeration took more than 10 s")
+
+    before = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        taus = enumerate_types(x, 0, 0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, before)
+    assert list(map(format_type, taus)) == ["type supp= cut=0 colors= level=0"]
 
 
 # ---------------------------------------------------------------------------
