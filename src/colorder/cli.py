@@ -21,13 +21,12 @@ from .core import (Embedding, FinStruct, InputError, amalgamate,
 from .katetov import apply_K, format_extended, iterate_K
 from .limit import (Approximation, embed, extend_partial_iso, format_pairs,
                     grow, parse_pairs)
-from .refuter import (check_certificate, control_lo, format_certificate,
+from .refuter import (SECTIONS, check_certificate, control_lo, format_certificate,
                       format_control_report, make_strategy,
                       parse_certificate, refute)
 from .types import enumerate_types, format_type, parse_type
 
-_SECTION_HEADS = ("structure", "ledger", "types", "embedding", "STRUCTURE",
-                  "POINTS", "ALPHA", "TRANSCRIPT", "VERDICT")
+_SECTION_HEADS = ("structure", "ledger", "types", "embedding", *SECTIONS)
 
 
 class _UsageError(Exception):

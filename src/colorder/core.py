@@ -150,8 +150,9 @@ def gather(idx: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
 def first_free(names: Iterable[str], used: Container[str]) -> str:
     """The first of ``names`` that ``used`` lacks: the one search behind
     the names of realized, grown and amalgamated points (``u<k>``,
-    ``g<k>``, ``<p>.a<k>``).  ``names`` must hold a free one; an iterator
-    is advanced past the name returned."""
+    ``g<k>``, ``<p>.a<k>``) and of type elements (``t<i>``, ``t<i>'``,
+    ...).  ``names`` must hold a free one; an iterator is advanced past
+    the name returned."""
     return next(p for p in names if p not in used)
 
 

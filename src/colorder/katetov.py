@@ -31,9 +31,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from operator import itemgetter
 
-from .core import (HOLE, ColorTerm, Embedding, FinStruct, InputError,
+from .core import (HOLE, ColorTerm, Embedding, FinStruct, InputError, first_free,
                    format_struct, is_embedding, stored_row)
 from .types import OnePointType, enumerate_types, format_type, gap_index, order_key
 
@@ -244,14 +245,11 @@ def apply_K(x: FinStruct, budget: int) -> ExtendedStructure:
     level = x.level + 1
     taus = enumerate_types(x, x.level, budget)
 
-    used = set(x.points)
-    ids: list[str] = []
-    for i in range(len(taus)):
-        tid = f"t{i}"
-        while tid in used:
-            tid += "'"
-        used.add(tid)
-        ids.append(tid)
+    # element i is t<i>, else the first of t<i>', t<i>'', ... that the base
+    # lacks; the other elements' names carry other digits
+    pos = x.pos
+    ids = [t if t not in pos else first_free(accumulate(repeat("'"), initial=t), pos)
+           for t in map("t{}".format, range(len(taus)))]
 
     # One sort lays out the points: a type element by (gap, 0, type index),
     # base position i by (i, 1, i).  The gap is the type order's first rule,
@@ -265,7 +263,7 @@ def apply_K(x: FinStruct, budget: int) -> ExtendedStructure:
     points = tuple(x.points[k] if is_base else ids[k] for _, is_base, k in layout)
     types = [None if is_base else taus[k] for _, is_base, k in layout]  # None: a base point
     at = [k if is_base else None for _, is_base, k in layout]           # None: a type element
-    pos, marker = x.pos, x.palette.id(ColorTerm.marker(level))
+    marker = x.palette.id(ColorTerm.marker(level))
     supports = [None if tau is None else dict(zip(map(pos.__getitem__, tau.support), tau.ids))
                 for tau in types]              # per type element: base position to id
     base_rows = []

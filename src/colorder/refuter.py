@@ -12,9 +12,10 @@ realizers.  Either way a machine-checkable certificate comes out.  Some
 answers that contradict the type yield a strategy-fault certificate
 instead: the faults are those ``_fault_analysis`` states, and a triangle
 of the strategy's own claims through ``t2`` is not among them, so such a
-run still ends in one of the two kinds above.  :func:`refute` and
-:func:`check_certificate` find a fault with that one analysis, so they
-agree on it.
+run still ends in one of the two kinds above.  That one analysis gives
+the fault and the strategy's full type over the base: :func:`refute`
+builds both realizers' types from it, and :func:`check_certificate` holds
+the fault, or both realizers, to it, so they agree on both.
 A certificate stores each fact once: its kind, the answers at the
 realizers, alpha and the depth are read off the query log and the
 transcript, so the checker states each rule once.  The certificate text
@@ -337,59 +338,64 @@ class CheckResult:
         return self.ok
 
 
+def _misfit(answers: Iterable[StrategyAnswer], level: int) -> str | None:
+    """The one rule that reads a single answer: the fault of the first
+    ``self`` answer or color above ``level``, None if there is none."""
+    for ans in answers:
+        if ans.self_claim or ans.color.level > level:
+            return "self-claim" if ans.self_claim else "level-bound"
+    return None
+
+
 def _fault_analysis(x: FinStruct, tau: OnePointType, queries: Iterable[QueryRecord]
-                    ) -> tuple[str | None, dict[str, ColorTerm], set[str],
-                               dict[str, tuple[str, str]]]:
-    """The first strategy fault in the query log's last answer at each
-    point (None if there is none), the virtual point's colors and below-set
-    over the base, and those last answers' tokens by point.  :func:`refute`
-    runs it after every answer and :func:`check_certificate` on the
-    replayed log, so they agree on faults.
+                    ) -> tuple[str | None, int, tuple[ColorTerm | None, ...]]:
+    """The one reading of the strategy's answers: the first strategy fault
+    in the query log's last answer at each point (None if there is none),
+    and the strategy's full type over the base, as its cut and one color
+    per base point, None where neither the type nor an answer gives one.
+    :func:`refute` runs it after every answer and builds both realizers'
+    types from it; :func:`check_certificate` runs it on the replayed log
+    and holds the fault, or both realizers, to it.
 
     The faults, in this order: at a base point, a ``self`` answer or a
-    color above the base level; once every base point has a color, a
-    below-set that is not an initial segment (``incoherent-order``) or two
-    base points whose color equals both their virtual colors
-    (``virtual-triangle``); at a non-base point, a ``self`` answer or a
-    color above the base level; and the first non-base answer, ``t1``'s,
-    equal to a virtual color over the base (``virtual-triangle``).  Only
-    ``t1``'s color is held against the base: ``t2``'s answer closing a
-    triangle with a base point is no fault."""
+    color above the base level (:func:`_misfit`); once every base point has
+    a color, a below-set that is not an initial segment
+    (``incoherent-order``) or two base points whose color equals both their
+    virtual colors (``virtual-triangle``); the same rule at a non-base
+    point; and the first non-base answer, ``t1``'s, equal to a virtual
+    color over the base (``virtual-triangle``).  Only ``t1``'s color is
+    held against the base: ``t2``'s answer closing a triangle with a base
+    point is no fault."""
     last = {point: (side, color) for point, _, side, color in queries}
-    vcol = dict(zip(tau.support, tau.colors))
-    vbelow = set(tau.support[: tau.cut])
-    parsed = {p: StrategyAnswer.from_tokens(*tokens)
-              for p, tokens in last.items() if p not in vcol}
-    others = [ans for p, ans in parsed.items() if p not in x.pos]
+    vcol: list[ColorTerm | None] = [None] * len(x.points)
+    below = [False] * len(x.points)
+    for k, (p, c) in enumerate(zip(tau.support, tau.colors)):
+        vcol[x.pos[p]], below[x.pos[p]] = c, k < tau.cut
+    own = set(tau.support)  # the type's own colors; no answer there is read
+    base, others = [], []  # the answers read, at base and at non-base points
+    for p, tokens in last.items():
+        if p not in own:
+            ans = StrategyAnswer.from_tokens(*tokens)
+            if p in x:
+                base.append(ans)
+                vcol[x.pos[p]], below[x.pos[p]] = ans.color, ans.side == ABOVE
+            else:
+                others.append(ans)
+    cut, colors = sum(below), tuple(vcol)
 
-    def first_fault() -> str | None:
-        for p, ans in parsed.items():
-            if p not in x.pos:
-                continue
-            if ans.self_claim:
-                return "self-claim"
-            if ans.color.level > x.level:
-                return "level-bound"
-            vcol[p] = ans.color
-            if ans.side == ABOVE:
-                vbelow.add(p)
-        if len(vcol) == len(x.points):
-            below_positions = sorted(x.index(v) for v in vbelow)
-            if below_positions != list(range(len(below_positions))):
-                return "incoherent-order"
-            for v, w in x.pairs():
-                if vcol[v] == vcol[w] == x.color(v, w):
-                    return "virtual-triangle"
-        for ans in others:
-            if ans.self_claim:
-                return "self-claim"
-            if ans.color.level > x.level:
-                return "level-bound"
-        if others and any(c == others[0].color for c in vcol.values()):
-            return "virtual-triangle"
-        return None
-
-    return first_fault(), vcol, vbelow, last
+    if fault := _misfit(base, x.level):
+        return fault, cut, colors
+    if None not in colors:
+        if not all(below[:cut]):
+            return "incoherent-order", cut, colors
+        pairs = itertools.combinations(zip(x.points, colors), 2)
+        if any(c == d == x.color(v, w) for (v, c), (w, d) in pairs):
+            return "virtual-triangle", cut, colors
+    if fault := _misfit(others, x.level):
+        return fault, cut, colors
+    if others and others[0].color in colors:
+        return "virtual-triangle", cut, colors
+    return None, cut, colors
 
 
 def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
@@ -408,7 +414,11 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
     its inverse, each step one :func:`realize_image` on one of them and an
     update of both.  :func:`check_certificate` rebuilds every query's
     structure from this.  After each answer the log so far goes through
-    :func:`_fault_analysis`, and the first fault ends the run.
+    :func:`_fault_analysis`, and the first fault ends the run.  With no
+    fault, both realizers' types come from that analysis, with no second
+    check: ``t1`` realizes the strategy's full type over the base, and
+    ``t2`` the same type with ``t1`` added in the color ``q`` of ``t1``'s
+    answer.
     """
     if depth < 0:
         raise InputError("depth must be nonnegative")
@@ -439,22 +449,20 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
     for p in x.points:
         if p not in tau.support and (code := ask(p)[1]):
             return certificate(reason=code)
-    # no fault here: one in an answer ended the loop, and a built type has none
-    _, vcol, vbelow, _ = _fault_analysis(x, tau, queries)
-    full = OnePointType.build(x, x.points, len(vbelow),
-                              tuple(vcol[p] for p in x.points), x.level)
-    t1 = a.realize(full)
+    # no fault here: one in an answer ended the loop, and a given type has
+    # none; so the full type closes no triangle (virtual-triangle) and stays
+    # within the level (level-bound, and check_realizable above)
+    _, cut, colors = _fault_analysis(x, tau, queries)
+    ids = tuple(map(x.palette.id, colors))
+    t1 = a.realize(OnePointType(x, x.points, cut, ids, x.level))
     ans1, code = ask(t1)
     if code:
         return certificate(reason=code)
-    q = ans1.color
-
-    cur = a.current
-    supp2 = cur.sorted_points(x.points + (t1,))
-    colors2 = tuple(q if p == t1 else vcol[p] for p in supp2)
-    cut2 = supp2.index(t1) + 1
-    tau2 = OnePointType.build(cur, supp2, cut2, colors2, cur.level)
-    t2 = a.realize(tau2)
+    # t1, over all of x, sits at position cut; t2 joins it in the color q
+    # it answered, which no virtual color equals (virtual-triangle)
+    supp2 = (*x.points[:cut], t1, *x.points[cut:])
+    ids2 = (*ids[:cut], x.palette.id(ans1.color), *ids[cut:])
+    t2 = a.realize(OnePointType(a.current, supp2, cut + 1, ids2, x.level))
     if code := ask(t2)[1]:
         return certificate(reason=code)
 
@@ -488,8 +496,9 @@ def check_certificate(cert: RefutationCertificate,
     included, as :func:`refute` asks), and then the fields of its kind.  A
     strategy fault must be the one the replayed answers show, with no
     realizer or step set.  Otherwise no fault may show; both realizers must
-    be distinct non-base points the log asks, of the full type, joined in
-    the color answered at ``t1``; the transcript steps must alternate as
+    be distinct non-base points the log asks, of the strategy's full type
+    that the same analysis gives :func:`refute`, joined in the color
+    answered at ``t1``; the transcript steps must alternate as
     :func:`refute` takes them; and alpha, the map they spell after the seed
     map, passes one order-and-color check, which also rejects a second
     image of a base point or of ``t1``.  The kind, alpha and the depth are
@@ -531,7 +540,7 @@ def check_certificate(cert: RefutationCertificate,
         answer = strategy.answer(QueryContext(seen, x.points, tau, point, h))
         if answer.tokens() != (side, color):
             return CheckResult(False, f"answer-mismatch at {point}")
-    fault, vcol, vbelow, last = _fault_analysis(x, tau, cert.queries)
+    fault, cut, colors = _fault_analysis(x, tau, cert.queries)
 
     if cert.kind == FAULT:
         if fault is None:
@@ -545,17 +554,18 @@ def check_certificate(cert: RefutationCertificate,
     if fault is not None:
         return CheckResult(False, "hidden-strategy-fault")
     t1, t2 = cert.t1, cert.t2
-    if t1 == t2 or any(t not in s or t in x or t not in last for t in (t1, t2)):
+    answers = cert.recorded_answers()
+    if t1 == t2 or any(t not in s or t in x for t in (t1, t2)) or (None, None) in answers:
         return CheckResult(False, "bad-realizers")
 
     # both realizers must carry the strategy's full type over the base
-    if len(vcol) != len(x.points):
+    if None in colors:
         return CheckResult(False, "unqueried-base-point")
-    expected_key = (x.points, len(vbelow), tuple(s.palette.id(vcol[p]) for p in x.points))
+    expected_key = (x.points, cut, tuple(map(s.palette.id, colors)))
     for t in (t1, t2):
         if point_key(s, t, x.points) != expected_key:
             return CheckResult(False, f"realizer-type-mismatch at {t}")
-    if s.color(t1, t2).text() != last[t1][1]:
+    if s.color(t1, t2).text() != answers[0][1]:
         return CheckResult(False, "pair-color-mismatch")
 
     # the steps alternate as ``refute`` walks its back-and-forth, fwd on
@@ -572,7 +582,7 @@ def check_certificate(cert: RefutationCertificate,
 # Certificate text form
 # ---------------------------------------------------------------------------
 
-_SECTIONS = ("STRUCTURE", "POINTS", "ALPHA", "TRANSCRIPT", "VERDICT")
+SECTIONS = ("STRUCTURE", "POINTS", "ALPHA", "TRANSCRIPT", "VERDICT")
 
 
 def _frame(cert: RefutationCertificate, structure: str = "") -> str:
@@ -622,8 +632,8 @@ def parse_certificate(text: str) -> RefutationCertificate:
     text's last line for a missing one) unless a section head is missing or
     out of order."""
     raw = text.splitlines()
-    heads = [i for i, line in enumerate(raw) if line in _SECTIONS]
-    if [raw[i] for i in heads] != list(_SECTIONS):
+    heads = [i for i, line in enumerate(raw) if line in SECTIONS]
+    if [raw[i] for i in heads] != list(SECTIONS):
         raise InputError("certificate is not in canonical form")
     points, _, records, verdict = ([line.split() for line in raw[i + 1:j] if line.strip()]
                                    for i, j in zip(heads[1:], heads[2:] + [len(raw)]))

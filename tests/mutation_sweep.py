@@ -46,15 +46,18 @@ HERE = Path(__file__).resolve().parent
 EQUIVALENTS = HERE / "mutation_equivalents.txt"
 PROFILE = HERE / "mutation_profile.py"  # the pytest plugin every run loads
 
-# the hot paths that the row and snapshot rewrites touch, plus the type walk
-# and every fresh-name search; ``module.Qual.name``, a class meaning all of it
+# the hot paths that the row and snapshot rewrites touch, the type walk,
+# every fresh-name search, and the refuter's reading of the strategy's
+# answers with the checker that holds a certificate to it; ``module.Qual.name``,
+# a class meaning all of it
 FUNCTIONS = (
     "types.insert_point", "limit.Approximation._realize", "limit.Approximation.realizer_of",
     "types.point_key", "core.parse_struct_lines", "core._build_checked", "core.format_struct",
     "core._pair_texts", "katetov.PairTemplates", "katetov._ExtensionRows.row_texts",
     "katetov.format_extended", "refuter._frame", "refuter.parse_certificate",
     "types.enumerate_types", "core.first_free", "types.realize_type", "core.amalgamate",
-    "refuter.control_lo",
+    "refuter.control_lo", "refuter._misfit", "refuter._fault_analysis", "refuter.refute",
+    "refuter.check_certificate",
 )
 MEMORY_LIMIT = 2 << 30  # address space of each test run
 SEED = 1                # draws the mutants when fewer are asked for than there are sites

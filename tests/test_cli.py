@@ -451,6 +451,20 @@ def test_broken_program_strategy_exits_1(capsys, command):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["k-iterate", "--base", data("one_point.txt"), "--stages", "2", "--budgets", "1,x"],
+     "bad budget list '1,x'"),
+    (["control-lo", "--size", "-1", "--cut", "0"], "size must be nonnegative"),
+    (["refute", "--base", data("one_point.txt"), "--strategy", "constant"],
+     "give exactly one of --type and --type-file"),
+    (["refute", "--base", data("one_point.txt"), "--strategy", "constant", "--type", TYPE_A,
+      "--type-file", data("one_point.txt")], "give exactly one of --type and --type-file"),
+])
+def test_bad_arguments_exit_1(capsys, argv, message):
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_program_strategy_with_quoted_argument(capsys):
     program = ("import sys\n"
                "for line in sys.stdin:\n"
@@ -623,7 +637,9 @@ def test_pretty_certificate_is_accepted(tmp_path, capsys):
     assert run(["refute", "--base", data("one_point.txt"), "--type", TYPE_A,
                 "--strategy", "index-sensitive", "--format", "pretty",
                 "--out", str(cert)]) == 0
-    assert "\n\nPOINTS\n" in cert.read_text()
+    text = cert.read_text()
+    for head in ("STRUCTURE", "POINTS", "ALPHA", "TRANSCRIPT", "VERDICT"):
+        assert f"\n\n{head}\n" in text
     assert run(["check-cert", "--cert", str(cert), "--strategy", "index-sensitive"]) == 0
     assert capsys.readouterr().out == "accepted\n"
 

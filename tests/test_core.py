@@ -591,8 +591,29 @@ def test_structure_reader_messages(text, message):
     (lambda: ColorTerm.pair_code(0, "ab"), "'k' colors exist only at level >= 1"),
     (lambda: ColorTerm.pair_code(1, "AB"), "pair-code payload must be lowercase hex"),
     (lambda: ColorTerm.pair_code(1, ""), "pair-code payload must be lowercase hex"),
+    (lambda: ColorTerm("z", 0), "unknown color kind 'z'"),
 ])
 def test_color_term_messages(make, message):
+    with pytest.raises(InputError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+MONO3 = struct_of("abc", {pair_of(u, v): B(0, 0) for u, v in itertools.combinations("abc", 2)})
+AB_STRUCT = FinStruct.build("ab", {pair_of("a", "b"): B(0, 0)})
+A_STRUCT = FinStruct.build("a", {})
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: FinStruct.build("ab", {frozenset("ac"): B(0, 0)}),
+     "color given for unknown pair ['a', 'c']"),
+    (lambda: AB_STRUCT.index("c"), "unknown point 'c'"),
+    (lambda: canonical_code(AB_STRUCT, ["c"]), "marked point 'c' not in structure"),
+    (lambda: amalgamate(MONO3, A_STRUCT, A_STRUCT, Embedding.identity(A_STRUCT),
+                        Embedding.identity(A_STRUCT)),
+     "invalid left structure: monochromatic-triangle"),
+])
+def test_structure_operation_messages(make, message):
     with pytest.raises(InputError) as exc:
         make()
     assert str(exc.value) == message

@@ -357,6 +357,17 @@ def test_K_of_singleton(one_point):
     assert len(ext.struct.points) == 1 + 3
 
 
+def test_K_primes_an_element_name_the_base_holds():
+    """Element i is named t<i>, else the first of t<i>', t<i>'', ... that
+    neither the base nor an earlier element holds."""
+    x = FinStruct.build(("t0", "t0'", "t2"), {pair_of("t0", "t0'"): B(0, 0),
+                                              pair_of("t0", "t2"): B(0, 1),
+                                              pair_of("t0'", "t2"): B(0, 0)})
+    ext = apply_K(x, 1)
+    assert ext.element_ids()[:5] == ("t0''", "t1", "t2'", "t3", "t4")
+    assert set(ext.struct.points) == set(x.points) | set(ext.element_ids())
+
+
 def test_K_of_two_points(two_point):
     ext = apply_K(two_point, 2)
     assert len(ext.struct.points) == 20
@@ -543,8 +554,15 @@ def test_iterate_one_stage_equals_apply(two_point):
 
 
 def test_iterate_rejects_bad_budget_list(two_point):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as exc:
         iterate_K(two_point, 2, (1,))
+    assert str(exc.value) == "need 2 budgets, got 1"
+
+
+def test_type_of_rejects_an_unknown_element(two_point):
+    with pytest.raises(InputError) as exc:
+        apply_K(two_point, 1).type_of("zz")
+    assert str(exc.value) == "no type element 'zz'"
 
 
 def test_iterate_levels_climb(one_point):

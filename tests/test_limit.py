@@ -244,8 +244,9 @@ def test_extend_rejects_duplicate_domain_point():
     a = grown(10)
     u = a.current.points[0]
     a, p = extend_partial_iso(a, PartialIso(()), u)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as exc:
         extend_partial_iso(a, p, u)
+    assert str(exc.value) == f"point {u!r} already in the domain"
 
 
 def test_extend_rejects_a_map_that_breaks_order_or_color():
@@ -337,12 +338,27 @@ def test_embed_a_color_the_approximation_never_used():
     assert a.current.color(e.apply("x"), e.apply("y")) == B(0, 7)
 
 
+MONO3 = struct_of("abc", {pair_of(u, v): B(0, 0) for u, v in itertools.combinations("abc", 2)})
+LEVEL1 = FinStruct.build("ab", {pair_of("a", "b"): ColorTerm.marker(1)}, 1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Approximation(seed=LEVEL1), "approximations live at level 0"),
+    (lambda: Approximation(seed=MONO3), "invalid seed structure: monochromatic-triangle"),
+    (lambda: Approximation(budget_cap=0), "budget cap must be at least 1"),
+    (lambda: embed(Approximation(), LEVEL1),
+     "only level-0 structures embed into an approximation"),
+])
+def test_limit_messages(make, message):
+    with pytest.raises(InputError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_embed_rejects_invalid_structure():
-    bad = struct_of(("a", "b", "c"),
-                    {pair_of(u, v): B(0, 0)
-                     for u, v in itertools.combinations("abc", 2)}, 0)
-    with pytest.raises(InputError):
-        embed(Approximation(), bad)
+    with pytest.raises(InputError) as exc:
+        embed(Approximation(), MONO3)
+    assert str(exc.value) == "invalid structure: monochromatic-triangle"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import ast
 import dataclasses
+import errno
 import hashlib
 import inspect
+import os
 import random
 import re
 import stat
@@ -113,6 +115,33 @@ def test_self_claim_is_a_strategy_fault():
     cert = refute(x, tau, ScriptedStrategy(SELF, SELF, SELF), 3)
     assert cert.kind == FAULT and cert.reason == "self-claim"
     assert check_certificate(cert, ScriptedStrategy(SELF, SELF, SELF)).ok
+
+
+ONE = FinStruct.build("a", {})
+FREE = OnePointType.build(ONE, (), 0, (), 0)
+MISSING = "/nonexistent"
+# a bad side with a color: only the side tells the answer malformed
+SIDEWAYS = StrategyAnswer("sideways", B(0, 0))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: StrategyAnswer.from_tokens("sideways", "b:0:0"), "bad answer side 'sideways'"),
+    (lambda: make_strategy("nope"), "unknown strategy 'nope'"),
+    (lambda: make_strategy("prog:'x"), "bad strategy command: No closing quotation"),
+    (lambda: make_strategy("prog:"), "empty strategy command"),
+    (lambda: make_strategy(f"prog:{MISSING}"), f"cannot start strategy {MISSING!r}: "
+     f"{FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), MISSING)}"),
+    (lambda: refute(ONE, FREE, make_strategy("constant"), -1), "depth must be nonnegative"),
+    (lambda: refute(ONE, OnePointType.build(FinStruct.build("b", {}), (), 0, (), 0),
+                    make_strategy("constant"), 1), "type must sit over the given base"),
+    (lambda: refute(ONE, FREE, ScriptedStrategy(SIDEWAYS, SIDEWAYS, SIDEWAYS), 1),
+     "strategy returned a malformed answer"),
+    (lambda: control_lo(("a", "a"), 0, 1, 1), "duplicate points in the order"),
+])
+def test_refuter_messages(make, message):
+    with pytest.raises(InputError) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("type_text,script,reason", [
@@ -843,8 +872,9 @@ def test_control_takes_zero_and_refuses_negative_depth_or_samples():
 
 
 def test_control_rejects_bad_cut():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as exc:
         control_lo(("a",), 5, 3, 10)
+    assert str(exc.value) == "cut 5 out of range"
 
 
 def test_back_and_forth_reads_no_color_text(monkeypatch):

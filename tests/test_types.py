@@ -45,8 +45,28 @@ def test_read_off_middle_point():
 
 
 def test_read_off_rejects_point_in_support(two_point):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as exc:
         type_of_point(two_point, "b", ("b",))
+    assert str(exc.value) == "point 'b' may not lie in its own support"
+
+
+AB = FinStruct.build("ab", {pair_of("a", "b"): B(0, 0)})
+LEVEL1 = FinStruct.build("ab", {pair_of("a", "b"): ColorTerm.marker(1)}, 1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: OnePointType.build(AB, ("a",), 0, (), 0), "support and colors must align"),
+    (lambda: OnePointType.build(AB, ("a",), 2, (B(0, 0),), 0),
+     "cut 2 out of range for support of size 1"),
+    (lambda: OnePointType.build(AB, ("a",), 0, (B(1, 0),), 0), "color b:1:0 exceeds type level 0"),
+    (lambda: type_of_point(AB, "z", ()), "unknown point 'z'"),
+    (lambda: type_of_point(AB, "a", ("z",)), "support contains unknown points"),
+    (lambda: enumerate_types(LEVEL1, 0, 1), "base structure exceeds the enumeration level"),
+])
+def test_type_messages(make, message):
+    with pytest.raises(InputError) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +255,9 @@ def test_transport_rejects_an_order_reversing_mapping(two_point):
 
 def test_realize_rejects_colliding_name(two_point):
     tau = OnePointType.build(two_point, (), 0, (), 0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as exc:
         realize_type(two_point, tau, name="a")
+    assert str(exc.value) == "point 'a' already present"
 
 
 def test_realize_names_the_first_free_u():
