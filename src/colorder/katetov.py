@@ -12,14 +12,17 @@ frozenset-keyed ``PairStructure`` as the reference.
 A configuration's shape depends only on the base and the two types'
 layouts (``OnePointType.column``), so a :class:`PairTemplates` map builds
 one template per pair of layouts and a pair color fills it with the two
-types' color texts.  Templates hold base pair texts, so a map belongs to
-one base: an extension's lazy rows keep their base's map as long as they
-live, and :func:`pair_text` builds one for its single call.  Printing an
-extension reads each row's pair texts from the templates
-(``_ExtensionRows.row_texts``), so it adds no palette entry and builds no
-``ColorTerm``.  Only a reader of ids enters a pair color into the palette
-they share with their base, as its canonical text; ``Palette.ids`` is the
-one table from that text to its id.
+types' color texts, each hexed once per color id.  Templates hold base
+pair texts, so a map belongs to one base: an extension's lazy rows keep
+their base's map as long as they live, and :func:`pair_text` builds one
+for its single call.  Printing an extension reads each row's pair texts
+from the templates (``_ExtensionRows.row_texts``): a row fetches its type's
+layout and hexed texts once and keeps one template entry per higher
+layout, so a pair costs one gather and one join, and printing adds no
+palette entry and builds no ``ColorTerm``.  Only a reader of ids enters a
+pair color into the palette they share with their base, as its canonical
+text; ``Palette.ids`` is the one table from that text to its id.  Both
+readers spell a pair text with :func:`spell`.
 The morphism map checks its embedding once, then maps each type element to
 the element whose key is the type's key with the support carried along the
 embedding, making the whole thing a functor that raises the level by one;
@@ -31,6 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, repeat
 from operator import itemgetter
 
@@ -92,36 +96,49 @@ class PairTemplates(dict):
     texts inside the union, the ``?`` between the marks, and which entries
     are a support color of ``lo`` or of ``hi`` or the next level's marker.
     A template holds that shape as an ``itemgetter`` over
-    ``lo_texts + hi_texts + fixed``, with the hex of the code's head and
-    tail, so a pair costs one lookup, one gather, one join and one hex.
-    Building a template reads base rows only inside the support union.
+    ``hi_parts + lo_parts + fixed``, with the hex of the code's head and
+    tail.  Every part is hexed already, and ``"3b"``, the hex of ``;``,
+    joins them, which spells the hex of the joined texts.  :meth:`parts`
+    hexes each color text once per color id, in one table the map's
+    templates share, so a pair costs one lookup, one gather and one join,
+    and no hex.  Building a template reads base rows only inside the
+    support union.
     """
 
     def __init__(self, base: FinStruct):
         super().__init__()
         self._base = base
+        texts = base.palette.texts
+        self._hex = cache(lambda c: texts[c].encode().hex())   # color id -> hex of its text
+
+    def parts(self, tau: OnePointType) -> tuple[str, ...]:
+        """The hex of the text of each of ``tau``'s support colors."""
+        return tuple(map(self._hex, tau.ids))
+
+    def entry(self, lo_layout: tuple, lo_parts: tuple[str, ...], hi_layout: tuple) -> tuple:
+        """The template of the two layouts with the lower type's parts put
+        in: what :func:`spell` fills with the higher type's parts."""
+        head, gather, fixed, tail = self[lo_layout, hi_layout]
+        return head, gather, lo_parts + fixed, tail
 
     def text(self, lo: OnePointType, hi: OnePointType) -> str:
-        lo_layout, lo_texts = lo.column
-        hi_layout, hi_texts = hi.column
-        head, gather, fixed, tail = self[lo_layout, hi_layout]
-        return head + ";".join(gather(lo_texts + hi_texts + fixed)).encode().hex() + tail
+        return spell(self.entry(lo.column, self.parts(lo), hi.column), self.parts(hi))
 
     def __missing__(self, key: tuple) -> tuple:
         (lo_supp, lo_gap), (hi_supp, hi_gap) = key
         base = self._base
         seq: list = sorted({*lo_supp, *hi_supp})   # the support union, as positions
         # a mark is the map from its type's support positions to their
-        # indices in lo_texts + hi_texts; it goes after the union positions
+        # indices in hi_parts + lo_parts; it goes after the union positions
         # below its type's gap.  lo's gap is not above hi's, so inserting hi
         # first puts lo first on a tie
         k_hi = bisect_left(seq, hi_gap)
         k_lo = bisect_left(seq, lo_gap)
-        seq.insert(k_hi, {p: len(lo_supp) + i for i, p in enumerate(hi_supp)})
-        seq.insert(k_lo, {p: i for i, p in enumerate(lo_supp)})
+        seq.insert(k_hi, {p: i for i, p in enumerate(hi_supp)})
+        seq.insert(k_lo, {p: len(hi_supp) + i for i, p in enumerate(lo_supp)})
         off = len(lo_supp) + len(hi_supp)
-        fixed = [ColorTerm.marker(base.level + 1).text(), "?"]   # at off, off + 1
-        rows, texts = base.rows, base.palette.texts
+        fixed = [ColorTerm.marker(base.level + 1).text().encode().hex(), "3f"]  # at off, off + 1
+        rows = base.rows
         order: list[int] = []
         for i, a in enumerate(seq):
             for b in seq[i + 1:]:
@@ -131,13 +148,20 @@ class PairTemplates(dict):
                     order.append(b.get(a, off))
                 else:                      # two base positions: the base color
                     order.append(off + len(fixed))
-                    fixed.append(texts[rows[a][b]])
+                    fixed.append(self._hex(rows[a][b]))
         # the configuration has at least three points (two distinct types
         # cannot both have empty support), so the gather returns a tuple
         head = f"k:{base.level + 1}:" + f"{len(seq)}|".encode().hex()
         tail = f"|{k_lo},{k_hi + 1}".encode().hex()
         got = self[key] = (head, itemgetter(*order), tuple(fixed), tail)
         return got
+
+
+def spell(entry: tuple, hi_parts: tuple[str, ...]) -> str:
+    """The one spelling of a pair text: an entry of
+    :meth:`PairTemplates.entry` filled with the higher type's parts."""
+    head, gather, parts, tail = entry
+    return head + "3b".join(gather(hi_parts + parts)) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +189,7 @@ class _ExtensionRows(Sequence):
         self._types = types      # position -> type, or None for a base point
         self._palette = base.palette
         self.templates = PairTemplates(base)
+        self._marks: list | None = None   # per position, made on the first print
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -186,15 +211,41 @@ class _ExtensionRows(Sequence):
     def row_texts(self, i: int) -> Iterable[str]:
         """The color texts between position ``i`` and every later position,
         in position order: a stored row's entries through the palette, and
-        a type-type pair straight from its template, so printing enters no
-        color into the palette."""
+        a type-type pair from its template, so printing enters no color
+        into the palette.  A type element's row fetches its layout and
+        parts once and keeps one template entry per higher layout, found
+        by the layout number :meth:`_mark_types` gives."""
         rows, texts = self._rows, self._palette.texts
         row = rows[i]
         if row is not None:
             return map(texts.__getitem__, row[i + 1:])
-        lo, text = self._types[i], self.templates.text
-        return [texts[r[i]] if r is not None else text(lo, t)
-                for r, t in zip(rows[i + 1:], self._types[i + 1:])]
+        marks = self._marks or self._mark_types()
+        _, lo_layout, lo_parts = marks[i]
+        entry = self.templates.entry
+        local: dict[int, tuple] = {}   # layout number of a higher type -> its entry
+        out = []
+        for j in range(i + 1, len(rows)):
+            m = marks[j]
+            if m is None:
+                out.append(texts[rows[j][i]])
+                continue
+            k, layout, hi_parts = m
+            e = local.get(k)
+            if e is None:
+                e = local[k] = entry(lo_layout, lo_parts, layout)
+            out.append(spell(e, hi_parts))
+        return out
+
+    def _mark_types(self) -> list:
+        """Per position, None for a base point, and for a type element its
+        layout number, its layout and its parts.  Building an extension
+        computes none of them: only printing reads them all."""
+        numbers: dict[tuple, int] = {}   # layout -> its number
+        parts = self.templates.parts
+        self._marks = [None if tau is None else
+                       (numbers.setdefault(tau.column, len(numbers)), tau.column, parts(tau))
+                       for tau in self._types]
+        return self._marks
 
 
 class _ElementRow(Sequence):

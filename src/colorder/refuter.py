@@ -413,12 +413,14 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
     its; the back-and-forth asks nothing, and walks two dicts, the map and
     its inverse, each step one :func:`realize_image` on one of them and an
     update of both.  :func:`check_certificate` rebuilds every query's
-    structure from this.  After each answer the log so far goes through
-    :func:`_fault_analysis`, and the first fault ends the run.  With no
-    fault, both realizers' types come from that analysis, with no second
-    check: ``t1`` realizes the strategy's full type over the base, and
-    ``t2`` the same type with ``t1`` added in the color ``q`` of ``t1``'s
-    answer.
+    structure from this, and each structure is hashed once: the base, then
+    after each realizer.  Until the last base answer only that answer can
+    fault, so it alone goes through :func:`_misfit`; from the last base
+    answer on, the log so far goes through :func:`_fault_analysis` after
+    each answer, and the first fault ends the run.  With no fault, both
+    realizers' types come from that analysis, with no second check:
+    ``t1`` realizes the strategy's full type over the base, and ``t2`` the
+    same type with ``t1`` added in the color ``q`` of ``t1``'s answer.
     """
     if depth < 0:
         raise InputError("depth must be nonnegative")
@@ -431,39 +433,45 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
     a = Approximation(seed=x)
     queries: list[QueryRecord] = []
 
-    def ask(point: str) -> tuple[StrategyAnswer, str | None]:
-        """The strategy's answer at ``point`` in the current structure, and
-        the first fault of the answers so far, this one logged."""
-        h = structure_hash(a.current)
+    def ask(point: str, h: str) -> StrategyAnswer:
+        """The strategy's answer at ``point`` in the current structure,
+        whose hash is ``h``, logged."""
         ans = strategy.answer(QueryContext(a.current, x.points, tau, point, h))
         if not ans.self_claim and (ans.color is None
                                    or ans.side not in (ABOVE, BELOW)):
             raise InputError("strategy returned a malformed answer")
         queries.append((point, h, *ans.tokens()))
-        return ans, _fault_analysis(x, tau, queries)[0]
+        return ans
 
     def certificate(**fields) -> RefutationCertificate:
         return RefutationCertificate(a.current, x.points, format_type(tau),
                                      tuple(queries), **fields)
 
-    for p in x.points:
-        if p not in tau.support and (code := ask(p)[1]):
+    h = structure_hash(a.current)
+    asked = [p for p in x.points if p not in tau.support]
+    for p in asked[:-1]:
+        if code := _misfit((ask(p, h),), x.level):
             return certificate(reason=code)
-    # no fault here: one in an answer ended the loop, and a given type has
-    # none; so the full type closes no triangle (virtual-triangle) and stays
-    # within the level (level-bound, and check_realizable above)
-    _, cut, colors = _fault_analysis(x, tau, queries)
+    if asked:
+        ask(asked[-1], h)
+    # a given type has no fault, so with no base answer there is none
+    code, cut, colors = _fault_analysis(x, tau, queries)
+    if code:
+        return certificate(reason=code)
+    # no fault, so the full type closes no triangle (virtual-triangle) and
+    # stays within the level (level-bound, and check_realizable above)
     ids = tuple(map(x.palette.id, colors))
     t1 = a.realize(OnePointType(x, x.points, cut, ids, x.level))
-    ans1, code = ask(t1)
-    if code:
+    ans1 = ask(t1, structure_hash(a.current))
+    if code := _fault_analysis(x, tau, queries)[0]:
         return certificate(reason=code)
     # t1, over all of x, sits at position cut; t2 joins it in the color q
     # it answered, which no virtual color equals (virtual-triangle)
     supp2 = (*x.points[:cut], t1, *x.points[cut:])
     ids2 = (*ids[:cut], x.palette.id(ans1.color), *ids[cut:])
     t2 = a.realize(OnePointType(a.current, supp2, cut + 1, ids2, x.level))
-    if code := ask(t2)[1]:
+    ask(t2, structure_hash(a.current))
+    if code := _fault_analysis(x, tau, queries)[0]:
         return certificate(reason=code)
 
     fwd = {p: p for p in x.points} | {t1: t2}

@@ -9,9 +9,9 @@ A type's colors are ids in its base's palette, so enumeration, ordering,
 realizer search and realization compare ints.  A type over one palette is
 carried to another only through ``Palette.translate``.  Its identity,
 ``OnePointType.key()``, spells the colors as canonical texts, which
-``format_type``, the functor's columns and a limit's ledger read.  Color
-terms are made only at the boundary: ``parse_type``, strategies, level
-checks and certificates read ``OnePointType.colors``.
+``format_type`` and a limit's ledger read.  Color terms are made only at
+the boundary: ``parse_type``, strategies, level checks and certificates
+read ``OnePointType.colors``.
 """
 
 from __future__ import annotations
@@ -82,15 +82,14 @@ class OnePointType:
         return self.key() == other.key() and self.base == other.base
 
     @cached_property
-    def column(self) -> tuple[tuple[tuple[int, ...], int], tuple[str, ...]]:
-        """The layout key, support positions in the base and the gap, and
-        the text of each support color.  Computed once per type, without
-        reading base rows.  ``katetov.PairTemplates`` builds one template
-        per pair of layouts over a base and fills it with two types'
-        texts; a position outside the support reads the next level's marker
-        from the template."""
-        return ((tuple(map(self.base.pos.__getitem__, self.support)), gap_index(self)),
-                self.key()[2])
+    def column(self) -> tuple[tuple[int, ...], int]:
+        """The layout: the support positions in the base and the gap.
+        Computed once per type, without reading base rows.
+        ``katetov.PairTemplates`` builds one template per pair of layouts
+        over a base and fills it with the two types' colors; a position
+        outside the support reads the next level's marker from the
+        template."""
+        return tuple(map(self.base.pos.__getitem__, self.support)), gap_index(self)
 
 
 def insert_position(ambient: FinStruct, support: Sequence[str], cut: int) -> int:

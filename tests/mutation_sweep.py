@@ -53,7 +53,8 @@ PROFILE = HERE / "mutation_profile.py"  # the pytest plugin every run loads
 FUNCTIONS = (
     "types.insert_point", "limit.Approximation._realize", "limit.Approximation.realizer_of",
     "types.point_key", "core.parse_struct_lines", "core._build_checked", "core.format_struct",
-    "core._pair_texts", "katetov.PairTemplates", "katetov._ExtensionRows.row_texts",
+    "core._pair_texts", "katetov.PairTemplates", "katetov.spell",
+    "katetov._ExtensionRows.row_texts", "katetov._ExtensionRows._mark_types",
     "katetov.format_extended", "refuter._frame", "refuter.parse_certificate",
     "types.enumerate_types", "core.first_free", "types.realize_type", "core.amalgamate",
     "refuter.control_lo", "refuter._misfit", "refuter._fault_analysis", "refuter.refute",

@@ -685,15 +685,20 @@ def test_printed_pair_texts_equal_the_colors_read_through_ids(monkeypatch):
     computes some of the type-type pair colors but not all, and so do
     canonical codes with and without marks.  A
     full id-path copy of the 4-point budget-3 extension (668 points) takes
-    seconds, so there a seeded sample of rows is compared."""
+    seconds, so there a seeded sample of rows is compared, and its printed
+    text, where rows reuse their row-local templates most, is pinned by
+    digest; the digest was taken before rows printed from hexed parts."""
     rng = random.Random(16)
     for names in ("pq", "pqr", "pqrs"):
         x = FinStruct.build(names, random_coloring(rng, names, 3))
         for budget in (1, 2, 3):
-            s = apply_K(x, budget).struct
+            ext = apply_K(x, budget)
+            s = ext.struct
             n = len(s.points)
             if n > 200:
                 assert (names, budget, n) == ("pqrs", 3, 668)
+                assert digest_of(format_extended(ext)) == (
+                    40144546, "76b0d9a6d3dd4eb6eafced7e39d7ca0b63a1cf2145537ed94ee8cecc461153e9")
                 texts = s.palette.texts
                 for i in rng.sample(range(n), 24):
                     assert list(s.rows.row_texts(i)) == [texts[c] for c in s.rows[i][i + 1:]]

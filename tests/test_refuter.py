@@ -183,6 +183,73 @@ def test_refute_is_deterministic():
     assert format_certificate(c1) == format_certificate(c2)
 
 
+def chain_base(n: int) -> FinStruct:
+    """Points ``p0`` < ... < ``p<n-1>``, pair ``(p_i, p_j)`` colored
+    ``b:0:i``: valid, since a triangle's two lower pairs share a color and
+    its top pair has another."""
+    pts = [f"p{i}" for i in range(n)]
+    return FinStruct.build(pts, {pair_of(pts[i], pts[j]): B(0, i)
+                                 for i in range(n) for j in range(i + 1, n)})
+
+
+class ShiftedStrategy:
+    """Answers ``b:0:<k + 1>`` at ``p<k>``, so over a chain base the full
+    type closes no triangle, and ``b:0:0`` at every other point."""
+
+    name = "shifted"
+
+    def answer(self, ctx: QueryContext) -> StrategyAnswer:
+        k = int(ctx.point[1:]) + 1 if ctx.point in ctx.base_points else 0
+        return StrategyAnswer(ABOVE, B(0, k))
+
+
+def count_hashes_and_answers(monkeypatch, x, tau, strategy) -> tuple[dict, RefutationCertificate]:
+    """The certificate of a depth-3 ``refute``, with how many structures
+    it hashed and how many logged answers it read."""
+    counts = {"hash": 0, "parse": 0}
+    structure_hash, from_tokens = refuter.structure_hash, StrategyAnswer.from_tokens
+
+    def hashing(s):
+        counts["hash"] += 1
+        return structure_hash(s)
+
+    def parsing(*tokens):
+        counts["parse"] += 1
+        return from_tokens(*tokens)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(refuter, "structure_hash", hashing)
+        mp.setattr(StrategyAnswer, "from_tokens", staticmethod(parsing))
+        cert = refute(x, tau, strategy, 3)
+    return counts, cert
+
+
+def test_refute_hashes_each_structure_once_and_reads_answers_once(monkeypatch):
+    """Over an n-point base, ``refute`` hashes three structures, the base
+    and the base with each realizer, and reads the log's answers only from
+    the last base answer on: the n base answers, then once more with each
+    realizer's.  Under the free type and ``constant``, the 400-point chain
+    base gives a fault at the last base answer, after one hash and one
+    reading; the certificate bytes were pinned before either rule."""
+    n = 12
+    x = chain_base(n)
+    counts, cert = count_hashes_and_answers(monkeypatch, x, OnePointType(x, (), 0, ()),
+                                            ShiftedStrategy())
+    assert counts == {"hash": 3, "parse": n + (n + 1) + (n + 2)}
+    assert cert.kind == MONO
+    assert check_certificate(cert, ShiftedStrategy()).ok
+
+    n = 400
+    x = chain_base(n)
+    counts, cert = count_hashes_and_answers(monkeypatch, x, OnePointType(x, (), 0, ()),
+                                            make_strategy("constant"))
+    assert counts == {"hash": 1, "parse": n}
+    assert (cert.kind, cert.reason) == (FAULT, "virtual-triangle")
+    text = format_certificate(cert)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "c42d7e057d040e25"
+    assert check_certificate(cert, make_strategy("constant")).ok
+
+
 def test_battery_full_coverage():
     """Every bundled strategy earns an accepted certificate on every base of
     size at most 2 and every budget-2 type, at depth 3."""
