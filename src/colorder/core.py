@@ -20,8 +20,9 @@ form of a coloring lives in ``tests/helpers.py`` as a reference).
 Costs: a color lookup is O(1); ``validate`` makes O(n^2) big-int operations
 over per-color neighbour bitmasks (:func:`row_masks`); realizing a point
 picks each of its colors from such masks, and since a stored row is an
-``array('i')`` (:func:`stored_row`), each old row is copied with one memcpy
-and its new entry inserted with one memmove; a functor extension
+``array('i')`` (:func:`stored_row`), each old row takes its new entry
+with one memmove, after one memcpy only when the structure was read
+(``limit.Approximation.current``); a functor extension
 (``katetov.apply_K``) keeps the rows of its type elements lazy: a reader of
 ids computes a pair color's text on each read and looks its id up in
 ``Palette.ids``, the one text-to-id table, and printing takes each row's
@@ -137,6 +138,15 @@ def stored_row(ids: Iterable[int]) -> array:
     Copying one is a memcpy and inserting an entry a memmove; fill it from
     a list or tuple, which array copies in one C loop."""
     return array("i", ids)
+
+
+_WHOLE = itemgetter(slice(None))
+
+
+def copied_rows(rows: Iterable[Sequence[int]]) -> Iterator[array]:
+    """``rows``, each copied as it is read, by a slice taken in C: one
+    memcpy for a stored row, and a stored row from a lazy one."""
+    return map(_WHOLE, rows)
 
 
 def gather(idx: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -316,7 +326,9 @@ class FinStruct:
     is a rule of the code, not of the type: no code writes a row after
     :meth:`of_rows`.  A new structure copies the rows it changes, and
     earlier structures, kept as ``OnePointType.base`` or by a caller, stay
-    as they were.
+    as they were.  The one exception is a ``limit.Approximation``'s
+    structure that nobody has read: its next realization writes its rows
+    in place (``types.insert_point``), since no one can see them change.
 
     :meth:`build` is the one checked constructor and :meth:`of_rows` the
     unchecked one; a structure with a HOLE off the diagonal can only come

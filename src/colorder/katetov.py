@@ -349,6 +349,8 @@ def apply_K_morphism(e: Embedding, budget: int) -> Embedding:
 def iterate_K(x: FinStruct, stages: int, budgets: Sequence[int]) -> list[ExtendedStructure]:
     """Iterate the functor, raising the level once per stage.  Each stage's
     base embeds into the next by inclusion."""
+    if stages < 0:
+        raise InputError("stages must be nonnegative")
     if len(budgets) != stages:
         raise InputError(f"need {stages} budgets, got {len(budgets)}")
     chain: list[ExtendedStructure] = []

@@ -17,8 +17,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import (Embedding, FinStruct, InputError, first_free, format_struct, gather,
-                   preserves, row_masks, validate)
+from .core import (Embedding, FinStruct, InputError, copied_rows, first_free, format_struct,
+                   gather, preserves, row_masks, validate)
 from .types import (OnePointType, check_realizable, enumerate_types, insert_point,
                     point_key)
 
@@ -29,6 +29,16 @@ class Approximation:
     Owned by one logical actor at a time; all growth goes through one write
     step, which :meth:`realize` reaches after checking the type and
     :func:`realize_image` reaches directly.
+
+    The approximation owns its rows, copy-on-write.  Reading
+    :attr:`current` marks them shared, and the structure read stays as it
+    was; the next realization then copies each row as it inserts the new
+    point's entry.  Otherwise the realization inserts in place, so growth
+    that nobody reads (a run of :func:`grow` steps) copies no row.  The
+    write path (the schedule's restrictions, :meth:`realizer_of`, the check
+    in :meth:`realize` and the new point's name) reads the structure
+    without marking it.  The seed's rows are the caller's, so they count
+    as read.
 
     A point's birth id is its index in ``birth``.  For each birth id the
     approximation keeps its neighbour masks: each color id mapped to the
@@ -50,7 +60,8 @@ class Approximation:
             raise InputError(f"invalid seed structure: {v.reason}")
         if budget_cap < 1:
             raise InputError("budget cap must be at least 1")
-        self.current = seed
+        self._s = seed  # the structure grown so far
+        self._shared = True  # its rows may be read elsewhere: the seed's are the caller's
         self.budget_cap = budget_cap
         self.ledger: set[tuple] = set()  # keys of realized types: color texts, palette-free
         self.birth: list[str] = list(seed.points)
@@ -60,6 +71,13 @@ class Approximation:
         self._masks = row_masks(seed.rows)  # neighbour masks, by birth id
         self._ids = list(range(len(seed.points)))  # birth ids, by position
         self._tasks = self._schedule()
+
+    @property
+    def current(self) -> FinStruct:
+        """The structure grown so far.  It stays as it is: the next
+        realization copies its rows before writing them."""
+        self._shared = True
+        return self._s
 
     # -- schedule -----------------------------------------------------------
 
@@ -78,14 +96,14 @@ class Approximation:
         first = self.birth[:window]
         for size in range(len(first) + 1):
             for subset in itertools.combinations(first, size):
-                yield self.current.restrict(subset)
+                yield self._s.restrict(subset)
 
     def realizer_of(self, tau: OnePointType) -> str | None:
         """Smallest point (in structure order) realizing the task, if any.
         Only the points between the support points around the cut can; each
         one's row is gathered at the support positions (``core.gather``)
         and compared, as a tuple, with the type's ids."""
-        s = self.current
+        s = self._s
         idx = [s.pos[p] for p in tau.support]
         ids = s.palette.translate_ids(tau.base.palette, tau.ids)
         # the points with the type's cut lie strictly between two support points
@@ -98,20 +116,25 @@ class Approximation:
         """Realize ``tau`` as a new point named ``u<k>``, the first such
         name the structure does not use (seed names are skipped), after
         checking that ``tau`` fits the current structure."""
-        check_realizable(self.current, tau)
+        check_realizable(self._s, tau)
         return self._realize(tau)
 
     def _realize(self, tau: OnePointType) -> str:
         """The write step, unchecked: ``tau`` must fit the current
-        structure.  Colors the new point from the kept masks."""
-        u = first_free(self._names, self.current)
-        self.current = insert_point(self.current, tau, u, self._masks, self._ids)
+        structure.  Colors the new point from the kept masks, and writes
+        the rows in place unless :attr:`current` was read since the last
+        write."""
+        f = self._s
+        u = first_free(self._names, f)
+        rows = copied_rows(f.rows) if self._shared else f.rows
+        self._s = insert_point(f, tau, u, self._masks, self._ids, rows)
+        self._shared = False
         self.birth.append(u)
         self.ledger.add(tau.key())
         return u
 
     def format(self, name: str = "approx") -> str:
-        out = [format_struct(self.current, name), "ledger\n"]
+        out = [format_struct(self._s, name), "ledger\n"]
         lines = sorted(f"task supp={','.join(supp)} cut={cut} colors={','.join(texts)}\n"
                        for supp, cut, texts in self.ledger)
         return "".join(out) + "".join(lines)
@@ -120,6 +143,8 @@ class Approximation:
 def grow(a: Approximation, steps: int) -> Approximation:
     """Run ``steps`` schedule steps; each takes the next task and realizes
     it unless the ledger already covers it or a realizer already exists."""
+    if steps < 0:
+        raise InputError("steps must be nonnegative")
     for _ in range(steps):
         tau = next(a._tasks)
         a.steps_done += 1

@@ -19,10 +19,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, MutableSequence, Sequence
 
-from .core import (HOLE, ColorTerm, FinStruct, InputError, first_free, gather, preserves,
-                   row_masks, stored_row, validate)
+from .core import (HOLE, ColorTerm, FinStruct, InputError, copied_rows, first_free, gather,
+                   preserves, row_masks, stored_row, validate)
 
 @dataclass(frozen=True, eq=False)
 class OnePointType:
@@ -246,10 +246,14 @@ def check_realizable(f: FinStruct, tau: OnePointType) -> None:
             raise InputError(f"type color {c.text()} exceeds ambient level {f.level}")
 
 
-def insert_point(f: FinStruct, tau: OnePointType, u: str,
-                 masks: list[dict[int, int]], ids: list[int]) -> FinStruct:
+def insert_point(f: FinStruct, tau: OnePointType, u: str, masks: list[dict[int, int]],
+                 ids: list[int], rows: Iterable[MutableSequence[int]]) -> FinStruct:
     """Extend ``f`` by a new point ``u`` realizing ``tau``, unchecked:
-    ``tau`` must fit ``f`` (see :func:`check_realizable`).
+    ``tau`` must fit ``f`` (see :func:`check_realizable`).  The one writer
+    of rows: ``rows`` yields ``f``'s rows in order, and each gets the new
+    point's entry in place.  Pass ``f.rows`` itself only when nothing else
+    reads ``f`` again, as ``f`` is then left unusable; otherwise copies
+    (:func:`core.copied_rows`, each copy made as it is written).
 
     The support colors are copied from the type; the new point is placed at
     the minimal consistent position; colors to the remaining points are
@@ -283,15 +287,14 @@ def insert_point(f: FinStruct, tau: OnePointType, u: str,
     ins = insert_position(f, tau.support, tau.cut)
     ids.insert(ins, len(masks))
     masks.append(assigned)
-    rows = []
-    for row, c in zip(f.rows, new):
-        row = row[:]  # a memcpy; the insert is a memmove
-        row.insert(ins, c)
-        rows.append(row)
+    out = []
+    for row, c in zip(rows, new):
+        row.insert(ins, c)  # a memmove
+        out.append(row)
     new.insert(ins, HOLE)
-    rows.insert(ins, stored_row(new))
+    out.insert(ins, stored_row(new))
     pts = (*f.points[:ins], u, *f.points[ins:])
-    return FinStruct.of_rows(pts, tuple(rows), pal, f.level)
+    return FinStruct.of_rows(pts, tuple(out), pal, f.level)
 
 
 def realize_type(f: FinStruct, tau: OnePointType,
@@ -302,7 +305,8 @@ def realize_type(f: FinStruct, tau: OnePointType,
     u = first_free(map("u{}".format, itertools.count()), f) if name is None else name
     if u in f:
         raise InputError(f"point {u!r} already present")
-    return insert_point(f, tau, u, row_masks(f.rows), list(range(len(f.points)))), u
+    return insert_point(f, tau, u, row_masks(f.rows), list(range(len(f.points))),
+                        copied_rows(f.rows)), u
 
 
 def transport(tau: OnePointType, mapping: Mapping[str, str],

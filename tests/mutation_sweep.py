@@ -52,6 +52,7 @@ PROFILE = HERE / "mutation_profile.py"  # the pytest plugin every run loads
 # a class meaning all of it
 FUNCTIONS = (
     "types.insert_point", "limit.Approximation._realize", "limit.Approximation.realizer_of",
+    "limit.Approximation.current", "core.copied_rows",
     "types.point_key", "core.parse_struct_lines", "core._build_checked", "core.format_struct",
     "core._pair_texts", "katetov.PairTemplates", "katetov.spell",
     "katetov._ExtensionRows.row_texts", "katetov._ExtensionRows._mark_types",

@@ -459,6 +459,9 @@ def test_broken_program_strategy_exits_1(capsys, command):
      "give exactly one of --type and --type-file"),
     (["refute", "--base", data("one_point.txt"), "--strategy", "constant", "--type", TYPE_A,
       "--type-file", data("one_point.txt")], "give exactly one of --type and --type-file"),
+    (["k-iterate", "--base", data("one_point.txt"), "--stages", "-1", "--budgets", ""],
+     "stages must be nonnegative"),
+    (["limit-build", "--steps", "-5"], "steps must be nonnegative"),
 ])
 def test_bad_arguments_exit_1(capsys, argv, message):
     assert run(argv) == 1

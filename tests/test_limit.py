@@ -111,7 +111,10 @@ class ReferenceCheckedApproximation(Approximation):
         self.checked = 0
 
     def _realize(self, tau: OnePointType) -> str:
-        prev = self.current
+        # copy the rows without reading ``current``, so that growth writes
+        # them in place as it does unchecked
+        s = self._s
+        prev = FinStruct.of_rows(s.points, tuple(row[:] for row in s.rows), s.palette, s.level)
         u = super()._realize(tau)
         assert self.current == reference_realize(prev, tau, u)
         self.checked += 1
@@ -152,6 +155,31 @@ def test_kept_structures_stay_as_they_were():
     assert any(s is not a.current and len(s) > 30 for s, _, _ in kept)
     for s, body, verdict in kept:
         assert (format_struct(s), validate(s)) == (body, verdict)
+
+
+def test_rows_are_copied_only_after_a_read():
+    """Growth that keeps ``current`` after every step and growth that never
+    reads it give the same bytes; each kept structure stays as it was read;
+    a realization after a read leaves the structure read with no row of
+    the new one, and with no read it writes the old rows in place."""
+    read, kept = Approximation(budget_cap=3), []
+    for _ in range(300):
+        before = read.current
+        grow(read, 1)
+        if read._s is not before:
+            assert not {*map(id, before.rows)} & {*map(id, read._s.rows)}
+        kept.append(snapshot(read.current))
+    unread = Approximation(budget_cap=3)
+    old = []
+    for _ in range(300):
+        old.append(unread._s.rows[:1])  # read past ``current``, so nothing is shared
+        grow(unread, 1)
+    assert read.format() == unread.format()
+    assert len(unread._s) > 30
+    for s, body, verdict in kept:
+        assert (format_struct(s), validate(s)) == (body, verdict)
+    rows = {*map(id, unread._s.rows)}
+    assert all(id(row) in rows for first in old for row in first)
 
 
 def test_every_realization_matches_the_dict_reference():
@@ -346,6 +374,7 @@ LEVEL1 = FinStruct.build("ab", {pair_of("a", "b"): ColorTerm.marker(1)}, 1)
     (lambda: Approximation(seed=LEVEL1), "approximations live at level 0"),
     (lambda: Approximation(seed=MONO3), "invalid seed structure: monochromatic-triangle"),
     (lambda: Approximation(budget_cap=0), "budget cap must be at least 1"),
+    (lambda: grow(Approximation(), -5), "steps must be nonnegative"),
     (lambda: embed(Approximation(), LEVEL1),
      "only level-0 structures embed into an approximation"),
 ])
