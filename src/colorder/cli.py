@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable, Iterator
+from itertools import chain
 
-from .core import (Embedding, FinStruct, InputError, amalgamate,
-                   format_struct, parse_struct, validate)
-from .katetov import apply_K, format_extended, iterate_K
+from .core import (Embedding, FinStruct, InputError, amalgamate, parse_struct,
+                   struct_chunks, validate)
+from .katetov import apply_K, extended_chunks, iterate_K
 from .limit import (Approximation, embed, extend_partial_iso, format_pairs,
                     grow, parse_pairs)
-from .refuter import (SECTIONS, check_certificate, control_lo, format_certificate,
+from .refuter import (SECTIONS, certificate_chunks, check_certificate, control_lo,
                       format_control_report, make_strategy,
                       parse_certificate, refute)
 from .types import enumerate_types, format_type, parse_type
@@ -72,25 +74,35 @@ def _subcommand(name: str, help: str, *arguments):
     return declare
 
 
-def _prettify(text: str) -> str:
-    """Insert a blank line before each section header; tokens unchanged."""
-    out: list[str] = []
-    for i, line in enumerate(text.splitlines()):
-        if i and line.split() and line.split()[0] in _SECTION_HEADS:
-            out.append("")
-        out.append(line)
-    return "\n".join(out) + "\n"
+def _prettify(chunks: Iterable[str]) -> Iterator[str]:
+    """Insert a blank line before each section header, line by line, with
+    tokens unchanged; empty output becomes one empty line.  Every chunk
+    ends a line."""
+    first = True
+    for chunk in chunks:
+        for line in chunk.splitlines():
+            head = line.split(None, 1)
+            if head and head[0] in _SECTION_HEADS and not first:
+                yield "\n"
+            first = False
+            yield line + "\n"
+    if first:
+        yield "\n"
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, chunks: Iterable[str]) -> None:
+    """Write the output's chunks as they come, to stdout or to ``--out``.
+    Every check that printing makes runs before the chunks are asked for
+    (the chunk forms check when called), so output that fails writes
+    nothing."""
     if args.format == "pretty":
-        text = _prettify(text)
+        chunks = _prettify(chunks)
     if not args.out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise InputError(f"cannot write {args.out}: {exc}") from exc
 
@@ -118,10 +130,10 @@ def _cmd_validate(args) -> int:
     s = _load_struct(args.file)
     verdict = validate(s)
     if verdict.ok:
-        _emit(args, "valid\n")
+        _emit(args, ["valid\n"])
         return 0
     u, v, w = verdict.triple
-    _emit(args, f"invalid {verdict.reason} {u} {v} {w} {verdict.color.text()}\n")
+    _emit(args, [f"invalid {verdict.reason} {u} {v} {w} {verdict.color.text()}\n"])
     return 2
 
 
@@ -149,10 +161,9 @@ def _cmd_amalgamate(args) -> int:
 
     am = amalgamate(left, right, over, load_map(args.left_map, left),
                     load_map(args.right_map, right))
-    text = format_struct(am.result, "amalgam")
-    text += "embedding left\n" + format_pairs(am.left.mapping)
-    text += "embedding right\n" + format_pairs(am.right.mapping)
-    _emit(args, text)
+    _emit(args, chain(struct_chunks(am.result, "amalgam"),
+                      ("embedding left\n", format_pairs(am.left.mapping),
+                       "embedding right\n", format_pairs(am.right.mapping))))
     return 0
 
 
@@ -164,7 +175,7 @@ def _cmd_amalgamate(args) -> int:
 def _cmd_types(args) -> int:
     base = _load_struct(args.base)
     taus = enumerate_types(base, args.level, args.budget)
-    _emit(args, "".join(format_type(t) + "\n" for t in taus))
+    _emit(args, (format_type(t) + "\n" for t in taus))
     return 0
 
 
@@ -176,7 +187,7 @@ def _cmd_types(args) -> int:
 def _cmd_k_apply(args) -> int:
     base = _load_struct(args.base)
     ext = apply_K(base, args.budget)
-    _emit(args, format_extended(ext, args.name))
+    _emit(args, extended_chunks(ext, args.name))
     return 0
 
 
@@ -191,10 +202,9 @@ def _cmd_k_iterate(args) -> int:
         budgets = [int(b) for b in args.budgets.split(",") if b]
     except ValueError:
         raise InputError(f"bad budget list {args.budgets!r}") from None
-    chain = iterate_K(base, args.stages, budgets)
-    text = "".join(format_extended(ext, f"stage{i + 1}")
-                   for i, ext in enumerate(chain))
-    _emit(args, text)
+    stages = iterate_K(base, args.stages, budgets)
+    _emit(args, chain.from_iterable(extended_chunks(ext, f"stage{i + 1}")
+                                    for i, ext in enumerate(stages)))
     return 0
 
 
@@ -202,7 +212,7 @@ def _cmd_k_iterate(args) -> int:
              *_APPROXIMATION_OPTIONS)
 def _cmd_limit_build(args) -> int:
     a = _build_approximation(args)
-    _emit(args, a.format())
+    _emit(args, a.chunks())
     return 0
 
 
@@ -215,7 +225,7 @@ def _cmd_limit_extend_iso(args) -> int:
     a = _build_approximation(args)
     p = parse_pairs(_read(args.iso))
     a, p2 = extend_partial_iso(a, p, args.point)
-    _emit(args, format_pairs(p2.pairs) + a.format())
+    _emit(args, chain((format_pairs(p2.pairs),), a.chunks()))
     return 0
 
 
@@ -225,7 +235,7 @@ def _cmd_embed(args) -> int:
     a = _build_approximation(args)
     s = _load_struct(args.structure)
     a, e = embed(a, s)
-    _emit(args, format_pairs(e.mapping) + a.format())
+    _emit(args, chain((format_pairs(e.mapping),), a.chunks()))
     return 0
 
 
@@ -246,7 +256,7 @@ def _cmd_refute(args) -> int:
     tau = parse_type(type_text, base)
     with make_strategy(args.strategy, args.seed) as strategy:
         cert = refute(base, tau, strategy, args.depth)
-    _emit(args, format_certificate(cert))
+    _emit(args, certificate_chunks(cert))
     return 0
 
 
@@ -260,9 +270,9 @@ def _cmd_check_cert(args) -> int:
     with make_strategy(args.strategy, args.seed) as strategy:
         result = check_certificate(cert, strategy)
     if result.ok:
-        _emit(args, "accepted\n")
+        _emit(args, ["accepted\n"])
         return 0
-    _emit(args, f"rejected {result.reason}\n")
+    _emit(args, [f"rejected {result.reason}\n"])
     return 2
 
 
@@ -278,7 +288,7 @@ def _cmd_control_lo(args) -> int:
         raise InputError("size must be nonnegative")
     order = tuple(f"p{i}" for i in range(args.size))
     report = control_lo(order, args.cut, args.depth, args.samples, args.seed)
-    _emit(args, format_control_report(report))
+    _emit(args, [format_control_report(report)])
     return 0 if report.violations == 0 else 2
 
 

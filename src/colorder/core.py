@@ -8,9 +8,10 @@ amalgamation, canonical codes, and the line-oriented text format.
 
 A structure keeps its colors in position-indexed rows of small-int ids into
 a palette of canonical color texts, so hot loops compare ints; a color's
-``ColorTerm`` is parsed from its text on first read.  Ids cross from one
-palette to another only through ``Palette.translate``, and terms are made
-only where a color is read or written as text.  That is the one
+``ColorTerm`` is the one its reader entered, or is parsed from its text on
+first read.  Ids cross from one palette to another only through
+``Palette.translate``, and terms are made only where a color is read or
+written as text.  That is the one
 representation: ``FinStruct.build`` and ``parse_struct`` turn their input
 into one map per point, from each later position to the pair's color id,
 for one private checked constructor that fills the rows from those maps,
@@ -26,7 +27,10 @@ with one memmove, after one memcpy only when the structure was read
 (``katetov.apply_K``) keeps the rows of its type elements lazy: a reader of
 ids computes a pair color's text on each read and looks its id up in
 ``Palette.ids``, the one text-to-id table, and printing takes each row's
-texts from the extension (``row_texts``) without entering them.
+lines from the extension (``line_printer``) without entering them.
+Printing streams: :func:`struct_chunks` yields the header and then one
+chunk of color lines per point, so writing a structure holds one row's
+text at a time, not the whole text.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from collections.abc import Callable, Container, Iterable, Iterator, Mapping, Sequence
 from operator import itemgetter
 
@@ -180,9 +184,10 @@ class Palette:
     them, share a palette, so their rows and type colors compare as ints.
     Ids never change meaning, so a palette may list colors that some
     structure sharing it does not use: an enumeration's pool and a
-    translation add colors.  A color's ``ColorTerm`` is parsed from its
-    text on first read, so a pair-code color that is only ever printed
-    never becomes a term.
+    translation add colors.  A color entered as a term (:meth:`id`) keeps
+    that term; one entered as text has its ``ColorTerm`` parsed on first
+    read, so a pair-code color that is only ever printed never becomes a
+    term.
     """
 
     __slots__ = ("texts", "ids", "base_ids", "_terms")
@@ -194,8 +199,11 @@ class Palette:
         self._terms: dict[int, ColorTerm] = {}  # terms read so far, by id
 
     def id(self, c: ColorTerm) -> int:
-        """The id of ``c``, appending it if new."""
-        return self.id_text(c.text())
+        """The id of ``c``, appending it if new.  ``c`` is kept as the
+        color's term, so reading the color back parses no text."""
+        got = self.id_text(c.text())
+        self._terms.setdefault(got, c)
+        return got
 
     def id_text(self, text: str) -> int:
         """The id of the color whose canonical text is ``text``, appending
@@ -702,14 +710,37 @@ def canonical_code(s: FinStruct, marked: Sequence[str] = ()) -> CanonicalCode:
 # ---------------------------------------------------------------------------
 
 def format_struct(s: FinStruct, name: str = "s") -> str:
-    _check_id("structure name", name)  # the header must read back
-    pts = s.points
-    lines = [f"structure {name} level {s.level}"]
-    lines.extend(f"point {p}" for p in pts)
-    for i, texts in enumerate(_pair_texts(s)):
-        u = pts[i]
-        lines.extend(f"color {u} {v} {text}" for v, text in zip(pts[i + 1:], texts))
-    return "\n".join(lines) + "\n"
+    return "".join(struct_chunks(s, name))
+
+
+def struct_chunks(s: FinStruct, name: str = "s") -> Iterator[str]:
+    """The text of ``s`` as a stream: the header and point lines in one
+    chunk, then one chunk per point, its color lines toward every later
+    point.  Every check runs before this returns, so a writer may open its
+    output after the call: the name must read back, and an uncolored pair
+    or a negative level raises InputError.  A row provider with a
+    ``line_printer`` (a functor extension, complete by construction)
+    prints its own rows; stored rows print by :func:`stored_lines`."""
+    _check_id("structure name", name)
+    pts, rows = s.points, s.rows
+    printer = getattr(rows, "line_printer", None)
+    if printer is not None:
+        row_lines = printer(pts)
+    else:
+        _check_complete(s)
+        row_lines = partial(stored_lines, pts, s.palette.texts, rows)
+    head = f"structure {name} level {s.level}\n"
+    return itertools.chain((head + "".join([f"point {p}\n" for p in pts]),),
+                           map(row_lines, range(len(pts))))
+
+
+def stored_lines(points: Sequence[str], texts: Sequence[str], rows: Sequence[Sequence[int]],
+                 i: int) -> str:
+    """The color lines of point ``i`` toward every later point, read off
+    its stored row ``rows[i]``, one f-string line per pair."""
+    u = points[i]
+    return "".join([f"color {u} {v} {texts[c]}\n"
+                    for v, c in zip(points[i + 1:], rows[i][i + 1:])])
 
 
 def parse_struct(text: str) -> tuple[str, FinStruct]:

@@ -15,14 +15,17 @@ one template per pair of layouts and a pair color fills it with the two
 types' color texts, each hexed once per color id.  Templates hold base
 pair texts, so a map belongs to one base: an extension's lazy rows keep
 their base's map as long as they live, and :func:`pair_text` builds one
-for its single call.  Printing an extension reads each row's pair texts
-from the templates (``_ExtensionRows.row_texts``): a row fetches its type's
-layout and hexed texts once and keeps one template entry per higher
-layout, so a pair costs one gather and one join, and printing adds no
-palette entry and builds no ``ColorTerm``.  Only a reader of ids enters a
-pair color into the palette they share with their base, as its canonical
-text; ``Palette.ids`` is the one table from that text to its id.  Both
-readers spell a pair text with :func:`spell`.
+for its single call.  Printing streams an extension row by row
+(:func:`extended_chunks`).  Type elements of one layout sit next to each
+other, so a type element's row meets them in runs, and
+``_ExtensionRows.line_printer`` makes one ``%`` format string per run: the
+run's color line with the row's name and parts and the template's fixed
+parts in place, filled in C for the whole run with each higher element's
+name and parts.  Printing adds no palette entry and builds no
+``ColorTerm``.  Only a reader of ids enters a pair color into the palette
+they share with their base, as its canonical text; ``Palette.ids`` is the
+one table from that text to its id.  A pair text is a template filled as
+:func:`spell` fills it.
 The morphism map checks its embedding once, then maps each type element to
 the element whose key is the type's key with the support carried along the
 embedding, making the whole thing a functor that raises the level by one;
@@ -32,14 +35,13 @@ its result is an embedding by construction and is not re-checked.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, repeat
 
 from .core import (HOLE, ColorTerm, Embedding, FinStruct, InputError, first_free,
-                   format_struct, is_embedding, stored_row)
+                   is_embedding, stored_lines, stored_row, struct_chunks)
 from .types import OnePointType, enumerate_types, format_type, gap_index, order_key
 
 LT = -1
@@ -95,14 +97,14 @@ class PairTemplates(dict):
     its shape is fixed: the union size, the mark indices, the base pair
     texts inside the union, the ``?`` between the marks, and which entries
     are a support color of ``lo`` or of ``hi`` or the next level's marker.
-    A template holds that shape as an ``itemgetter`` over
-    ``hi_parts + lo_parts + fixed``, with the hex of the code's head and
-    tail.  Every part is hexed already, and ``"3b"``, the hex of ``;``,
-    joins them, which spells the hex of the joined texts.  :meth:`parts`
-    hexes each color text once per color id, in one table the map's
-    templates share, so a pair costs one lookup, one gather and one join,
-    and no hex.  Building a template reads base rows only inside the
-    support union.
+    A template is that shape as a ``%`` format string: the pair text with a
+    ``%s`` slot for each of ``lo``'s parts and a ``%%s`` for each of
+    ``hi``'s, each type's in support order.  Every part is hexed already,
+    and ``"3b"``, the hex of ``;``, joins them, which spells the hex of the
+    joined texts.  :meth:`parts` hexes each color text once per color id,
+    in one table the map's templates share, so a pair costs one lookup and
+    two C-level fills, and no hex.  Building a template reads base rows
+    only inside the support union.
     """
 
     def __init__(self, base: FinStruct):
@@ -110,58 +112,57 @@ class PairTemplates(dict):
         self._base = base
         texts = base.palette.texts
         self._hex = cache(lambda c: texts[c].encode().hex())   # color id -> hex of its text
+        self._marker = ColorTerm.marker(base.level + 1).text().encode().hex()
+        self._head = f"k:{base.level + 1}:"
 
     def parts(self, tau: OnePointType) -> tuple[str, ...]:
         """The hex of the text of each of ``tau``'s support colors."""
         return tuple(map(self._hex, tau.ids))
 
-    def entry(self, lo_layout: tuple, lo_parts: tuple[str, ...], hi_layout: tuple) -> tuple:
+    def entry(self, lo_layout: tuple, lo_parts: tuple[str, ...], hi_layout: tuple) -> str:
         """The template of the two layouts with the lower type's parts put
-        in: what :func:`spell` fills with the higher type's parts."""
-        head, gather, fixed, tail = self[lo_layout, hi_layout]
-        return head, gather, lo_parts + fixed, tail
+        in: what :func:`spell` fills with the higher type's parts, a pair
+        text with a ``%s`` slot for each of them."""
+        return self[lo_layout, hi_layout] % lo_parts
 
     def text(self, lo: OnePointType, hi: OnePointType) -> str:
         return spell(self.entry(lo.column, self.parts(lo), hi.column), self.parts(hi))
 
-    def __missing__(self, key: tuple) -> tuple:
+    def __missing__(self, key: tuple) -> str:
         (lo_supp, lo_gap), (hi_supp, hi_gap) = key
-        base = self._base
+        # a mark's entries come in the position order of the other end, so
+        # each type's slots come in support order, as the fills take its
+        # parts, when its support positions ascend
+        assert [*lo_supp] == sorted(lo_supp)
+        assert [*hi_supp] == sorted(hi_supp)
         seq: list = sorted({*lo_supp, *hi_supp})   # the support union, as positions
         # a mark is the map from its type's support positions to their
-        # indices in hi_parts + lo_parts; it goes after the union positions
-        # below its type's gap.  lo's gap is not above hi's, so inserting hi
-        # first puts lo first on a tie
+        # slot; it goes after the union positions below its type's gap.
+        # lo's gap is not above hi's, so inserting hi first puts lo first on
+        # a tie.  hi's slots stay escaped through lo's fill
         k_hi = bisect_left(seq, hi_gap)
         k_lo = bisect_left(seq, lo_gap)
-        seq.insert(k_hi, {p: i for i, p in enumerate(hi_supp)})
-        seq.insert(k_lo, {p: len(hi_supp) + i for i, p in enumerate(lo_supp)})
-        off = len(lo_supp) + len(hi_supp)
-        fixed = [ColorTerm.marker(base.level + 1).text().encode().hex(), "3f"]  # at off, off + 1
-        rows = base.rows
-        order: list[int] = []
+        seq.insert(k_hi, dict.fromkeys(hi_supp, "%%s"))
+        seq.insert(k_lo, dict.fromkeys(lo_supp, "%s"))
+        rows, hexed, marker = self._base.rows, self._hex, self._marker
+        out: list[str] = []
         for i, a in enumerate(seq):
             for b in seq[i + 1:]:
                 if a.__class__ is dict:    # a mark: its color toward b, or the hole
-                    order.append(a.get(b, off) if b.__class__ is int else off + 1)
+                    out.append(a.get(b, marker) if b.__class__ is int else "3f")
                 elif b.__class__ is dict:  # a base position below a mark
-                    order.append(b.get(a, off))
+                    out.append(b.get(a, marker))
                 else:                      # two base positions: the base color
-                    order.append(off + len(fixed))
-                    fixed.append(self._hex(rows[a][b]))
-        # the configuration has at least three points (two distinct types
-        # cannot both have empty support), so the gather returns a tuple
-        head = f"k:{base.level + 1}:" + f"{len(seq)}|".encode().hex()
-        tail = f"|{k_lo},{k_hi + 1}".encode().hex()
-        got = self[key] = (head, itemgetter(*order), tuple(fixed), tail)
+                    out.append(hexed(rows[a][b]))
+        got = self[key] = (self._head + f"{len(seq)}|".encode().hex() + "3b".join(out)
+                           + f"|{k_lo},{k_hi + 1}".encode().hex())
         return got
 
 
-def spell(entry: tuple, hi_parts: tuple[str, ...]) -> str:
+def spell(entry: str, hi_parts: tuple[str, ...]) -> str:
     """The one spelling of a pair text: an entry of
     :meth:`PairTemplates.entry` filled with the higher type's parts."""
-    head, gather, parts, tail = entry
-    return head + "3b".join(gather(hi_parts + parts)) + tail
+    return entry % hi_parts
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +176,8 @@ class _ExtensionRows(Sequence):
     hold the base colors and the colors to every type element.  The row of
     a type element is a view whose entries against other type elements are
     pair colors, computed from the base's ``templates``.  Printing reads
-    them as texts through :meth:`row_texts`; a reader of ids goes through
+    them as lines through :meth:`line_printer`, a canonical code as texts
+    through :meth:`row_texts`; a reader of ids goes through
     :meth:`cid`, which fills the pair's template and looks its text up in
     the palette's ``ids``, adding it on first read, so large extensions
     stay usable as long as only a sparse set of their pairs is inspected.
@@ -190,6 +192,7 @@ class _ExtensionRows(Sequence):
         self._palette = base.palette
         self.templates = PairTemplates(base)
         self._marks: list | None = None   # per position, made on the first print
+        self._parts: list = []            # per position, made with _marks
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -211,41 +214,78 @@ class _ExtensionRows(Sequence):
     def row_texts(self, i: int) -> Iterable[str]:
         """The color texts between position ``i`` and every later position,
         in position order: a stored row's entries through the palette, and
-        a type-type pair from its template, so printing enters no color
-        into the palette.  A type element's row fetches its layout and
-        parts once and keeps one template entry per higher layout, found
-        by the layout number :meth:`_mark_types` gives."""
-        rows, texts = self._rows, self._palette.texts
-        row = rows[i]
+        a type element's row by :meth:`_fill`, so reading texts enters no
+        color into the palette."""
+        row = self._rows[i]
         if row is not None:
-            return map(texts.__getitem__, row[i + 1:])
-        marks = self._marks or self._mark_types()
-        _, lo_layout, lo_parts = marks[i]
+            return map(self._palette.texts.__getitem__, row[i + 1:])
+        if self._marks is None:
+            self._mark_types()
+        return self._fill(i, "", "", self._parts)
+
+    def line_printer(self, points: Sequence[str]) -> Callable[[int], str]:
+        """``core.struct_chunks``'s printer of these rows under ``points``:
+        position -> its color lines toward every later position.  A stored
+        row prints by ``core.stored_lines``, a type element's row by
+        :meth:`_fill`, with each later position's name and parts as the
+        arguments of its line's template."""
+        if self._marks is None:
+            self._mark_types()
+        named = [(p, *parts) for p, parts in zip(points, self._parts)]
+        rows, texts = self._rows, self._palette.texts
+
+        def row_lines(i: int) -> str:
+            if rows[i] is not None:
+                return stored_lines(points, texts, rows, i)
+            lead = "color " + points[i].replace("%", "%%") + " %s "
+            return "".join(self._fill(i, lead, "\n", named))
+        return row_lines
+
+    def _fill(self, i: int, lead: str, end: str, args: list) -> list[str]:
+        """The entries of type element ``i`` toward every later position,
+        each ``lead + <pair text> + end`` as a ``%`` template filled with
+        ``args`` of the later position.  Toward a base point the pair text
+        is the stored one.  Toward a run of type elements of one layout it
+        is one :meth:`PairTemplates.entry`, with a ``%s`` slot for each of
+        the higher type's parts, filled as :func:`spell` fills it, in C by
+        one ``map`` over the run's ``args``."""
+        rows, texts, marks = self._rows, self._palette.texts, self._marks
+        lo_layout, lo_parts = marks[i][0], self._parts[i]
         entry = self.templates.entry
-        local: dict[int, tuple] = {}   # layout number of a higher type -> its entry
-        out = []
-        for j in range(i + 1, len(rows)):
+        out: list[str] = []
+        j, n = i + 1, len(rows)
+        while j < n:
             m = marks[j]
             if m is None:
-                out.append(texts[rows[j][i]])
+                out.append((lead + texts[rows[j][i]] + end) % args[j])
+                j += 1
                 continue
-            k, layout, hi_parts = m
-            e = local.get(k)
-            if e is None:
-                e = local[k] = entry(lo_layout, lo_parts, layout)
-            out.append(spell(e, hi_parts))
+            layout, stop = m
+            fmt = lead + entry(lo_layout, lo_parts, layout) + end
+            out += map(fmt.__mod__, args[j:stop])
+            j = stop
         return out
 
-    def _mark_types(self) -> list:
+    def _mark_types(self) -> None:
         """Per position, None for a base point, and for a type element its
-        layout number, its layout and its parts.  Building an extension
-        computes none of them: only printing reads them all."""
-        numbers: dict[tuple, int] = {}   # layout -> its number
+        layout and the end of its run: the first later position that is not
+        a type element of its layout.  Type elements of one layout sit next
+        to each other, in type order, so each layout makes one run.  Sets
+        ``_parts`` too: per position, its type's parts, () for a base point.
+        Building an extension computes none of them: only printing and
+        reading texts do."""
         parts = self.templates.parts
-        self._marks = [None if tau is None else
-                       (numbers.setdefault(tau.column, len(numbers)), tau.column, parts(tau))
-                       for tau in self._types]
-        return self._marks
+        self._parts = [() if tau is None else parts(tau) for tau in self._types]
+        marks: list = [None if tau is None else [tau.column, 0] for tau in self._types]
+        stop, after = len(marks), None   # after: the mark of position j + 1
+        for j in range(len(marks) - 1, -1, -1):
+            m = marks[j]
+            if m is not None:
+                if after is None or after[0] != m[0]:
+                    stop = j + 1
+                m[1] = stop
+            after = m
+        self._marks = marks
 
 
 class _ElementRow(Sequence):
@@ -353,17 +393,22 @@ def iterate_K(x: FinStruct, stages: int, budgets: Sequence[int]) -> list[Extende
         raise InputError("stages must be nonnegative")
     if len(budgets) != stages:
         raise InputError(f"need {stages} budgets, got {len(budgets)}")
-    chain: list[ExtendedStructure] = []
+    exts: list[ExtendedStructure] = []
     cur = x
     for b in budgets:
         ext = apply_K(cur, b)
-        chain.append(ext)
+        exts.append(ext)
         cur = ext.struct
-    return chain
+    return exts
 
 
 def format_extended(ext: ExtendedStructure, name: str = "K") -> str:
-    out = format_struct(ext.struct, name)
-    lines = ["types"]
-    lines.extend(f"{tid} {format_type(tau)}" for tid, tau in ext.elements)
-    return out + "\n".join(lines) + "\n"
+    return "".join(extended_chunks(ext, name))
+
+
+def extended_chunks(ext: ExtendedStructure, name: str = "K") -> Iterator[str]:
+    """:func:`format_extended` as a stream: ``core.struct_chunks`` of the
+    extension, then its ``types`` sidecar in one chunk.  The name is
+    checked before this returns."""
+    sidecar = "types\n" + "".join([f"{tid} {format_type(tau)}\n" for tid, tau in ext.elements])
+    return chain(struct_chunks(ext.struct, name), (sidecar,))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .core import (Embedding, FinStruct, InputError, copied_rows, first_free, format_struct,
-                   gather, preserves, row_masks, validate)
+                   gather, preserves, row_masks, struct_chunks, validate)
 from .types import (OnePointType, check_realizable, enumerate_types, insert_point,
                     point_key)
 
@@ -134,10 +134,21 @@ class Approximation:
         return u
 
     def format(self, name: str = "approx") -> str:
-        out = [format_struct(self._s, name), "ledger\n"]
-        lines = sorted(f"task supp={','.join(supp)} cut={cut} colors={','.join(texts)}\n"
-                       for supp, cut, texts in self.ledger)
-        return "".join(out) + "".join(lines)
+        """The text of :meth:`chunks`, made at once from the owned
+        structure, so nothing is marked read."""
+        return format_struct(self._s, name) + self._ledger_text()
+
+    def chunks(self, name: str = "approx") -> Iterator[str]:
+        """:meth:`format` as a stream: ``core.struct_chunks`` of
+        :attr:`current`, then the ledger in one chunk.  They print the
+        approximation as it is now: the structure is read, so growing it
+        meanwhile copies its rows first, and the ledger is spelled here."""
+        return itertools.chain(struct_chunks(self.current, name), (self._ledger_text(),))
+
+    def _ledger_text(self) -> str:
+        return "ledger\n" + "".join(sorted(
+            f"task supp={','.join(supp)} cut={cut} colors={','.join(texts)}\n"
+            for supp, cut, texts in self.ledger))
 
 
 def grow(a: Approximation, steps: int) -> Approximation:

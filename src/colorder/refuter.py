@@ -40,10 +40,10 @@ import signal
 import subprocess
 import time
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Iterable, Iterator, Protocol
 
 from .core import (ColorTerm, FinStruct, InputError, Palette, canonical_code, first_free,
-                   format_struct, parse_struct_lines, validate)
+                   parse_struct_lines, struct_chunks, validate)
 from .limit import Approximation, PartialIso, format_pairs, realize_image
 from .types import OnePointType, check_realizable, format_type, parse_type, point_key
 
@@ -593,13 +593,14 @@ def check_certificate(cert: RefutationCertificate,
 SECTIONS = ("STRUCTURE", "POINTS", "ALPHA", "TRANSCRIPT", "VERDICT")
 
 
-def _frame(cert: RefutationCertificate, structure: str = "") -> str:
-    """Certificate v1 with ``structure`` as the body of its STRUCTURE
-    section: the one spelling of every line outside that section, the
-    ``kind``, ``q``, ``qprime``, ``side1``, ``side2``, ``depth``, ALPHA and
-    verdict lines spelling what is read off the stored fields.  Every kind
-    but a strategy fault has both realizers; one the reader did not find is
-    None and shows as ``None``, so the text lacks a line the frame has."""
+def _frame(cert: RefutationCertificate, structure: Iterable[str] = ()) -> Iterator[str]:
+    """Certificate v1 as a stream, with the chunks of ``structure`` as the
+    body of its STRUCTURE section: the one spelling of every line outside
+    that section, the ``kind``, ``q``, ``qprime``, ``side1``, ``side2``,
+    ``depth``, ALPHA and verdict lines spelling what is read off the stored
+    fields.  Every kind but a strategy fault has both realizers; one the
+    reader did not find is None and shows as ``None``, so the text lacks a
+    line the frame has."""
     kind = cert.kind
     (side1, q), (side2, q2) = cert.recorded_answers()
     scalars = (("t1", cert.t1), ("t2", cert.t2), ("q", q), ("qprime", q2),
@@ -610,9 +611,7 @@ def _frame(cert: RefutationCertificate, structure: str = "") -> str:
         verdict = f"q={q}"
     else:
         verdict = f"q={q} qprime={q2}"
-    text = [f"certificate v1\nkind {kind}\nSTRUCTURE\n", structure, "POINTS\n"]
-    text.append(" ".join(("x", *cert.base_points)) + "\n")
-    text.append(f"type {cert.tau_text}\n")
+    text = ["POINTS\n", " ".join(("x", *cert.base_points)) + "\n", f"type {cert.tau_text}\n"]
     if kind != FAULT:
         text += [f"{key} {value}\n" for key, value in scalars]
     text.append(f"depth {len(cert.transcript)}\nALPHA\n")
@@ -622,11 +621,18 @@ def _frame(cert: RefutationCertificate, structure: str = "") -> str:
     text += [f"query {p} {h} {side} {color}\n" for p, h, side, color in cert.queries]
     text += [f"extend {d} {u} {w}\n" for d, u, w in cert.transcript]
     text.append(f"VERDICT\n{kind} {verdict}\n")
-    return "".join(text)
+    return itertools.chain((f"certificate v1\nkind {kind}\nSTRUCTURE\n",), structure,
+                           ("".join(text),))
 
 
 def format_certificate(cert: RefutationCertificate) -> str:
-    return _frame(cert, format_struct(cert.structure, "final"))
+    return "".join(certificate_chunks(cert))
+
+
+def certificate_chunks(cert: RefutationCertificate) -> Iterator[str]:
+    """:func:`format_certificate` as a stream: the frame's head, the
+    structure's ``core.struct_chunks``, then the rest of the frame."""
+    return _frame(cert, struct_chunks(cert.structure, "final"))
 
 
 def parse_certificate(text: str) -> RefutationCertificate:
@@ -661,7 +667,7 @@ def parse_certificate(text: str) -> RefutationCertificate:
     numbered = itertools.chain(enumerate(raw[:heads[0] + 1], 1),
                                enumerate(raw[heads[1]:], heads[1] + 1))
     outside = [(n, line) for n, line in numbered if line.strip()]
-    frame = _frame(cert).splitlines()
+    frame = "".join(_frame(cert)).splitlines()
     if [line for _, line in outside] != frame:
         for (n, line), want in itertools.zip_longest(outside, frame, fillvalue=(len(raw), None)):
             if line != want:

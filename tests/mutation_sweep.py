@@ -3,11 +3,15 @@
 
 Draws ``ast`` mutants inside the listed functions: comparison flips
 (``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``in``/``not in``,
-``is``/``is not``), ``+ 1``/``- 1`` swaps and ``and``/``or`` swaps.  Each
-mutant runs in a temporary copy of the tree, never in the tree itself:
-first against its module's test file, stopping at the first failure, and,
-if it survives that, against the whole suite.  A run past its timeout
-counts as a kill (``hung``), since a flipped loop test can spin forever.
+``is``/``is not``), ``+ 1``/``- 1`` swaps, ``and``/``or`` swaps,
+``True``/``False`` swaps and swapped arms of a conditional expression
+(``a if c else b`` => ``b if c else a``).  Each mutant runs in a
+temporary copy of the tree, never in the tree itself: first against its
+module's test file, stopping at the first failure, and, if it survives
+that, against the whole suite.  Before the first mutant the whole suite
+runs once on the unmutated copy, and the sweep exits 2 if it fails, since
+every mutant would then count as killed.  A run past its timeout counts
+as a kill (``hung``), since a flipped loop test can spin forever.
 Every run loads ``mutation_profile.py``, from next to this script, as a
 pytest plugin: Hypothesis tests fail at their first failing example,
 with no shrinking.
@@ -47,16 +51,19 @@ EQUIVALENTS = HERE / "mutation_equivalents.txt"
 PROFILE = HERE / "mutation_profile.py"  # the pytest plugin every run loads
 
 # the hot paths that the row and snapshot rewrites touch, the type walk,
-# every fresh-name search, and the refuter's reading of the strategy's
-# answers with the checker that holds a certificate to it; ``module.Qual.name``,
-# a class meaning all of it
+# every fresh-name search, the streamed printers, and the refuter's reading
+# of the strategy's answers with the checker that holds a certificate to it;
+# ``module.Qual.name``, a class meaning all of it
 FUNCTIONS = (
     "types.insert_point", "limit.Approximation._realize", "limit.Approximation.realizer_of",
-    "limit.Approximation.current", "core.copied_rows",
+    "limit.Approximation.current", "core.copied_rows", "core.Palette.id",
     "types.point_key", "core.parse_struct_lines", "core._build_checked", "core.format_struct",
-    "core._pair_texts", "katetov.PairTemplates", "katetov.spell",
-    "katetov._ExtensionRows.row_texts", "katetov._ExtensionRows._mark_types",
-    "katetov.format_extended", "refuter._frame", "refuter.parse_certificate",
+    "core.struct_chunks", "core.stored_lines", "core._pair_texts", "katetov.PairTemplates",
+    "katetov.spell", "katetov._ExtensionRows.row_texts", "katetov._ExtensionRows.line_printer",
+    "katetov._ExtensionRows._fill", "katetov._ExtensionRows._mark_types",
+    "katetov.format_extended", "katetov.extended_chunks", "limit.Approximation.chunks",
+    "refuter._frame", "refuter.certificate_chunks", "refuter.parse_certificate",
+    "cli._prettify", "cli._emit",
     "types.enumerate_types", "core.first_free", "types.realize_type", "core.amalgamate",
     "refuter.control_lo", "refuter._misfit", "refuter._fault_analysis", "refuter.refute",
     "refuter.check_certificate",
@@ -98,6 +105,12 @@ def _variants(node: ast.AST):
     elif isinstance(node, ast.BoolOp):
         new = copy.deepcopy(node)
         new.op = ast.Or() if isinstance(node.op, ast.And) else ast.And()
+        yield new
+    elif isinstance(node, ast.Constant) and type(node.value) is bool:
+        yield ast.Constant(not node.value)
+    elif isinstance(node, ast.IfExp):
+        new = copy.deepcopy(node)
+        new.body, new.orelse = new.orelse, new.body
         yield new
 
 
@@ -207,11 +220,10 @@ def main() -> int:
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_*"))
         (tree.parent / "plugins").mkdir()
         shutil.copy(PROFILE, tree.parent / "plugins")
-        for module in sorted({m.module for m in chosen}):
-            verdict, test = run_tests(tree, [f"tests/test_{module}.py"], TIMEOUT)
-            if verdict != "survived":
-                print(f"unmutated tests/test_{module}.py does not pass: {verdict} {test}")
-                return 2
+        verdict, test = run_tests(tree, ["tests"], 4 * TIMEOUT)
+        if verdict != "survived":
+            print(f"the unmutated suite does not pass: {verdict} {test}")
+            return 2
         for k, m in enumerate(chosen, 1):
             path = tree / "src" / "colorder" / f"{m.module}.py"
             raw = path.read_bytes()

@@ -559,6 +559,23 @@ def test_unused_color_pool_is_not_built(argv, option, small):
     assert seconds < 1
 
 
+def test_k_apply_at_2255_points_streams_within_1_gib():
+    """``k-apply`` of the five-point base at budget 3 writes 604 MB over
+    2255 points.  Streamed row by row, it runs in a child capped at 1 GiB
+    of address space; joining the whole text first needs about 1.9 GB."""
+    code, out, _ = capped_run(["k-apply", "--base", data("five_point.txt"), "--budget", "3",
+                               "--out", os.devnull])
+    assert (code, out) == (0, "")
+
+
+@pytest.mark.parametrize("fmt,want", [("compact", ""), ("pretty", "\n")])
+def test_empty_output_prints_as_before(capsys, fmt, want):
+    """Zero stages print nothing, and one empty line in the pretty style."""
+    argv = ["k-iterate", "--base", data("empty.txt"), "--stages", "0", "--budgets", ""]
+    assert run(argv + ["--format", fmt]) == 0
+    assert capsys.readouterr() == (want, "")
+
+
 def test_running_out_of_memory_exits_1():
     """A run that exhausts its address space ends with exit 1 and one
     error line, not a traceback.  The cap is set in the child alone."""

@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import random
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 from colorder.core import (ColorTerm, Embedding, FinStruct, InputError,
                            amalgamate, canonical_code, color_less,
                            is_embedding, pair_of, parse_struct, format_struct,
-                           validate)
-from colorder.katetov import apply_K
+                           struct_chunks, validate)
+from colorder.katetov import apply_K, format_extended
 from colorder.limit import Approximation, grow
 from colorder.types import OnePointType, point_key, realize_type
+from golden_cases import data
 from helpers import (all_embeddings, all_structures, colors_of, marked_isomorphic,
                      random_coloring, reference_amalgamate, reference_is_embedding,
                      reference_verdict, struct_of)
@@ -532,9 +535,38 @@ def test_format_struct_writes_the_pairs_in_position_order():
     colors = {pair_of(u, v): B(0, 0) for u, v in itertools.combinations("abcd", 2)
               if (u, v) != ("c", "d")}
     holed = struct_of(("a", "b", "c", "d"), colors, 0)
-    for read in (format_struct, canonical_code):
+    for read in (format_struct, canonical_code, struct_chunks):
         with pytest.raises(InputError, match=r"^missing color for pair \(c, d\)$"):
             read(holed)
+
+
+def test_struct_chunks_join_to_format_struct():
+    """The streamed text is the header and point lines, then one chunk per
+    point holding its color lines toward every later point; joined, the
+    chunks are :func:`format_struct`'s text.  Checked on the structures of
+    the goldens' data files and on a seeded grown approximation.  The name
+    and every pair are checked when the chunks are asked for, before the
+    first is read."""
+    seed = FinStruct.build("xyz", random_coloring(random.Random(18), "xyz", 2))
+    grown = grow(Approximation(seed, budget_cap=2), 200).current
+    files = ("amal_left.txt", "amal_over.txt", "amal_right.txt", "embed_target.txt",
+             "empty.txt", "five_point.txt", "mono3.txt", "one_point.txt", "three_point.txt",
+             "two_point.txt")
+    structs = [parse_struct(Path(data(f)).read_text())[1] for f in files]
+    for s in (*structs, grown):
+        chunks = list(struct_chunks(s, "w"))
+        n = len(s.points)
+        assert len(chunks) == n + 1
+        assert chunks[0] == f"structure w level {s.level}\n" + "".join(
+            f"point {p}\n" for p in s.points)
+        for i, (u, chunk) in enumerate(zip(s.points, chunks[1:])):
+            lines = chunk.splitlines(True)
+            assert len(lines) == n - 1 - i
+            assert all(line.startswith(f"color {u} ") and line.endswith("\n")
+                       for line in lines)
+        assert "".join(chunks) == format_struct(s, "w")
+    with pytest.raises(InputError, match="bad structure name 'a b'"):
+        struct_chunks(grown, "a b")
 
 
 def test_parse_rejects_duplicate_point():
@@ -645,3 +677,21 @@ def test_every_producer_stores_array_rows():
                  grow(Approximation(budget_cap=2), 60).current.rows,
                  base_rows, [ext.rows[element][:]]):
         assert stored(rows)
+
+
+def test_a_read_structure_parses_each_color_text_once(monkeypatch):
+    """The reader enters each distinct color text with its parsed term, so
+    ``validate``'s level bound reads the kept terms and parses nothing
+    again.  The structure is the ``k-apply`` text of the five-point base at
+    budget 2 (398 points, 61,848 distinct color texts), cut before its
+    ``types`` sidecar; the whole text is pinned by digest."""
+    base = parse_struct(Path(data("five_point.txt")).read_text())[1]
+    text = format_extended(apply_K(base, 2))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "0333de512c41f0f7"
+    parse = ColorTerm.parse
+    parsed = []
+    monkeypatch.setattr(ColorTerm, "parse", staticmethod(lambda t: parsed.append(t) or parse(t)))
+    s = parse_struct(text.split("types\n")[0])[1]
+    assert validate(s).ok
+    assert len(s.points) == 398
+    assert len(parsed) == len(set(parsed)) == len(s.palette.texts) == 61848

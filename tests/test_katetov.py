@@ -1,17 +1,19 @@
 import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from colorder.core import (HOLE, PAIRCODE, ColorTerm, Embedding, FinStruct,
                            InputError, Palette, canonical_code, format_struct,
-                           is_embedding, pair_of, validate)
+                           is_embedding, pair_of, parse_struct, validate)
 from colorder.katetov import (EQ, GT, LT, PairTemplates, apply_K, apply_K_morphism,
-                              compare_types, format_extended, gap_index,
+                              compare_types, extended_chunks, format_extended, gap_index,
                               iterate_K, pair_color, pair_text)
 from colorder.types import (OnePointType, enumerate_types, order_key, realize_type,
                             transport, type_of_point)
+from golden_cases import GOLDEN, data
 from helpers import (all_embeddings, all_structures, colors_of, consistent_placements,
                      order_type_vs_point, pair_structure, random_coloring,
                      reference_pair_color, reference_type_less, struct_of)
@@ -638,6 +640,34 @@ def test_stage_two_extension_stays_lazy(monkeypatch):
     assert all(any({i, j} <= un for un in unions) for i, j in base_asked)
 
 
+def test_extended_chunks_join_to_format_extended():
+    """The streamed text of an extension is its header and point lines,
+    one chunk of color lines per point toward every later point, then the
+    ``types`` sidecar; joined, the chunks are :func:`format_extended`'s text,
+    which the ``k-apply`` and ``k-iterate`` goldens pin.  A bad name raises
+    when the chunks are asked for, before the first is read."""
+    two = parse_struct(Path(data("two_point.txt")).read_text())[1]
+    ext = apply_K(two, 2)
+    n = len(ext.struct.points)
+    chunks = list(extended_chunks(ext))
+    assert len(chunks) == n + 2
+    assert chunks[0].startswith("structure K level 1\n") and chunks[-1].startswith("types\n")
+    for i, (u, chunk) in enumerate(zip(ext.struct.points, chunks[1:-1])):
+        lines = chunk.splitlines(True)
+        assert len(lines) == n - 1 - i
+        assert all(line.startswith(f"color {u} ") for line in lines)
+    golden = Path(GOLDEN, "k_apply_two_point.txt").read_text()
+    assert "".join(chunks) == format_extended(ext) == golden
+    empty = parse_struct(Path(data("empty.txt")).read_text())[1]
+    stages = iterate_K(empty, 2, [2, 2])
+    joined = "".join(itertools.chain.from_iterable(
+        extended_chunks(e, f"stage{i + 1}") for i, e in enumerate(stages)))
+    assert joined == "".join(format_extended(e, f"stage{i + 1}") for i, e in enumerate(stages))
+    assert joined == Path(GOLDEN, "k_iterate_empty.txt").read_text()
+    with pytest.raises(InputError, match="bad structure name ''"):
+        extended_chunks(ext, "")
+
+
 def test_format_extended_builds_no_pair_code_term(monkeypatch):
     """Formatting an extension reads every type-type pair color from its
     template: it builds no ``k:`` ColorTerm, computes no id and enters no
@@ -686,8 +716,9 @@ def test_printed_pair_texts_equal_the_colors_read_through_ids(monkeypatch):
     canonical codes with and without marks.  A
     full id-path copy of the 4-point budget-3 extension (668 points) takes
     seconds, so there a seeded sample of rows is compared, and its printed
-    text, where rows reuse their row-local templates most, is pinned by
-    digest; the digest was taken before rows printed from hexed parts."""
+    text, where rows share their templates most, is pinned by digest,
+    streamed and joined; the digest was taken before rows printed from
+    hexed parts.  Printing enters no color into the palette."""
     rng = random.Random(16)
     for names in ("pq", "pqr", "pqrs"):
         x = FinStruct.build(names, random_coloring(rng, names, 3))
@@ -697,8 +728,13 @@ def test_printed_pair_texts_equal_the_colors_read_through_ids(monkeypatch):
             n = len(s.points)
             if n > 200:
                 assert (names, budget, n) == ("pqrs", 3, 668)
-                assert digest_of(format_extended(ext)) == (
-                    40144546, "76b0d9a6d3dd4eb6eafced7e39d7ca0b63a1cf2145537ed94ee8cecc461153e9")
+                palette_size = len(s.palette.texts)
+                chunks = list(extended_chunks(ext))
+                assert len(chunks) == n + 2
+                pinned = (40144546,
+                          "76b0d9a6d3dd4eb6eafced7e39d7ca0b63a1cf2145537ed94ee8cecc461153e9")
+                assert digest_of("".join(chunks)) == digest_of(format_extended(ext)) == pinned
+                assert len(s.palette.texts) == palette_size
                 texts = s.palette.texts
                 for i in rng.sample(range(n), 24):
                     assert list(s.rows.row_texts(i)) == [texts[c] for c in s.rows[i][i + 1:]]

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from colorder.limit import (Approximation, PartialIso, embed,
                             extend_partial_iso, format_pairs, grow,
                             parse_pairs, saturation_check)
 from colorder.types import OnePointType, enumerate_types, parse_type
+from golden_cases import GOLDEN
 from helpers import (all_structures, random_coloring, reference_is_embedding,
                      reference_iso_check, reference_realize, struct_of)
 
@@ -398,6 +400,30 @@ def test_two_equal_runs_serialize_identically():
     a1 = grown(150)
     a2 = grown(150)
     assert a1.format() == a2.format()
+
+
+def test_approximation_chunks_join_to_its_format():
+    """``Approximation.chunks`` streams the structure one row per chunk,
+    then the ledger; joined, the chunks are :meth:`Approximation.format`'s
+    text, which the ``limit-build`` golden pins.  Chunks asked for before
+    further growth print the approximation as it was when they were asked
+    for, so asking reads the structure and the next point copies the rows;
+    :meth:`Approximation.format` reads it without marking it."""
+    a = grow(Approximation(budget_cap=2), 60)
+    n = len(a._s.points)
+    rows = {*map(id, a._s.rows)}
+    text = a.format()
+    assert text == Path(GOLDEN, "limit_build.txt").read_text()
+    grow(a, 40)
+    assert len(a._s.points) > n and rows <= {*map(id, a._s.rows)}   # written in place
+    n, text = len(a._s.points), a.format()
+    rows, chunks = {*map(id, a._s.rows)}, a.chunks()
+    grow(a, 40)
+    assert len(a._s.points) > n and not rows & {*map(id, a._s.rows)}   # copied first
+    chunks = list(chunks)
+    assert len(chunks) == n + 2 and chunks[-1].startswith("ledger\n")
+    assert "".join(chunks) == text != a.format()
+    assert "".join(a.chunks("w")) == a.format("w")
 
 
 def test_seeded_runs_are_deterministic(two_point):

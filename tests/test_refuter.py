@@ -19,8 +19,8 @@ from colorder.limit import realize_image
 from colorder.refuter import (ABOVE, BELOW, BUNDLED_STRATEGIES, EQUIV, FAULT,
                               MONO, QueryContext,
                               RefutationCertificate, StrategyAnswer,
-                              SubprocessStrategy, check_certificate,
-                              control_lo, format_certificate,
+                              SubprocessStrategy, certificate_chunks,
+                              check_certificate, control_lo, format_certificate,
                               format_control_report, make_strategy,
                               parse_certificate, refute)
 from colorder.types import OnePointType, enumerate_types, format_type, parse_type
@@ -248,6 +248,22 @@ def test_refute_hashes_each_structure_once_and_reads_answers_once(monkeypatch):
     text = format_certificate(cert)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "c42d7e057d040e25"
     assert check_certificate(cert, make_strategy("constant")).ok
+
+
+@pytest.mark.parametrize("name", ["refute_constant.txt", "refute_index_depth20.txt",
+                                  "refute_fault_order.txt", "refute_fault_triangle.txt"])
+def test_certificate_chunks_join_to_format_certificate(name):
+    """A certificate streams as the frame's head, one chunk per point of its
+    final structure after the header and point lines, then the rest of the
+    frame; joined, the chunks are :func:`format_certificate`'s text, which
+    the ``refute`` goldens pin."""
+    text = Path(GOLDEN, name).read_text()
+    cert = parse_certificate(text)
+    chunks = list(certificate_chunks(cert))
+    assert len(chunks) == len(cert.structure.points) + 3
+    assert chunks[0].endswith("STRUCTURE\n") and chunks[1].startswith("structure final ")
+    assert chunks[-1].startswith("POINTS\n")
+    assert "".join(chunks) == format_certificate(cert) == text
 
 
 def test_battery_full_coverage():
