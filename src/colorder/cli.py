@@ -14,9 +14,11 @@ rejected certificate, control violations).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain
+from typing import TextIO
 
 from .core import (Embedding, FinStruct, InputError, amalgamate, parse_struct,
                    struct_chunks, validate)
@@ -107,16 +109,26 @@ def _emit(args, chunks: Iterable[str]) -> None:
         raise InputError(f"cannot write {args.out}: {exc}") from exc
 
 
-def _read(path: str) -> str:
+@contextlib.contextmanager
+def _reading(path: str) -> Iterator[TextIO]:
+    """The file at ``path``, open for reading while the block runs.  A file
+    that cannot be opened, or a byte that is not UTF-8 once a read
+    reaches it, raises InputError."""
     try:
         with open(path) as fh:
-            return fh.read()
+            yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _read(path: str) -> str:
+    with _reading(path) as fh:
+        return fh.read()
+
+
 def _load_struct(path: str) -> FinStruct:
-    return parse_struct(_read(path))[1]
+    with _reading(path) as fh:
+        return parse_struct(fh)[1]
 
 
 def _build_approximation(args) -> Approximation:
@@ -266,7 +278,8 @@ def _cmd_refute(args) -> int:
     _arg("--strategy", required=True),
     _arg("--seed", type=int, default=0))
 def _cmd_check_cert(args) -> int:
-    cert = parse_certificate(_read(args.cert))
+    with _reading(args.cert) as fh:
+        cert = parse_certificate(fh)
     with make_strategy(args.strategy, args.seed) as strategy:
         result = check_certificate(cert, strategy)
     if result.ok:

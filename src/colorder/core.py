@@ -8,15 +8,19 @@ amalgamation, canonical codes, and the line-oriented text format.
 
 A structure keeps its colors in position-indexed rows of small-int ids into
 a palette of canonical color texts, so hot loops compare ints; a color's
-``ColorTerm`` is the one its reader entered, or is parsed from its text on
-first read.  Ids cross from one palette to another only through
-``Palette.translate``, and terms are made only where a color is read or
-written as text.  That is the one
-representation: ``FinStruct.build`` and ``parse_struct`` turn their input
-into one map per point, from each later position to the pair's color id,
-for one private checked constructor that fills the rows from those maps,
-and ``FinStruct.of_rows`` is the unchecked constructor (the frozenset-keyed
-form of a coloring lives in ``tests/helpers.py`` as a reference).
+``ColorTerm`` is parsed from its text on first read, and ``validate``
+reads only each color's level, off the text.  Ids cross from one palette
+to another only through ``Palette.translate``, and terms are made only
+where a color is read or written as text.  That is the one
+representation: ``FinStruct.build`` and ``parse_struct_lines`` turn their
+input into one map per point, from each later position to the pair's
+color id, for one private checked constructor that fills the rows from
+those maps, and ``FinStruct.of_rows`` is the unchecked constructor (the
+frozenset-keyed form of a coloring lives in ``tests/helpers.py`` as a
+reference).  Reading streams: ``parse_struct_lines`` takes numbered lines
+one at a time, which :func:`read_lines` splits from a text or an open file
+one bounded chunk at a time, so a reader holds the maps, whose size grows
+with the lines read, but never the file's text or a list of every line.
 
 Costs: a color lookup is O(1); ``validate`` makes O(n^2) big-int operations
 over per-color neighbour bitmasks (:func:`row_masks`); realizing a point
@@ -36,11 +40,13 @@ text at a time, not the whole text.
 from __future__ import annotations
 
 import itertools
+import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, partial
 from collections.abc import Callable, Container, Iterable, Iterator, Mapping, Sequence
 from operator import itemgetter
+from typing import TextIO
 
 
 class InputError(ValueError):
@@ -57,7 +63,7 @@ MARKER = "m"
 PAIRCODE = "k"
 
 _KIND_RANK = {BASE: 0, MARKER: 1, PAIRCODE: 2}
-_HEX_DIGITS = "0123456789abcdef"
+_PAYLOAD = re.compile("[0-9a-f]+")  # a pair code's payload: lowercase hex, ASCII only
 
 
 @dataclass(frozen=True)
@@ -81,9 +87,8 @@ class ColorTerm:
             raise InputError("negative level or index in color term")
         if self.kind in (MARKER, PAIRCODE) and self.level < 1:
             raise InputError(f"{self.kind!r} colors exist only at level >= 1")
-        if self.kind == PAIRCODE:
-            if not self.code or self.code.strip(_HEX_DIGITS):
-                raise InputError("pair-code payload must be lowercase hex")
+        if self.kind == PAIRCODE and not _PAYLOAD.fullmatch(self.code):
+            raise InputError("pair-code payload must be lowercase hex")
 
     @staticmethod
     def base(level: int, index: int) -> "ColorTerm":
@@ -122,6 +127,12 @@ class ColorTerm:
         except ValueError as exc:
             raise InputError(f"bad color term {text!r}") from exc
         raise InputError(f"bad color term {text!r}")
+
+
+def _text_level(text: str) -> int:
+    """The level of the color whose canonical text is ``text``, read off
+    the text (``b:<l>:``, ``m:<l>``, ``k:<l>:``) without parsing it."""
+    return int(text.split(":", 2)[1])
 
 
 def color_less(c1: ColorTerm, c2: ColorTerm) -> bool:
@@ -184,10 +195,10 @@ class Palette:
     them, share a palette, so their rows and type colors compare as ints.
     Ids never change meaning, so a palette may list colors that some
     structure sharing it does not use: an enumeration's pool and a
-    translation add colors.  A color entered as a term (:meth:`id`) keeps
-    that term; one entered as text has its ``ColorTerm`` parsed on first
-    read, so a pair-code color that is only ever printed never becomes a
-    term.
+    translation add colors.  A palette keeps texts only: a color's
+    ``ColorTerm`` is parsed from its text on first read (:meth:`color`),
+    so a color that is only ever printed, or whose level alone is read
+    (:func:`_text_level`), never becomes a term.
     """
 
     __slots__ = ("texts", "ids", "base_ids", "_terms")
@@ -199,11 +210,8 @@ class Palette:
         self._terms: dict[int, ColorTerm] = {}  # terms read so far, by id
 
     def id(self, c: ColorTerm) -> int:
-        """The id of ``c``, appending it if new.  ``c`` is kept as the
-        color's term, so reading the color back parses no text."""
-        got = self.id_text(c.text())
-        self._terms.setdefault(got, c)
-        return got
+        """The id of ``c``, appending its text if new."""
+        return self.id_text(c.text())
 
     def id_text(self, text: str) -> int:
         """The id of the color whose canonical text is ``text``, appending
@@ -297,11 +305,13 @@ def _build_checked(pts: tuple[str, ...], maps: Sequence[Mapping[int, int]],
                    palette: Palette, level: int) -> "FinStruct":
     """The checked structure over ``palette`` whose pair at positions
     ``(i, j)``, ``i < j``, has color id ``maps[i][j]``: one map per point,
-    holding its later positions only.  Map ``i`` is complete when it holds
-    ``n - 1 - i`` entries, so the first short map holds the first missing
-    pair in position order.  Points, completeness and level are checked
-    before any row is allocated, so a missing pair costs no O(n^2) memory.
-    Each row is stored once and filled in place."""
+    holding its later positions only, as a reader fills them line by line.
+    Map ``i`` is complete when it holds ``n - 1 - i`` entries, so the first
+    short map holds the first missing pair in position order.  Points,
+    completeness and level are checked before any row is allocated, so a
+    missing pair costs no O(n^2) memory, however many color lines were
+    read: a reader keeps maps, not rows, for this reason.  Each row is
+    stored once and filled in place."""
     _check_points(pts)
     n = len(pts)
     i = next((i for i, m in enumerate(maps) if len(m) < n - 1 - i), None)
@@ -470,14 +480,14 @@ def validate(s: FinStruct) -> Verdict:
     closes a triangle with exactly the points k > j set in both masks of
     c, so the scan costs one big-int AND per pair.
     """
-    pts, rows, pal = s.points, s.rows, s.palette.color
+    pts, rows, pal, texts = s.points, s.rows, s.palette.color, s.palette.texts
     _check_points(pts)
     tails = [row[i + 1:] for i, row in enumerate(rows)]
     masks = row_masks(tails)
     if s.level < 0 or any(HOLE in m for m in masks):
         _check_complete(s)
     used = {c for m in masks for c in m}
-    over = [c for c in used if pal(c).level > s.level]
+    over = [c for c in used if _text_level(texts[c]) > s.level]
     for i, m in enumerate(masks):
         later = [(_lowest_bit(m[c]), c) for c in over if c in m]
         if later:
@@ -743,25 +753,97 @@ def stored_lines(points: Sequence[str], texts: Sequence[str], rows: Sequence[Seq
                     for v, c in zip(points[i + 1:], rows[i][i + 1:])])
 
 
-def parse_struct(text: str) -> tuple[str, FinStruct]:
-    """Parse the line format.  Rejects duplicate points, duplicate pairs and
-    missing pairs."""
-    return parse_struct_lines(enumerate(text.splitlines(), 1))
+READ_CHUNK = 1 << 16  # characters split into lines at a time
+
+
+def read_lines(source: str | TextIO, size: int = READ_CHUNK) -> Iterator[str]:
+    """The lines of a text, or of a text file open for reading in the
+    default newline mode, equal to the text's ``splitlines()``, split one
+    chunk at a time, so a reader holds one chunk's lines, never a list of
+    every line.  Every chunk but the last ends just after a ``\\n``: a
+    text's runs to the first ``\\n`` at offset ``size`` or later, and a
+    file's full read of ``size`` characters is completed to the end of its
+    line (``open`` turns every line end into ``\\n``; a short read is the
+    file's last).  Every separator ``splitlines`` knows is one character
+    except ``\\r\\n``, which that ``\\n`` ends, so no line break spans two
+    chunks."""
+    chunks = (_text_chunks if isinstance(source, str) else _file_chunks)(source, size)
+    return itertools.chain.from_iterable(map(str.splitlines, chunks))
+
+
+def _text_chunks(text: str, size: int) -> Iterator[str]:
+    start, n = 0, len(text)
+    while start < n:
+        end = text.find("\n", start + size) + 1 or n
+        yield text[start:end]
+        start = end
+
+
+def _file_chunks(fh: TextIO, size: int) -> Iterator[str]:
+    chunk = fh.read(size)
+    while len(chunk) == size:
+        yield chunk + fh.readline()
+        chunk = fh.read(size)
+    yield chunk
+
+
+def parse_struct(source: str | TextIO) -> tuple[str, FinStruct]:
+    """Parse the line format from a text or an open text file.  Rejects
+    duplicate points, duplicate pairs and missing pairs.  The source is
+    split into lines a chunk at a time (:func:`read_lines`), so reading
+    holds one chunk's lines and what :func:`parse_struct_lines` keeps, and
+    a file's error, a byte that is not UTF-8 among them, is raised when the
+    reader reaches it."""
+    return parse_struct_lines(enumerate(read_lines(source), 1))
 
 
 def parse_struct_lines(lines: Iterable[tuple[int, str]]) -> tuple[str, FinStruct]:
-    """:func:`parse_struct` over ``(line number, line)`` pairs."""
+    """:func:`parse_struct` over ``(line number, line)`` pairs, read once
+    and in order, so ``lines`` may be a stream: an open file's, or one
+    section of a certificate's.  An error that one line makes is raised
+    when that line is read.  The reader keeps the points, the palette and
+    one map per point, from each later position to its pair's color id,
+    and builds the rows from the maps after the last line
+    (:func:`_build_checked`)."""
     name = None
     level = 0
     points: dict[str, int] = {}  # insertion-ordered, O(1) membership
     maps: list[dict[int, int]] = []  # per position i: later position j -> color id
     palette = Palette()
+    ids = palette.ids
     for lineno, raw in lines:
-        line = raw.strip()
-        if not line:
+        tok = raw.split()
+        if not tok:
             continue
-        tok = line.split()
-        if tok[0] == "structure":
+        key = tok[0]
+        if key == "color":
+            if len(tok) != 4:
+                raise InputError(f"line {lineno}: bad color line")
+            _, u, v, term = tok
+            i, j = points.get(u), points.get(v)
+            if i is None or j is None:
+                raise InputError(f"line {lineno}: color for unknown point")
+            if i == j:
+                raise InputError(f"line {lineno}: degenerate pair ({u!r}, {u!r})")
+            i, j = (i, j) if i < j else (j, i)
+            m = maps[i]
+            if j in m:
+                raise InputError(f"line {lineno}: duplicate pair ({u}, {v})")
+            c = ids.get(term)  # a canonical text already entered
+            if c is None:
+                try:
+                    c = palette.id(ColorTerm.parse(term))
+                except InputError as exc:
+                    raise InputError(f"line {lineno}: {exc}") from None
+            m[j] = c
+        elif key == "point":
+            if len(tok) != 2:
+                raise InputError(f"line {lineno}: bad point line")
+            if tok[1] in points:
+                raise InputError(f"line {lineno}: duplicate point {tok[1]!r}")
+            points[tok[1]] = len(points)
+            maps.append({})
+        elif key == "structure":
             if name is not None or len(tok) != 4 or tok[2] != "level":
                 raise InputError(f"line {lineno}: bad structure header")
             name = tok[1]
@@ -769,34 +851,8 @@ def parse_struct_lines(lines: Iterable[tuple[int, str]]) -> tuple[str, FinStruct
                 level = int(tok[3])
             except ValueError:
                 raise InputError(f"line {lineno}: bad level") from None
-        elif tok[0] == "point":
-            if len(tok) != 2:
-                raise InputError(f"line {lineno}: bad point line")
-            if tok[1] in points:
-                raise InputError(f"line {lineno}: duplicate point {tok[1]!r}")
-            points[tok[1]] = len(points)
-            maps.append({})
-        elif tok[0] == "color":
-            if len(tok) != 4:
-                raise InputError(f"line {lineno}: bad color line")
-            u, v, term = tok[1], tok[2], tok[3]
-            if u not in points or v not in points:
-                raise InputError(f"line {lineno}: color for unknown point")
-            i, j = points[u], points[v]
-            if i == j:
-                raise InputError(f"line {lineno}: degenerate pair ({u!r}, {u!r})")
-            i, j = (i, j) if i < j else (j, i)
-            if j in maps[i]:
-                raise InputError(f"line {lineno}: duplicate pair ({u}, {v})")
-            c = palette.ids.get(term)  # a canonical text already entered
-            if c is None:
-                try:
-                    c = palette.id(ColorTerm.parse(term))
-                except InputError as exc:
-                    raise InputError(f"line {lineno}: {exc}") from None
-            maps[i][j] = c
         else:
-            raise InputError(f"line {lineno}: unknown directive {tok[0]!r}")
+            raise InputError(f"line {lineno}: unknown directive {key!r}")
     if name is None:
         raise InputError("missing structure header")
     return name, _build_checked(tuple(points), maps, palette, level)

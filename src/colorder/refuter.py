@@ -40,10 +40,10 @@ import signal
 import subprocess
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol
+from typing import Iterable, Iterator, Protocol, TextIO
 
 from .core import (ColorTerm, FinStruct, InputError, Palette, canonical_code, first_free,
-                   parse_struct_lines, struct_chunks, validate)
+                   parse_struct_lines, read_lines, struct_chunks, validate)
 from .limit import Approximation, PartialIso, format_pairs, realize_image
 from .types import OnePointType, check_realizable, format_type, parse_type, point_key
 
@@ -635,41 +635,65 @@ def certificate_chunks(cert: RefutationCertificate) -> Iterator[str]:
     return _frame(cert, struct_chunks(cert.structure, "final"))
 
 
-def parse_certificate(text: str) -> RefutationCertificate:
-    """Read certificate v1 strictly: blank lines aside, the text must be
-    what :func:`format_certificate` writes, except that the STRUCTURE
-    section is :func:`parse_struct`'s to read (its color lines may come in
-    any order; an error there cites its line in the text).  Only the
-    stored fields are read, leniently, and the text is accepted only if its
-    lines outside the structure equal :func:`_frame` of what was read; any
-    other text raises InputError, citing the first line that differs (the
-    text's last line for a missing one) unless a section head is missing or
-    out of order."""
-    raw = text.splitlines()
-    heads = [i for i, line in enumerate(raw) if line in SECTIONS]
-    if [raw[i] for i in heads] != list(SECTIONS):
+def parse_certificate(source: str | TextIO) -> RefutationCertificate:
+    """Read certificate v1 strictly, in one pass over the lines of a text or
+    an open text file (``core.read_lines``).  Blank lines aside, the text
+    must be what :func:`format_certificate` writes, except that the
+    STRUCTURE section goes line by line to ``core.parse_struct_lines`` (its
+    color lines may come in any order; an error there cites its line in
+    the text).  Only the lines outside that section are kept, O(points +
+    depth) of them, and the stored fields are read off them leniently; the
+    text is accepted only if they equal :func:`_frame` of what was read.
+    Any other text raises InputError where the pass finds the fault: a
+    section head missing or out of order where it should stand, so after
+    an error in a structure above it, and a line off the frame last,
+    citing the first line that differs (the text's last line for a
+    missing one)."""
+    numbered = enumerate(read_lines(source), 1)
+    heads = iter(SECTIONS)
+    found: list[tuple[int, str]] = []  # each section head read, numbered
+    last = 0                           # the number of the last line read
+
+    def section() -> Iterator[tuple[int, str]]:
+        """The lines up to the next section head, which must be the next of
+        SECTIONS and goes to ``found``, or to the end of the text."""
+        nonlocal last
+        for last, line in numbered:
+            if line in SECTIONS:
+                if line != next(heads, None):
+                    raise InputError("certificate is not in canonical form")
+                found.append((last, line))
+                return
+            yield last, line
+
+    def kept() -> list[tuple[int, str]]:
+        return [(n, line) for n, line in section() if line.strip()]
+
+    top = kept()
+    if not found:
         raise InputError("certificate is not in canonical form")
-    points, _, records, verdict = ([line.split() for line in raw[i + 1:j] if line.strip()]
-                                   for i, j in zip(heads[1:], heads[2:] + [len(raw)]))
+    structure = parse_struct_lines(section())[1]
+    bodies = [kept() for _ in SECTIONS[1:]]
+    if len(found) != len(SECTIONS):
+        raise InputError("certificate is not in canonical form")
+    points, _, records, verdict = ([line.split() for _, line in body] for body in bodies)
     fields = {key: values for key, *values in points}
-    tau_text = next((line[5:] for line in raw[heads[1] + 1:heads[2]]
+    tau_text = next((line[5:] for _, line in bodies[0]
                      if line.startswith("type ") and line[5:].strip()), None)
     t1, t2 = (next(iter(fields.get(key, ())), None) for key in ("t1", "t2"))
     queries = tuple(tuple(tok[1:]) for tok in records if tok[0] == "query" and len(tok) == 5)
     transcript = tuple(tuple(tok[1:]) for tok in records if tok[0] == "extend" and len(tok) == 4)
     reasons = [t for t in itertools.chain(*verdict) if t.startswith("reason=")]
     cert = RefutationCertificate(
-        structure=parse_struct_lines(enumerate(raw[heads[0] + 1:heads[1]], heads[0] + 2))[1],
-        base_points=tuple(fields.get("x", ())), tau_text=tau_text, queries=queries,
-        t1=t1, t2=t2, transcript=transcript,
+        structure=structure, base_points=tuple(fields.get("x", ())), tau_text=tau_text,
+        queries=queries, t1=t1, t2=t2, transcript=transcript,
         reason=reasons[0][len("reason="):] if reasons else "")
     # the lines outside the structure, numbered as in the text, against the frame's
-    numbered = itertools.chain(enumerate(raw[:heads[0] + 1], 1),
-                               enumerate(raw[heads[1]:], heads[1] + 1))
-    outside = [(n, line) for n, line in numbered if line.strip()]
+    outside = [*top, found[0], *itertools.chain.from_iterable(
+        (head, *body) for head, body in zip(found[1:], bodies))]
     frame = "".join(_frame(cert)).splitlines()
     if [line for _, line in outside] != frame:
-        for (n, line), want in itertools.zip_longest(outside, frame, fillvalue=(len(raw), None)):
+        for (n, line), want in itertools.zip_longest(outside, frame, fillvalue=(last, None)):
             if line != want:
                 raise InputError(f"line {n}: certificate is not in canonical form")
     return cert

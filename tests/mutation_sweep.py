@@ -51,19 +51,21 @@ EQUIVALENTS = HERE / "mutation_equivalents.txt"
 PROFILE = HERE / "mutation_profile.py"  # the pytest plugin every run loads
 
 # the hot paths that the row and snapshot rewrites touch, the type walk,
-# every fresh-name search, the streamed printers, and the refuter's reading
-# of the strategy's answers with the checker that holds a certificate to it;
+# every fresh-name search, the streamed printers and readers, and the
+# refuter's reading of the strategy's answers with the checker that holds a
+# certificate to it;
 # ``module.Qual.name``, a class meaning all of it
 FUNCTIONS = (
     "types.insert_point", "limit.Approximation._realize", "limit.Approximation.realizer_of",
     "limit.Approximation.current", "core.copied_rows", "core.Palette.id",
-    "types.point_key", "core.parse_struct_lines", "core._build_checked", "core.format_struct",
-    "core.struct_chunks", "core.stored_lines", "core._pair_texts", "katetov.PairTemplates",
+    "types.point_key", "core.read_lines", "core._text_chunks", "core._file_chunks",
+    "core.parse_struct_lines", "core._build_checked", "core.format_struct", "core.struct_chunks",
+    "core.stored_lines", "core._pair_texts", "katetov.PairTemplates",
     "katetov.spell", "katetov._ExtensionRows.row_texts", "katetov._ExtensionRows.line_printer",
     "katetov._ExtensionRows._fill", "katetov._ExtensionRows._mark_types",
     "katetov.format_extended", "katetov.extended_chunks", "limit.Approximation.chunks",
     "refuter._frame", "refuter.certificate_chunks", "refuter.parse_certificate",
-    "cli._prettify", "cli._emit",
+    "cli._reading", "cli._prettify", "cli._emit",
     "types.enumerate_types", "core.first_free", "types.realize_type", "core.amalgamate",
     "refuter.control_lo", "refuter._misfit", "refuter._fault_analysis", "refuter.refute",
     "refuter.check_certificate",

@@ -623,6 +623,7 @@ def test_structure_reader_messages(text, message):
     (lambda: ColorTerm.pair_code(0, "ab"), "'k' colors exist only at level >= 1"),
     (lambda: ColorTerm.pair_code(1, "AB"), "pair-code payload must be lowercase hex"),
     (lambda: ColorTerm.pair_code(1, ""), "pair-code payload must be lowercase hex"),
+    (lambda: ColorTerm.pair_code(1, "\u0663"), "pair-code payload must be lowercase hex"),
     (lambda: ColorTerm("z", 0), "unknown color kind 'z'"),
 ])
 def test_color_term_messages(make, message):
@@ -680,11 +681,12 @@ def test_every_producer_stores_array_rows():
 
 
 def test_a_read_structure_parses_each_color_text_once(monkeypatch):
-    """The reader enters each distinct color text with its parsed term, so
-    ``validate``'s level bound reads the kept terms and parses nothing
-    again.  The structure is the ``k-apply`` text of the five-point base at
-    budget 2 (398 points, 61,848 distinct color texts), cut before its
-    ``types`` sidecar; the whole text is pinned by digest."""
+    """The reader parses each distinct color text once, to its canonical
+    text, and ``validate``'s level bound reads each color's level off that
+    text, so it parses nothing again.  The structure is the ``k-apply``
+    text of the five-point base at budget 2 (398 points, 61,848 distinct
+    color texts), cut before its ``types`` sidecar; the whole text is
+    pinned by digest."""
     base = parse_struct(Path(data("five_point.txt")).read_text())[1]
     text = format_extended(apply_K(base, 2))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "0333de512c41f0f7"
