@@ -756,18 +756,18 @@ def stored_lines(points: Sequence[str], texts: Sequence[str], rows: Sequence[Seq
 READ_CHUNK = 1 << 16  # characters split into lines at a time
 
 
-def read_lines(source: str | TextIO, size: int = READ_CHUNK) -> Iterator[str]:
+def read_lines(source: str | TextIO) -> Iterator[str]:
     """The lines of a text, or of a text file open for reading in the
     default newline mode, equal to the text's ``splitlines()``, split one
     chunk at a time, so a reader holds one chunk's lines, never a list of
     every line.  Every chunk but the last ends just after a ``\\n``: a
-    text's runs to the first ``\\n`` at offset ``size`` or later, and a
-    file's full read of ``size`` characters is completed to the end of its
-    line (``open`` turns every line end into ``\\n``; a short read is the
-    file's last).  Every separator ``splitlines`` knows is one character
+    text's runs to the first ``\\n`` at offset ``READ_CHUNK`` or later,
+    and a file's full read of ``READ_CHUNK`` characters is completed to the
+    end of its line (``open`` turns every line end into ``\\n``; a short
+    read is the file's last).  Every separator ``splitlines`` knows is one character
     except ``\\r\\n``, which that ``\\n`` ends, so no line break spans two
     chunks."""
-    chunks = (_text_chunks if isinstance(source, str) else _file_chunks)(source, size)
+    chunks = (_text_chunks if isinstance(source, str) else _file_chunks)(source, READ_CHUNK)
     return itertools.chain.from_iterable(map(str.splitlines, chunks))
 
 
