@@ -18,10 +18,11 @@ their base's map as long as they live, and :func:`pair_text` builds one
 for its single call.  Printing streams an extension row by row
 (:func:`extended_chunks`).  Type elements of one layout sit next to each
 other, so a type element's row meets them in runs, and
-``_ExtensionRows.line_printer`` makes one ``%`` format string per run: the
-run's color line with the row's name and parts and the template's fixed
-parts in place, filled in C for the whole run with each higher element's
-name and parts.  Printing adds no palette entry and builds no
+``_ExtensionRows.line_printer`` makes one ``%`` format string per row: each
+run's color line, with the row's name and parts and the template's fixed
+parts in place, repeated once per element of the run, and each base
+point's line with its stored text.  One fill, in C, puts in every later
+position's name and parts.  Printing adds no palette entry and builds no
 ``ColorTerm``.  Only a reader of ids enters a pair color into the palette
 they share with their base, as its canonical text; ``Palette.ids`` is the
 one table from that text to its id.  A pair text is a template filled as
@@ -176,8 +177,9 @@ class _ExtensionRows(Sequence):
     hold the base colors and the colors to every type element.  The row of
     a type element is a view whose entries against other type elements are
     pair colors, computed from the base's ``templates``.  Printing reads
-    them as lines through :meth:`line_printer`, a canonical code as texts
-    through :meth:`row_texts`; a reader of ids goes through
+    such a row as lines through :meth:`line_printer`, a canonical code as
+    texts through :meth:`row_texts`, both from one ``%`` format per row,
+    filled once (:meth:`_row`); a reader of ids goes through
     :meth:`cid`, which fills the pair's template and looks its text up in
     the palette's ``ids``, adding it on first read, so large extensions
     stay usable as long as only a sparse set of their pairs is inspected.
@@ -193,13 +195,14 @@ class _ExtensionRows(Sequence):
         self.templates = PairTemplates(base)
         self._marks: list | None = None   # per position, made on the first print
         self._parts: list = []            # per position, made with _marks
+        self._part_args: tuple = ()       # _parts flattened, made with _marks
 
     def __len__(self) -> int:
         return len(self._rows)
 
     def __getitem__(self, i: int) -> Sequence[int]:
-        row = self._rows[i]
-        return row if row is not None else _ElementRow(self, i)
+        row = self._rows[i]   # IndexError out of range
+        return row if row is not None else _ElementRow(self, i % len(self._rows))
 
     def cid(self, i: int, j: int) -> int:
         """Color id between type element ``i`` and position ``j``."""
@@ -214,68 +217,69 @@ class _ExtensionRows(Sequence):
     def row_texts(self, i: int) -> Iterable[str]:
         """The color texts between position ``i`` and every later position,
         in position order: a stored row's entries through the palette, and
-        a type element's row by :meth:`_fill`, so reading texts enters no
-        color into the palette."""
+        a type element's row split off its :meth:`_row`, so reading texts
+        enters no color into the palette."""
         row = self._rows[i]
         if row is not None:
             return map(self._palette.texts.__getitem__, row[i + 1:])
         if self._marks is None:
             self._mark_types()
-        return self._fill(i, "", "", self._parts)
+        return self._row(i, "", "\n", self._part_args).split("\n")[:-1]
 
     def line_printer(self, points: Sequence[str]) -> Callable[[int], str]:
         """``core.struct_chunks``'s printer of these rows under ``points``:
         position -> its color lines toward every later position.  A stored
         row prints by ``core.stored_lines``, a type element's row by
-        :meth:`_fill`, with each later position's name and parts as the
-        arguments of its line's template."""
+        :meth:`_row`, one format filled once with each later position's
+        name and parts."""
         if self._marks is None:
             self._mark_types()
-        named = [(p, *parts) for p, parts in zip(points, self._parts)]
+        args = _flattened([(p, *parts) for p, parts in zip(points, self._parts)])
         rows, texts = self._rows, self._palette.texts
 
         def row_lines(i: int) -> str:
             if rows[i] is not None:
                 return stored_lines(points, texts, rows, i)
-            lead = "color " + points[i].replace("%", "%%") + " %s "
-            return "".join(self._fill(i, lead, "\n", named))
+            return self._row(i, "color " + points[i].replace("%", "%%") + " %s ", "\n", args)
         return row_lines
 
-    def _fill(self, i: int, lead: str, end: str, args: list) -> list[str]:
+    def _row(self, i: int, lead: str, end: str, args: tuple) -> str:
         """The entries of type element ``i`` toward every later position,
-        each ``lead + <pair text> + end`` as a ``%`` template filled with
-        ``args`` of the later position.  Toward a base point the pair text
-        is the stored one.  Toward a run of type elements of one layout it
-        is one :meth:`PairTemplates.entry`, with a ``%s`` slot for each of
-        the higher type's parts, filled as :func:`spell` fills it, in C by
-        one ``map`` over the run's ``args``."""
+        each ``lead + <pair text> + end``, as one ``%`` format filled once,
+        in C, with every later position's arguments (``args``, per position,
+        :func:`_flattened`).  Toward a base point the pair text is the
+        stored one.  Toward a run of type elements of one layout it is one
+        :meth:`PairTemplates.entry`, with a ``%s`` slot for each of the
+        higher type's parts, repeated once per element of the run; the fill
+        spells each as :func:`spell` does."""
         rows, texts, marks = self._rows, self._palette.texts, self._marks
         lo_layout, lo_parts = marks[i][0], self._parts[i]
         entry = self.templates.entry
-        out: list[str] = []
+        pieces: list[str] = []
         j, n = i + 1, len(rows)
         while j < n:
             m = marks[j]
             if m is None:
-                out.append((lead + texts[rows[j][i]] + end) % args[j])
+                pieces.append(lead + texts[rows[j][i]] + end)
                 j += 1
                 continue
             layout, stop = m
-            fmt = lead + entry(lo_layout, lo_parts, layout) + end
-            out += map(fmt.__mod__, args[j:stop])
+            pieces.append((lead + entry(lo_layout, lo_parts, layout) + end) * (stop - j))
             j = stop
-        return out
+        flat, off = args
+        return "".join(pieces) % flat[off[i + 1]:]
 
     def _mark_types(self) -> None:
         """Per position, None for a base point, and for a type element its
         layout and the end of its run: the first later position that is not
         a type element of its layout.  Type elements of one layout sit next
         to each other, in type order, so each layout makes one run.  Sets
-        ``_parts`` too: per position, its type's parts, () for a base point.
-        Building an extension computes none of them: only printing and
-        reading texts do."""
+        ``_parts`` too: per position, its type's parts, () for a base point,
+        and ``_part_args``, those :func:`_flattened`.  Building an extension
+        computes none of them: only printing and reading texts do."""
         parts = self.templates.parts
         self._parts = [() if tau is None else parts(tau) for tau in self._types]
+        self._part_args = _flattened(self._parts)
         marks: list = [None if tau is None else [tau.column, 0] for tau in self._types]
         stop, after = len(marks), None   # after: the mark of position j + 1
         for j in range(len(marks) - 1, -1, -1):
@@ -286,6 +290,12 @@ class _ExtensionRows(Sequence):
                 m[1] = stop
             after = m
         self._marks = marks
+
+
+def _flattened(args: list) -> tuple[tuple, list[int]]:
+    """Per-position ``%`` arguments as one tuple, and the offset of each
+    position's arguments in it, with the end's offset last."""
+    return tuple(chain.from_iterable(args)), [*accumulate(map(len, args), initial=0)]
 
 
 class _ElementRow(Sequence):
@@ -302,9 +312,10 @@ class _ElementRow(Sequence):
     def __getitem__(self, j):
         if isinstance(j, slice):
             return stored_row([self._rows.cid(self._i, k) for k in range(*j.indices(len(self)))])
-        if not 0 <= j < len(self):
+        n = len(self)
+        if not -n <= j < n:
             raise IndexError(j)
-        return self._rows.cid(self._i, j)
+        return self._rows.cid(self._i, j % n)
 
 
 @dataclass(frozen=True)
@@ -345,26 +356,25 @@ def apply_K(x: FinStruct, budget: int) -> ExtendedStructure:
     # One sort lays out the points: a type element by (gap, 0, type index),
     # base position i by (i, 1, i).  The gap is the type order's first rule,
     # so the elements of one gap keep their type order, below the base point
-    # that closes the gap.  A base point's stored row reads the base row at
-    # each base point and, at each type element, the type's color to it if
-    # it is in the support, the marker if not.  The extension extends x's
-    # palette, whose ids never change meaning.
+    # that closes the gap.  A base point's stored row starts as all marker;
+    # its base row goes in at the base positions, and each type's support
+    # colors at its element's.  The extension extends x's palette, whose ids
+    # never change meaning.
     layout = sorted([(gap_index(tau), 0, k) for k, tau in enumerate(taus)]
                     + [(i, 1, i) for i in range(len(x.points))])
     points = tuple(x.points[k] if is_base else ids[k] for _, is_base, k in layout)
     types = [None if is_base else taus[k] for _, is_base, k in layout]  # None: a base point
-    at = [k if is_base else None for _, is_base, k in layout]           # None: a type element
     marker = x.palette.id(ColorTerm.marker(level))
-    supports = [None if tau is None else dict(zip(map(pos.__getitem__, tau.support), tau.ids))
-                for tau in types]              # per type element: base position to id
-    base_rows = []
-    for i in at:
-        if i is None:                          # a type element: its row stays lazy
-            base_rows.append(None)
-            continue
-        row = x.rows[i]
-        base_rows.append(stored_row([row[a] if a is not None else m.get(i, marker)
-                                     for a, m in zip(at, supports)]))
+    at = [j for j, tau in enumerate(types) if tau is None]   # base index -> position
+    base_rows: list = [None] * len(points)   # None: a type element, whose row stays lazy
+    for j, row in zip(at, x.rows):
+        new = base_rows[j] = stored_row([marker]) * len(points)
+        for k, c in zip(at, row):
+            new[k] = c
+    for j, tau in enumerate(types):
+        if tau is not None:
+            for p, c in zip(tau.support, tau.ids):
+                base_rows[at[pos[p]]][j] = c
     rows = _ExtensionRows(base_rows, types, x)
     struct = FinStruct.of_rows(points, rows, x.palette, level)
     return ExtendedStructure(x, struct, tuple(zip(ids, taus)))

@@ -62,7 +62,8 @@ FUNCTIONS = (
     "core.parse_struct_lines", "core._build_checked", "core.format_struct", "core.struct_chunks",
     "core.stored_lines", "core._pair_texts", "katetov.PairTemplates",
     "katetov.spell", "katetov._ExtensionRows.row_texts", "katetov._ExtensionRows.line_printer",
-    "katetov._ExtensionRows._fill", "katetov._ExtensionRows._mark_types",
+    "katetov._ExtensionRows._row", "katetov._ExtensionRows._mark_types",
+    "katetov._ElementRow", "katetov.apply_K",
     "katetov.format_extended", "katetov.extended_chunks", "limit.Approximation.chunks",
     "refuter._frame", "refuter.certificate_chunks", "refuter.parse_certificate",
     "cli._reading", "cli._prettify", "cli._emit",

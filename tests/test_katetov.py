@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from colorder.cli import run
 from colorder.core import (HOLE, PAIRCODE, ColorTerm, Embedding, FinStruct,
                            InputError, Palette, canonical_code, format_struct,
                            is_embedding, pair_of, parse_struct, validate)
@@ -751,6 +752,54 @@ def test_printed_pair_texts_equal_the_colors_read_through_ids(monkeypatch):
             assert format_struct(warm) == cold == format_struct(ids)
             for m in ((), marks):
                 assert canonical_code(warm, m) == canonical_code(s, m) == canonical_code(ids, m)
+
+
+def test_percent_signs_in_point_names_print_as_read_through_ids(tmp_path):
+    """A type element's color lines are one ``%`` format, with the row's
+    own name in it escaped and every later name an argument, so names that
+    hold ``%`` print as they are.  The ``k-apply`` text, the printed
+    extension and its canonical codes equal those of the restricted copy,
+    which reads every color through ids and prints each line by itself."""
+    names = ("%", "%s", "a%%b", "%(x)s")
+    x = FinStruct.build(names, random_coloring(random.Random(34), names, 2))
+    base, out = tmp_path / "base.txt", tmp_path / "k.txt"
+    base.write_text(format_struct(x, "base"))
+    assert run(["k-apply", "--base", str(base), "--budget", "1", "--out", str(out)]) == 0
+    ext = apply_K(x, 1)
+    s = ext.struct
+    assert [p for p in s.points if p in names] == list(names)
+    assert len(ext.elements) > 4
+    ids = s.restrict(s.points)
+    text = format_struct(ids, "K")
+    assert all(f"color {u} {v} " in text for u, v in itertools.combinations(s.points, 2))
+    printed = format_extended(ext)
+    assert out.read_text() == printed and printed.startswith(text)
+    assert format_struct(s) == format_struct(ids)
+    for marks in ((), names, ("%(x)s", ext.element_ids()[-1], "a%%b")):
+        assert canonical_code(s, marks) == canonical_code(ids, marks)
+
+
+def test_negative_indices_read_as_a_tuple_of_arrays_reads():
+    """A lazy extension's rows take negative indices as a tuple of arrays
+    does, row and entry alike: ``rows[i - n][j - n]`` is ``rows[i][j]``, the
+    stored rows of the restricted copy, HOLE on the diagonal; an index out
+    of range raises IndexError.  Reading the diagonal enters no color."""
+    x = FinStruct.build("ab", {pair_of("a", "b"): B(0, 0)})
+    s = apply_K(x, 1).struct
+    n = len(s.points)
+    assert n == 7 and s.points[-1] not in x.points
+    palette_size = len(s.palette.texts)
+    assert s.rows[-1][n - 1] == s.rows[n - 1][-1] == HOLE
+    assert len(s.palette.texts) == palette_size
+    ids = s.restrict(s.points)
+    for i, j in itertools.product(range(n), repeat=2):
+        assert s.rows[i][j] == s.rows[i - n][j - n] == ids.rows[i][j]
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            s.rows[bad]
+        for i in (0, n - 1):
+            with pytest.raises(IndexError):
+                s.rows[i][bad]
 
 
 def test_pair_color_reads_only_its_support_union(monkeypatch):
