@@ -121,11 +121,6 @@ def _reading(path: str) -> Iterator[TextIO]:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _read(path: str) -> str:
-    with _reading(path) as fh:
-        return fh.read()
-
-
 def _load_struct(path: str) -> FinStruct:
     with _reading(path) as fh:
         return parse_struct(fh)[1]
@@ -165,7 +160,8 @@ def _cmd_amalgamate(args) -> int:
         if path is None:
             mapping = {p: p for p in over.points}
         else:
-            pairs = parse_pairs(_read(path)).pairs
+            with _reading(path) as fh:
+                pairs = parse_pairs(fh).pairs
             mapping = dict(pairs)
             if len(mapping) < len(pairs):   # a common point listed twice
                 raise InputError("not an embedding")
@@ -235,7 +231,8 @@ def _cmd_limit_build(args) -> int:
     _arg("--point", required=True))
 def _cmd_limit_extend_iso(args) -> int:
     a = _build_approximation(args)
-    p = parse_pairs(_read(args.iso))
+    with _reading(args.iso) as fh:
+        p = parse_pairs(fh)
     a, p2 = extend_partial_iso(a, p, args.point)
     _emit(args, chain((format_pairs(p2.pairs),), a.chunks()))
     return 0
@@ -264,7 +261,10 @@ def _cmd_refute(args) -> int:
     base = _load_struct(args.base)
     if (args.type_text is None) == (args.type_file is None):
         raise InputError("give exactly one of --type and --type-file")
-    type_text = args.type_text if args.type_file is None else _read(args.type_file).strip()
+    type_text = args.type_text
+    if args.type_file is not None:
+        with _reading(args.type_file) as fh:
+            type_text = fh.read().strip()
     tau = parse_type(type_text, base)
     with make_strategy(args.strategy, args.seed) as strategy:
         cert = refute(base, tau, strategy, args.depth)

@@ -31,7 +31,7 @@ with one memmove, after one memcpy only when the structure was read
 (``katetov.apply_K``) keeps the rows of its type elements lazy: a reader of
 ids computes a pair color's text on each read and looks its id up in
 ``Palette.ids``, the one text-to-id table, and printing takes each row's
-lines from the extension (``line_printer``) without entering them.
+lines from the extension (its ``row_lines``) without entering them.
 Printing streams: :func:`struct_chunks` yields the header and then one
 chunk of color lines per point, so writing a structure holds one row's
 text at a time, not the whole text.
@@ -729,14 +729,13 @@ def struct_chunks(s: FinStruct, name: str = "s") -> Iterator[str]:
     point.  Every check runs before this returns, so a writer may open its
     output after the call: the name must read back, and an uncolored pair
     or a negative level raises InputError.  A row provider with a
-    ``line_printer`` (a functor extension, complete by construction)
-    prints its own rows; stored rows print by :func:`stored_lines`."""
+    ``row_lines(i)`` method (a functor extension, complete by
+    construction) prints its own rows; stored rows print by
+    :func:`stored_lines`."""
     _check_id("structure name", name)
     pts, rows = s.points, s.rows
-    printer = getattr(rows, "line_printer", None)
-    if printer is not None:
-        row_lines = printer(pts)
-    else:
+    row_lines = getattr(rows, "row_lines", None)
+    if row_lines is None:
         _check_complete(s)
         row_lines = partial(stored_lines, pts, s.palette.texts, rows)
     head = f"structure {name} level {s.level}\n"

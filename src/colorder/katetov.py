@@ -11,22 +11,23 @@ frozenset-keyed ``PairStructure`` as the reference.
 
 A configuration's shape depends only on the base and the two types'
 layouts (``OnePointType.column``), so a :class:`PairTemplates` map builds
-one template per pair of layouts and a pair color fills it with the two
-types' color texts, each hexed once per color id.  Templates hold base
-pair texts, so a map belongs to one base: an extension's lazy rows keep
-their base's map as long as they live, and :func:`pair_text` builds one
-for its single call.  Printing streams an extension row by row
-(:func:`extended_chunks`).  Type elements of one layout sit next to each
-other, so a type element's row meets them in runs, and
-``_ExtensionRows.line_printer`` makes one ``%`` format string per row: each
-run's color line, with the row's name and parts and the template's fixed
-parts in place, repeated once per element of the run, and each base
-point's line with its stored text.  One fill, in C, puts in every later
-position's name and parts.  Printing adds no palette entry and builds no
-``ColorTerm``.  Only a reader of ids enters a pair color into the palette
-they share with their base, as its canonical text; ``Palette.ids`` is the
-one table from that text to its id.  A pair text is a template filled as
-:func:`spell` fills it.
+one template per pair of layouts, and a pair text is that template filled
+with the lower, then the higher type's color texts, each hexed once per
+color id.  Templates hold base pair texts, so a map belongs to one base:
+an extension's lazy rows keep their base's map as long as they live, and
+:func:`pair_text` builds one for its single call.  Printing streams an
+extension row by row (:func:`extended_chunks`).  Type elements of one
+layout sit next to each other, so a type element's row meets them in runs,
+and ``_ExtensionRows.row_lines`` makes one ``%`` format string per row:
+each run's color line, with the lower type's parts in place, repeated once
+per element of the run, and each base point's line with its stored text.
+One fill, in C, puts in every later position's name and parts, read off
+one layout table made on the first print or text read;
+``_ExtensionRows.row_texts`` fills the same format for a canonical code.
+Printing adds no palette entry and builds no ``ColorTerm``.  Only a reader
+of ids enters a pair color into the palette they share with their base, as
+its canonical text; ``Palette.ids`` is the one table from that text to its
+id.
 The morphism map checks its embedding once, then maps each type element to
 the element whose key is the type's key with the support carried along the
 embedding, making the whole thing a functor that raises the level by one;
@@ -36,9 +37,9 @@ its result is an embedding by construction and is not re-checked.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate, chain, repeat
 
 from .core import (HOLE, ColorTerm, Embedding, FinStruct, InputError, first_free,
@@ -120,14 +121,8 @@ class PairTemplates(dict):
         """The hex of the text of each of ``tau``'s support colors."""
         return tuple(map(self._hex, tau.ids))
 
-    def entry(self, lo_layout: tuple, lo_parts: tuple[str, ...], hi_layout: tuple) -> str:
-        """The template of the two layouts with the lower type's parts put
-        in: what :func:`spell` fills with the higher type's parts, a pair
-        text with a ``%s`` slot for each of them."""
-        return self[lo_layout, hi_layout] % lo_parts
-
     def text(self, lo: OnePointType, hi: OnePointType) -> str:
-        return spell(self.entry(lo.column, self.parts(lo), hi.column), self.parts(hi))
+        return self[lo.column, hi.column] % self.parts(lo) % self.parts(hi)
 
     def __missing__(self, key: tuple) -> str:
         (lo_supp, lo_gap), (hi_supp, hi_gap) = key
@@ -160,47 +155,42 @@ class PairTemplates(dict):
         return got
 
 
-def spell(entry: str, hi_parts: tuple[str, ...]) -> str:
-    """The one spelling of a pair text: an entry of
-    :meth:`PairTemplates.entry` filled with the higher type's parts."""
-    return entry % hi_parts
-
-
 # ---------------------------------------------------------------------------
 # The object and morphism maps
 # ---------------------------------------------------------------------------
 
 class _ExtensionRows(Sequence):
-    """Lazy row provider of an extended structure.
+    """Lazy row provider of an extended structure over ``points``.
 
     The rows of base points are stored, as ``core.stored_row`` arrays: they
     hold the base colors and the colors to every type element.  The row of
     a type element is a view whose entries against other type elements are
-    pair colors, computed from the base's ``templates``.  Printing reads
-    such a row as lines through :meth:`line_printer`, a canonical code as
-    texts through :meth:`row_texts`, both from one ``%`` format per row,
-    filled once (:meth:`_row`); a reader of ids goes through
+    pair colors, computed from the base's ``templates``.  Printing reads a
+    row as lines through :meth:`row_lines`, a canonical code as texts
+    through :meth:`row_texts`; for a type element both fill one ``%``
+    format once (:meth:`_row`) from one layout table (``_layout``), made on
+    the first print or text read.  A reader of ids goes through
     :meth:`cid`, which fills the pair's template and looks its text up in
     the palette's ``ids``, adding it on first read, so large extensions
     stay usable as long as only a sparse set of their pairs is inspected.
-    A slice of that view is a stored row too.
-    Type elements sit in type order, so the lower position of a pair holds
-    the lower type.
+    A slice of that view is a stored row too, and a slice of the rows is a
+    tuple of rows.  Type elements sit in type order, so the lower position
+    of a pair holds the lower type.
     """
 
-    def __init__(self, base_rows: list, types: list, base: FinStruct):
+    def __init__(self, points: Sequence[str], base_rows: list, types: list, base: FinStruct):
+        self._points = points
         self._rows = base_rows   # position -> stored row, or None for a type element
         self._types = types      # position -> type, or None for a base point
         self._palette = base.palette
         self.templates = PairTemplates(base)
-        self._marks: list | None = None   # per position, made on the first print
-        self._parts: list = []            # per position, made with _marks
-        self._part_args: tuple = ()       # _parts flattened, made with _marks
 
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __getitem__(self, i: int) -> Sequence[int]:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self._rows))[i]))
         row = self._rows[i]   # IndexError out of range
         return row if row is not None else _ElementRow(self, i % len(self._rows))
 
@@ -214,47 +204,36 @@ class _ExtensionRows(Sequence):
         lo, hi = (i, j) if i < j else (j, i)
         return self._palette.id_text(self.templates.text(self._types[lo], self._types[hi]))
 
+    def row_lines(self, i: int) -> str:
+        """The color lines of position ``i`` toward every later position,
+        ``core.struct_chunks``'s printer: a stored row's by
+        ``core.stored_lines``, a type element's by :meth:`_row`."""
+        rows, points = self._rows, self._points
+        if rows[i] is not None:
+            return stored_lines(points, self._palette.texts, rows, i)
+        return self._row(i, "color " + points[i].replace("%", "%%") + " %s ", "\n")
+
     def row_texts(self, i: int) -> Iterable[str]:
         """The color texts between position ``i`` and every later position,
         in position order: a stored row's entries through the palette, and
-        a type element's row split off its :meth:`_row`, so reading texts
+        a type element's split off its :meth:`_row`, whose lead takes each
+        later position's name and prints none of it, so reading texts
         enters no color into the palette."""
         row = self._rows[i]
         if row is not None:
             return map(self._palette.texts.__getitem__, row[i + 1:])
-        if self._marks is None:
-            self._mark_types()
-        return self._row(i, "", "\n", self._part_args).split("\n")[:-1]
+        return self._row(i, "%.0s", "\n").split("\n")[:-1]
 
-    def line_printer(self, points: Sequence[str]) -> Callable[[int], str]:
-        """``core.struct_chunks``'s printer of these rows under ``points``:
-        position -> its color lines toward every later position.  A stored
-        row prints by ``core.stored_lines``, a type element's row by
-        :meth:`_row`, one format filled once with each later position's
-        name and parts."""
-        if self._marks is None:
-            self._mark_types()
-        args = _flattened([(p, *parts) for p, parts in zip(points, self._parts)])
-        rows, texts = self._rows, self._palette.texts
-
-        def row_lines(i: int) -> str:
-            if rows[i] is not None:
-                return stored_lines(points, texts, rows, i)
-            return self._row(i, "color " + points[i].replace("%", "%%") + " %s ", "\n", args)
-        return row_lines
-
-    def _row(self, i: int, lead: str, end: str, args: tuple) -> str:
+    def _row(self, i: int, lead: str, end: str) -> str:
         """The entries of type element ``i`` toward every later position,
         each ``lead + <pair text> + end``, as one ``%`` format filled once,
-        in C, with every later position's arguments (``args``, per position,
-        :func:`_flattened`).  Toward a base point the pair text is the
-        stored one.  Toward a run of type elements of one layout it is one
-        :meth:`PairTemplates.entry`, with a ``%s`` slot for each of the
-        higher type's parts, repeated once per element of the run; the fill
-        spells each as :func:`spell` does."""
-        rows, texts, marks = self._rows, self._palette.texts, self._marks
-        lo_layout, lo_parts = marks[i][0], self._parts[i]
-        entry = self.templates.entry
+        in C, with every later position's name, which ``lead`` takes, and
+        parts.  Toward a base point the pair text is the stored one; toward
+        a run of type elements of one layout, the template of the two
+        layouts with ``i``'s parts in, repeated once per element."""
+        marks, flat, off = self._layout
+        rows, texts, templates = self._rows, self._palette.texts, self.templates
+        lo_layout, _, lo_parts = marks[i]
         pieces: list[str] = []
         j, n = i + 1, len(rows)
         while j < n:
@@ -263,24 +242,21 @@ class _ExtensionRows(Sequence):
                 pieces.append(lead + texts[rows[j][i]] + end)
                 j += 1
                 continue
-            layout, stop = m
-            pieces.append((lead + entry(lo_layout, lo_parts, layout) + end) * (stop - j))
+            layout, stop, _ = m
+            pieces.append((lead + templates[lo_layout, layout] % lo_parts + end) * (stop - j))
             j = stop
-        flat, off = args
         return "".join(pieces) % flat[off[i + 1]:]
 
-    def _mark_types(self) -> None:
-        """Per position, None for a base point, and for a type element its
-        layout and the end of its run: the first later position that is not
-        a type element of its layout.  Type elements of one layout sit next
-        to each other, in type order, so each layout makes one run.  Sets
-        ``_parts`` too: per position, its type's parts, () for a base point,
-        and ``_part_args``, those :func:`_flattened`.  Building an extension
-        computes none of them: only printing and reading texts do."""
+    @cached_property
+    def _layout(self) -> tuple[list, tuple, list[int]]:
+        """Per position, None for a base point, else ``[layout, run end,
+        parts]``, the run ending at the first later position that is not a
+        type element of its layout (type elements of one layout sit next to
+        each other, so each layout makes one run); then every position's
+        name and parts in one tuple, and each position's offset in it, the
+        end's last.  Only printing and reading texts build this."""
         parts = self.templates.parts
-        self._parts = [() if tau is None else parts(tau) for tau in self._types]
-        self._part_args = _flattened(self._parts)
-        marks: list = [None if tau is None else [tau.column, 0] for tau in self._types]
+        marks: list = [None if tau is None else [tau.column, 0, parts(tau)] for tau in self._types]
         stop, after = len(marks), None   # after: the mark of position j + 1
         for j in range(len(marks) - 1, -1, -1):
             m = marks[j]
@@ -289,13 +265,8 @@ class _ExtensionRows(Sequence):
                     stop = j + 1
                 m[1] = stop
             after = m
-        self._marks = marks
-
-
-def _flattened(args: list) -> tuple[tuple, list[int]]:
-    """Per-position ``%`` arguments as one tuple, and the offset of each
-    position's arguments in it, with the end's offset last."""
-    return tuple(chain.from_iterable(args)), [*accumulate(map(len, args), initial=0)]
+        args = [(p,) if m is None else (p, *m[2]) for p, m in zip(self._points, marks)]
+        return marks, tuple(chain.from_iterable(args)), [*accumulate(map(len, args), initial=0)]
 
 
 class _ElementRow(Sequence):
@@ -375,7 +346,7 @@ def apply_K(x: FinStruct, budget: int) -> ExtendedStructure:
         if tau is not None:
             for p, c in zip(tau.support, tau.ids):
                 base_rows[at[pos[p]]][j] = c
-    rows = _ExtensionRows(base_rows, types, x)
+    rows = _ExtensionRows(points, base_rows, types, x)
     struct = FinStruct.of_rows(points, rows, x.palette, level)
     return ExtendedStructure(x, struct, tuple(zip(ids, taus)))
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .core import (Embedding, FinStruct, InputError, copied_rows, first_free, format_struct,
-                   gather, preserves, row_masks, struct_chunks, validate)
+                   gather, preserves, read_lines, row_masks, struct_chunks, validate)
 from .types import (OnePointType, check_realizable, enumerate_types, insert_point,
                     point_key)
 
@@ -274,13 +274,14 @@ def format_pairs(pairs: Iterable[tuple[str, str]]) -> str:
     return "".join(f"pair {u} {v}\n" for u, v in pairs)
 
 
-def parse_pairs(text: str) -> PartialIso:
+def parse_pairs(source: str | TextIO) -> PartialIso:
+    """Parse ``pair <id> <id>`` lines, blank lines skipped, from a text or
+    an open text file, split as ``core.read_lines`` splits them."""
     pairs = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
+    for lineno, raw in enumerate(read_lines(source), 1):
+        tok = raw.split()
+        if not tok:
             continue
-        tok = line.split()
         if tok[0] != "pair" or len(tok) != 3:
             raise InputError(f"line {lineno}: expected 'pair <id> <id>'")
         pairs.append((tok[1], tok[2]))

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 from colorder import refuter
-from colorder.cli import _read, run
+from colorder.cli import run
 from colorder.core import (InputError, _file_chunks, _text_chunks, format_struct, parse_struct,
                            read_lines)
 from colorder.limit import Approximation, grow, parse_pairs
@@ -199,7 +199,7 @@ def test_file_lines_equal_the_split_text(tmp_path):
     path = tmp_path / "lines.txt"
     path.write_bytes("".join("x" * k + sep for k in range(12) for sep in SEPARATORS)
                      .encode() + b"\r\rlast")
-    want = _read(str(path)).splitlines()
+    want = path.read_text().splitlines()
     for size in (1, 2, 3, 5, 8, 13):
         with open(path) as fh:
             assert split(_file_chunks(fh, size)) == want
@@ -473,6 +473,21 @@ def test_k_apply_name_reads_back(tmp_path, capsys):
     out.write_text(structure)
     assert run(["validate", str(out)]) == 0
     assert capsys.readouterr() == ("valid\n", "")
+
+
+def test_pair_file_crlf_and_blank_lines_read_as_its_lf_form(tmp_path, capsys):
+    """A pair file is read as a stream of lines: with CR LF line ends and a
+    blank line it gives the same ``limit-extend-iso`` output as its LF
+    form, and a bad line is cited by the same line number."""
+    iso = tmp_path / "iso.txt"
+    argv = ["limit-extend-iso", "--steps", "40", "--budget", "2", "--seed-file",
+            data("two_point.txt"), "--iso", str(iso), "--point", "b"]
+    for text, want in (
+            ("\npair a a\n", (0, golden_bytes("limit_extend_iso.txt").decode(), "")),
+            ("pair a a\n\npair b\n", (1, "", "error: line 3: expected 'pair <id> <id>'\n"))):
+        for form in (text, text.replace("\n", "\r\n")):
+            iso.write_bytes(form.encode())
+            assert (run(argv), *capsys.readouterr()) == want
 
 
 def test_extend_iso_unknown_point_exits_1(capsys):

@@ -783,17 +783,25 @@ def test_negative_indices_read_as_a_tuple_of_arrays_reads():
     """A lazy extension's rows take negative indices as a tuple of arrays
     does, row and entry alike: ``rows[i - n][j - n]`` is ``rows[i][j]``, the
     stored rows of the restricted copy, HOLE on the diagonal; an index out
-    of range raises IndexError.  Reading the diagonal enters no color."""
+    of range raises IndexError.  A slice of the rows is the tuple of those
+    rows.  Reading the diagonal or taking a slice enters no color."""
     x = FinStruct.build("ab", {pair_of("a", "b"): B(0, 0)})
     s = apply_K(x, 1).struct
     n = len(s.points)
     assert n == 7 and s.points[-1] not in x.points
     palette_size = len(s.palette.texts)
     assert s.rows[-1][n - 1] == s.rows[n - 1][-1] == HOLE
+    cuts = (slice(0, 3), slice(-2, None), slice(None, None, 2))
+    sliced = [s.rows[cut] for cut in cuts]
     assert len(s.palette.texts) == palette_size
     ids = s.restrict(s.points)
     for i, j in itertools.product(range(n), repeat=2):
         assert s.rows[i][j] == s.rows[i - n][j - n] == ids.rows[i][j]
+    for cut, rows in zip(cuts, sliced):
+        want = ids.rows[cut]
+        assert type(rows) is tuple and len(rows) == len(want) > 1
+        for row, ref in zip(rows, want):
+            assert list(row) == list(ref)
     for bad in (n, -n - 1):
         with pytest.raises(IndexError):
             s.rows[bad]
