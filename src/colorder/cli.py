@@ -4,17 +4,18 @@ Every subcommand is a thin wrapper over one library operation, reads and
 writes the line-oriented text formats, and is byte-deterministic.  Each
 subcommand is declared once, by the ``@_subcommand`` decorator on its
 handler; the parser is built once per process, as the module loads, and
-``run`` only parses.  Exit codes: 0 success; 1 malformed input (a
-certificate not in canonical form and an external strategy's undecodable,
-overlong or off-protocol reply included), a usage error, or an ``--out``
-file that cannot be written; 2 semantic negative (invalid structure,
-rejected certificate, control violations).
+``run`` writes what the handler returns.  Exit codes: 0 success; 1 malformed
+input (a certificate not in canonical form and an external strategy's
+undecodable, overlong or off-protocol reply included), a usage error, or
+output that cannot be written, to ``--out`` or stdout; 2 semantic negative
+(invalid structure, rejected certificate, control violations).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain
@@ -66,7 +67,8 @@ _APPROXIMATION_OPTIONS = (
 
 def _subcommand(name: str, help: str, *arguments):
     """Declare subcommand ``name`` with ``arguments`` (from ``_arg``) and
-    the output options; ``run`` dispatches it to the decorated handler."""
+    the output options; ``run`` dispatches it to the decorated handler,
+    which returns its exit code and output chunks for ``run`` to write."""
     def declare(handler):
         p = _SUBPARSERS.add_parser(name, help=help)
         for flags, kwargs in (*arguments, *_OUTPUT_OPTIONS):
@@ -92,21 +94,23 @@ def _prettify(chunks: Iterable[str]) -> Iterator[str]:
         yield "\n"
 
 
-def _emit(args, chunks: Iterable[str]) -> None:
-    """Write the output's chunks as they come, to stdout or to ``--out``.
+def _emit(args, code: int, chunks: Iterable[str]) -> int:
+    """Write the output's chunks as they come, to ``--out`` or to stdout,
+    through one stream flushed before it is left, and return ``code``.
     Every check that printing makes runs before the chunks are asked for
     (the chunk forms check when called), so output that fails writes
-    nothing."""
+    nothing.  A write that fails, the flush included, raises InputError
+    naming its target, ``<stdout>`` for stdout."""
     if args.format == "pretty":
         chunks = _prettify(chunks)
-    if not args.out:
-        sys.stdout.writelines(chunks)
-        return
     try:
-        with open(args.out, "w", newline="\n") as fh:
+        with (open(args.out, "w", newline="\n") if args.out
+              else contextlib.nullcontext(sys.stdout)) as fh:
             fh.writelines(chunks)
+            fh.flush()
     except OSError as exc:
-        raise InputError(f"cannot write {args.out}: {exc}") from exc
+        raise InputError(f"cannot write {args.out or '<stdout>'}: {exc}") from exc
+    return code
 
 
 @contextlib.contextmanager
@@ -133,15 +137,12 @@ def _build_approximation(args) -> Approximation:
 
 
 @_subcommand("validate", "check a structure file", _arg("file"))
-def _cmd_validate(args) -> int:
-    s = _load_struct(args.file)
-    verdict = validate(s)
+def _cmd_validate(args) -> tuple[int, Iterable[str]]:
+    verdict = validate(_load_struct(args.file))
     if verdict.ok:
-        _emit(args, ["valid\n"])
-        return 0
+        return 0, ["valid\n"]
     u, v, w = verdict.triple
-    _emit(args, [f"invalid {verdict.reason} {u} {v} {w} {verdict.color.text()}\n"])
-    return 2
+    return 2, [f"invalid {verdict.reason} {u} {v} {w} {verdict.color.text()}\n"]
 
 
 @_subcommand(
@@ -151,7 +152,7 @@ def _cmd_validate(args) -> int:
     _arg("--over", required=True),
     _arg("--left-map", help="pair lines mapping the common part into the left structure"),
     _arg("--right-map", help="pair lines mapping the common part into the right structure"))
-def _cmd_amalgamate(args) -> int:
+def _cmd_amalgamate(args) -> tuple[int, Iterable[str]]:
     left = _load_struct(args.left)
     right = _load_struct(args.right)
     over = _load_struct(args.over)
@@ -169,10 +170,9 @@ def _cmd_amalgamate(args) -> int:
 
     am = amalgamate(left, right, over, load_map(args.left_map, left),
                     load_map(args.right_map, right))
-    _emit(args, chain(struct_chunks(am.result, "amalgam"),
-                      ("embedding left\n", format_pairs(am.left.mapping),
-                       "embedding right\n", format_pairs(am.right.mapping))))
-    return 0
+    return 0, chain(struct_chunks(am.result, "amalgam"),
+                    ("embedding left\n", format_pairs(am.left.mapping),
+                     "embedding right\n", format_pairs(am.right.mapping)))
 
 
 @_subcommand(
@@ -180,11 +180,9 @@ def _cmd_amalgamate(args) -> int:
     _arg("--base", required=True),
     _arg("--level", type=int, default=0),
     _arg("--budget", type=int, required=True))
-def _cmd_types(args) -> int:
-    base = _load_struct(args.base)
-    taus = enumerate_types(base, args.level, args.budget)
-    _emit(args, (format_type(t) + "\n" for t in taus))
-    return 0
+def _cmd_types(args) -> tuple[int, Iterable[str]]:
+    taus = enumerate_types(_load_struct(args.base), args.level, args.budget)
+    return 0, (format_type(t) + "\n" for t in taus)
 
 
 @_subcommand(
@@ -192,11 +190,9 @@ def _cmd_types(args) -> int:
     _arg("--base", required=True),
     _arg("--budget", type=int, required=True),
     _arg("--name", default="K"))
-def _cmd_k_apply(args) -> int:
-    base = _load_struct(args.base)
-    ext = apply_K(base, args.budget)
-    _emit(args, extended_chunks(ext, args.name))
-    return 0
+def _cmd_k_apply(args) -> tuple[int, Iterable[str]]:
+    ext = apply_K(_load_struct(args.base), args.budget)
+    return 0, extended_chunks(ext, args.name)
 
 
 @_subcommand(
@@ -204,24 +200,21 @@ def _cmd_k_apply(args) -> int:
     _arg("--base", required=True),
     _arg("--stages", type=int, required=True),
     _arg("--budgets", required=True, help="comma-separated, one per stage"))
-def _cmd_k_iterate(args) -> int:
+def _cmd_k_iterate(args) -> tuple[int, Iterable[str]]:
     base = _load_struct(args.base)
     try:
         budgets = [int(b) for b in args.budgets.split(",") if b]
     except ValueError:
         raise InputError(f"bad budget list {args.budgets!r}") from None
     stages = iterate_K(base, args.stages, budgets)
-    _emit(args, chain.from_iterable(extended_chunks(ext, f"stage{i + 1}")
-                                    for i, ext in enumerate(stages)))
-    return 0
+    return 0, chain.from_iterable(extended_chunks(ext, f"stage{i + 1}")
+                                  for i, ext in enumerate(stages))
 
 
 @_subcommand("limit-build", "grow a generic-limit approximation",
              *_APPROXIMATION_OPTIONS)
-def _cmd_limit_build(args) -> int:
-    a = _build_approximation(args)
-    _emit(args, a.chunks())
-    return 0
+def _cmd_limit_build(args) -> tuple[int, Iterable[str]]:
+    return 0, _build_approximation(args).chunks()
 
 
 @_subcommand(
@@ -229,23 +222,21 @@ def _cmd_limit_build(args) -> int:
     *_APPROXIMATION_OPTIONS,
     _arg("--iso", required=True, help="file of 'pair <id> <id>' lines"),
     _arg("--point", required=True))
-def _cmd_limit_extend_iso(args) -> int:
+def _cmd_limit_extend_iso(args) -> tuple[int, Iterable[str]]:
     a = _build_approximation(args)
     with _reading(args.iso) as fh:
         p = parse_pairs(fh)
     a, p2 = extend_partial_iso(a, p, args.point)
-    _emit(args, chain((format_pairs(p2.pairs),), a.chunks()))
-    return 0
+    return 0, chain((format_pairs(p2.pairs),), a.chunks())
 
 
 @_subcommand("embed", "embed a structure into an approximation",
              *_APPROXIMATION_OPTIONS, _arg("--structure", required=True))
-def _cmd_embed(args) -> int:
+def _cmd_embed(args) -> tuple[int, Iterable[str]]:
     a = _build_approximation(args)
     s = _load_struct(args.structure)
     a, e = embed(a, s)
-    _emit(args, chain((format_pairs(e.mapping),), a.chunks()))
-    return 0
+    return 0, chain((format_pairs(e.mapping),), a.chunks())
 
 
 @_subcommand(
@@ -257,7 +248,7 @@ def _cmd_embed(args) -> int:
          help="bundled name or prog:<command> for the line protocol"),
     _arg("--depth", type=int, default=3),
     _arg("--seed", type=int, default=0))
-def _cmd_refute(args) -> int:
+def _cmd_refute(args) -> tuple[int, Iterable[str]]:
     base = _load_struct(args.base)
     if (args.type_text is None) == (args.type_file is None):
         raise InputError("give exactly one of --type and --type-file")
@@ -268,8 +259,7 @@ def _cmd_refute(args) -> int:
     tau = parse_type(type_text, base)
     with make_strategy(args.strategy, args.seed) as strategy:
         cert = refute(base, tau, strategy, args.depth)
-    _emit(args, certificate_chunks(cert))
-    return 0
+    return 0, certificate_chunks(cert)
 
 
 @_subcommand(
@@ -277,16 +267,14 @@ def _cmd_refute(args) -> int:
     _arg("--cert", required=True),
     _arg("--strategy", required=True),
     _arg("--seed", type=int, default=0))
-def _cmd_check_cert(args) -> int:
+def _cmd_check_cert(args) -> tuple[int, Iterable[str]]:
     with _reading(args.cert) as fh:
         cert = parse_certificate(fh)
     with make_strategy(args.strategy, args.seed) as strategy:
-        result = check_certificate(cert, strategy)
-    if result.ok:
-        _emit(args, ["accepted\n"])
-        return 0
-    _emit(args, [f"rejected {result.reason}\n"])
-    return 2
+        verdict = check_certificate(cert, strategy)
+    if verdict.ok:
+        return 0, ["accepted\n"]
+    return 2, [f"rejected {verdict.reason}\n"]
 
 
 @_subcommand(
@@ -296,19 +284,18 @@ def _cmd_check_cert(args) -> int:
     _arg("--depth", type=int, default=3),
     _arg("--samples", type=int, default=20),
     _arg("--seed", type=int, default=1729))
-def _cmd_control_lo(args) -> int:
+def _cmd_control_lo(args) -> tuple[int, Iterable[str]]:
     if args.size < 0:
         raise InputError("size must be nonnegative")
     order = tuple(f"p{i}" for i in range(args.size))
     report = control_lo(order, args.cut, args.depth, args.samples, args.seed)
-    _emit(args, [format_control_report(report)])
-    return 0 if report.violations == 0 else 2
+    return (0 if report.violations == 0 else 2), [format_control_report(report)]
 
 
 def run(argv: list[str]) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        return args.run(args)
+        return _emit(args, *args.run(args))
     except _UsageError as exc:
         sys.stderr.write(str(exc))
         return 1
@@ -321,7 +308,13 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        if sys.stdout is not None:  # None when fd 1 was closed at start-up
+            sys.stdout.flush()
+    except OSError:  # drop what run could not write, or the exit flush fails on it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -434,8 +434,9 @@ class FinStruct:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of :func:`validate`.  ``triple`` names the first violating
-    points (by order position) when a monochromatic triangle exists."""
+    """Outcome of :func:`validate`, where ``triple`` names the first
+    violating points (by order position) when a monochromatic triangle
+    exists, and of ``refuter.check_certificate``, which sets no triple."""
 
     ok: bool
     reason: str = ""

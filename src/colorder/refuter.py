@@ -40,10 +40,10 @@ import signal
 import subprocess
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol, TextIO
+from typing import Iterable, Iterator, TextIO
 
-from .core import (ColorTerm, FinStruct, InputError, Palette, canonical_code, first_free,
-                   parse_struct_lines, read_lines, struct_chunks, validate)
+from .core import (ColorTerm, FinStruct, InputError, Palette, Verdict, canonical_code,
+                   first_free, parse_struct_lines, read_lines, struct_chunks, validate)
 from .limit import Approximation, PartialIso, format_pairs, realize_image
 from .types import OnePointType, check_realizable, format_type, parse_type, point_key
 
@@ -87,10 +87,18 @@ class QueryContext:
     structure_hash: str
 
 
-class ExtensionStrategy(Protocol):
+class ExtensionStrategy(contextlib.AbstractContextManager):
+    """A strategy's ``name`` and its ``answer`` to each query.  Every
+    strategy ``make_strategy`` returns extends it, so it works in ``with``;
+    :func:`refute` and :func:`check_certificate` need ``answer`` alone."""
+
     name: str
 
-    def answer(self, ctx: QueryContext) -> StrategyAnswer: ...
+    def answer(self, ctx: QueryContext) -> StrategyAnswer:
+        raise NotImplementedError
+
+    def __exit__(self, *exc_info) -> None:
+        pass
 
 
 def structure_hash(s: FinStruct) -> str:
@@ -101,15 +109,7 @@ def structure_hash(s: FinStruct) -> str:
 # Bundled strategies
 # ---------------------------------------------------------------------------
 
-class Strategy(contextlib.AbstractContextManager):
-    """Base of every strategy ``make_strategy`` returns, so each one can be
-    used in ``with``; it holds nothing to release on leaving the block."""
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-
-class ConstantStrategy(Strategy):
+class ConstantStrategy(ExtensionStrategy):
     """Same side and color for every point."""
 
     name = "constant"
@@ -118,7 +118,7 @@ class ConstantStrategy(Strategy):
         return StrategyAnswer(ABOVE, ColorTerm.base(0, 0))
 
 
-class SupportEchoStrategy(Strategy):
+class SupportEchoStrategy(ExtensionStrategy):
     """Echoes the type's color at its largest support point."""
 
     name = "support-echo"
@@ -128,7 +128,7 @@ class SupportEchoStrategy(Strategy):
         return StrategyAnswer(ABOVE, color)
 
 
-class OrderSensitiveStrategy(Strategy):
+class OrderSensitiveStrategy(ExtensionStrategy):
     """Answers depend on how many base points precede the queried point."""
 
     name = "order-sensitive"
@@ -139,7 +139,7 @@ class OrderSensitiveStrategy(Strategy):
         return StrategyAnswer(ABOVE, ColorTerm.base(0, k % 2))
 
 
-class IndexSensitiveStrategy(Strategy):
+class IndexSensitiveStrategy(ExtensionStrategy):
     """Answers keyed to the digits in the queried point's name, so two
     realizers of one type get different colors."""
 
@@ -151,7 +151,7 @@ class IndexSensitiveStrategy(Strategy):
         return StrategyAnswer(ABOVE, ColorTerm.base(0, n % 3))
 
 
-class SeededRandomStrategy(Strategy):
+class SeededRandomStrategy(ExtensionStrategy):
     """Pseudo-random but replayable: answers are a fixed hash of the seed
     and the point name."""
 
@@ -172,7 +172,7 @@ ANSWER_DEADLINE_S = 10.0  # how long a prog: strategy may take over one reply
 MAX_REPLY_BYTES = 1 << 20  # how long one reply line of a prog: strategy may be
 
 
-class SubprocessStrategy(Strategy):
+class SubprocessStrategy(ExtensionStrategy):
     """External strategy speaking the line protocol on stdin/stdout.
 
     Each query goes out as ``query <point-id> <structure-hash>`` and the
@@ -261,7 +261,7 @@ BUNDLED_STRATEGIES = {
 }
 
 
-def make_strategy(name: str, seed: int = 0) -> Strategy:
+def make_strategy(name: str, seed: int = 0) -> ExtensionStrategy:
     if name.startswith("prog:"):
         try:
             argv = shlex.split(name[len("prog:"):])
@@ -327,15 +327,6 @@ class RefutationCertificate:
         seed = tuple((p, p) for p in self.base_points) + ((self.t1, self.t2),)
         return PartialIso(seed + tuple((w, u) if d == "bwd" else (u, w)
                                        for d, u, w in self.transcript))
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _misfit(answers: Iterable[StrategyAnswer], level: int) -> str | None:
@@ -494,7 +485,7 @@ def refute(x: FinStruct, tau: OnePointType, strategy: ExtensionStrategy,
 # ---------------------------------------------------------------------------
 
 def check_certificate(cert: RefutationCertificate,
-                      strategy: ExtensionStrategy) -> CheckResult:
+                      strategy: ExtensionStrategy) -> Verdict:
     """Independently re-verify every field of a certificate, each rule once.
 
     Checks structure validity, the base (points of the structure in its
@@ -511,6 +502,7 @@ def check_certificate(cert: RefutationCertificate,
     map, passes one order-and-color check, which also rejects a second
     image of a base point or of ``t1``.  The kind, alpha and the depth are
     read off the stored fields, so no rule compares a copy with its source.
+    The :class:`~colorder.core.Verdict` names the first rule broken.
     """
     # check a copy whose private palette has the same texts under the same
     # ids, so what checking enters (a forged type's colors) stays out of
@@ -522,68 +514,68 @@ def check_certificate(cert: RefutationCertificate,
     try:
         v = validate(s)
     except InputError as exc:
-        return CheckResult(False, f"malformed-structure: {exc}")
+        return Verdict(False, f"malformed-structure: {exc}")
     if not v:
-        return CheckResult(False, f"invalid-structure: {v.reason}")
+        return Verdict(False, f"invalid-structure: {v.reason}")
     if s.sorted_points(cert.base_points) != tuple(cert.base_points):
-        return CheckResult(False, "base-order-mismatch")
+        return Verdict(False, "base-order-mismatch")
     x = s.restrict(cert.base_points)
     try:
         tau = parse_type(cert.tau_text, x)
     except InputError as exc:
-        return CheckResult(False, f"bad-type: {exc}")
+        return Verdict(False, f"bad-type: {exc}")
     if format_type(tau) != cert.tau_text:
-        return CheckResult(False, "type-not-canonical")
+        return Verdict(False, "type-not-canonical")
 
     # replay every recorded answer in the structure its query saw
     seen, seen_hash = x, structure_hash(x)
     for point, h, side, color in cert.queries:
         if point not in s:
-            return CheckResult(False, "query-point-missing")
+            return Verdict(False, "query-point-missing")
         if point not in seen:
             seen = s.restrict((*seen.points, point))
             seen_hash = structure_hash(seen)
         if seen_hash != h:
-            return CheckResult(False, f"hash-mismatch at {point}")
+            return Verdict(False, f"hash-mismatch at {point}")
         answer = strategy.answer(QueryContext(seen, x.points, tau, point, h))
         if answer.tokens() != (side, color):
-            return CheckResult(False, f"answer-mismatch at {point}")
+            return Verdict(False, f"answer-mismatch at {point}")
     fault, cut, colors = _fault_analysis(x, tau, cert.queries)
 
     if cert.kind == FAULT:
         if fault is None:
-            return CheckResult(False, "fault-not-reproduced")
+            return Verdict(False, "fault-not-reproduced")
         if fault != cert.reason:
-            return CheckResult(False, f"fault-mismatch: {fault} != {cert.reason}")
+            return Verdict(False, f"fault-mismatch: {fault} != {cert.reason}")
         if (cert.t1, cert.t2, cert.transcript) != (None, None, ()):
-            return CheckResult(False, "fault-with-back-and-forth")
-        return CheckResult(True)
+            return Verdict(False, "fault-with-back-and-forth")
+        return Verdict(True)
 
     if fault is not None:
-        return CheckResult(False, "hidden-strategy-fault")
+        return Verdict(False, "hidden-strategy-fault")
     t1, t2 = cert.t1, cert.t2
     answers = cert.recorded_answers()
     if t1 == t2 or any(t not in s or t in x for t in (t1, t2)) or (None, None) in answers:
-        return CheckResult(False, "bad-realizers")
+        return Verdict(False, "bad-realizers")
 
     # both realizers must carry the strategy's full type over the base
     if None in colors:
-        return CheckResult(False, "unqueried-base-point")
+        return Verdict(False, "unqueried-base-point")
     expected_key = (x.points, cut, tuple(map(s.palette.id, colors)))
     for t in (t1, t2):
         if point_key(s, t, x.points) != expected_key:
-            return CheckResult(False, f"realizer-type-mismatch at {t}")
+            return Verdict(False, f"realizer-type-mismatch at {t}")
     if s.color(t1, t2).text() != answers[0][1]:
-        return CheckResult(False, "pair-color-mismatch")
+        return Verdict(False, "pair-color-mismatch")
 
     # the steps alternate as ``refute`` walks its back-and-forth, fwd on
     # even steps and bwd on odd ones; alpha is the map they spell
     for k, (direction, _, _) in enumerate(cert.transcript):
         if direction != ("fwd" if k % 2 == 0 else "bwd"):
-            return CheckResult(False, f"transcript-step-order at step {k}")
+            return Verdict(False, f"transcript-step-order at step {k}")
     if not cert.alpha.check(s):
-        return CheckResult(False, "alpha-not-iso")
-    return CheckResult(True)
+        return Verdict(False, "alpha-not-iso")
+    return Verdict(True)
 
 
 # ---------------------------------------------------------------------------

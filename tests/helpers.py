@@ -13,8 +13,9 @@ from typing import Mapping
 
 from colorder.core import (HOLE, ColorTerm, FinStruct, InputError, Palette,
                            code_of_parts, pair_of, stored_row)
-from colorder.refuter import ABOVE, QueryContext, structure_hash
-from colorder.types import format_type, parse_type
+from colorder.refuter import (ABOVE, BELOW, ExtensionStrategy, QueryContext, StrategyAnswer,
+                              structure_hash)
+from colorder.types import format_type, parse_type, realize_type
 
 POINT_NAMES = "abcdefgh"
 
@@ -451,6 +452,81 @@ def reference_check(cert, strategy) -> bool:
         return False
     spelled = [(u, w) if d == "fwd" else (w, u) for d, u, w in steps]
     return reference_iso_check([(p, p) for p in base] + [(t1, t2)] + spelled, s)
+
+
+# ---------------------------------------------------------------------------
+# Strategies that never fault
+# ---------------------------------------------------------------------------
+
+def realized_answers(tau) -> dict[str, StrategyAnswer]:
+    """Each base point's answer as ``realize_type`` of ``tau`` over its base
+    gives it: the side of the new point and its color to the base point.
+    Together they claim a full type that shows no fault."""
+    f, t = realize_type(tau.base, tau)
+    return {p: StrategyAnswer(ABOVE if f.index(p) < f.index(t) else BELOW, f.color(t, p))
+            for p in tau.base.points}
+
+
+def first_base_color_outside(colors) -> ColorTerm:
+    return next(c for c in map(ColorTerm.base, itertools.repeat(0), itertools.count())
+                if c not in colors)
+
+
+class TypeKeyedStrategy(ExtensionStrategy):
+    """Answers each base point as a realization of the type does, and any
+    other point from above, in the smallest base color absent from its
+    colors to the base.  Two points of one type over the base get one
+    answer, so the refuter closes a monochromatic triangle."""
+
+    name = "type-keyed"
+
+    def __init__(self):
+        self.said: dict[str, StrategyAnswer] = {}  # by point, from the first query on
+
+    def answer(self, ctx: QueryContext) -> StrategyAnswer:
+        said = self.said = self.said or realized_answers(ctx.tau)
+        if ctx.point in ctx.tau.base:
+            return said[ctx.point]
+        return StrategyAnswer(ABOVE, first_base_color_outside(
+            {ctx.current.color(ctx.point, p) for p in ctx.base_points}))
+
+
+class CommittedStrategy(TypeKeyedStrategy):
+    """Answers each base point as a realization of the type does, keeps
+    every answer, and gives each new point, from above, the smallest base
+    color that closes no triangle with an earlier answer.  The second
+    realizer is joined to the first in the first's answer, so it gets
+    another: the refuter finds an equivariance violation.  It holds state,
+    so a checker must replay it from a fresh instance."""
+
+    name = "committed"
+
+    def answer(self, ctx: QueryContext) -> StrategyAnswer:
+        said = self.said = self.said or realized_answers(ctx.tau)
+        if ctx.point not in said:
+            closing = {a.color for r, a in said.items()
+                       if a.color == ctx.current.color(ctx.point, r)}
+            said[ctx.point] = StrategyAnswer(ABOVE, first_base_color_outside(closing))
+        return said[ctx.point]
+
+
+class LocalTableStrategy(ExtensionStrategy):
+    """One strategy of the 2-color *local table* class over a one-point
+    base ``a``: ``table[0]`` answers ``a``, and ``table[1 + 2 * above +
+    n]`` any other point, above ``a`` or not, joined to it in ``b:0:n``.
+    Two realizers of one type read alike, so no table tells them apart."""
+
+    name = "local-table"
+
+    def __init__(self, table: tuple[StrategyAnswer, ...]):
+        self.table = table
+
+    def answer(self, ctx: QueryContext) -> StrategyAnswer:
+        (a,) = ctx.base_points
+        if ctx.point == a:
+            return self.table[0]
+        above = ctx.current.index(a) < ctx.current.index(ctx.point)
+        return self.table[1 + 2 * above + ctx.current.color(ctx.point, a).index]
 
 
 # ---------------------------------------------------------------------------

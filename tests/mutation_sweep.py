@@ -53,9 +53,9 @@ EQUIVALENTS = HERE / "mutation_equivalents.txt"
 PROFILE = HERE / "mutation_profile.py"  # the pytest plugin every run loads
 
 # the hot paths that the row and snapshot rewrites touch, the type walk,
-# every fresh-name search, the streamed printers and readers, and the
-# refuter's reading of the strategy's answers with the checker that holds a
-# certificate to it;
+# every fresh-name search, the streamed printers and readers, the one
+# writer of every CLI output and its caller, and the refuter's reading of
+# the strategy's answers with the checker that holds a certificate to it;
 # ``module.Qual.name``, a class meaning all of it
 FUNCTIONS = (
     "types.insert_point", "limit.Approximation._realize", "limit.Approximation.realizer_of",
@@ -66,7 +66,7 @@ FUNCTIONS = (
     "katetov._ExtensionRows", "katetov._ElementRow", "katetov.apply_K",
     "katetov.format_extended", "katetov.extended_chunks", "limit.Approximation.chunks",
     "refuter._frame", "refuter.certificate_chunks", "refuter.parse_certificate",
-    "cli._reading", "cli._prettify", "cli._emit",
+    "cli._reading", "cli._prettify", "cli._emit", "cli.run",
     "types.enumerate_types", "core.first_free", "types.realize_type", "core.amalgamate",
     "refuter.control_lo", "refuter._misfit", "refuter._fault_analysis", "refuter.refute",
     "refuter.check_certificate",

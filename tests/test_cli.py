@@ -112,6 +112,38 @@ def test_unwritable_out_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+# the first golden invocation of each subcommand
+ONE_PER_COMMAND = {argv[0]: argv for _, argv, _ in reversed(CASES + CHECK_CASES)}
+STDOUT_ERRORS = {"full-device": "[Errno 28] No space left on device",
+                 "closed-pipe": "[Errno 32] Broken pipe"}
+
+
+@pytest.mark.parametrize("stdout", sorted(STDOUT_ERRORS))
+@pytest.mark.parametrize("command", sorted(ONE_PER_COMMAND))
+def test_unwritable_stdout_exits_1(command, stdout):
+    """Output that cannot reach stdout, on a full device or on a pipe whose
+    read end was closed before the run, ends every subcommand with exit 1
+    and one error line: no traceback, and nothing left over for the flush
+    at interpreter exit to fail on.  The child's stdout is block-buffered,
+    as by default, so the output is still buffered when the write fails."""
+    if stdout == "full-device":
+        fd = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read_end, fd = os.pipe()
+        os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                     "src")
+    try:
+        child = subprocess.run([sys.executable, "-m", "colorder.cli", *ONE_PER_COMMAND[command]],
+                               stdout=fd, stderr=subprocess.PIPE, text=True,
+                               env=env, timeout=60)
+    finally:
+        os.close(fd)
+    assert (child.returncode, child.stderr) == (
+        1, f"error: cannot write <stdout>: {STDOUT_ERRORS[stdout]}\n")
+
+
 def test_one_process_reuses_the_parser(tmp_path, capsys, monkeypatch):
     """Calls in one process share one parser, and no option value of one
     call carries over to the next."""

@@ -1,8 +1,10 @@
 import ast
+import collections
 import dataclasses
 import errno
 import hashlib
 import inspect
+import itertools
 import os
 import random
 import re
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from colorder import refuter
-from colorder.core import ColorTerm, FinStruct, InputError, pair_of
+from colorder.core import ColorTerm, FinStruct, InputError, Verdict, pair_of, parse_struct
 from colorder.limit import realize_image
 from colorder.refuter import (ABOVE, BELOW, BUNDLED_STRATEGIES, EQUIV, FAULT,
                               MONO, QueryContext,
@@ -24,9 +26,9 @@ from colorder.refuter import (ABOVE, BELOW, BUNDLED_STRATEGIES, EQUIV, FAULT,
                               format_control_report, make_strategy,
                               parse_certificate, refute)
 from colorder.types import OnePointType, enumerate_types, format_type, parse_type
-from golden_cases import GOLDEN
-from helpers import (all_structures, colors_of, reference_check, reference_iso_check,
-                     struct_of)
+from golden_cases import GOLDEN, data
+from helpers import (CommittedStrategy, LocalTableStrategy, TypeKeyedStrategy, all_structures,
+                     colors_of, reference_check, reference_iso_check, struct_of)
 
 B = ColorTerm.base
 TYPE_A = "type supp=a cut=1 colors=b:0:1 level=0"
@@ -659,12 +661,12 @@ def test_checker_agrees_with_the_reference_on_single_edits():
 
 def checker_reasons() -> list[re.Pattern]:
     """Every reason ``check_certificate`` can return, read from its source:
-    each ``CheckResult(False, ...)`` text, a formatted field matching any
+    each ``Verdict(False, ...)`` text, a formatted field matching any
     text."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(check_certificate)))
     patterns = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "CheckResult" \
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "Verdict" \
                 and len(node.args) == 2:
             reason = node.args[1]
             parts = reason.values if isinstance(reason, ast.JoinedStr) else [reason]
@@ -761,7 +763,7 @@ REASON_CASES = reason_cases()
 @pytest.mark.parametrize("cert,name,reason", [case[1:] for case in REASON_CASES],
                          ids=[case[0] for case in REASON_CASES])
 def test_each_named_mutant_gets_its_reason(cert, name, reason):
-    assert check_certificate(cert, make_strategy(name)) == refuter.CheckResult(False, reason)
+    assert check_certificate(cert, make_strategy(name)) == Verdict(False, reason)
     assert not reference_check(cert, make_strategy(name))
 
 
@@ -839,6 +841,59 @@ def test_parse_certificate_refuses_a_triangle_without_q():
     lineno = text.splitlines().index(line) + 1
     with pytest.raises(InputError, match=f"^line {lineno}: certificate is not in canonical form$"):
         parse_certificate(cut)
+
+
+# ---------------------------------------------------------------------------
+# strategies that never fault, and a whole class of strategies
+# ---------------------------------------------------------------------------
+
+def accepted_after_a_round_trip(cert: RefutationCertificate, fresh) -> bool:
+    """Whether ``cert``, printed and read back, is accepted by
+    ``check_certificate`` and by the reference checker, each replaying a
+    strategy fresh from ``fresh()``."""
+    back = parse_certificate(format_certificate(cert))
+    return check_certificate(back, fresh()).ok and reference_check(back, fresh())
+
+
+def test_honest_adversaries_meet_both_sides_of_the_dichotomy():
+    """Over every structure of up to 3 points in 3 colors and a seeded
+    sample of the 4-point, 2-color ones, at every budget-2 type: the
+    type-keyed strategy, a function of the type, gives only monochromatic
+    triangles, and the committed one, which tells the realizers apart,
+    only equivariance violations.  Neither ever faults, and every
+    certificate is accepted, the committed strategy's state replayed from
+    a fresh instance."""
+    four = [x for x in all_structures(4, 2) if len(x.points) == 4]
+    counts = collections.Counter()
+    for x in all_structures(3, 3) + random.Random(SWEEP_SEED).sample(four, 2):
+        for tau in enumerate_types(x, 0, 2):
+            for cls in (TypeKeyedStrategy, CommittedStrategy):
+                cert = refute(x, tau, cls(), 1)
+                assert accepted_after_a_round_trip(cert, cls), (cls.name, format_type(tau))
+                counts[cls.name, cert.kind, len(x.points)] += 1
+    assert counts == {(name, kind, size): runs
+                      for name, kind in (("type-keyed", MONO), ("committed", EQUIV))
+                      for size, runs in enumerate((1, 5, 57, 1464, 248))}
+
+
+def test_every_local_table_is_refuted():
+    """The whole 2-color local table class over one point: 4^5 tables at
+    each of three types, at depth 4.  A table reads only what both
+    realizers share, so it never gives an equivariance violation: half the
+    runs close a triangle, and half answer ``t1`` in a virtual color."""
+    with open(data("one_point.txt")) as fh:
+        x = parse_struct(fh)[1]
+    answers = [StrategyAnswer(side, B(0, n)) for side in (ABOVE, BELOW) for n in (0, 1)]
+    types = (TYPE_A, "type supp=a cut=0 colors=b:0:0 level=0", "type supp= cut=0 colors= level=0")
+    counts = collections.Counter()
+    for text in types:
+        tau = parse_type(text, x)
+        for table in itertools.product(answers, repeat=5):
+            cert = refute(x, tau, LocalTableStrategy(table), 4)
+            assert accepted_after_a_round_trip(cert, lambda: LocalTableStrategy(table))
+            counts[text, cert.kind, cert.reason] += 1
+    assert counts == {(text, kind, reason): 512 for text in types
+                      for kind, reason in ((MONO, ""), (FAULT, "virtual-triangle"))}
 
 
 # ---------------------------------------------------------------------------
